@@ -46,45 +46,50 @@ impl BitmapGraph {
     /// the adjacency matrix holds the *in*-neighbour relationship used by
     /// pull-style BFS: bit `c` of row `r` is set when arc `c → r` exists,
     /// i.e. the structure is the transpose of the out-adjacency.
+    ///
+    /// One counting pass buckets the arcs by destination band. Sources
+    /// are scattered in ascending order, so each band's arcs arrive
+    /// sorted by column block and its slices are appended in order.
     pub fn from_graph(g: &CsrGraph) -> Self {
         let n = g.n;
         let row_blocks = n.div_ceil(BLOCK_ROWS);
         let col_blocks = n.div_ceil(BLOCK_COLS);
 
-        // Collect (row_block, col_block, local_row, local_col) per arc of
-        // the transpose, then bucket into slices.
-        let mut keys = workspace::take_in::<(u32, u32, u8, u8)>(g.num_arcs());
+        let mut band_start = workspace::take(row_blocks + 1, 0usize);
+        for &v in g.adj.iter() {
+            band_start[v as usize / BLOCK_ROWS + 1] += 1;
+        }
+        for i in 0..row_blocks {
+            band_start[i + 1] += band_start[i];
+        }
+        // Per arc `u → v`: source `u` and local row `v % 8`, packed.
+        let mut cursor = workspace::take_copy(&band_start[..row_blocks]);
+        let mut arcs = workspace::take(g.num_arcs(), 0u64);
         for u in 0..n {
             for &v in g.neighbors(u) {
-                // arc u → v sets bit u in row v of the pull structure.
-                let (r, c) = (v as usize, u);
-                keys.push((
-                    (r / BLOCK_ROWS) as u32,
-                    (c / BLOCK_COLS) as u32,
-                    (r % BLOCK_ROWS) as u8,
-                    (c % BLOCK_COLS) as u8,
-                ));
+                let rb = v as usize / BLOCK_ROWS;
+                arcs[cursor[rb]] = (u as u64) << 3 | (v as usize % BLOCK_ROWS) as u64;
+                cursor[rb] += 1;
             }
         }
-        keys.sort_unstable();
 
-        let mut offsets = vec![0usize; row_blocks + 1];
+        let mut offsets = Vec::with_capacity(row_blocks + 1);
+        offsets.push(0usize);
         let mut slices: Vec<Slice> = Vec::new();
-        let mut current: Option<(u32, u32)> = None;
-        for &(rb, cb, lr, lc) in keys.iter() {
-            if current != Some((rb, cb)) {
-                slices.push(Slice {
-                    col_block: cb,
-                    rows: [0u128; BLOCK_ROWS],
-                });
-                current = Some((rb, cb));
+        for rb in 0..row_blocks {
+            let first = slices.len();
+            for &arc in &arcs[band_start[rb]..band_start[rb + 1]] {
+                let (u, r) = ((arc >> 3) as usize, (arc & 7) as usize);
+                let cb = (u / BLOCK_COLS) as u32;
+                if slices.len() == first || slices[slices.len() - 1].col_block != cb {
+                    slices.push(Slice {
+                        col_block: cb,
+                        rows: [0u128; BLOCK_ROWS],
+                    });
+                }
+                slices.last_mut().unwrap().rows[r] |= 1u128 << (u % BLOCK_COLS);
             }
-            slices.last_mut().unwrap().rows[lr as usize] |= 1u128 << lc;
-            offsets[rb as usize + 1] = slices.len();
-        }
-        // Bands with no slices inherit the previous cumulative count.
-        for i in 1..=row_blocks {
-            offsets[i] = offsets[i].max(offsets[i - 1]);
+            offsets.push(slices.len());
         }
         Self {
             n,

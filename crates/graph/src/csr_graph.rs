@@ -106,14 +106,33 @@ impl CsrGraph {
     }
 
     /// Reverse graph (in-neighbours become out-neighbours).
+    ///
+    /// A counting transpose: in-degrees, prefix sum, then one scatter
+    /// with sources ascending, so every reversed list comes out sorted.
+    /// Arcs are already de-duplicated, so this equals re-sorting the
+    /// reversed arc list through [`CsrGraph::from_edges`].
     pub fn reverse(&self) -> CsrGraph {
-        let mut edges = Vec::with_capacity(self.num_arcs());
-        for u in 0..self.n {
+        let n = self.n;
+        let mut offsets = vec![0usize; n + 1];
+        for &v in self.adj.iter() {
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![0u32; self.num_arcs()];
+        for u in 0..n {
             for &v in self.neighbors(u) {
-                edges.push((v, u as u32));
+                adj[cursor[v as usize]] = u as u32;
+                cursor[v as usize] += 1;
             }
         }
-        CsrGraph::from_edges(self.n, &edges, false)
+        Self {
+            n,
+            offsets: offsets.into(),
+            adj: adj.into(),
+        }
     }
 
     /// The highest-degree vertex — the paper's BFS sources follow the

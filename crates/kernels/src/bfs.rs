@@ -10,16 +10,21 @@
 //!   6.1 credits for the BFS speedups.
 //! * **CC** executes the same slice loop as 32-bit AND/POPC integer
 //!   sequences (identical frontier evolution).
-//! * **CC-E** additionally skips slices whose rows are all settled —
-//!   only the essential bit tests (same memory traffic, fewer lane ops).
+//! * **CC-E** executes the same slice loop, but is charged only the
+//!   essential bit tests: `12 × 8 / 2 + 8` integer ops per processed
+//!   slice instead of CC's `768 + 8` (same memory traffic, fewer lane
+//!   ops).
 //! * **Baseline** models Gunrock: direction-optimizing push/pull BFS
 //!   over CSR with frontier queues.
+//!
+//! TC, CC and CC-E run the same pull traversal: all three skip bands whose
+//! rows are all settled, and slices whose frontier segment is empty.
+//! Their traces differ only in how each processed slice is counted.
 //!
 //! BFS performs no floating-point arithmetic; correctness is exact
 //! level-by-level agreement with the serial reference.
 
 use cubie_core::counters::MemTraffic;
-use cubie_core::mma::mma_b1_m8n8k128_and_popc;
 use cubie_core::{workspace, OpCounters};
 use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::csr_graph::CsrGraph;
@@ -39,12 +44,16 @@ pub fn reference(g: &CsrGraph, source: usize) -> Vec<i32> {
 pub fn run(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
     match variant {
         Variant::Baseline => run_push_pull(g, source),
-        Variant::Tc | Variant::Cc | Variant::CcE => run_bitmap(g, source, variant),
+        Variant::Tc | Variant::Cc | Variant::CcE => {
+            let profile = pull_profile(g, source);
+            let trace = trace_from_profile(&profile, variant);
+            (profile.levels, trace)
+        }
     }
 }
 
 /// Trace-only entry point (BFS traces are data-dependent, so this simply
-/// runs the traversal structure).
+/// runs the traversal structure; `run` and `trace` share one path).
 pub fn trace(g: &CsrGraph, source: usize, variant: Variant) -> WorkloadTrace {
     run(g, source, variant).1
 }
@@ -54,9 +63,23 @@ pub fn useful_edges(g: &CsrGraph) -> f64 {
     g.num_arcs() as f64
 }
 
-/// Bitmap pull BFS (TC / CC / CC-E — identical traversal, different
-/// issuing pipes and slice filtering in the trace).
-fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
+/// What one bitmap pull traversal (TC / CC / CC-E) leaves behind:
+/// everything the three bitmap variants' traces are a function of.
+struct PullProfile {
+    /// Per-vertex levels (`-1` for unreachable vertices).
+    levels: Vec<i32>,
+    /// Per launch: (slices processed, vertices discovered).
+    per_level: Vec<(u64, u64)>,
+    /// 128-column frontier segments.
+    col_blocks: usize,
+}
+
+/// The pull traversal over the bitmap slice sets. A processed slice is
+/// one bit MMA of its rows against the frontier segment replicated
+/// across the eight `B` columns; only the diagonal is read, and entry
+/// `r` is `popcount(rows[r] & seg)`, so a row is hit exactly when
+/// `rows[r] & seg != 0`.
+fn pull_profile(g: &CsrGraph, source: usize) -> PullProfile {
     let bm = BitmapGraph::from_graph(g);
     let n = g.n;
     let col_blocks = bm.col_blocks;
@@ -71,7 +94,7 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
     }
     band_unsettled[source / BLOCK_ROWS] -= 1;
 
-    let mut workload = WorkloadTrace::default();
+    let mut per_level = Vec::new();
     let mut depth = 0i32;
     let mut frontier_count = 1u64;
     while frontier_count > 0 {
@@ -79,17 +102,13 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
         // Ping-pong through the arena: the retired frontier is the
         // buffer the next level's checkout gets back.
         let mut next = workspace::take(col_blocks, 0u128);
-        let mut ops = OpCounters::default();
-        let mut scratch = OpCounters::default();
         let mut processed = 0u64;
-        let mut skipped_settled = 0u64;
         let mut next_count = 0u64;
         // `band_unsettled[rb]` is also decremented inside the inner loop,
         // so an iterator over it would alias the mutation.
         #[allow(clippy::needless_range_loop)]
         for rb in 0..bm.row_blocks {
             if band_unsettled[rb] == 0 {
-                skipped_settled += bm.band(rb).len() as u64;
                 continue;
             }
             for slice in bm.band(rb) {
@@ -98,14 +117,9 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
                     continue;
                 }
                 processed += 1;
-                // B operand: the frontier segment replicated across the
-                // eight columns; the diagonal carries the row hit counts.
-                let b_cols = [seg; 8];
-                let mut c = [0u32; 64];
-                mma_b1_m8n8k128_and_popc(&slice.rows, &b_cols, &mut c, &mut scratch);
                 for r in 0..BLOCK_ROWS {
                     let v = rb * BLOCK_ROWS + r;
-                    if v < n && level[v] < 0 && c[r * 8 + r] > 0 {
+                    if v < n && level[v] < 0 && slice.rows[r] & seg != 0 {
                         level[v] = depth;
                         next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
                         band_unsettled[rb] -= 1;
@@ -114,7 +128,22 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
                 }
             }
         }
-        // Account the level's launch.
+        per_level.push((processed, next_count));
+        frontier = next;
+        frontier_count = next_count;
+    }
+    PullProfile {
+        levels: level,
+        per_level,
+        col_blocks,
+    }
+}
+
+/// One launch per profiled level, counted for the variant's pipes.
+fn trace_from_profile(profile: &PullProfile, variant: Variant) -> WorkloadTrace {
+    let mut workload = WorkloadTrace::default();
+    for (i, &(processed, next_count)) in profile.per_level.iter().enumerate() {
+        let mut ops = OpCounters::default();
         match variant {
             Variant::Tc => ops.mma_b1 = processed,
             Variant::Cc => ops.int_ops = processed * 768 + processed * 8,
@@ -129,21 +158,18 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
             ops.int_ops = processed * 8; // diagonal extraction
         }
         ops.gmem_load = MemTraffic::coalesced(processed * 132) + MemTraffic::random(processed * 16);
-        ops.gmem_store = MemTraffic::coalesced(next_count * 4 + col_blocks as u64 * 16);
+        ops.gmem_store = MemTraffic::coalesced(next_count * 4 + profile.col_blocks as u64 * 16);
         ops.smem_bytes = processed * 16;
-        let _ = skipped_settled;
         workload.push(KernelTrace::new(
-            format!("bfs-{}-level{}", variant.label(), depth),
+            format!("bfs-{}-level{}", variant.label(), i + 1),
             processed.div_ceil(8).max(1),
             256,
             4096,
             ops,
             latency::GMEM_RT + latency::MMA_B1 + latency::SMEM_RT,
         ));
-        frontier = next;
-        frontier_count = next_count;
     }
-    (level, workload)
+    workload
 }
 
 /// Direction-optimizing push/pull BFS (Gunrock-style baseline).
@@ -310,6 +336,32 @@ mod tests {
         let (levels, t) = run(&g, 0, Variant::Baseline);
         assert_eq!(levels[1], 1);
         assert!(t.launches() >= 2);
+    }
+
+    #[test]
+    fn row_hit_is_the_mma_diagonal() {
+        use cubie_core::mma::mma_b1_m8n8k128_and_popc;
+        let mut rng = cubie_core::SplitMix64::new(11);
+        let mut bits = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
+        for round in 0..200 {
+            let mut rows: [u128; BLOCK_ROWS] = std::array::from_fn(|_| bits());
+            // Sparse rows and segments too, so misses are exercised.
+            let mut seg = bits();
+            if round % 2 == 1 {
+                rows.iter_mut().for_each(|r| *r &= bits() & bits() & bits());
+                seg &= bits() & bits() & bits();
+            }
+            if round % 7 == 0 {
+                rows[round % BLOCK_ROWS] = 0;
+            }
+            let mut c = [0u32; 64];
+            let mut scratch = OpCounters::default();
+            mma_b1_m8n8k128_and_popc(&rows, &[seg; 8], &mut c, &mut scratch);
+            for r in 0..BLOCK_ROWS {
+                assert_eq!(c[r * 8 + r], (rows[r] & seg).count_ones(), "round {round}");
+                assert_eq!(c[r * 8 + r] > 0, rows[r] & seg != 0, "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,93 @@
 //! must agree with its serial reference on arbitrary inputs, and TC must
 //! be bit-identical to CC everywhere.
 
-use cubie_core::{ErrorStats, C64};
+use cubie_core::counters::MemTraffic;
+use cubie_core::mma::mma_b1_m8n8k128_and_popc;
+use cubie_core::{ErrorStats, OpCounters, C64};
+use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
+use cubie_graph::CsrGraph;
 use cubie_kernels::{bfs, fft, gemv, reduction, scan, spmv, Variant};
+use cubie_sim::trace::latency;
+use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::{Coo, Csr};
 use proptest::prelude::*;
+
+/// The bitmap pull BFS as it was before the traversal and the per-variant
+/// accounting were split: one traversal per variant, and a full emulated
+/// bit MMA per processed slice whose diagonal decides the row hits.
+fn bitmap_bfs_with_mma(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
+    let bm = BitmapGraph::from_graph(g);
+    let n = g.n;
+    let col_blocks = bm.col_blocks;
+    let mut level = vec![-1i32; n];
+    level[source] = 0;
+    let mut frontier = vec![0u128; col_blocks];
+    frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
+    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
+    if !n.is_multiple_of(BLOCK_ROWS) {
+        band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
+    }
+    band_unsettled[source / BLOCK_ROWS] -= 1;
+
+    let mut workload = WorkloadTrace::default();
+    let mut depth = 0i32;
+    let mut frontier_count = 1u64;
+    while frontier_count > 0 {
+        depth += 1;
+        let mut next = vec![0u128; col_blocks];
+        let mut ops = OpCounters::default();
+        let mut scratch = OpCounters::default();
+        let mut processed = 0u64;
+        let mut next_count = 0u64;
+        #[allow(clippy::needless_range_loop)]
+        for rb in 0..bm.row_blocks {
+            if band_unsettled[rb] == 0 {
+                continue;
+            }
+            for slice in bm.band(rb) {
+                let seg = frontier[slice.col_block as usize];
+                if seg == 0 {
+                    continue;
+                }
+                processed += 1;
+                let mut c = [0u32; 64];
+                mma_b1_m8n8k128_and_popc(&slice.rows, &[seg; 8], &mut c, &mut scratch);
+                for r in 0..BLOCK_ROWS {
+                    let v = rb * BLOCK_ROWS + r;
+                    if v < n && level[v] < 0 && c[r * 8 + r] > 0 {
+                        level[v] = depth;
+                        next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
+                        band_unsettled[rb] -= 1;
+                        next_count += 1;
+                    }
+                }
+            }
+        }
+        match variant {
+            Variant::Tc => ops.mma_b1 = processed,
+            Variant::Cc => ops.int_ops = processed * 768 + processed * 8,
+            Variant::CcE => ops.int_ops = processed * 12 * 8 / 2 + processed * 8,
+            Variant::Baseline => unreachable!(),
+        }
+        if variant == Variant::Tc {
+            ops.int_ops = processed * 8;
+        }
+        ops.gmem_load = MemTraffic::coalesced(processed * 132) + MemTraffic::random(processed * 16);
+        ops.gmem_store = MemTraffic::coalesced(next_count * 4 + col_blocks as u64 * 16);
+        ops.smem_bytes = processed * 16;
+        workload.push(KernelTrace::new(
+            format!("bfs-{}-level{}", variant.label(), depth),
+            processed.div_ceil(8).max(1),
+            256,
+            4096,
+            ops,
+            latency::GMEM_RT + latency::MMA_B1 + latency::SMEM_RT,
+        ));
+        frontier = next;
+        frontier_count = next_count;
+    }
+    (level, workload)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -118,6 +201,33 @@ proptest! {
             let (levels, trace) = bfs::run(&g, src, v);
             prop_assert_eq!(&levels, &gold, "{}", v);
             prop_assert_eq!(trace.launches(), depth.max(0) as usize + 1, "{}", v);
+        }
+    }
+
+    /// BFS: every bitmap variant's levels and trace equal the full-MMA
+    /// reference launch by launch: label, grid, block, shared memory,
+    /// every op counter and the critical path.
+    #[test]
+    fn bfs_bitmap_traces_match_full_mma(
+        n in 1usize..600,
+        edges in proptest::collection::vec((0u32..600, 0u32..600), 0..1500),
+        sym in any::<bool>(),
+        src_pick in any::<prop::sample::Index>(),
+    ) {
+        let edges: Vec<(u32, u32)> = edges
+            .into_iter()
+            .filter(|(u, v)| (*u as usize) < n && (*v as usize) < n)
+            .collect();
+        let g = CsrGraph::from_edges(n, &edges, sym);
+        let src = src_pick.index(n);
+        for v in [Variant::Tc, Variant::Cc, Variant::CcE] {
+            let (want_levels, want) = bitmap_bfs_with_mma(&g, src, v);
+            let (levels, ran) = bfs::run(&g, src, v);
+            prop_assert_eq!(&levels, &want_levels, "{}", v);
+            // `KernelTrace` equality covers label, grid, block, shared
+            // memory, every `OpCounters` field and the critical path.
+            prop_assert_eq!(&ran, &want, "{}", v);
+            prop_assert_eq!(&bfs::trace(&g, src, v), &want, "{}", v);
         }
     }
 }
