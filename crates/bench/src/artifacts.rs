@@ -29,6 +29,7 @@ use cubie_analysis::coverage::{
 use cubie_analysis::errors::{table6, ErrorRow, ErrorScale};
 use cubie_analysis::quadrants::utilizations;
 use cubie_analysis::report;
+use cubie_core::cas::fnv1a64;
 use cubie_device::{all_devices, b200, DeviceSpec, PEAK_EVOLUTION};
 use cubie_golden::{Artifact, Column, Json};
 use cubie_kernels::{gemm, MmaGen, Precision, Quadrant, Variant, Workload};
@@ -1115,14 +1116,8 @@ pub fn ext_precision_mma() -> Artifact {
     columns.extend(PROBES.iter().map(|i| Column::exact(&format!("c{i}_bits"))));
     let mut a = Artifact::new("ext_precision_mma", columns);
     let fnv = |c: &[f32]| -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for v in c {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        let bytes: Vec<u8> = c.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        fnv1a64(&bytes)
     };
     for p in Precision::ALL.into_iter().filter(|p| *p != Precision::F64) {
         for gen in [MmaGen::Volta, MmaGen::Ampere] {

@@ -34,6 +34,9 @@
 //! * [`mmap`] / [`slab`] — read-only file mappings and the
 //!   owned-or-mapped [`slab::Slab`] buffers under prepared cases, so
 //!   snapshot-store hits serve kernel inputs zero-copy from disk.
+//! * [`cas`] — the content-addressed store primitive (FNV-1a
+//!   addressing, atomic writes, validator-driven revalidation) under the
+//!   prepared-input store and the `cubied` result store.
 //! * [`simd`] — SIMD-width implementations of the dominant inner loops
 //!   (strided MMA core, CSR SpMV row, stencil star row) with runtime
 //!   dispatch across scalar/AVX2/AVX-512/NEON, every path bit-identical
@@ -45,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cas;
 pub mod complex;
 pub mod counters;
 pub mod error;

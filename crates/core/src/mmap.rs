@@ -116,17 +116,6 @@ impl Mapping {
         }
     }
 
-    /// Read `file` into an owned buffer, never mapping — for callers
-    /// that explicitly want copied (mutation-safe) storage.
-    pub fn owned_copy(file: &mut File) -> io::Result<Mapping> {
-        let mut buf = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut buf)?;
-        Ok(Mapping {
-            repr: Repr::Owned(buf),
-        })
-    }
-
     /// The mapped (or copied) bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.repr {
@@ -210,18 +199,6 @@ mod tests {
         let m = Mapping::of_file(&mut f).unwrap();
         assert!(m.is_empty());
         assert!(!m.is_mmap());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn owned_copy_matches_mapping() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let (path, mut f) = tmp_file("copy", &data);
-        let mapped = Mapping::of_file(&mut f).unwrap();
-        let mut f2 = File::open(&path).unwrap();
-        let copied = Mapping::owned_copy(&mut f2).unwrap();
-        assert!(!copied.is_mmap());
-        assert_eq!(mapped.bytes(), copied.bytes());
         let _ = std::fs::remove_file(path);
     }
 

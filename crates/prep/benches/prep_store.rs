@@ -1,24 +1,19 @@
 //! `prep-*` criterion group: cold generation vs snapshot loads.
 //!
-//! Quantifies the tentpole claim — a warm mmap load of a Table 4 matrix
-//! should beat regenerating it by a wide margin — and keeps the copied
-//! (no-mmap) load measured so the zero-copy win stays visible.
+//! Quantifies the store's claim: a warm mmap load of a Table 4 matrix
+//! should beat regenerating it by a wide margin.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cubie_prep::{table4_matrices_with, LoadMode, PrepConfig};
+use cubie_prep::{table4_matrices_with, PrepConfig};
 
 const SCALE: usize = 16;
 
 fn bench_cfg(tag: &str) -> PrepConfig {
     let dir = std::env::temp_dir().join(format!("cubie_prep_bench_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    PrepConfig {
-        enabled: true,
-        dir,
-        mode: LoadMode::Mmap,
-    }
+    PrepConfig { enabled: true, dir }
 }
 
 fn quick<'a>(
@@ -42,17 +37,13 @@ fn prep_cold_generate(c: &mut Criterion) {
     g.finish();
 }
 
-/// prep-warm: serve the same set from snapshots, mmap'd vs copied.
+/// prep-warm: serve the same set from mmap'd snapshots.
 fn prep_warm_load(c: &mut Criterion) {
-    let mut cfg = bench_cfg("warm");
+    let cfg = bench_cfg("warm");
     // Populate once; every timed iteration is then a pure warm load.
     let _ = table4_matrices_with(&cfg, SCALE);
     let mut g = quick(c, "prep-warm");
     g.bench_function("table4_mmap_load", |b| {
-        b.iter(|| std::hint::black_box(table4_matrices_with(&cfg, SCALE)))
-    });
-    cfg.mode = LoadMode::Copied;
-    g.bench_function("table4_copied_load", |b| {
         b.iter(|| std::hint::black_box(table4_matrices_with(&cfg, SCALE)))
     });
     g.finish();

@@ -29,6 +29,7 @@
 
 use std::sync::Arc;
 
+use cubie_core::cas::fnv1a64;
 use cubie_core::mmap::Mapping;
 use cubie_core::slab::Slab;
 use cubie_graph::csr_graph::CsrGraph;
@@ -48,18 +49,6 @@ pub const KIND_GRAPH: u32 = 2;
 /// Whether payload sections can be reinterpreted in place on this host
 /// (the on-disk layout is 64-bit little-endian).
 pub const ZERO_COPY_OK: bool = cfg!(target_endian = "little") && cfg!(target_pointer_width = "64");
-
-/// FNV-1a 64 over raw bytes — the snapshot payload checksum. Same
-/// function (and test vectors) as the result-store key hash, but over
-/// bytes rather than a canonical string.
-pub fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded snapshot: the prepared case it holds.
 pub enum Decoded {
@@ -88,7 +77,7 @@ fn encode(kind: u32, key: &str, meta: [u64; 4], payload: Vec<u8>) -> Vec<u8> {
     out.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
     put_u64s(&mut out, meta.into_iter());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64_bytes(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
     out.extend_from_slice(key_bytes);
     out.resize(HEADER + pad8(key_bytes.len()), 0);
     out.extend_from_slice(&payload);
@@ -187,12 +176,15 @@ fn f64_section(map: &Arc<Mapping>, off: usize, n: usize, what: &str) -> Result<S
     }
 }
 
-/// Validate and decode a snapshot. `expect_key`, when given, pins the
-/// embedded canonical key (the load path); `None` validates structure
-/// only (open-time revalidation). Every failure is a description — the
-/// caller deletes the file and regenerates; nothing here panics on
-/// corrupt input.
-pub fn decode(map: Arc<Mapping>, expect_key: Option<&str>) -> Result<Decoded, String> {
+/// Validate and decode a snapshot. `check_key` vets the embedded
+/// canonical key before the payload is checksummed (the load path pins
+/// it exactly; open-time revalidation checks its version prefix and
+/// address). Every failure is a description — the caller deletes the
+/// file and regenerates; nothing here panics on corrupt input.
+pub fn decode(
+    map: Arc<Mapping>,
+    check_key: impl FnOnce(&str) -> Result<(), String>,
+) -> Result<Decoded, String> {
     let bytes = map.bytes();
     if bytes.len() < HEADER {
         return Err(format!("truncated header: {} bytes", bytes.len()));
@@ -224,15 +216,9 @@ pub fn decode(map: Arc<Mapping>, expect_key: Option<&str>) -> Result<Decoded, St
     }
     let key = std::str::from_utf8(&bytes[HEADER..HEADER + key_len])
         .map_err(|_| "embedded key is not UTF-8".to_string())?;
-    if let Some(expect) = expect_key {
-        if key != expect {
-            return Err(format!(
-                "key mismatch at this address: stored `{key}`, requested `{expect}`"
-            ));
-        }
-    }
+    check_key(key)?;
     let payload = &bytes[payload_off..];
-    let got = fnv1a64_bytes(payload);
+    let got = fnv1a64(payload);
     if got != checksum {
         return Err(format!(
             "checksum mismatch: stored {checksum:016x}, computed {got:016x}"
@@ -300,22 +286,19 @@ mod tests {
         cubie_graph::generators::grid_graph(7, 9)
     }
 
-    fn roundtrip(bytes: Vec<u8>, key: &str) -> Decoded {
-        let map = Arc::new(Mapping::from_bytes(bytes));
-        decode(map, Some(key)).unwrap()
+    fn any_key(_: &str) -> Result<(), String> {
+        Ok(())
     }
 
-    #[test]
-    fn fnv_bytes_matches_published_vectors() {
-        assert_eq!(fnv1a64_bytes(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64_bytes(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64_bytes(b"foobar"), 0x85944171f73967e8);
+    fn roundtrip(bytes: Vec<u8>) -> Decoded {
+        let map = Arc::new(Mapping::from_bytes(bytes));
+        decode(map, any_key).unwrap()
     }
 
     #[test]
     fn matrix_roundtrips_bit_identically() {
         let m = sample_matrix();
-        let Decoded::Matrix(back) = roundtrip(encode_matrix("k", &m), "k") else {
+        let Decoded::Matrix(back) = roundtrip(encode_matrix("k", &m)) else {
             panic!("wrong kind");
         };
         assert_eq!(back, m);
@@ -327,7 +310,7 @@ mod tests {
     #[test]
     fn graph_roundtrips_bit_identically() {
         let g = sample_graph();
-        let Decoded::Graph(back) = roundtrip(encode_graph("gk", &g), "gk") else {
+        let Decoded::Graph(back) = roundtrip(encode_graph("gk", &g)) else {
             panic!("wrong kind");
         };
         assert_eq!(back, g);
@@ -338,7 +321,7 @@ mod tests {
         let mut bytes = encode_matrix("k", &sample_matrix());
         bytes.truncate(bytes.len() - 3);
         let map = Arc::new(Mapping::from_bytes(bytes));
-        let err = decode(map, Some("k")).err().unwrap();
+        let err = decode(map, any_key).err().unwrap();
         assert!(err.contains("length mismatch"), "{err}");
     }
 
@@ -348,16 +331,18 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let map = Arc::new(Mapping::from_bytes(bytes));
-        let err = decode(map, Some("k")).err().unwrap();
+        let err = decode(map, any_key).err().unwrap();
         assert!(err.contains("checksum mismatch"), "{err}");
     }
 
     #[test]
-    fn key_mismatch_is_detected() {
+    fn rejected_key_fails_the_decode() {
         let bytes = encode_graph("stored-key", &sample_graph());
         let map = Arc::new(Mapping::from_bytes(bytes));
-        let err = decode(map, Some("other-key")).err().unwrap();
-        assert!(err.contains("key mismatch"), "{err}");
+        let err = decode(map, |key| Err(format!("rejected `{key}`")))
+            .err()
+            .unwrap();
+        assert_eq!(err, "rejected `stored-key`");
     }
 
     #[test]
@@ -365,7 +350,7 @@ mod tests {
         let mut bytes = encode_graph("k", &sample_graph());
         bytes[0] = b'X';
         let map = Arc::new(Mapping::from_bytes(bytes));
-        assert!(decode(map, None).err().unwrap().contains("bad magic"));
+        assert!(decode(map, any_key).err().unwrap().contains("bad magic"));
     }
 
     #[test]
@@ -374,7 +359,7 @@ mod tests {
             return;
         }
         let m = sample_matrix();
-        let Decoded::Matrix(back) = roundtrip(encode_matrix("k", &m), "k") else {
+        let Decoded::Matrix(back) = roundtrip(encode_matrix("k", &m)) else {
             panic!("wrong kind");
         };
         assert!(back.row_ptr.is_mapped());

@@ -25,8 +25,9 @@
 //!   in-memory, still parallel). Default: on.
 //! * `CUBIE_PREP_DIR=<path>` — store directory. Default:
 //!   `results/prep` under the current directory.
-//! * `CUBIE_PREP_MMAP=off` — read snapshots into owned buffers instead
-//!   of mapping them (same decode path, one copy). Default: mmap.
+//!
+//! Hits are mapped where the platform supports `mmap` and read into an
+//! owned buffer elsewhere ([`cubie_core::mmap::Mapping::of_file`]).
 //!
 //! Observability: `prep.hit` / `prep.miss` / `prep.invalidated` /
 //! `prep.store_err` counters, `prep.bytes_mapped` / `prep.bytes_written`
@@ -50,8 +51,9 @@ use cubie_sparse::generators as sparse_gen;
 use cubie_sparse::generators::MatrixInfo;
 use cubie_sparse::Csr;
 
+pub use cubie_core::cas::OpenReport;
 pub use format::Decoded;
-pub use store::{LoadMode, Lookup, OpenReport, PrepKey, PrepStore};
+pub use store::{Lookup, PrepKey, PrepStore};
 
 /// Resolved store configuration: what a load/generate call should do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,17 +63,14 @@ pub struct PrepConfig {
     pub enabled: bool,
     /// Store directory (`CUBIE_PREP_DIR`, default `results/prep`).
     pub dir: PathBuf,
-    /// How snapshot bytes are brought in on a hit (`CUBIE_PREP_MMAP`).
-    pub mode: LoadMode,
 }
 
 impl PrepConfig {
-    /// The default config: store enabled at `results/prep`, mmap loads.
+    /// The default config: store enabled at `results/prep`.
     pub fn new() -> PrepConfig {
         PrepConfig {
             enabled: true,
             dir: PathBuf::from("results/prep"),
-            mode: LoadMode::Mmap,
         }
     }
 
@@ -84,11 +83,6 @@ impl PrepConfig {
         if let Ok(v) = std::env::var("CUBIE_PREP_DIR") {
             if !v.is_empty() {
                 cfg.dir = PathBuf::from(v);
-            }
-        }
-        if let Ok(v) = std::env::var("CUBIE_PREP_MMAP") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                cfg.mode = LoadMode::Copied;
             }
         }
         cfg
@@ -119,7 +113,7 @@ pub struct LoadReport {
     pub misses: usize,
     /// Snapshots deleted for corruption/skew during this load.
     pub invalidated: usize,
-    /// Bytes served via mapped (or copied) snapshots.
+    /// Bytes served from snapshots.
     pub bytes_loaded: u64,
     /// Bytes written for newly recorded snapshots.
     pub bytes_written: u64,
@@ -140,7 +134,7 @@ pub fn table3_graphs(scale: usize) -> Vec<(GraphInfo, CsrGraph)> {
 }
 
 /// [`table4_matrices`] with an explicit config (tests pass temp dirs
-/// and forced modes here instead of mutating the environment).
+/// here instead of mutating the environment).
 pub fn table4_matrices_with(
     cfg: &PrepConfig,
     scale: usize,
@@ -219,7 +213,7 @@ fn cached_table<S: Copy + Sync, T: Send>(
     if let Some(store) = &store {
         for (slot, spec) in specs.iter().enumerate() {
             let key = key_of(spec);
-            match store.load(&key, cfg.mode) {
+            match store.load(&key) {
                 Lookup::Hit(loaded) => {
                     if let Some(case) = downcast(loaded.case) {
                         report.hits += 1;
@@ -331,11 +325,7 @@ mod tests {
     fn tmp_cfg(tag: &str) -> PrepConfig {
         let dir = std::env::temp_dir().join(format!("cubie_prep_lib_{}_{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        PrepConfig {
-            enabled: true,
-            dir,
-            mode: LoadMode::Mmap,
-        }
+        PrepConfig { enabled: true, dir }
     }
 
     #[test]
@@ -388,19 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn copied_mode_serves_identical_cases_without_mmap() {
-        let mut cfg = tmp_cfg("copied");
-        let (cold, _) = table4_matrices_with(&cfg, 128);
-        cfg.mode = LoadMode::Copied;
-        let (warm, report) = table4_matrices_with(&cfg, 128);
-        assert_eq!(report.hits, 5);
-        for ((_, ma), (_, mb)) in cold.iter().zip(&warm) {
-            assert_eq!(ma, mb);
-        }
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
     fn different_scales_use_different_snapshots() {
         let cfg = tmp_cfg("scales");
         let (_, r1) = table4_matrices_with(&cfg, 128);
@@ -427,7 +404,6 @@ mod tests {
         // subprocess probes in the integration suite.
         let cfg = PrepConfig::new();
         assert!(cfg.enabled);
-        assert_eq!(cfg.mode, LoadMode::Mmap);
         assert_eq!(cfg.dir, PathBuf::from("results/prep"));
     }
 }

@@ -9,15 +9,16 @@
 //!   socket (`sweep`/`advise`/`profile`/`ping`/`stats`/`shutdown`).
 //! * [`store`] — the content-addressed result store under
 //!   `results/store/`, keyed by `hash(request identity, golden schema
-//!   version, crate version)`, written atomically through the canonical
-//!   golden JSON writer so cache hits are bit-identical to fresh runs,
-//!   and revalidated on startup (the golden differ is the validation
-//!   oracle, reachable on demand via the `verify` request flag).
+//!   version, crate version)`, written atomically (via
+//!   [`cubie_core::cas`]) through the canonical golden JSON writer so
+//!   cache hits are bit-identical to fresh runs, and revalidated on
+//!   startup (the golden differ is the validation oracle, reachable on
+//!   demand via the `verify` request flag).
 //! * [`server`] — the daemon itself: request batching/dedup (N
 //!   concurrent identical requests → one execution), admission control
 //!   (per-request job clamps, bounded pending queue with backpressure),
-//!   per-request `cubie_obs` counters (`serve.hit` / `serve.miss` /
-//!   `serve.dedup` / `serve.queued` / …).
+//!   per-daemon request counters served by `stats` (`hit` / `miss` /
+//!   `dedup` / `exec` / …).
 //!
 //! Start it with `cubie serve`, talk to it with `cubie client` (see
 //! README, "Running cubied").
@@ -32,4 +33,4 @@ pub mod store;
 pub use proto::{AdviseSpec, Request, SweepSpec, PROTO_VERSION};
 #[cfg(unix)]
 pub use server::{client_request, Daemon, Handle, ServeConfig};
-pub use store::{fnv1a64, Lookup, Store, StoreKey, STORE_SCHEMA};
+pub use store::{Lookup, Store, StoreKey, STORE_SCHEMA};

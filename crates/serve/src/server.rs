@@ -18,10 +18,9 @@
 //! is rejected with a `server busy` backpressure error, never queued
 //! unboundedly), per-request `jobs` are clamped to
 //! [`ServeConfig::max_jobs`], and `advise`/`ping`/`stats` bypass the
-//! heavy gate entirely. Every outcome increments a named
-//! [`cubie_obs`] counter (`serve.hit`, `serve.miss`, `serve.dedup`,
-//! `serve.queued`, `serve.rejected`, …) and the daemon keeps its own
-//! atomic mirror for the `stats` response.
+//! heavy gate entirely. Every outcome increments one of the daemon's
+//! own atomic counters (`hit`, `miss`, `dedup`, `rejected`, …), which
+//! the `stats` response reports.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -77,7 +76,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Atomic mirror of the obs counters, for lock-free `stats` responses.
+/// Per-daemon request counters, read lock-free by `stats` responses.
+/// Per daemon rather than process-global, so several daemons in one
+/// process (tests, benchmarks) each report only their own traffic.
 #[derive(Debug, Default)]
 struct Stats {
     requests: AtomicU64,
@@ -92,11 +93,8 @@ struct Stats {
     errors: AtomicU64,
 }
 
-impl Stats {
-    fn bump(&self, field: &AtomicU64, counter: &str) {
-        field.fetch_add(1, Ordering::Relaxed);
-        cubie_obs::counter_add(counter, 1);
-    }
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The payload one execution publishes to its dedup waiters.
@@ -233,8 +231,6 @@ impl Daemon {
             "cubied: admission max_jobs={} heavy_slots={} queue_limit={}",
             cfg.max_jobs, cfg.heavy_slots, cfg.queue_limit
         ));
-        cubie_obs::counter_add("serve.store_swept_tmp", report.removed_tmp as u64);
-        cubie_obs::counter_add("serve.store_invalidated", report.removed_invalid as u64);
 
         // Prewarm the prepared-input store: revalidate every snapshot
         // (checksumming reads each byte, populating the page cache) and
@@ -298,14 +294,13 @@ impl Daemon {
             return Ok(());
         }
         if gate.queued >= self.cfg.queue_limit {
-            self.stats.bump(&self.stats.rejected, "serve.rejected");
+            bump(&self.stats.rejected);
             return Err(format!(
                 "server busy: {} executing, {} queued (queue_limit {})",
                 gate.running, gate.queued, self.cfg.queue_limit
             ));
         }
         gate.queued += 1;
-        cubie_obs::counter_add("serve.queued", 1);
         while gate.running >= self.cfg.heavy_slots {
             gate = self.gate_cv.wait(gate).unwrap_or_else(|e| e.into_inner());
         }
@@ -331,7 +326,7 @@ impl Daemon {
         if self.cfg.exec_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(self.cfg.exec_delay_ms));
         }
-        self.stats.bump(&self.stats.executions, "serve.exec");
+        bump(&self.stats.executions);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let sweep = SweepRunner::new(cfg).run();
             let cells = sweep.cells.len() as u64;
@@ -354,7 +349,7 @@ impl Daemon {
         let cfg = match spec.to_config() {
             Ok(c) => c,
             Err(e) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 return error_response(&e);
             }
         };
@@ -365,13 +360,12 @@ impl Daemon {
                 if spec.verify {
                     return self.handle_verified_hit(spec, &key, stored);
                 }
-                self.stats.bump(&self.stats.hits, "serve.hit");
+                bump(&self.stats.hits);
                 let cells = stored.rows.len() as u64;
                 return sweep_response("hit", &key.address(), cells, Arc::new(stored.to_json()));
             }
             Lookup::Invalidated(reason) => {
-                self.stats
-                    .bump(&self.stats.invalidated, "serve.invalidated");
+                bump(&self.stats.invalidated);
                 cubie_obs::log(format!(
                     "cubied: store invalidated {}: {reason}",
                     key.address()
@@ -395,11 +389,11 @@ impl Daemon {
             }
         };
         if !is_executor {
-            self.stats.bump(&self.stats.dedups, "serve.dedup");
+            bump(&self.stats.dedups);
             return match flight.wait() {
                 Ok(out) => sweep_response("dedup", &out.address, out.cells, out.artifact),
                 Err(e) => {
-                    self.stats.bump(&self.stats.errors, "serve.error");
+                    bump(&self.stats.errors);
                     error_response(&e)
                 }
             };
@@ -407,12 +401,11 @@ impl Daemon {
 
         let result = self.execute_sweep(spec).map(|(artifact, cells)| {
             if let Err(e) = self.store.save(&key, &artifact) {
-                // Serving beats persisting: log, count, and move on.
+                // Serving beats persisting: log and move on.
                 cubie_obs::log(format!(
                     "cubied: store write failed for {}: {e}",
                     key.address()
                 ));
-                cubie_obs::counter_add("serve.store_write_failed", 1);
             }
             FlightOut {
                 address: key.address(),
@@ -427,11 +420,11 @@ impl Daemon {
             .remove(key.canonical());
         match result {
             Ok(out) => {
-                self.stats.bump(&self.stats.misses, "serve.miss");
+                bump(&self.stats.misses);
                 sweep_response("miss", &out.address, out.cells, out.artifact)
             }
             Err(e) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 error_response(&e)
             }
         }
@@ -450,21 +443,19 @@ impl Daemon {
         let (fresh, cells) = match self.execute_sweep(spec) {
             Ok(r) => r,
             Err(e) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 return error_response(&e);
             }
         };
         match cubie_golden::verify_bit_identical(&stored, &fresh) {
             Ok(()) => {
-                self.stats.bump(&self.stats.hits, "serve.hit");
-                cubie_obs::counter_add("serve.verify_ok", 1);
+                bump(&self.stats.hits);
                 let mut resp =
                     sweep_response("hit", &key.address(), cells, Arc::new(stored.to_json()));
                 push_field(&mut resp, "verified", true.into());
                 resp
             }
             Err(report) => {
-                cubie_obs::counter_add("serve.verify_failed", 1);
                 cubie_obs::log(format!(
                     "cubied: verify FAILED for {} — store entry replaced:\n{report}",
                     key.address()
@@ -473,7 +464,7 @@ impl Daemon {
                 if let Err(e) = self.store.save(key, &fresh) {
                     cubie_obs::log(format!("cubied: store rewrite failed: {e}"));
                 }
-                self.stats.bump(&self.stats.misses, "serve.miss");
+                bump(&self.stats.misses);
                 let mut resp =
                     sweep_response("miss", &key.address(), cells, Arc::new(fresh.to_json()));
                 push_field(&mut resp, "verified", false.into());
@@ -489,7 +480,7 @@ impl Daemon {
         let mut cfg = match spec.to_config() {
             Ok(c) => c,
             Err(e) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 return error_response(&e);
             }
         };
@@ -497,7 +488,7 @@ impl Daemon {
         if let Err(e) = self.acquire_heavy() {
             return error_response(&e);
         }
-        self.stats.bump(&self.stats.profiles, "serve.profile");
+        bump(&self.stats.profiles);
         cubie_obs::enable();
         let result = catch_unwind(AssertUnwindSafe(|| SweepRunner::new(cfg).run()));
         cubie_obs::disable();
@@ -506,7 +497,7 @@ impl Daemon {
         let sweep = match result {
             Ok(s) => s,
             Err(_) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 return error_response("profile execution panicked");
             }
         };
@@ -538,7 +529,7 @@ impl Daemon {
     /// the process-wide sweep cache (O(lookup) after first touch).
     fn handle_advise(&self, spec: &AdviseSpec) -> Json {
         let Some(w) = Workload::parse(&spec.workload) else {
-            self.stats.bump(&self.stats.errors, "serve.error");
+            bump(&self.stats.errors);
             return error_response(&format!("unknown workload `{}`", spec.workload));
         };
         let mut devices = Vec::new();
@@ -554,7 +545,7 @@ impl Daemon {
                     {
                         Some(d) => devices.push(d.clone()),
                         None => {
-                            self.stats.bump(&self.stats.errors, "serve.error");
+                            bump(&self.stats.errors);
                             return error_response(&format!(
                                 "unknown device `{name}` (a100|h200|b200)"
                             ));
@@ -595,7 +586,7 @@ impl Daemon {
         }));
         match advice {
             Ok(Some((case_label, cc_variant, rows))) => {
-                self.stats.bump(&self.stats.advises, "serve.advise");
+                bump(&self.stats.advises);
                 ok_response(
                     "advise",
                     vec![
@@ -607,11 +598,11 @@ impl Daemon {
                 )
             }
             Ok(None) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 error_response(&format!("no CUDA-core trace for `{}`", spec.workload))
             }
             Err(_) => {
-                self.stats.bump(&self.stats.errors, "serve.error");
+                bump(&self.stats.errors);
                 error_response("advise execution panicked")
             }
         }
@@ -656,7 +647,7 @@ impl Daemon {
 
     /// Dispatch one parsed request to its handler.
     fn handle(&self, req: &Request) -> Json {
-        self.stats.bump(&self.stats.requests, "serve.request");
+        bump(&self.stats.requests);
         match req {
             Request::Ping => ok_response("ping", vec![("proto", PROTO_VERSION.into())]),
             Request::Stats => self.handle_stats(),
@@ -765,7 +756,7 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
             let response = match parse_request(line.trim()) {
                 Ok(req) => daemon.handle(&req),
                 Err(e) => {
-                    daemon.stats.bump(&daemon.stats.errors, "serve.error");
+                    bump(&daemon.stats.errors);
                     error_response(&e)
                 }
             };

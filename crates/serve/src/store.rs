@@ -22,67 +22,42 @@
 //! entry whose stored key disagrees with the current canonical spelling
 //! is **invalidated on load** — deleted and recomputed, never served.
 //!
-//! Writes are crash-safe: the document is written to a `.tmp` sibling,
-//! fsynced, then renamed over the final path, and the directory itself
-//! is fsynced — a kill between requests leaves either the old bytes,
-//! the new bytes, or a `.tmp` leftover that [`Store::open`] sweeps out
-//! on the next startup. The artifact inside a hit is parsed back
-//! through the same strict [`Artifact::from_json`] path the golden
-//! gates use, so a truncated or bit-rotted entry degrades to a miss
-//! (plus deletion), never to serving garbage.
+//! Addressing, crash-safe writes and `.tmp` sweeping are the shared
+//! [`cubie_core::cas`] discipline; this module owns only the JSON
+//! envelope. The artifact inside a hit is parsed back through the same
+//! strict [`Artifact::from_json`] path the golden gates use, so a
+//! truncated or bit-rotted entry degrades to a miss (plus deletion),
+//! never to serving garbage.
 //!
 //! [`SweepConfig::cache_key`]: cubie_bench::SweepConfig::cache_key
 
-use std::fs::{self, File};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::io::{self, Read};
+use std::path::PathBuf;
 
+use cubie_core::cas::{self, Dir, Key, OpenReport};
 use cubie_golden::{obj, Artifact, Json};
 
 /// Store document schema version. Bump when the envelope shape changes.
 pub const STORE_SCHEMA: &str = "cubied-store/v1";
 
-/// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms
-/// and processes (unlike `DefaultHasher`, whose seeds are randomized),
-/// which is what a content-*addressed* store needs from its address.
-pub fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The full canonical key of a request: versions plus request identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreKey {
-    canonical: String,
-    hash: u64,
-}
+pub struct StoreKey(Key);
 
 impl StoreKey {
     /// Build the key for a request identity (a
     /// `SweepConfig::cache_key()` string), folding in the store schema,
     /// the golden artifact schema, and the crate version.
     pub fn for_request(request_key: &str) -> StoreKey {
-        let canonical = format!(
-            "{STORE_SCHEMA};golden={};crate={};{request_key}",
-            cubie_golden::SCHEMA,
-            env!("CARGO_PKG_VERSION"),
-        );
-        let hash = fnv1a64(&canonical);
-        StoreKey { canonical, hash }
+        StoreKey(Key::new(&current_prefix(), request_key))
     }
+}
 
-    /// The canonical key string (stored verbatim in the entry).
-    pub fn canonical(&self) -> &str {
-        &self.canonical
-    }
+impl std::ops::Deref for StoreKey {
+    type Target = Key;
 
-    /// The 16-hex-digit address (file stem under the store directory).
-    pub fn address(&self) -> String {
-        format!("{:016x}", self.hash)
+    fn deref(&self) -> &Key {
+        &self.0
     }
 }
 
@@ -96,41 +71,27 @@ fn current_prefix() -> String {
     )
 }
 
-/// What [`Store::load`] found.
-#[derive(Debug)]
-pub enum Lookup {
-    /// Valid entry: the stored canonical artifact.
-    Hit(Artifact),
-    /// No entry at this address.
-    Miss,
-    /// An entry existed but failed validation (corrupt JSON, schema or
-    /// version skew, key mismatch); it has been deleted and the reason
-    /// is carried for counters/logs. Treated as a miss by callers.
-    Invalidated(String),
-}
-
-/// What [`Store::open`] did while revalidating the directory.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct OpenReport {
-    /// Entries that passed validation and were kept.
-    pub kept: usize,
-    /// `.tmp` leftovers of interrupted writes, swept out.
-    pub removed_tmp: usize,
-    /// Entries deleted for corruption or version skew.
-    pub removed_invalid: usize,
-}
+/// What [`Store::load`] found: a hit carries the stored artifact.
+pub type Lookup = cas::Lookup<Artifact>;
 
 /// The on-disk store handle.
 #[derive(Debug)]
 pub struct Store {
-    dir: PathBuf,
+    dir: Dir,
 }
 
 /// Validate one stored document against the strict envelope contract.
 /// `expect_key` additionally pins the stored canonical key (load path);
 /// open-time revalidation only pins the version prefix and address.
-fn validate_doc(text: &str, file_stem: &str, expect_key: Option<&str>) -> Result<Artifact, String> {
-    let doc = Json::parse(text).map_err(|e| format!("unparseable entry: {e}"))?;
+fn validate_doc(
+    mut file: std::fs::File,
+    file_stem: &str,
+    expect_key: Option<&Key>,
+) -> Result<Artifact, String> {
+    let mut text = String::new();
+    file.read_to_string(&mut text)
+        .map_err(|e| format!("unreadable entry: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("unparseable entry: {e}"))?;
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -144,21 +105,9 @@ fn validate_doc(text: &str, file_stem: &str, expect_key: Option<&str>) -> Result
         .get("key")
         .and_then(Json::as_str)
         .ok_or("entry has no `key`")?;
-    if !key.starts_with(&current_prefix()) {
-        return Err(format!(
-            "version skew: entry key `{key}` does not match `{}…`",
-            current_prefix()
-        ));
-    }
+    Key::check_stored(key, &current_prefix(), file_stem)?;
     if let Some(expect) = expect_key {
-        if key != expect {
-            return Err(format!(
-                "key mismatch at this address: stored `{key}`, requested `{expect}`"
-            ));
-        }
-    }
-    if format!("{:016x}", fnv1a64(key)) != file_stem {
-        return Err(format!("entry key `{key}` does not hash to its address"));
+        expect.check_same(key)?;
     }
     let artifact = doc.get("artifact").ok_or("entry has no `artifact`")?;
     Artifact::from_json(artifact).map_err(|e| format!("stored artifact invalid: {e}"))
@@ -171,102 +120,37 @@ impl Store {
     /// schema/crate version — the restart-revalidation half of the
     /// crash-safety contract.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<(Store, OpenReport)> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let mut report = OpenReport::default();
-        for entry in fs::read_dir(&dir)? {
-            let path = entry?.path();
-            let name = match path.file_name().and_then(|n| n.to_str()) {
-                Some(n) => n.to_string(),
-                None => continue,
-            };
-            if name.ends_with(".tmp") {
-                fs::remove_file(&path)?;
-                report.removed_tmp += 1;
-                continue;
-            }
-            let Some(stem) = name.strip_suffix(".json") else {
-                continue; // not ours; leave it alone
-            };
-            let verdict = fs::read_to_string(&path)
-                .map_err(|e| format!("unreadable entry: {e}"))
-                .and_then(|text| validate_doc(&text, stem, None).map(|_| ()));
-            match verdict {
-                Ok(()) => report.kept += 1,
-                Err(reason) => {
-                    fs::remove_file(&path)?;
-                    report.removed_invalid += 1;
-                    cubie_obs::log(format!("cubied: store dropped {name}: {reason}"));
-                }
-            }
-        }
+        let dir = Dir::new(dir, "json")?;
+        let report = dir.revalidate(|file, stem| validate_doc(file, stem, None).map(|_| ()))?;
         Ok((Store { dir }, report))
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The final on-disk path of a key.
     pub fn path_for(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.address()))
+        self.dir.path_for(key)
     }
 
     /// Look up a key. Corrupt, skewed, or mismatched entries are
-    /// deleted and reported as [`Lookup::Invalidated`].
+    /// deleted and reported as [`cas::Lookup::Invalidated`].
     pub fn load(&self, key: &StoreKey) -> Lookup {
-        let path = self.path_for(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Lookup::Miss,
-            Err(e) => return Lookup::Invalidated(format!("unreadable entry: {e}")),
-        };
-        match validate_doc(&text, &key.address(), Some(key.canonical())) {
-            Ok(artifact) => Lookup::Hit(artifact),
-            Err(reason) => {
-                let _ = fs::remove_file(&path);
-                Lookup::Invalidated(reason)
-            }
-        }
+        self.dir
+            .load(key, |file| validate_doc(file, &key.address(), Some(key)))
     }
 
-    /// Persist an artifact under a key, atomically: `.tmp` write →
-    /// fsync → rename → directory fsync. Returns the final path.
+    /// Persist an artifact under a key, atomically (see
+    /// [`cas::Dir::save`]). Returns the final path.
     pub fn save(&self, key: &StoreKey, artifact: &Artifact) -> io::Result<PathBuf> {
         let doc = obj(vec![
             ("schema", STORE_SCHEMA.into()),
             ("key", key.canonical().into()),
             ("artifact", artifact.to_json()),
         ]);
-        let path = self.path_for(key);
-        let tmp = self.dir.join(format!("{}.json.tmp", key.address()));
-        {
-            let mut f = File::create(&tmp)?;
-            io::Write::write_all(&mut f, doc.to_pretty_string().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Persist the rename itself: fsync the directory so a crash
-        // immediately after `save` cannot resurrect the old state.
-        File::open(&self.dir)?.sync_all()?;
-        Ok(path)
+        self.dir.save(key, doc.to_pretty_string().as_bytes())
     }
 
     /// Number of committed entries currently in the store.
-    pub fn len(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| e.path().extension().map(|x| x == "json").unwrap_or(false))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether the store holds no committed entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.dir.len()
     }
 }
 
@@ -274,6 +158,7 @@ impl Store {
 mod tests {
     use super::*;
     use cubie_golden::Column;
+    use std::fs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -292,19 +177,17 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a64_matches_published_vectors() {
-        // Reference values of the FNV-1a 64-bit test suite.
-        assert_eq!(fnv1a64(""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64("a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64("foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn save_then_load_round_trips_bit_identically() {
         let dir = tmp_dir("roundtrip");
         let (store, report) = Store::open(&dir).unwrap();
         assert_eq!(report, OpenReport::default());
         let key = StoreKey::for_request("wl=Scan;sparse=64");
+        assert_eq!(
+            key.canonical(),
+            "cubied-store/v1;golden=cubie-golden/v1;crate=0.1.0;wl=Scan;sparse=64"
+        );
+        // Pinned: existing stores stay addressable.
+        assert_eq!(key.address(), "a2aada65e52a3b82");
         assert!(matches!(store.load(&key), Lookup::Miss));
         let a = artifact();
         let path = store.save(&key, &a).unwrap();
@@ -320,44 +203,30 @@ mod tests {
     }
 
     #[test]
-    fn version_skewed_entry_is_invalidated_on_load() {
+    fn version_skewed_entry_is_dropped_at_open_and_load() {
         let dir = tmp_dir("skew");
         let (store, _) = Store::open(&dir).unwrap();
         let key = StoreKey::for_request("wl=Scan;sparse=64");
-        store.save(&key, &artifact()).unwrap();
+        let path = store.path_for(&key);
         // Doctor the entry to claim an older golden schema, as a store
         // written by a previous release would.
-        let path = store.path_for(&key);
-        let doctored = fs::read_to_string(&path)
-            .unwrap()
-            .replace("golden=cubie-golden/v1", "golden=cubie-golden/v0");
-        fs::write(&path, doctored).unwrap();
+        let save_doctored = || {
+            store.save(&key, &artifact()).unwrap();
+            let doctored = fs::read_to_string(&path)
+                .unwrap()
+                .replace("golden=cubie-golden/v1", "golden=cubie-golden/v0");
+            fs::write(&path, doctored).unwrap();
+        };
+        save_doctored();
         match store.load(&key) {
             Lookup::Invalidated(reason) => assert!(reason.contains("version skew"), "{reason}"),
             other => panic!("expected invalidation, got {other:?}"),
         }
         assert!(!path.exists(), "invalidated entry must be deleted");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_sweeps_tmp_leftovers_and_corrupt_entries() {
-        let dir = tmp_dir("sweep");
-        let (store, _) = Store::open(&dir).unwrap();
-        let key = StoreKey::for_request("wl=Scan;sparse=64");
-        store.save(&key, &artifact()).unwrap();
-        fs::write(dir.join("0123456789abcdef.json.tmp"), "partial").unwrap();
-        fs::write(dir.join("00000000deadbeef.json"), "{ not json").unwrap();
+        save_doctored();
         let (_, report) = Store::open(&dir).unwrap();
-        assert_eq!(
-            report,
-            OpenReport {
-                kept: 1,
-                removed_tmp: 1,
-                removed_invalid: 1,
-            }
-        );
-        assert!(store.path_for(&key).exists());
+        assert_eq!(report.removed_invalid, 1);
+        assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -372,6 +241,52 @@ mod tests {
         fs::write(&path, &text[..text.len() / 2]).unwrap();
         assert!(matches!(store.load(&key), Lookup::Invalidated(_)));
         assert!(matches!(store.load(&key), Lookup::Miss), "then a miss");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writers of one key must never share a temp file: every save of
+    /// every round succeeds, the entry serves a hit, and nothing is left
+    /// behind.
+    #[test]
+    fn concurrent_saves_of_one_key_all_succeed() {
+        const WRITERS: usize = 4;
+        let dir = tmp_dir("race");
+        let (store, _) = Store::open(&dir).unwrap();
+        let key = StoreKey::for_request("wl=Scan;sparse=64");
+        let a = artifact();
+        let round = std::sync::Barrier::new(WRITERS);
+        // Failures are collected, not unwrapped: a panicking writer would
+        // leave the others blocked on the barrier.
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..20)
+                            .filter_map(|_| {
+                                round.wait();
+                                store.save(&key, &a).err().map(|e| e.to_string())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert!(failures.is_empty(), "failed saves: {failures:?}");
+        match store.load(&key) {
+            Lookup::Hit(back) => cubie_golden::verify_bit_identical(&a, &back).unwrap(),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.path().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "tmp leftovers: {leftovers:?}");
+        assert_eq!(store.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! Prepared-input store bit-identity suite: inputs served from the
-//! snapshot store — cold (generate + record), warm (mmap'd zero-copy
-//! view), warm-copied (`CUBIE_PREP_MMAP=off`) — must be bit-identical
-//! to a fresh in-memory generation, and so must everything computed
+//! snapshot store — cold (generate + record) and warm (mmap'd
+//! zero-copy view) — must be bit-identical to a fresh in-memory
+//! generation, and so must everything computed
 //! from them. Corrupted, truncated, or version-skewed snapshots are
 //! detected at open, deleted, and regenerated — never a panic, never a
 //! silently wrong input.
@@ -10,7 +10,7 @@
 //!
 //! 1. in-process digests: Table 4 matrices + Table 3 graphs and the
 //!    SpMV/SpGEMM/BFS outputs computed from them, fresh vs cold-store
-//!    vs warm-mmap vs warm-copied;
+//!    vs warm-mmap;
 //! 2. sabotage: doctored version-skew keys, bit-rotted payloads,
 //!    truncated files, and stray `.tmp`s must all be invalidated and
 //!    regenerated with the digest unchanged;
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use cubie::graph::generators::GraphInfo;
 use cubie::graph::CsrGraph;
 use cubie::kernels::{bfs, spgemm, spmv, Variant};
-use cubie::prep::{self, LoadMode, PrepConfig};
+use cubie::prep::{self, PrepConfig};
 use cubie::sparse::generators::MatrixInfo;
 use cubie::sparse::Csr;
 
@@ -115,11 +115,10 @@ impl TempStore {
         TempStore(dir)
     }
 
-    fn cfg(&self, mode: LoadMode) -> PrepConfig {
+    fn cfg(&self) -> PrepConfig {
         PrepConfig {
             enabled: true,
             dir: self.0.clone(),
-            mode,
         }
     }
 
@@ -150,8 +149,8 @@ fn tmp_leftovers(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// Fresh generation, cold store (generate + record), warm mmap load,
-/// and warm copied load all produce the same input and output bits —
+/// Fresh generation, cold store (generate + record) and warm mmap load
+/// all produce the same input and output bits —
 /// and the warm runs really are served from snapshots, zero-copy where
 /// the platform allows it.
 #[test]
@@ -160,7 +159,7 @@ fn fresh_cold_warm_digests_are_bit_identical() {
 
     let (fresh, _, _) = digest_with(&PrepConfig::disabled());
 
-    let cfg = store.cfg(LoadMode::Mmap);
+    let cfg = store.cfg();
     let (cold, cold_m, cold_g) = digest_with(&cfg);
     assert_eq!(cold_m.hits, 0, "first run must be a full miss");
     assert_eq!(cold_m.misses, 5);
@@ -174,15 +173,8 @@ fn fresh_cold_warm_digests_are_bit_identical() {
     assert_eq!((warm_g.hits, warm_g.misses), (5, 0));
     assert!(warm_m.bytes_loaded > 0);
 
-    let (copied, copied_m, _) = digest_with(&store.cfg(LoadMode::Copied));
-    assert_eq!((copied_m.hits, copied_m.misses), (5, 0));
-
     assert_eq!(fresh, cold, "cold store run diverged from fresh generation");
     assert_eq!(fresh, warm, "warm mmap run diverged from fresh generation");
-    assert_eq!(
-        fresh, copied,
-        "warm copied run diverged from fresh generation"
-    );
 
     // The warm mmap matrices are really zero-copy views on LE 64-bit.
     if cubie::prep::format::ZERO_COPY_OK {
@@ -200,7 +192,7 @@ fn fresh_cold_warm_digests_are_bit_identical() {
 #[test]
 fn version_skew_is_invalidated_and_regenerated() {
     let store = TempStore::new("version_skew");
-    let cfg = store.cfg(LoadMode::Mmap);
+    let cfg = store.cfg();
     let (fresh, _, _) = digest_with(&cfg);
 
     // Doctor every snapshot: flip `gen=1` to `gen=0` in the embedded
@@ -237,7 +229,7 @@ fn version_skew_is_invalidated_and_regenerated() {
 #[test]
 fn corruption_and_truncation_fall_back_to_regeneration() {
     let store = TempStore::new("corruption");
-    let cfg = store.cfg(LoadMode::Mmap);
+    let cfg = store.cfg();
     let (fresh, _, _) = digest_with(&cfg);
 
     let files = store.snapshot_files();
@@ -292,7 +284,6 @@ fn unusable_store_dir_degrades_to_generation() {
     let cfg = PrepConfig {
         enabled: true,
         dir: blocker.join("prep"),
-        mode: LoadMode::Mmap,
     };
     let (degraded, m, _) = digest_with(&cfg);
     let _ = std::fs::remove_file(&blocker);
