@@ -17,9 +17,10 @@
 //! * hot-loop allocation counts may not exceed
 //!   `CUBIE_SMOKE_ALLOC_FACTOR ×` the baseline (default
 //!   [`DEFAULT_ALLOC_FACTOR`]) — allocations are deterministic per code
-//!   version, so this catches a dropped workspace arena long before it
-//!   shows up in noisy wall time. Baselines recorded before allocation
-//!   telemetry parse as zero and skip the gate (no re-record).
+//!   version, so this catches order-of-magnitude allocation churn (a
+//!   per-element `Vec` in a hot loop) long before it shows up in noisy
+//!   wall time. Baselines recorded before allocation telemetry parse as
+//!   zero and skip the gate (no re-record).
 //!
 //! The sweep runs with a **pinned worker cap** ([`SMOKE_JOBS`], override
 //! `CUBIE_SMOKE_JOBS`) so a baseline recorded on a many-core machine is
@@ -378,9 +379,8 @@ pub fn smoke_factor() -> f64 {
 /// allocations may grow this much over the baseline before the gate
 /// fails. Generous, because allocation counts — unlike wall time — are
 /// deterministic per code version but legitimately move with feature
-/// work; the gate exists to catch *order-of-magnitude* churn (a dropped
-/// workspace arena, a per-element `Vec` in a hot loop), not small
-/// honest growth.
+/// work; the gate exists to catch *order-of-magnitude* churn (a
+/// per-element `Vec` in a hot loop), not small honest growth.
 pub const DEFAULT_ALLOC_FACTOR: f64 = 2.0;
 
 /// The allocation threshold factor (`CUBIE_SMOKE_ALLOC_FACTOR` override).

@@ -15,7 +15,9 @@
 //!   one process or many, never share a temp file; the last rename wins
 //!   with identical bytes (entries are deterministic functions of their
 //!   key). A kill mid-write leaves a `.tmp` that [`Dir::revalidate`]
-//!   sweeps out.
+//!   sweeps out once no live process has the pid in its name; a temp
+//!   file whose writer is still running belongs to a save in progress
+//!   and is left alone.
 //! * **Validation** — the caller owns the entry format, so it supplies
 //!   the validator: [`Dir::load`] deletes an entry its reader rejects
 //!   and reports [`Lookup::Invalidated`]; [`Dir::revalidate`] runs the
@@ -24,7 +26,7 @@
 
 use std::fs::{self, File};
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms
@@ -113,7 +115,8 @@ pub struct OpenReport {
     /// Total bytes of the kept entries (read during validation, so a
     /// revalidation also pulls the store into the page cache).
     pub kept_bytes: u64,
-    /// `.tmp` leftovers of interrupted writes, swept out.
+    /// `.tmp` leftovers of interrupted writes (no live writer), swept
+    /// out.
     pub removed_tmp: usize,
     /// Entries deleted for corruption or version skew.
     pub removed_invalid: usize,
@@ -189,7 +192,10 @@ impl Dir {
     /// Revalidate the directory: sweep out `*.tmp` leftovers of
     /// interrupted writes, run `check(file, stem)` over every
     /// `<stem>.<ext>` entry, and delete (and log) the entries it
-    /// rejects. Other files are left alone.
+    /// rejects. Temp files whose writer pid is still alive (a save in
+    /// progress) and other files are left alone. A file that another
+    /// process renames or deletes after the directory listing is
+    /// skipped, not an error.
     pub fn revalidate(
         &self,
         mut check: impl FnMut(File, &str) -> Result<(), String>,
@@ -201,8 +207,9 @@ impl Dir {
                 continue;
             };
             if name.ends_with(".tmp") {
-                fs::remove_file(&path)?;
-                report.removed_tmp += 1;
+                if !writer_alive(name) && remove_if_present(&path)? {
+                    report.removed_tmp += 1;
+                }
                 continue;
             }
             let Some(stem) = name
@@ -223,12 +230,13 @@ impl Dir {
                     report.kept_bytes += bytes;
                 }
                 Err(reason) => {
-                    fs::remove_file(&path)?;
-                    report.removed_invalid += 1;
-                    cubie_obs::log(format!(
-                        "store {}: dropped {name}: {reason}",
-                        self.dir.display()
-                    ));
+                    if remove_if_present(&path)? {
+                        report.removed_invalid += 1;
+                        cubie_obs::log(format!(
+                            "store {}: dropped {name}: {reason}",
+                            self.dir.display()
+                        ));
+                    }
                 }
             }
         }
@@ -252,11 +260,47 @@ impl Dir {
     }
 }
 
+/// Whether the writer of a `<addr>.<pid>.<seq>.tmp` file may still be
+/// mid-save: its pid names a live process (possibly this one, from
+/// another thread). Pid 0, which no writer has, and names not in that
+/// shape count as dead. Liveness is read from `/proc`; where there is
+/// none every writer counts as dead, the sweep-everything behaviour. A
+/// recycled pid keeps a leftover until that process exits too.
+fn writer_alive(name: &str) -> bool {
+    let parts: Vec<&str> = name.split('.').collect();
+    match parts[..] {
+        [_, pid, _, "tmp"] => pid
+            .parse::<u32>()
+            .is_ok_and(|pid| pid != 0 && pid_alive(pid)),
+        _ => false,
+    }
+}
+
+#[cfg(target_os = "linux")]
+fn pid_alive(pid: u32) -> bool {
+    Path::new("/proc").join(pid.to_string()).exists()
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pid_alive(_pid: u32) -> bool {
+    false
+}
+
+/// Delete `path`, returning whether this call removed it: a file that
+/// is already gone (renamed or deleted by another process since it was
+/// listed) is not an error.
+fn remove_if_present(path: &Path) -> io::Result<bool> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
-    use std::path::Path;
 
     const PREFIX: &str = "cas-test/v1;";
 
@@ -371,6 +415,52 @@ mod tests {
         assert!(store.path_for(&key).exists());
         assert!(dir.join("README").exists());
         assert_eq!(store.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn revalidate_keeps_tmp_of_a_live_writer() {
+        let dir = tmp_dir("live");
+        let store = Dir::new(&dir, "ent").unwrap();
+        let live = dir.join(format!("0123456789abcdef.{}.7.tmp", std::process::id()));
+        fs::write(&live, "mid-save").unwrap();
+        let report = store.revalidate(check).unwrap();
+        assert_eq!(report.removed_tmp, 0);
+        assert!(live.exists(), "a live writer's temp file is left alone");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn revalidate_sweeps_tmp_of_a_reaped_writer() {
+        let dir = tmp_dir("reaped");
+        let store = Dir::new(&dir, "ent").unwrap();
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let pid = child.id();
+        child.wait().unwrap();
+        let dead = dir.join(format!("0123456789abcdef.{pid}.0.tmp"));
+        fs::write(&dead, "partial").unwrap();
+        let report = store.revalidate(check).unwrap();
+        assert_eq!(report.removed_tmp, 1);
+        assert!(!dead.exists(), "a reaped writer's temp file is swept");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_deleted_after_listing_does_not_fail_revalidate() {
+        let dir = tmp_dir("vanish");
+        let store = Dir::new(&dir, "ent").unwrap();
+        let key = Key::new(PREFIX, "name=x");
+        store.save(&key, key.canonical().as_bytes()).unwrap();
+        // Another process deletes the entry between `read_dir` and the
+        // removal of a rejected entry.
+        let vanish = |_: File, stem: &str| -> Result<(), String> {
+            fs::remove_file(dir.join(format!("{stem}.ent"))).unwrap();
+            Err("rejected".into())
+        };
+        let report = store.revalidate(vanish).unwrap();
+        assert_eq!(report, OpenReport::default());
+        assert!(!store.path_for(&key).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,10 +41,6 @@
 //!   (strided MMA core, CSR SpMV row, stencil star row) with runtime
 //!   dispatch across scalar/AVX2/AVX-512/NEON, every path bit-identical
 //!   to scalar (`CUBIE_SIMD` forces a path).
-//! * [`workspace`] — thread-local reusable buffer arenas the kernel hot
-//!   loops check scratch out of; values are always fully re-initialized
-//!   (bit-identical to fresh allocation), only capacity is recycled
-//!   (`CUBIE_WS=off` restores fresh allocation).
 
 #![warn(missing_docs)]
 
@@ -62,7 +58,6 @@ pub mod rng;
 pub mod scalar;
 pub mod simd;
 pub mod slab;
-pub mod workspace;
 
 pub use complex::C64;
 pub use counters::{MemTraffic, OpCounters};

@@ -7,7 +7,6 @@
 //! 128-bit frontier segment via the bit MMA and ORs surviving rows into
 //! the next frontier.
 
-use cubie_core::workspace;
 use serde::{Deserialize, Serialize};
 
 use crate::csr_graph::CsrGraph;
@@ -55,7 +54,7 @@ impl BitmapGraph {
         let row_blocks = n.div_ceil(BLOCK_ROWS);
         let col_blocks = n.div_ceil(BLOCK_COLS);
 
-        let mut band_start = workspace::take(row_blocks + 1, 0usize);
+        let mut band_start = vec![0usize; row_blocks + 1];
         for &v in g.adj.iter() {
             band_start[v as usize / BLOCK_ROWS + 1] += 1;
         }
@@ -63,8 +62,8 @@ impl BitmapGraph {
             band_start[i + 1] += band_start[i];
         }
         // Per arc `u → v`: source `u` and local row `v % 8`, packed.
-        let mut cursor = workspace::take_copy(&band_start[..row_blocks]);
-        let mut arcs = workspace::take(g.num_arcs(), 0u64);
+        let mut cursor = band_start[..row_blocks].to_vec();
+        let mut arcs = vec![0u64; g.num_arcs()];
         for u in 0..n {
             for &v in g.neighbors(u) {
                 let rb = v as usize / BLOCK_ROWS;

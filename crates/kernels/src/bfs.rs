@@ -25,7 +25,7 @@
 //! level-by-level agreement with the serial reference.
 
 use cubie_core::counters::MemTraffic;
-use cubie_core::{workspace, OpCounters};
+use cubie_core::OpCounters;
 use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_sim::trace::latency;
@@ -85,10 +85,11 @@ fn pull_profile(g: &CsrGraph, source: usize) -> PullProfile {
     let col_blocks = bm.col_blocks;
     let mut level = vec![-1i32; n];
     level[source] = 0;
-    let mut frontier = workspace::take(col_blocks, 0u128);
+    let mut frontier = vec![0u128; col_blocks];
+    let mut next = vec![0u128; col_blocks];
     frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
     // Bands that still contain unsettled rows.
-    let mut band_unsettled = workspace::take(bm.row_blocks, BLOCK_ROWS as u32);
+    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
     if !n.is_multiple_of(BLOCK_ROWS) {
         band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
     }
@@ -99,9 +100,7 @@ fn pull_profile(g: &CsrGraph, source: usize) -> PullProfile {
     let mut frontier_count = 1u64;
     while frontier_count > 0 {
         depth += 1;
-        // Ping-pong through the arena: the retired frontier is the
-        // buffer the next level's checkout gets back.
-        let mut next = workspace::take(col_blocks, 0u128);
+        next.fill(0);
         let mut processed = 0u64;
         let mut next_count = 0u64;
         // `band_unsettled[rb]` is also decremented inside the inner loop,
@@ -129,7 +128,7 @@ fn pull_profile(g: &CsrGraph, source: usize) -> PullProfile {
             }
         }
         per_level.push((processed, next_count));
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
         frontier_count = next_count;
     }
     PullProfile {
@@ -178,8 +177,8 @@ fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
     let n = g.n;
     let mut level = vec![-1i32; n];
     level[source] = 0;
-    let mut frontier = workspace::take_in::<u32>(1);
-    frontier.push(source as u32);
+    let mut frontier = vec![source as u32];
+    let mut next = Vec::new();
     let mut unvisited = n as u64 - 1;
     let mut workload = WorkloadTrace::default();
     let mut depth = 0i32;
@@ -188,7 +187,7 @@ fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
         let frontier_edges: u64 = frontier.iter().map(|&u| g.degree(u as usize) as u64).sum();
         let unvisited_edges = unvisited * (g.num_arcs() as u64 / n.max(1) as u64).max(1);
         let mut ops = OpCounters::default();
-        let mut next = workspace::take_in::<u32>(0);
+        next.clear();
         if frontier_edges > unvisited_edges / 14 && unvisited > 0 {
             // Pull: every unvisited vertex scans its in-neighbours until
             // it finds a frontier parent.
@@ -238,7 +237,7 @@ fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
             ops,
             latency::GMEM_RT * 2.0,
         ));
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
     (level, workload)
 }

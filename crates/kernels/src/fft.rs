@@ -23,7 +23,7 @@ use std::f64::consts::PI;
 
 use cubie_core::counters::{MemTraffic, MMA_F64_FMAS};
 use cubie_core::mma::mma_f64_m8n8k4;
-use cubie_core::{workspace, OpCounters, C64};
+use cubie_core::{OpCounters, C64};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -118,9 +118,9 @@ pub fn dft2_naive(h: usize, w: usize, x: &[C64]) -> Vec<C64> {
 /// `tmp` is an equally sized scratch region whose contents are garbage on
 /// entry and on exit: the decimation gather writes every sub-transform
 /// value before it is read, and the combine fully overwrites `xs` — so
-/// recycled workspace capacity never leaks a value into a result and the
-/// numerics are bit-identical to the old per-level `Vec<Vec<Vec<C64>>>`
-/// allocation (same operations, same order).
+/// the scratch's contents never leak into a result and the numerics are
+/// bit-identical to the old per-level `Vec<Vec<Vec<C64>>>` allocation
+/// (same operations, same order).
 fn fft_group_mma(xs: &mut [C64], tmp: &mut [C64], g: usize, n: usize, ctr: &mut OpCounters) {
     debug_assert!(g <= 8);
     debug_assert!(n.is_power_of_two());
@@ -238,9 +238,7 @@ fn fft_stockham(x: &mut [C64], tmp: &mut [C64], ctr: &mut OpCounters) {
 }
 
 /// Functional 1-D FFT of a batch under one variant (exposed for tests and
-/// the examples; the paper's cases are 2-D). Scratch comes from the
-/// thread-local workspace arena, so steady-state repeated batches run
-/// allocation-free.
+/// the examples; the paper's cases are 2-D).
 pub fn fft1d_batch(xs: &mut [Vec<C64>], variant: Variant) -> OpCounters {
     let mut ctr = OpCounters::new();
     match variant {
@@ -249,11 +247,11 @@ pub fn fft1d_batch(xs: &mut [Vec<C64>], variant: Variant) -> OpCounters {
                 let g = group.len();
                 let n = group[0].len();
                 debug_assert!(group.iter().all(|x| x.len() == n));
-                let mut flat = workspace::take_in::<C64>(g * n);
+                let mut flat: Vec<C64> = Vec::with_capacity(g * n);
                 for x in group.iter() {
                     flat.extend_from_slice(x);
                 }
-                let mut tmp = workspace::take(g * n, C64::ZERO);
+                let mut tmp = vec![C64::ZERO; g * n];
                 fft_group_mma(&mut flat, &mut tmp, g, n, &mut ctr);
                 for (t, x) in group.iter_mut().enumerate() {
                     x.copy_from_slice(&flat[t * n..(t + 1) * n]);
@@ -262,7 +260,7 @@ pub fn fft1d_batch(xs: &mut [Vec<C64>], variant: Variant) -> OpCounters {
         }
         Variant::Baseline => {
             for x in xs.iter_mut() {
-                let mut tmp = workspace::take(x.len(), C64::ZERO);
+                let mut tmp = vec![C64::ZERO; x.len()];
                 fft_stockham(x, &mut tmp, &mut ctr);
             }
         }
@@ -279,8 +277,8 @@ pub fn run(case: &FftCase, data: &[Vec<C64>], variant: Variant) -> (Vec<Vec<C64>
         let mut ctr = OpCounters::new();
         // Row pass: the grid is row-major, so the h row transforms are
         // already contiguous in a flat working copy.
-        let mut buf = workspace::take_copy(grid);
-        let mut tmp = workspace::take(h * w, C64::ZERO);
+        let mut buf = grid.to_vec();
+        let mut tmp = vec![C64::ZERO; h * w];
         match variant {
             Variant::Baseline => {
                 for (x, s) in buf.chunks_mut(w).zip(tmp.chunks_mut(w)) {

@@ -14,7 +14,7 @@
 use cubie_core::counters::{MemTraffic, MMA_F16_FMAS, MMA_F64_FMAS, MMA_TF32_FMAS};
 use cubie_core::mma::{mma_f64_m8n8k4, mma_f64_m8n8k4_strided, mma_tiled_mixed};
 use cubie_core::scalar::{MmaGen, Precision};
-use cubie_core::{par, workspace, DenseMatrix, OpCounters};
+use cubie_core::{par, DenseMatrix, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -202,10 +202,13 @@ pub fn run_precision(
         n: b.cols(),
         k: a.cols(),
     };
-    let mut aq = workspace::take_in::<f64>(a.as_slice().len());
-    aq.extend(a.as_slice().iter().map(|&v| precision.quantize(v)));
-    let mut bq = workspace::take_in::<f64>(b.as_slice().len());
-    bq.extend(b.as_slice().iter().map(|&v| precision.quantize(v)));
+    let quantize = |m: &DenseMatrix| -> Vec<f64> {
+        m.as_slice()
+            .iter()
+            .map(|&v| precision.quantize(v))
+            .collect()
+    };
+    let (aq, bq) = (quantize(a), quantize(b));
     let mut c = vec![0.0f32; case.m * case.n];
     let mut executed = OpCounters::new();
     let cc = variant != Variant::Tc;
@@ -367,14 +370,14 @@ fn run_tiled_mma(
     let a_s = a.as_slice();
     let b_s = b.as_slice();
 
-    // Each block produces its 64×64 tile independently, in workspace
-    // scratch that returns to the arena once scattered into `C`.
-    let tiles: Vec<(workspace::WsVec<f64>, OpCounters)> = par::par_map(tiles_m * tiles_n, |t| {
+    // Each block produces its 64×64 tile independently; the tiles are
+    // scattered into `C` afterwards.
+    let tiles: Vec<(Vec<f64>, OpCounters)> = par::par_map(tiles_m * tiles_n, |t| {
         let (ti, tj) = (t / tiles_n, t % tiles_n);
         let (i0, j0) = (ti * TC_TILE, tj * TC_TILE);
         let bm = TC_TILE.min(m - i0);
         let bn = TC_TILE.min(n - j0);
-        let mut c_tile = workspace::take(bm * bn, 0.0f64);
+        let mut c_tile = vec![0.0f64; bm * bn];
         let mut at = [0.0f64; 32];
         let mut bt = [0.0f64; 32];
         let mut ct = [0.0f64; 64];

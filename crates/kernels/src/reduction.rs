@@ -13,7 +13,7 @@
 //!   shuffle trees, cross-warp combine.
 
 use cubie_core::mma::mma_f64_8x8x8;
-use cubie_core::{workspace, OpCounters};
+use cubie_core::OpCounters;
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -118,7 +118,7 @@ fn run_mma(x: &[f64]) -> f64 {
     let n = x.len();
     let tiles = n.div_ceil(TILE).max(1);
     let mut scratch = OpCounters::new();
-    let mut partials = workspace::take_in::<f64>(tiles);
+    let mut partials: Vec<f64> = Vec::with_capacity(tiles);
     for t in 0..tiles {
         let lo = t * TILE;
         let hi = (lo + TILE).min(n);
@@ -136,7 +136,7 @@ fn run_mma(x: &[f64]) -> f64 {
 fn run_essential(x: &[f64]) -> f64 {
     let n = x.len();
     let tiles = n.div_ceil(TILE).max(1);
-    let mut partials = workspace::take_in::<f64>(tiles);
+    let mut partials: Vec<f64> = Vec::with_capacity(tiles);
     for t in 0..tiles {
         let lo = t * TILE;
         let hi = (lo + TILE).min(n);
@@ -146,7 +146,7 @@ fn run_essential(x: &[f64]) -> f64 {
 }
 
 fn tree_sum(x: &[f64]) -> f64 {
-    let mut buf = workspace::take_copy(x);
+    let mut buf = x.to_vec();
     while buf.len() > 1 {
         let half = buf.len().div_ceil(2);
         for i in 0..buf.len() / 2 {
@@ -166,7 +166,7 @@ fn run_baseline(x: &[f64]) -> f64 {
     let n = x.len();
     let threads = 128.min(n.max(1));
     let per = n.div_ceil(threads);
-    let mut partials = workspace::take_in::<f64>(threads);
+    let mut partials: Vec<f64> = Vec::with_capacity(threads);
     for t in 0..threads {
         let lo = (t * per).min(n);
         let hi = ((t + 1) * per).min(n);

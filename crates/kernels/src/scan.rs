@@ -22,7 +22,7 @@
 //! throughput; the traces therefore carry careful `critical_cycles`.
 
 use cubie_core::mma::mma_f64_8x8x8;
-use cubie_core::{par, workspace, OpCounters};
+use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -148,8 +148,8 @@ fn run_mma(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     let tiles = n.div_ceil(TILE);
     let mut scratch = OpCounters::new();
-    let mut scanned = workspace::take_in::<[f64; 64]>(tiles);
-    let mut sums = workspace::take_in::<f64>(tiles);
+    let mut scanned: Vec<[f64; 64]> = Vec::with_capacity(tiles);
+    let mut sums: Vec<f64> = Vec::with_capacity(tiles);
     for t in 0..tiles {
         let lo = t * TILE;
         let hi = (lo + TILE).min(n);
@@ -161,11 +161,11 @@ fn run_mma(x: &[f64]) -> Vec<f64> {
     // constant-operand tile pass when more than one tile exists.
     let offsets = if tiles > 1 {
         let (sum_scan, _) = scan_tile(&sums, &mut scratch);
-        let mut off = workspace::take(tiles, 0.0f64);
+        let mut off = vec![0.0f64; tiles];
         off[1..tiles].copy_from_slice(&sum_scan[..tiles - 1]);
         off
     } else {
-        workspace::take(1, 0.0f64)
+        vec![0.0f64; 1]
     };
     let mut y = vec![0.0f64; n];
     for t in 0..tiles {
@@ -188,8 +188,8 @@ fn run_mma(x: &[f64]) -> Vec<f64> {
 fn run_essential(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     let tiles = n.div_ceil(TILE);
-    let mut scanned = workspace::take_in::<[f64; 64]>(tiles);
-    let mut sums = workspace::take_in::<f64>(tiles);
+    let mut scanned: Vec<[f64; 64]> = Vec::with_capacity(tiles);
+    let mut sums: Vec<f64> = Vec::with_capacity(tiles);
     for t in 0..tiles {
         let lo = t * TILE;
         let hi = (lo + TILE).min(n);
@@ -239,7 +239,7 @@ fn run_baseline(x: &[f64]) -> Vec<f64> {
     // Thread-local inclusive scans, written straight into the (escaping)
     // result — the per-thread chunks are contiguous ranges of it.
     let mut y = vec![0.0f64; n];
-    let mut totals = workspace::take_in::<f64>(threads);
+    let mut totals: Vec<f64> = Vec::with_capacity(threads);
     for t in 0..threads {
         let lo = (t * per).min(n);
         let hi = ((t + 1) * per).min(n);
@@ -253,7 +253,7 @@ fn run_baseline(x: &[f64]) -> Vec<f64> {
     // Kogge–Stone over thread totals.
     let mut stride = 1;
     while stride < threads {
-        let prev = workspace::take_copy(&totals);
+        let prev = totals.clone();
         for (i, t) in totals.iter_mut().enumerate() {
             if i >= stride {
                 *t += prev[i - stride];

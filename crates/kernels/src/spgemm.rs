@@ -16,7 +16,7 @@
 
 use cubie_core::counters::{MemTraffic, MMA_F64_FMAS};
 use cubie_core::mma::mma_f64_m8n8k4;
-use cubie_core::{par, workspace, OpCounters};
+use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::mbsr::{Mbsr, BLOCK};
@@ -56,12 +56,11 @@ fn run_mma(a: &Csr, essential_only: bool) -> Csr {
     let bm = &am; // C = A·A
     let block_cols = bm.block_cols;
 
-    let rows: Vec<workspace::WsVec<(u32, [f64; 16])>> = par::par_map(am.block_rows, |br| {
-        // Dense block accumulator over C's block row — workspace scratch,
-        // recycled across block rows on each worker.
-        let mut acc = workspace::take_in::<[f64; 16]>(0);
-        let mut slot_of = workspace::take(block_cols, -1i32);
-        let mut touched = workspace::take_in::<u32>(0);
+    let rows: Vec<Vec<(u32, [f64; 16])>> = par::par_map(am.block_rows, |br| {
+        // Dense block accumulator over C's block row.
+        let mut acc: Vec<[f64; 16]> = Vec::new();
+        let mut slot_of = vec![-1i32; block_cols];
+        let mut touched: Vec<u32> = Vec::new();
         let mut pending: Option<Product> = None;
         let mut scratch = OpCounters::new();
 
@@ -98,15 +97,10 @@ fn run_mma(a: &Csr, essential_only: bool) -> Csr {
             };
             paired_mma(&q, &zero, &mut acc, &slot_of, essential_only, &mut scratch);
         }
-        // The per-block-row result rides back to the assembler through
-        // the arena too: it is dropped right after `blocks_to_csr`, so
-        // its capacity recycles into the next execution.
-        let mut out = workspace::take_in::<(u32, [f64; 16])>(touched.len());
-        out.extend(
-            touched
-                .iter()
-                .map(|&bc| (bc, acc[slot_of[bc as usize] as usize])),
-        );
+        let mut out: Vec<(u32, [f64; 16])> = touched
+            .iter()
+            .map(|&bc| (bc, acc[slot_of[bc as usize] as usize]))
+            .collect();
         out.sort_unstable_by_key(|(bc, _)| *bc);
         out
     });
@@ -167,11 +161,7 @@ fn paired_mma(
 }
 
 /// Assemble per-block-row results into CSR.
-fn blocks_to_csr(
-    rows: usize,
-    cols: usize,
-    block_rows: &[workspace::WsVec<(u32, [f64; 16])>],
-) -> Csr {
+fn blocks_to_csr(rows: usize, cols: usize, block_rows: &[Vec<(u32, [f64; 16])>]) -> Csr {
     // Upper bound: every lane of every touched block is nonzero.
     let cap: usize = block_rows.iter().map(|e| e.len() * BLOCK * BLOCK).sum();
     let mut coo = Coo::with_capacity(rows, cols, cap);
@@ -196,9 +186,9 @@ fn blocks_to_csr(
 /// Baseline functional path: row-wise scalar SpGEMM with a dense
 /// accumulator (hash-accumulator semantics).
 fn run_baseline(a: &Csr) -> Csr {
-    let rows: Vec<workspace::WsVec<(u32, f64)>> = par::par_map(a.rows, |r| {
-        let mut acc = workspace::take(a.cols, 0.0f64);
-        let mut touched = workspace::take_in::<u32>(0);
+    let rows: Vec<Vec<(u32, f64)>> = par::par_map(a.rows, |r| {
+        let mut acc = vec![0.0f64; a.cols];
+        let mut touched: Vec<u32> = Vec::new();
         let (acols, avals) = a.row(r);
         for (ac, av) in acols.iter().zip(avals) {
             let (bcols, bvals) = a.row(*ac as usize);
@@ -210,9 +200,7 @@ fn run_baseline(a: &Csr) -> Csr {
             }
         }
         touched.sort_unstable();
-        let mut out = workspace::take_in::<(u32, f64)>(touched.len());
-        out.extend(touched.iter().map(|&c| (c, acc[c as usize])));
-        out
+        touched.iter().map(|&c| (c, acc[c as usize])).collect()
     });
     let cap: usize = rows.iter().map(|e| e.len()).sum();
     let mut coo = Coo::with_capacity(a.rows, a.cols, cap);
@@ -248,7 +236,7 @@ pub fn stats(a: &Csr) -> SpgemmStats {
     let am = Mbsr::from_csr(a);
     let mut block_products = 0u64;
     let mut c_blocks = 0u64;
-    let mut marker = workspace::take(am.block_cols, -1i32);
+    let mut marker = vec![-1i32; am.block_cols];
     for br in 0..am.block_rows {
         let (acols, _) = am.block_row(br);
         for ac in acols {

@@ -19,7 +19,7 @@
 
 use cubie_core::counters::{MemTraffic, MMA_F64_FMAS};
 use cubie_core::mma::mma_f64_m8n8k4;
-use cubie_core::{par, workspace, OpCounters};
+use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::Csr;
@@ -79,10 +79,9 @@ pub struct PackingStats {
 
 /// Virtual-row expansion shared by [`DaspFormat::from_csr`] and
 /// [`DaspFormat::packing_stats`]: `(original row, slot offset, length)`
-/// triples, longest first, plus per-category row counts. The triple
-/// buffer is workspace scratch — recycled across calls.
-fn virtual_rows(m: &Csr) -> (workspace::WsVec<(u32, u32, u32)>, [usize; 3]) {
-    let mut virt = workspace::take_in::<(u32, u32, u32)>(m.rows);
+/// triples, longest first, plus per-category row counts.
+fn virtual_rows(m: &Csr) -> (Vec<(u32, u32, u32)>, [usize; 3]) {
+    let mut virt: Vec<(u32, u32, u32)> = Vec::with_capacity(m.rows);
     let mut category_counts = [0usize; 3];
     for r in 0..m.rows {
         let n = m.row_nnz(r);

@@ -21,7 +21,7 @@
 use cubie_core::counters::{MemTraffic, MMA_F64_FMAS};
 use cubie_core::mma::mma_f64_m8n8k4;
 use cubie_core::simd::{self, StarTap};
-use cubie_core::{par, workspace, OpCounters};
+use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -416,7 +416,7 @@ fn run_baseline(case: &StencilCase, x: &[f64]) -> Vec<f64> {
         StencilKind::Star2D1R | StencilKind::Star3D1R => 1,
     };
     let plane = ny * nx;
-    let zeros = workspace::take(nx, 0.0f64);
+    let zeros = vec![0.0f64; nx];
     // Degenerate-width grids (nx ≤ 2·rad) have no interior: lo == hi
     // makes the border loop cover every column.
     let (lo, hi) = if nx > 2 * rad {

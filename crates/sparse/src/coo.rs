@@ -1,7 +1,6 @@
 //! Coordinate (triplet) sparse storage — the assembly format produced by
 //! the generators and the MatrixMarket reader.
 
-use cubie_core::workspace;
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix as `(row, col, value)` triplets.
@@ -60,19 +59,13 @@ impl Coo {
     }
 
     /// Sort entries by `(row, col)` and sum duplicates.
-    ///
-    /// The permutation and the deduplicated triplets are staged in
-    /// workspace scratch; the result is copied back into the existing
-    /// triplet vectors (the deduplicated count never exceeds the stored
-    /// count, so their capacity is reused rather than reallocated).
     pub fn sort_dedup(&mut self) {
         let n = self.nnz();
-        let mut order = workspace::take_in::<u32>(n);
-        order.extend(0..n as u32);
+        let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by_key(|&i| (self.row_idx[i as usize], self.col_idx[i as usize]));
-        let mut row = workspace::take_in::<u32>(n);
-        let mut col = workspace::take_in::<u32>(n);
-        let mut val = workspace::take_in::<f64>(n);
+        let mut row = Vec::with_capacity(n);
+        let mut col = Vec::with_capacity(n);
+        let mut val: Vec<f64> = Vec::with_capacity(n);
         for &i in order.iter() {
             let (r, c, v) = (
                 self.row_idx[i as usize],
@@ -89,12 +82,9 @@ impl Coo {
             col.push(c);
             val.push(v);
         }
-        self.row_idx.clear();
-        self.row_idx.extend_from_slice(&row);
-        self.col_idx.clear();
-        self.col_idx.extend_from_slice(&col);
-        self.vals.clear();
-        self.vals.extend_from_slice(&val);
+        self.row_idx = row;
+        self.col_idx = col;
+        self.vals = val;
     }
 }
 

@@ -3,7 +3,6 @@
 //! stored contiguously per block row. Two vertically adjacent 4×4 blocks
 //! combine into one 8×4 MMA `A`-operand tile (Section 3, SpGEMM).
 
-use cubie_core::workspace;
 use serde::{Deserialize, Serialize};
 
 use crate::csr::Csr;
@@ -40,11 +39,10 @@ impl Mbsr {
         let mut blocks: Vec<[f64; BLOCK * BLOCK]> = Vec::new();
 
         // Per block row: gather the scalar rows, bucket by block column.
-        // All per-row scratch is workspace-recycled across calls.
-        let mut marker = workspace::take(block_cols, -1i64);
-        let mut order = workspace::take_in::<usize>(0);
-        let mut sorted_cols = workspace::take_in::<u32>(0);
-        let mut sorted_blocks = workspace::take_in::<[f64; BLOCK * BLOCK]>(0);
+        let mut marker = vec![-1i64; block_cols];
+        let mut order: Vec<usize> = Vec::new();
+        let mut sorted_cols: Vec<u32> = Vec::new();
+        let mut sorted_blocks: Vec<[f64; BLOCK * BLOCK]> = Vec::new();
         for br in 0..block_rows {
             let start = col_idx.len();
             for r in br * BLOCK..((br + 1) * BLOCK).min(m.rows) {

@@ -9,18 +9,24 @@
 //!    through their `_on(path, …)` entry points, comparing every
 //!    supported path against [`SimdPath::Scalar`] in-process;
 //! 2. a subprocess test re-runs a kernel-level digest (SpMV and stencil
-//!    baselines in FP64, tiled MMAs in FP64/FP16/BF16/TF32) under each
-//!    forced `CUBIE_SIMD` value — the dispatch decision is a per-process
-//!    `OnceLock`, so forcing requires a fresh process — asserting the
-//!    digests agree *and* that the dispatch log line names the forced
-//!    path (a silent scalar fallback fails the test, not just CI).
+//!    baselines in FP64, tiled MMAs in FP64/FP16/BF16/TF32, and all ten
+//!    kernels' functional runs) under each forced `CUBIE_SIMD` value ×
+//!    worker counts {1, 2, 8} — the dispatch decision is a per-process
+//!    `OnceLock`, so forcing requires a fresh process — asserting one
+//!    digest across the whole matrix *and* that the dispatch log line
+//!    names the forced path (a silent scalar fallback fails the test,
+//!    not just CI).
 //!
 //! Regression seeds live in `proptest-regressions/simd_differential.txt`
 //! and replay before the random cases.
 
 use cubie::core::mma::{mma_tiled_f64, mma_tiled_mixed};
 use cubie::core::simd::{self, SimdPath, StarTap};
-use cubie::core::{LcgF64, MmaGen, OpCounters, Precision};
+use cubie::core::{par, DenseMatrix, LcgF64, MmaGen, OpCounters, Precision, C64};
+use cubie::graph::CsrGraph;
+use cubie::kernels::stencil::{self, StencilCase, StencilKind};
+use cubie::kernels::{bfs, fft, gemm, gemv, pic, reduction, scan, spgemm, spmv, Variant};
+use cubie::sparse::{Coo, Csr};
 use proptest::prelude::*;
 
 /// FNV-1a over the raw bits of a float slice: one digest pinning every
@@ -150,31 +156,36 @@ proptest! {
 // against the `#[ignore]`d probe below.
 // ---------------------------------------------------------------------
 
-/// Digest the kernels that route through the dispatched (not `_on`)
-/// SIMD entry points, plus every mixed precision: SpMV baseline over a
-/// CSR with empty/ragged/long rows, all three stencil shapes (including
-/// a degenerate-width grid with no vectorizable interior), the FP64
-/// tiled MMA, and FP16/BF16/TF32 tiled MMAs.
-fn kernel_digest() -> u64 {
-    use cubie::kernels::stencil::{self, StencilCase, StencilKind};
-    use cubie::kernels::{spmv, Variant};
-    use cubie::sparse::{Coo, Csr};
+/// Worker counts the probe runs the digest under: serial fast path,
+/// small pool, oversubscribed pool.
+const PROBE_JOBS: [usize; 3] = [1, 2, 8];
 
-    let mut h: u64 = 0;
-    let mut rng = LcgF64::new(20_260_808);
+fn fold(h: &mut u64, d: u64) {
+    *h = h.rotate_left(11) ^ d;
+}
 
-    // SpMV: 40×50, row r holds r % 37 nonzeros — rows 0 and 37+ are
-    // empty, row 36 spans a full 32-lane block plus a tail.
-    let mut coo = Coo::new(40, 50);
-    for r in 0..40usize {
+/// A small deterministic CSR: row r holds r % 37 nonzeros, so rows 0
+/// and 37+ are empty and row 36 spans a full 32-lane block plus a tail.
+fn small_csr(rows: usize, cols: usize, seed: u64) -> Csr {
+    let mut rng = LcgF64::new(seed);
+    let mut coo = Coo::new(rows, cols);
+    for r in 0..rows {
         for i in 0..(r % 37) {
-            coo.push(r, (r * 7 + i * 11) % 50, rng.vec(1)[0]);
+            coo.push(r, (r * 7 + i * 11) % cols, rng.vec(1)[0]);
         }
     }
-    let m = Csr::from_coo(coo);
-    let x = rng.vec(50);
-    let (y, _) = spmv::run(&m, &x, Variant::Baseline);
-    h ^= digest_f64(&y);
+    Csr::from_coo(coo)
+}
+
+/// Digest the kernels that route through the dispatched (not `_on`)
+/// SIMD entry points, plus every mixed precision: all ten kernels via
+/// [`ten_kernel_digest`] (its SpMV baseline runs over a CSR with
+/// empty/ragged/long rows), all three stencil shapes (including a
+/// degenerate-width grid with no vectorizable interior), the FP64 tiled
+/// MMA, and FP16/BF16/TF32 tiled MMAs.
+fn kernel_digest() -> u64 {
+    let mut h = ten_kernel_digest(7);
+    let mut rng = LcgF64::new(20_260_808);
 
     // Stencils: each shape once, plus a 3-wide radius-2 grid whose rows
     // are entirely border (the scalar column loop covers everything).
@@ -199,7 +210,7 @@ fn kernel_digest() -> u64 {
         let (nz, ny, nx) = case.dims;
         let grid = rng.vec(nz * ny * nx);
         let (out, _) = stencil::run(&case, &grid, Variant::Baseline);
-        h = h.rotate_left(11) ^ digest_f64(&out);
+        fold(&mut h, digest_f64(&out));
     }
 
     // Tiled MMAs: FP64 routes through the dispatched strided core;
@@ -211,7 +222,7 @@ fn kernel_digest() -> u64 {
     let b = rng.vec(kk * nn);
     let mut c = vec![0.0f64; mm * nn];
     mma_tiled_f64(&a, &b, &mut c, mm, nn, kk, &mut ctr);
-    h = h.rotate_left(11) ^ digest_f64(&c);
+    fold(&mut h, digest_f64(&c));
     for precision in [Precision::F16, Precision::Bf16, Precision::Tf32] {
         for gen in [MmaGen::Volta, MmaGen::Ampere] {
             let aq: Vec<f64> = a.iter().map(|&v| precision.quantize(v)).collect();
@@ -220,18 +231,132 @@ fn kernel_digest() -> u64 {
             mma_tiled_mixed(
                 precision, gen, &aq, &bq, &mut cq, mm, nn, kk, false, &mut ctr,
             );
-            h = h.rotate_left(11) ^ digest_f32(&cq);
+            fold(&mut h, digest_f32(&cq));
         }
     }
     h
 }
 
+/// Functional execution of all ten kernels on small inputs, TC and
+/// baseline variants, folded into one digest covering every output bit.
+fn ten_kernel_digest(seed: u64) -> u64 {
+    let mut rng = LcgF64::new(seed);
+    let mut h: u64 = 0;
+    let variants = [Variant::Tc, Variant::Baseline];
+
+    // GEMM (ragged shape: the tiled MMA's bounds-guarded path).
+    let a = DenseMatrix::random(24, 20, seed ^ 0xA0);
+    let b = DenseMatrix::random(20, 16, seed ^ 0xB0);
+    for v in variants {
+        let (c, _) = gemm::run(&a, &b, v);
+        fold(&mut h, digest_f64(c.as_slice()));
+    }
+
+    // GEMV (tall-skinny, banded MMA path).
+    let am = DenseMatrix::random(120, 16, seed ^ 0xC0);
+    let x = rng.vec(16);
+    for v in variants {
+        let (y, _) = gemv::run(&am, &x, v);
+        fold(&mut h, digest_f64(&y));
+    }
+
+    // FFT (batched 2-D transforms through the flat ping-pong buffers).
+    let case = fft::FftCase {
+        h: 16,
+        w: 32,
+        batch: 3,
+    };
+    let grids: Vec<Vec<C64>> = (0..case.batch)
+        .map(|_| {
+            rng.vec(case.points())
+                .into_iter()
+                .map(|re| C64 { re, im: -re * 0.5 })
+                .collect()
+        })
+        .collect();
+    for v in variants {
+        let (out, _) = fft::run(&case, &grids, v);
+        for g in &out {
+            let flat: Vec<f64> = g.iter().flat_map(|c| [c.re, c.im]).collect();
+            fold(&mut h, digest_f64(&flat));
+        }
+    }
+
+    // Stencil (2-D star, interior + border rows).
+    let sc = StencilCase {
+        kind: StencilKind::Star2D1R,
+        dims: (1, 17, 23),
+    };
+    let grid = rng.vec(17 * 23);
+    for v in variants {
+        let (out, _) = stencil::run(&sc, &grid, v);
+        fold(&mut h, digest_f64(&out));
+    }
+
+    // Scan and reduction (tile pipeline + Kogge-Stone offsets).
+    let xs = rng.vec(1500);
+    for v in variants {
+        let (y, _) = scan::run(&xs, v);
+        fold(&mut h, digest_f64(&y));
+        let (r, _) = reduction::run(&xs, v);
+        fold(&mut h, digest_f64(&[r]));
+    }
+
+    // PiC (batched Boris push, stack-array batches).
+    let pc = pic::PicCase { n: 60 };
+    let (parts, field) = pic::input(&pc);
+    for v in variants {
+        let (out, _) = pic::run(&pc, &parts, &field, v);
+        for p in out.pos.iter().chain(out.vel.iter()) {
+            fold(&mut h, digest_f64(p));
+        }
+    }
+
+    // BFS (bitmap frontier ping-pong + push-pull baseline).
+    let edges: Vec<(u32, u32)> = (0..400u32).map(|i| (i % 97, (i * 31 + 7) % 97)).collect();
+    let g = CsrGraph::from_edges(97, &edges, true);
+    for v in variants {
+        let (levels, _) = bfs::run(&g, 0, v);
+        let flat: Vec<f64> = levels.iter().map(|&l| l as f64).collect();
+        fold(&mut h, digest_f64(&flat));
+    }
+
+    // SpMV (DASP bundle builder + CSR baseline).
+    let m = small_csr(40, 50, seed ^ 0xD0);
+    let xv = rng.vec(50);
+    for v in variants {
+        let (y, _) = spmv::run(&m, &xv, v);
+        fold(&mut h, digest_f64(&y));
+    }
+
+    // SpGEMM (blocked accumulator + dense-row baseline).
+    let sq = small_csr(32, 32, seed ^ 0xE0);
+    for v in variants {
+        let (c, _) = spgemm::run(&sq, v);
+        fold(&mut h, digest_f64(&c.vals));
+        let flat: Vec<f64> = c
+            .row_ptr
+            .iter()
+            .map(|&p| p as f64)
+            .chain(c.col_idx.iter().map(|&i| i as f64))
+            .collect();
+        fold(&mut h, digest_f64(&flat));
+    }
+
+    h
+}
+
 #[test]
-#[ignore = "forced-path probe: run in a CUBIE_SIMD subprocess by the digest test"]
+#[ignore = "forced-path probe: run in a CUBIE_SIMD subprocess by the digest tests"]
 fn forced_path_probe() {
     // stdout is captured by the harness unless the test fails; print the
-    // digest through stderr, which also carries the dispatch log line.
-    eprintln!("kernel digest: {:#018x}", kernel_digest());
+    // digests through stderr, which also carries the dispatch log line.
+    for jobs in PROBE_JOBS {
+        let prev = par::set_max_workers(jobs);
+        let d = kernel_digest();
+        par::set_max_workers(prev);
+        eprintln!("kernel digest at jobs {jobs}: {d:#018x}");
+    }
     assert_eq!(simd::active_path().label(), {
         let forced = std::env::var("CUBIE_SIMD").expect("probe runs under CUBIE_SIMD");
         let parsed = SimdPath::parse(&forced).expect("probe forces a valid path");
@@ -239,8 +364,16 @@ fn forced_path_probe() {
     });
 }
 
-/// Run the probe with `CUBIE_SIMD=path`; return (digest line, stderr).
-fn run_probe(path: SimdPath) -> (String, String) {
+/// One probe subprocess's outcome: the forced path, its stderr, and its
+/// digest per probe worker count (in [`PROBE_JOBS`] order).
+struct ProbeRun {
+    path: SimdPath,
+    stderr: String,
+    digests: Vec<String>,
+}
+
+/// Run the probe with `CUBIE_SIMD=path` and parse its digest lines.
+fn run_probe(path: SimdPath) -> ProbeRun {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(&exe)
         .args([
@@ -263,43 +396,85 @@ fn run_probe(path: SimdPath) -> (String, String) {
         path.label(),
         String::from_utf8_lossy(&out.stdout)
     );
-    let digest = stderr
-        .lines()
-        .find(|l| l.starts_with("kernel digest: "))
-        .unwrap_or_else(|| {
-            panic!(
-                "no digest line under CUBIE_SIMD={}:\n{stderr}",
-                path.label()
-            )
+    let digests = PROBE_JOBS
+        .iter()
+        .map(|jobs| {
+            let prefix = format!("kernel digest at jobs {jobs}: ");
+            stderr
+                .lines()
+                .find_map(|l| l.strip_prefix(&prefix))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "no jobs {jobs} digest line under CUBIE_SIMD={}:\n{stderr}",
+                        path.label()
+                    )
+                })
+                .to_string()
         })
-        .to_string();
-    (digest, stderr)
+        .collect();
+    ProbeRun {
+        path,
+        stderr,
+        digests,
+    }
+}
+
+/// The probe over every supported path, run once per test process and
+/// shared by the two digest tests below.
+fn probe_runs() -> &'static [ProbeRun] {
+    static RUNS: std::sync::OnceLock<Vec<ProbeRun>> = std::sync::OnceLock::new();
+    RUNS.get_or_init(|| simd::supported_paths().into_iter().map(run_probe).collect())
 }
 
 /// Every supported path, forced end-to-end through the real kernels,
-/// produces the same output bits — and really ran (the dispatch log
-/// line must name the forced path, so a silent fallback cannot pass).
+/// produces the same output bits at each probe worker count — and really
+/// ran (the dispatch log line must name the forced path, so a silent
+/// fallback cannot pass).
 #[test]
 fn forced_paths_produce_identical_kernel_digests() {
-    let mut digests = Vec::new();
-    for path in simd::supported_paths() {
-        let (digest, stderr) = run_probe(path);
-        let announce = format!("cubie: simd path {} (forced via CUBIE_SIMD)", path.label());
+    let runs = probe_runs();
+    for run in runs {
+        let announce = format!(
+            "cubie: simd path {} (forced via CUBIE_SIMD)",
+            run.path.label()
+        );
         assert!(
-            stderr.contains(&announce),
-            "probe under CUBIE_SIMD={} never announced `{announce}`:\n{stderr}",
-            path.label()
+            run.stderr.contains(&announce),
+            "probe under CUBIE_SIMD={} never announced `{announce}`:\n{}",
+            run.path.label(),
+            run.stderr
         );
-        digests.push((path, digest));
     }
-    let (_, reference) = &digests[0];
-    for (path, digest) in &digests {
-        assert_eq!(
-            digest,
-            reference,
-            "kernel digest diverged on forced path {}",
-            path.label()
-        );
+    let reference = &runs[0];
+    for run in runs {
+        for (i, jobs) in PROBE_JOBS.iter().enumerate() {
+            assert_eq!(
+                run.digests[i],
+                reference.digests[i],
+                "kernel digest at jobs {jobs} diverged on forced path {} vs {}",
+                run.path.label(),
+                reference.path.label()
+            );
+        }
+    }
+}
+
+/// The whole `CUBIE_SIMD` path × worker count {1, 2, 8} matrix yields
+/// one digest over all ten kernels: within each forced path the worker
+/// count changes no output bit, and every path agrees.
+#[test]
+fn ten_kernels_are_bit_identical_across_forced_simd_paths_and_jobs() {
+    let runs = probe_runs();
+    let reference = &runs[0].digests[0];
+    for run in runs {
+        for (digest, jobs) in run.digests.iter().zip(PROBE_JOBS) {
+            assert_eq!(
+                digest,
+                reference,
+                "kernel digest diverged at jobs {jobs} under CUBIE_SIMD={}",
+                run.path.label()
+            );
+        }
     }
 }
 
