@@ -9,7 +9,9 @@
 //!   over Rodinia, SHOC and Cubie workloads, with per-suite spread.
 //! * [`TABLE7`] — the dwarf/feature comparison of Table 7.
 
+use cubie_core::par::par_map;
 use cubie_device::DeviceSpec;
+use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators as graph_gen;
 use cubie_sparse::features::MatrixFeatures;
@@ -164,17 +166,20 @@ pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> C
 
 /// Figure 10a: PCA of graph structural features over a synthetic corpus
 /// of `corpus_size` graphs, with the five Table 3 representatives
-/// (generated at `rep_scale`).
+/// (generated at `rep_scale`). Feature extraction fans out across the
+/// worker pool; results are collected in order, so the study is the same
+/// for any job count.
 pub fn graph_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
-    let corpus_vecs: Vec<(String, Vec<f64>)> = graph_gen::diverse_graph_corpus(corpus_size, seed)
+    let features = |graphs: Vec<(String, CsrGraph)>| -> Vec<(String, Vec<f64>)> {
+        let vecs = par_map(graphs.len(), |i| GraphFeatures::of(&graphs[i].1).to_vec());
+        graphs.into_iter().map(|(n, _)| n).zip(vecs).collect()
+    };
+    let corpus_vecs = features(graph_gen::diverse_graph_corpus(corpus_size, seed));
+    let reps = graph_gen::table3_graphs(rep_scale)
         .into_iter()
-        .map(|(n, g)| (n, GraphFeatures::of(&g).to_vec()))
+        .map(|(info, g)| (info.name.to_string(), g))
         .collect();
-    let rep_vecs: Vec<(String, Vec<f64>)> = graph_gen::table3_graphs(rep_scale)
-        .into_iter()
-        .map(|(info, g)| (info.name.to_string(), GraphFeatures::of(&g).to_vec()))
-        .collect();
-    finish_study(corpus_vecs, rep_vecs)
+    finish_study(corpus_vecs, features(reps))
 }
 
 /// A Figure 11-style suite diversity study.

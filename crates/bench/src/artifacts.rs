@@ -646,6 +646,8 @@ pub fn table7() -> Artifact {
 /// Tables 2/3/4: the workload inventory and the generated graph/matrix
 /// sizes at the current scale, in long `(table, name, field, value)`
 /// form — all bit-exact (generator output sizes are integer counters).
+/// The Table 3/4 inputs come through the prep store, whose output is
+/// identical to the generators', so a warm store loads them.
 pub fn table234(sparse_scale: usize, graph_scale: usize) -> Artifact {
     let mut a = Artifact::new(
         "table234_inventory",
@@ -673,13 +675,13 @@ pub fn table234(sparse_scale: usize, graph_scale: usize) -> Artifact {
             crate::sweep::case_labels(w, 64, 1024).join(", ").into(),
         );
     }
-    for (info, g) in cubie_graph::generators::table3_graphs(graph_scale) {
+    for (info, g) in cubie_prep::table3_graphs(graph_scale) {
         push("T3", info.name, "paper_vertices", info.vertices.into());
         push("T3", info.name, "paper_edges", info.edges.into());
         push("T3", info.name, "generated_vertices", g.n.into());
         push("T3", info.name, "generated_arcs", g.num_arcs().into());
     }
-    for (info, m) in cubie_sparse::generators::table4_matrices(sparse_scale) {
+    for (info, m) in cubie_prep::table4_matrices(sparse_scale) {
         push("T4", info.name, "paper_rows", info.rows.into());
         push("T4", info.name, "paper_nnz", info.nnz.into());
         push("T4", info.name, "generated_rows", m.rows.into());

@@ -1,12 +1,11 @@
 //! Tables 2, 3 and 4: the workload inventory, the BFS graphs and the
 //! SpMV/SpGEMM matrices — published metadata next to what the synthetic
-//! generators actually produce at the current scale.
+//! generators actually produce at the current scale (through the prep
+//! store, so a warm store loads the inputs instead of regenerating them).
 
 use cubie_analysis::report;
 use cubie_bench::{artifacts, graph_scale, sparse_scale, sweep};
-use cubie_graph::generators as graph_gen;
 use cubie_kernels::Workload;
-use cubie_sparse::generators as sparse_gen;
 
 fn main() {
     // Table 2: workloads. Labels come from the sweep engine's cache
@@ -38,7 +37,7 @@ fn main() {
     // Table 3: graphs.
     let gs = graph_scale();
     println!("# Table 3 — BFS graphs (generated at scale 1/{gs})\n");
-    let rows: Vec<Vec<String>> = graph_gen::table3_graphs(gs)
+    let rows: Vec<Vec<String>> = cubie_prep::table3_graphs(gs)
         .into_iter()
         .map(|(info, g)| {
             vec![
@@ -69,7 +68,7 @@ fn main() {
     // Table 4: matrices.
     let ss = sparse_scale();
     println!("# Table 4 — SpMV/SpGEMM matrices (generated at scale 1/{ss})\n");
-    let rows: Vec<Vec<String>> = sparse_gen::table4_matrices(ss)
+    let rows: Vec<Vec<String>> = cubie_prep::table4_matrices(ss)
         .into_iter()
         .map(|(info, m)| {
             vec![

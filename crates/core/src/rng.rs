@@ -67,10 +67,18 @@ impl LcgF64 {
 /// SplitMix64: a tiny, high-quality 64-bit generator (public-domain
 /// construction by Steele, Lea & Flood) for structural randomness such as
 /// synthetic sparsity patterns and graph edges.
+///
+/// The state is a Weyl counter: every draw adds the constant γ, so draw
+/// `k` depends only on `seed + k·γ`. [`SplitMix64::skip`] jumps there in
+/// O(1), which lets a generator that takes a fixed number of draws per
+/// item sample disjoint item ranges in parallel from one stream.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
+
+/// The Weyl increment γ (the golden ratio in 64-bit fixed point).
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl SplitMix64 {
     /// Create a generator from any 64-bit seed.
@@ -81,11 +89,19 @@ impl SplitMix64 {
     /// Next 64 pseudo-random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advance the stream by `k` draws without producing them: the
+    /// generator then returns what it would after `k` calls of
+    /// [`SplitMix64::next_u64`].
+    #[inline]
+    pub fn skip(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(SPLITMIX_GAMMA));
     }
 
     /// Uniform sample in `[0, n)`. `n` must be nonzero.
@@ -172,6 +188,42 @@ mod tests {
             let v = g.next_unit();
             assert!((0.0..1.0).contains(&v));
         }
+    }
+
+    #[test]
+    fn splitmix_skip_matches_repeated_draws() {
+        // 0, 1, one R-MAT stream of m = 1000 edges at 12 levels
+        // (2·levels draws per edge), and counts near the top of `u64`,
+        // where `k·γ` wraps.
+        let levels = 12u64;
+        for k in [0u64, 1, 2 * levels * 1000] {
+            let mut stepped = SplitMix64::new(0xC0FFEE);
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            let mut skipped = SplitMix64::new(0xC0FFEE);
+            skipped.skip(k);
+            assert_eq!(skipped.next_u64(), stepped.next_u64(), "k = {k}");
+        }
+        // Near `u64::MAX` stepping is impossible. Instead, `skip(MAX − j)`
+        // then `j + 1` draws completes the 2^64-draw period of the Weyl
+        // counter, so it must land back on the seed.
+        for j in 0..4u64 {
+            let mut g = SplitMix64::new(77);
+            g.skip(u64::MAX - j);
+            for _ in 0..=j {
+                g.next_u64();
+            }
+            assert_eq!(g.state, 77, "j = {j}");
+            assert_eq!(g.next_u64(), SplitMix64::new(77).next_u64());
+        }
+        // Skips compose: skip(a) then skip(b) equals skip(a + b).
+        let mut a = SplitMix64::new(5);
+        a.skip(u64::MAX / 3);
+        a.skip(u64::MAX / 2);
+        let mut b = SplitMix64::new(5);
+        b.skip((u64::MAX / 3).wrapping_add(u64::MAX / 2));
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -21,33 +21,64 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Build from an edge list; `symmetrize` adds the reverse arc of every
-    /// edge. Self-loops are kept; duplicate arcs are merged.
+    /// edge. Self-loops are kept; duplicate arcs are merged, and every
+    /// neighbour list comes out sorted.
+    ///
+    /// A counting pass: out-degrees (with the reverse arc of each
+    /// non-loop edge when symmetrizing), a prefix sum and one scatter,
+    /// then each row's short slice is sorted and compacted in place. The
+    /// result equals one global sort and dedup of every `(u, v)` arc.
+    ///
+    /// # Panics
+    /// Panics if an edge has an endpoint outside `0..n`, naming the edge.
     pub fn from_edges(n: usize, edges: &[(u32, u32)], symmetrize: bool) -> Self {
-        let mut deg = vec![0usize; n + 1];
-        let mut arcs: Vec<(u32, u32)> = Vec::with_capacity(if symmetrize {
-            edges.len() * 2
-        } else {
-            edges.len()
-        });
-        for &(u, v) in edges {
-            debug_assert!((u as usize) < n && (v as usize) < n);
-            arcs.push((u, v));
+        let mut offsets = vec![0usize; n + 1];
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge {i} ({u}, {v}) has an endpoint outside 0..{n}"
+            );
+            offsets[u as usize + 1] += 1;
             if symmetrize && u != v {
-                arcs.push((v, u));
+                offsets[v as usize + 1] += 1;
             }
         }
-        arcs.sort_unstable();
-        arcs.dedup();
-        for &(u, _) in &arcs {
-            deg[u as usize + 1] += 1;
-        }
         for i in 0..n {
-            deg[i + 1] += deg[i];
+            offsets[i + 1] += offsets[i];
         }
-        let adj: Vec<u32> = arcs.into_iter().map(|(_, v)| v).collect();
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![0u32; offsets[n]];
+        for &(u, v) in edges {
+            adj[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            if symmetrize && u != v {
+                adj[cursor[v as usize]] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        // Sort each row, then slide its distinct values down to the
+        // compacted end; `offsets[u]` is rewritten once row `u` is read.
+        let mut write = 0usize;
+        let mut lo = 0usize;
+        for u in 0..n {
+            let hi = offsets[u + 1];
+            adj[lo..hi].sort_unstable();
+            let start = write;
+            offsets[u] = start;
+            for i in lo..hi {
+                if write == start || adj[write - 1] != adj[i] {
+                    adj[write] = adj[i];
+                    write += 1;
+                }
+            }
+            lo = hi;
+        }
+        offsets[n] = write;
+        adj.truncate(write);
+        adj.shrink_to_fit();
         Self {
             n,
-            offsets: deg.into(),
+            offsets: offsets.into(),
             adj: adj.into(),
         }
     }
@@ -244,6 +275,14 @@ mod tests {
     fn max_degree_vertex_found() {
         let g = CsrGraph::from_edges(4, &[(2, 0), (2, 1), (2, 3), (0, 1)], false);
         assert_eq!(g.max_degree_vertex(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1 (0, 3) has an endpoint outside 0..3")]
+    fn out_of_range_endpoint_panics_naming_the_edge() {
+        // Unsymmetrized, so only the check stops `v = 3` from being
+        // stored and failing later inside a traversal.
+        CsrGraph::from_edges(3, &[(0, 1), (0, 3)], false);
     }
 
     #[test]

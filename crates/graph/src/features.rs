@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitmap::BitmapGraph;
+use crate::bitmap::{BLOCK_COLS, BLOCK_ROWS};
 use crate::csr_graph::CsrGraph;
 
 /// Names of the feature dimensions, in [`GraphFeatures::to_vec`] order.
@@ -35,7 +35,11 @@ pub struct GraphFeatures {
     /// BFS eccentricity from the max-degree vertex over `log2(n)` — 1 for
     /// small-world graphs, large for grids/chains.
     pub bfs_depth_ratio: f64,
-    /// Bitmap slice fill of the 8×128 block representation.
+    /// Bitmap slice fill of the 8×128 block representation: arcs over
+    /// `1024 ·` the number of nonempty blocks, bit for bit
+    /// [`BitmapGraph::slice_fill`](crate::bitmap::BitmapGraph::slice_fill).
+    /// Computed by counting the distinct (destination band, source
+    /// column block) pairs, without materialising the bitmap.
     pub slice_fill: f64,
 }
 
@@ -62,7 +66,6 @@ impl GraphFeatures {
 
         let levels = g.bfs_serial(g.max_degree_vertex());
         let depth = levels.iter().copied().max().unwrap_or(0).max(0) as f64;
-        let bitmap = BitmapGraph::from_graph(g);
 
         Self {
             log_vertices: n.ln(),
@@ -72,7 +75,7 @@ impl GraphFeatures {
             max_degree_ratio: max_deg as f64 / mean.max(1e-12),
             isolated_fraction: isolated as f64 / n,
             bfs_depth_ratio: depth / n.log2().max(1.0),
-            slice_fill: bitmap.slice_fill(),
+            slice_fill: slice_fill(g),
         }
     }
 
@@ -89,6 +92,31 @@ impl GraphFeatures {
             self.slice_fill,
         ]
     }
+}
+
+/// [`BitmapGraph::slice_fill`](crate::bitmap::BitmapGraph::slice_fill)
+/// without building the bitmap. A slice is a distinct (`v / 8`, `u / 128`)
+/// pair over the arcs `u → v`. Sources are visited in ascending order, so
+/// each band sees its column blocks in nondecreasing order and one stamp
+/// per band (last column block seen, plus one) counts them. Arcs are
+/// distinct, so they equal the bitmap's set bits.
+fn slice_fill(g: &CsrGraph) -> f64 {
+    let mut stamp = vec![0u32; g.n.div_ceil(BLOCK_ROWS)];
+    let mut slices = 0usize;
+    for u in 0..g.n {
+        let tag = (u / BLOCK_COLS) as u32 + 1;
+        for &v in g.neighbors(u) {
+            let band = &mut stamp[v as usize / BLOCK_ROWS];
+            if *band != tag {
+                *band = tag;
+                slices += 1;
+            }
+        }
+    }
+    if slices == 0 {
+        return 0.0;
+    }
+    g.num_arcs() as f64 / (slices * BLOCK_ROWS * BLOCK_COLS) as f64
 }
 
 #[cfg(test)]

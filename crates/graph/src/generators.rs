@@ -67,10 +67,41 @@ pub fn table3_specs() -> [GraphInfo; 5] {
     ]
 }
 
+/// Edges sampled per parallel chunk by [`rmat`] and [`community_graph`].
+/// A constant, never derived from the worker count, so the chunking —
+/// and with it every edge — is the same under any `--jobs`.
+pub const EDGE_CHUNK: usize = 1 << 16;
+
+/// Sample edges `0..m` in fixed-size chunks on the worker pool, in
+/// place in one index-ordered vector. Edge `i` must take exactly
+/// `draws_per_edge` draws, so each chunk starts the stream of
+/// `SplitMix64::new(seed)` skipped by `lo · draws_per_edge` (`lo` its
+/// first edge) and every edge sees the draws a serial loop would give it.
+fn sample_edges<F>(m: usize, seed: u64, draws_per_edge: u64, edge: F) -> Vec<(u32, u32)>
+where
+    F: Fn(&mut SplitMix64) -> (u32, u32) + Sync,
+{
+    let mut edges = vec![(0u32, 0u32); m];
+    cubie_core::par::par_chunks_mut(&mut edges, EDGE_CHUNK, |c, chunk| {
+        let mut g = SplitMix64::new(seed);
+        g.skip(((c * EDGE_CHUNK) as u64).wrapping_mul(draws_per_edge));
+        for e in chunk {
+            *e = edge(&mut g);
+        }
+    });
+    edges
+}
+
 /// RMAT recursive-matrix graph generator (Chakrabarti et al.): `n` must
 /// be a power of two; emits `m` edges by recursive quadrant descent with
 /// probabilities `(a, b, c, d)` plus smoothing noise, then builds CSR
 /// (duplicates merge).
+///
+/// Every edge takes exactly `2·log2(n)` draws (a noise draw and a
+/// quadrant draw per level), so edges are sampled in constant-size
+/// chunks in parallel, each from the seed's stream skipped to its first
+/// edge: the output is bit-identical to one serial pass, for any worker
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn rmat(
     n: usize,
@@ -91,32 +122,24 @@ pub fn rmat(
         "probabilities must sum to 1"
     );
     let levels = n.trailing_zeros();
-    let mut g = SplitMix64::new(seed);
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
+    let edges = sample_edges(m, seed, 2 * levels as u64, |g| {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..levels {
-            u <<= 1;
-            v <<= 1;
             // ±10 % noise per level keeps the degree sequence from
             // becoming too regular.
             let noise = 0.9 + 0.2 * g.next_unit();
             let (pa, pb, pc) = (a * noise, b, c);
+            let (ab, abc) = (pa + pb, pa + pb + pc);
             let total = pa + pb + pc + d;
             let r = g.next_unit() * total;
-            if r < pa {
-                // top-left
-            } else if r < pa + pb {
-                v |= 1;
-            } else if r < pa + pb + pc {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            // Quadrants in order a (top-left), b (v bit), c (u bit),
+            // d (both bits), selected without branches: a random quadrant
+            // mispredicts an `if` chain.
+            u = u << 1 | usize::from(r >= ab);
+            v = v << 1 | usize::from((r >= pa) & (r < ab) | (r >= abc));
         }
-        edges.push((u as u32, v as u32));
-    }
+        (u as u32, v as u32)
+    });
     CsrGraph::from_edges(n, &edges, symmetrize)
 }
 
@@ -198,7 +221,13 @@ pub fn generate(name: &str, scale: usize) -> CsrGraph {
 /// a skewed distribution (`id = n·u^skew` — low ids become hubs), and a
 /// `local_frac` fraction of edges stay within `window` of the source
 /// (intra-community links). Models the URL/community vertex locality of
-/// real web and social graphs.
+/// real web and social graphs. Self-loops are dropped.
+///
+/// Every edge takes exactly 3 draws (the source pick, the locality
+/// trial, then a window offset or a second pick), so edges are sampled
+/// in constant-size parallel chunks from the skipped stream, as in
+/// [`rmat`], and self-loops are dropped afterwards in index order:
+/// bit-identical to one serial pass for any worker count.
 pub fn community_graph(
     n: usize,
     m: usize,
@@ -208,23 +237,20 @@ pub fn community_graph(
     seed: u64,
     symmetrize: bool,
 ) -> CsrGraph {
-    let mut g = SplitMix64::new(seed);
-    let mut edges = Vec::with_capacity(m);
     let pick = |g: &mut SplitMix64| -> usize {
         ((n as f64 * g.next_unit().powf(skew)) as usize).min(n - 1)
     };
-    for _ in 0..m {
-        let u = pick(&mut g);
+    let mut edges = sample_edges(m, seed, 3, |g| {
+        let u = pick(g);
         let v = if g.bernoulli(local_frac) {
             let off = g.next_range(2 * window as u64 + 1) as i64 - window as i64;
             (u as i64 + off).rem_euclid(n as i64) as usize
         } else {
-            pick(&mut g)
+            pick(g)
         };
-        if u != v {
-            edges.push((u as u32, v as u32));
-        }
-    }
+        (u as u32, v as u32)
+    });
+    edges.retain(|&(u, v)| u != v);
     CsrGraph::from_edges(n, &edges, symmetrize)
 }
 
@@ -232,8 +258,11 @@ pub fn community_graph(
 ///
 /// Generation fans out across the worker pool, dispatched heaviest
 /// first (LPT by the published arc count, which ranks the scaled costs
-/// too). Each graph is built by its own deterministic generator, so
-/// output order and every bit are identical to the previous serial loop.
+/// too). Each graph is built by its own deterministic generator, and
+/// the samplers inside split their edge streams into constant-size
+/// chunks at a fixed draw stride (see [`rmat`]), so the nested fan-out
+/// picks up idle workers while output order and every bit stay those
+/// of a serial loop.
 pub fn table3_graphs(scale: usize) -> Vec<(GraphInfo, CsrGraph)> {
     let specs = table3_specs();
     let graphs = cubie_core::par::par_map_lpt(
@@ -246,48 +275,49 @@ pub fn table3_graphs(scale: usize) -> Vec<(GraphInfo, CsrGraph)> {
 
 /// A small diverse corpus of graphs for the Figure 10a coverage study:
 /// RMAT variants, Kronecker, Mycielskians, grids and random graphs.
+/// Graphs are built in parallel from per-graph seeds drawn up front.
 pub fn diverse_graph_corpus(count: usize, seed: u64) -> Vec<(String, CsrGraph)> {
+    // Seeds are drawn serially, so the stream is that of a serial loop.
     let mut g = SplitMix64::new(seed);
-    (0..count)
-        .map(|i| {
-            let s = g.next_u64();
-            let graph = match i % 5 {
-                0 => {
-                    let logn = 9 + (s % 4) as u32;
-                    kron_g500(logn, 8 + (s % 24) as usize, s)
-                }
-                1 => {
-                    let n = 1usize << (9 + (s % 4));
-                    rmat(
-                        n,
-                        n * (4 + (s % 16) as usize),
-                        0.45,
-                        0.25,
-                        0.2,
-                        0.1,
-                        s,
-                        false,
-                    )
-                }
-                2 => mycielskian(6 + (s % 5) as u32),
-                3 => grid_graph(12 + (s % 40) as usize, 12 + ((s >> 8) % 40) as usize),
-                _ => {
-                    let n = 1usize << (9 + (s % 4));
-                    rmat(
-                        n,
-                        n * (2 + (s % 6) as usize),
-                        0.25,
-                        0.25,
-                        0.25,
-                        0.25,
-                        s,
-                        true,
-                    )
-                }
-            };
-            (format!("corpus-{i}"), graph)
-        })
-        .collect()
+    let seeds: Vec<u64> = (0..count).map(|_| g.next_u64()).collect();
+    cubie_core::par::par_map(count, |i| {
+        let s = seeds[i];
+        let graph = match i % 5 {
+            0 => {
+                let logn = 9 + (s % 4) as u32;
+                kron_g500(logn, 8 + (s % 24) as usize, s)
+            }
+            1 => {
+                let n = 1usize << (9 + (s % 4));
+                rmat(
+                    n,
+                    n * (4 + (s % 16) as usize),
+                    0.45,
+                    0.25,
+                    0.2,
+                    0.1,
+                    s,
+                    false,
+                )
+            }
+            2 => mycielskian(6 + (s % 5) as u32),
+            3 => grid_graph(12 + (s % 40) as usize, 12 + ((s >> 8) % 40) as usize),
+            _ => {
+                let n = 1usize << (9 + (s % 4));
+                rmat(
+                    n,
+                    n * (2 + (s % 6) as usize),
+                    0.25,
+                    0.25,
+                    0.25,
+                    0.25,
+                    s,
+                    true,
+                )
+            }
+        };
+        (format!("corpus-{i}"), graph)
+    })
 }
 
 /// A 2-D grid graph (4-connected), the low-variance end of the corpus.

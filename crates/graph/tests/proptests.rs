@@ -1,7 +1,11 @@
 //! Property-based tests of the graph substrate.
 
+use cubie_core::par::set_max_workers;
+use cubie_core::SplitMix64;
 use cubie_graph::bitmap::{BitmapGraph, Slice, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::csr_graph::CsrGraph;
+use cubie_graph::features::GraphFeatures;
+use cubie_graph::generators::{community_graph, rmat, EDGE_CHUNK};
 use proptest::prelude::*;
 
 /// Arbitrary small graph as (n, edges, symmetrize).
@@ -27,8 +31,48 @@ fn arb_builder_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, bool)> 
     })
 }
 
+/// [`arb_builder_graph`] plus repeats: some edges appear again as
+/// given and some reversed, so both the plain and the symmetrized build
+/// have arcs to merge.
+fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, bool)> {
+    let picks = proptest::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 0..300);
+    (arb_builder_graph(), picks).prop_map(|((n, mut edges, sym), picks)| {
+        if !edges.is_empty() {
+            for (i, flip) in picks {
+                let (u, v) = edges[i.index(edges.len())];
+                edges.push(if flip { (v, u) } else { (u, v) });
+            }
+        }
+        (n, edges, sym)
+    })
+}
+
+/// The sort-based builder the counting `from_edges` replaced: every arc
+/// (plus the reverse of each non-loop edge when symmetrizing) sorted and
+/// deduplicated globally, then cut into rows.
+fn from_edges_by_sort(n: usize, edges: &[(u32, u32)], symmetrize: bool) -> CsrGraph {
+    let mut arcs = Vec::with_capacity(edges.len() * 2);
+    for &(u, v) in edges {
+        arcs.push((u, v));
+        if symmetrize && u != v {
+            arcs.push((v, u));
+        }
+    }
+    arcs.sort_unstable();
+    arcs.dedup();
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, _) in &arcs {
+        offsets[u as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let adj: Vec<u32> = arcs.into_iter().map(|(_, v)| v).collect();
+    CsrGraph::from_parts(n, offsets.into(), adj.into())
+}
+
 /// The sort-based transpose the counting pass replaced: reversed arcs
-/// re-sorted through `from_edges`.
+/// re-sorted through the sort-based builder.
 fn reverse_by_sort(g: &CsrGraph) -> CsrGraph {
     let mut edges = Vec::with_capacity(g.num_arcs());
     for u in 0..g.n {
@@ -36,7 +80,101 @@ fn reverse_by_sort(g: &CsrGraph) -> CsrGraph {
             edges.push((v, u as u32));
         }
     }
-    CsrGraph::from_edges(g.n, &edges, false)
+    from_edges_by_sort(g.n, &edges, false)
+}
+
+/// The serial R-MAT sampler the chunked one replaced: one stream, one
+/// edge after another, quadrants chosen by an `if` chain.
+#[allow(clippy::too_many_arguments)]
+fn rmat_serial(
+    n: usize,
+    m: usize,
+    a: f64,
+    b: f64,
+    c: f64,
+    d: f64,
+    seed: u64,
+    sym: bool,
+) -> CsrGraph {
+    let levels = n.trailing_zeros();
+    let mut g = SplitMix64::new(seed);
+    let mut edges = Vec::with_capacity(m);
+    for _ in 0..m {
+        let (mut u, mut v) = (0usize, 0usize);
+        for _ in 0..levels {
+            u <<= 1;
+            v <<= 1;
+            let noise = 0.9 + 0.2 * g.next_unit();
+            let (pa, pb, pc) = (a * noise, b, c);
+            let total = pa + pb + pc + d;
+            let r = g.next_unit() * total;
+            if r < pa {
+            } else if r < pa + pb {
+                v |= 1;
+            } else if r < pa + pb + pc {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+        }
+        edges.push((u as u32, v as u32));
+    }
+    from_edges_by_sort(n, &edges, sym)
+}
+
+/// The serial community sampler the chunked one replaced.
+fn community_serial(
+    n: usize,
+    m: usize,
+    local_frac: f64,
+    window: usize,
+    skew: f64,
+    seed: u64,
+    sym: bool,
+) -> CsrGraph {
+    let mut g = SplitMix64::new(seed);
+    let mut edges = Vec::with_capacity(m);
+    let pick = |g: &mut SplitMix64| -> usize {
+        ((n as f64 * g.next_unit().powf(skew)) as usize).min(n - 1)
+    };
+    for _ in 0..m {
+        let u = pick(&mut g);
+        let v = if g.bernoulli(local_frac) {
+            let off = g.next_range(2 * window as u64 + 1) as i64 - window as i64;
+            (u as i64 + off).rem_euclid(n as i64) as usize
+        } else {
+            pick(&mut g)
+        };
+        if u != v {
+            edges.push((u as u32, v as u32));
+        }
+    }
+    from_edges_by_sort(n, &edges, sym)
+}
+
+/// Edge counts for the sampler equivalence: empty, sub-chunk, and
+/// within a few edges either side of one and two chunk boundaries.
+fn arb_edge_count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        1usize..2000,
+        EDGE_CHUNK - 3..EDGE_CHUNK + 4,
+        2 * EDGE_CHUNK - 3..2 * EDGE_CHUNK + 4,
+    ]
+}
+
+/// Run `f` under each of the worker caps 1 and 3, restoring the cap.
+fn under_worker_caps<T>(f: impl Fn() -> T) -> Vec<T> {
+    [1, 3]
+        .into_iter()
+        .map(|w| {
+            let prev = set_max_workers(w);
+            let out = f();
+            set_max_workers(prev);
+            out
+        })
+        .collect()
 }
 
 /// The sort-based bitmap build the per-band counting pass replaced: one
@@ -87,6 +225,27 @@ fn bitmap_by_sort(g: &CsrGraph) -> BitmapGraph {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The counting-pass builder equals the sort-based one, with
+    /// duplicate arcs, self-loops and both `symmetrize` settings.
+    #[test]
+    fn from_edges_matches_sort_based((n, edges, sym) in arb_multigraph()) {
+        prop_assert_eq!(
+            CsrGraph::from_edges(n, &edges, sym),
+            from_edges_by_sort(n, &edges, sym)
+        );
+    }
+
+    /// The bitmap-free slice fill is the bitmap's, bit for bit.
+    #[test]
+    fn feature_slice_fill_matches_bitmap((n, edges, sym) in arb_multigraph()) {
+        let g = CsrGraph::from_edges(n, &edges, sym);
+        prop_assume!(g.num_arcs() > 0);
+        prop_assert_eq!(
+            GraphFeatures::of(&g).slice_fill.to_bits(),
+            BitmapGraph::from_graph(&g).slice_fill().to_bits()
+        );
+    }
 
     /// The counting transpose equals the sort-based one, and reversing
     /// twice gives the graph back.
@@ -191,5 +350,51 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    // Each case samples up to ~130k edges three times over.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Chunked R-MAT sampling equals one serial pass of the same stream,
+    /// under one worker and under three.
+    #[test]
+    fn chunked_rmat_matches_serial(
+        levels in 3u32..12,
+        m in arb_edge_count(),
+        probs in prop_oneof![
+            Just((0.57, 0.19, 0.19, 0.05)),
+            Just((0.45, 0.25, 0.2, 0.1)),
+            Just((0.25, 0.25, 0.25, 0.25)),
+        ],
+        seed in 0..u64::MAX,
+        sym in any::<bool>(),
+    ) {
+        let (a, b, c, d) = probs;
+        let n = 1usize << levels;
+        let want = rmat_serial(n, m, a, b, c, d, seed, sym);
+        for got in under_worker_caps(|| rmat(n, m, a, b, c, d, seed, sym)) {
+            prop_assert_eq!(&got, &want);
+        }
+    }
+
+    /// Chunked community sampling, with its per-chunk self-loop filter,
+    /// equals one serial pass, under one worker and under three.
+    #[test]
+    fn chunked_community_graph_matches_serial(
+        n in 2usize..5000,
+        m in arb_edge_count(),
+        local_frac in 0.0f64..1.0,
+        window in 1usize..200,
+        skew in 1.0f64..3.0,
+        seed in 0..u64::MAX,
+        sym in any::<bool>(),
+    ) {
+        let want = community_serial(n, m, local_frac, window, skew, seed, sym);
+        let got = under_worker_caps(|| community_graph(n, m, local_frac, window, skew, seed, sym));
+        for g in got {
+            prop_assert_eq!(&g, &want);
+        }
     }
 }

@@ -248,8 +248,10 @@ fn corruption_and_truncation_fall_back_to_regeneration() {
     // File 2: empty out entirely.
     std::fs::write(&files[2], b"").unwrap();
 
-    // A stray .tmp from a writer that died mid-record.
-    let stray = store.0.join("00000000deadbeef.12345.0.tmp");
+    // A stray .tmp from a writer that died mid-record. Its pid is above
+    // Linux's largest `pid_max` (2^22), so no live process or thread can
+    // hold it and revalidation always treats the writer as dead.
+    let stray = store.0.join("00000000deadbeef.4194305.0.tmp");
     std::fs::write(&stray, b"partial snapshot").unwrap();
 
     let (redone, m, g) = digest_with(&cfg);
