@@ -165,17 +165,20 @@ pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> C
 }
 
 /// Figure 10a: PCA of graph structural features over a synthetic corpus
-/// of `corpus_size` graphs, with the five Table 3 representatives
-/// (generated at `rep_scale`). Feature extraction fans out across the
-/// worker pool; results are collected in order, so the study is the same
-/// for any job count.
+/// of `corpus_size` graphs, with the five Table 3 representatives at
+/// `rep_scale`, read through the prepared-input store
+/// ([`cubie_prep::table3_graphs`]: mapped from a snapshot when one is
+/// recorded, generated and recorded otherwise; the bits are the same
+/// either way). Feature extraction fans out across the worker pool;
+/// results are collected in order, so the study is the same for any job
+/// count.
 pub fn graph_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
     let features = |graphs: Vec<(String, CsrGraph)>| -> Vec<(String, Vec<f64>)> {
         let vecs = par_map(graphs.len(), |i| GraphFeatures::of(&graphs[i].1).to_vec());
         graphs.into_iter().map(|(n, _)| n).zip(vecs).collect()
     };
     let corpus_vecs = features(graph_gen::diverse_graph_corpus(corpus_size, seed));
-    let reps = graph_gen::table3_graphs(rep_scale)
+    let reps = cubie_prep::table3_graphs(rep_scale)
         .into_iter()
         .map(|(info, g)| (info.name.to_string(), g))
         .collect();

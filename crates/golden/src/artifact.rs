@@ -19,6 +19,7 @@
 //! Columns flagged `key` identify a row across runs, so the differ can
 //! report missing/extra rows by name instead of by index.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use crate::json::{obj, Json};
@@ -145,31 +146,41 @@ impl Artifact {
         self.rows.push(row);
     }
 
-    /// The identity of row `i`: key-column cells joined with ` / `, with
-    /// a `#n` occurrence suffix when several rows share key cells (e.g.
-    /// trace samples), so every row has a stable unique identity.
-    pub fn row_key(&self, i: usize) -> String {
-        let key_of = |row: &[Json]| -> String {
-            let parts: Vec<String> = self
-                .columns
-                .iter()
-                .zip(row)
-                .filter(|(c, _)| c.key)
-                .map(|(_, v)| v.render())
-                .collect();
-            if parts.is_empty() {
-                String::new()
-            } else {
-                parts.join(" / ")
-            }
-        };
-        let base = key_of(&self.rows[i]);
-        let occurrence = self.rows[..i].iter().filter(|r| key_of(r) == base).count();
-        match (base.is_empty(), occurrence) {
-            (true, _) => format!("row {i}"),
-            (false, 0) => base,
-            (false, n) => format!("{base} #{n}"),
-        }
+    /// Every row's identity, in row order: key-column cells joined with
+    /// ` / `, with a `#n` occurrence suffix when several rows share key
+    /// cells (e.g. trace samples), so rows sharing key cells get distinct
+    /// identities. A row whose key cells render empty (or a keyless
+    /// schema) is `row {i}`. Key cells that already read like `x #1` or
+    /// `row 1` can still repeat a key; [`crate::diff::diff`] then
+    /// matches the first. One pass: occurrences are counted as the rows
+    /// go by.
+    pub fn row_keys(&self) -> Vec<String> {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        self.rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let parts: Vec<String> = self
+                    .columns
+                    .iter()
+                    .zip(row)
+                    .filter(|(c, _)| c.key)
+                    .map(|(_, v)| v.render())
+                    .collect();
+                let base = parts.join(" / ");
+                if base.is_empty() {
+                    return format!("row {i}");
+                }
+                let n = seen.entry(base.clone()).or_insert(0);
+                let key = if *n == 0 {
+                    base
+                } else {
+                    format!("{base} #{n}")
+                };
+                *n += 1;
+                key
+            })
+            .collect()
     }
 
     /// CSV projection: headers and rendered cells, so the CSV next to the
@@ -367,9 +378,10 @@ mod tests {
             "cc".into(),
             1u64.into(),
         ]);
-        assert_eq!(a.row_key(0), "gemm / H200");
-        assert_eq!(a.row_key(1), "scan / H200");
-        assert_eq!(a.row_key(2), "gemm / H200 #1");
+        assert_eq!(
+            a.row_keys(),
+            ["gemm / H200", "scan / H200", "gemm / H200 #1"]
+        );
     }
 
     #[test]

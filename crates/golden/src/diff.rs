@@ -15,6 +15,8 @@
 //! results and renders both human-readable text and a canonical JSON
 //! document (`results/golden_diff.json`, uploaded by CI).
 
+use std::collections::{HashMap, HashSet};
+
 use crate::artifact::{Artifact, Class};
 use crate::json::{obj, Json};
 
@@ -56,6 +58,16 @@ impl ArtifactDiff {
 
 /// Compare `actual` against the recorded `golden`.
 pub fn diff(golden: &Artifact, actual: &Artifact) -> ArtifactDiff {
+    let mut d = diff_header(golden, actual);
+    if d.structural.is_empty() {
+        match_rows(golden, actual, &mut d);
+    }
+    d
+}
+
+/// The structural half of [`diff`]: name, column schema and meta. Rows
+/// are only worth matching when this comes back clean.
+fn diff_header(golden: &Artifact, actual: &Artifact) -> ArtifactDiff {
     let mut d = ArtifactDiff {
         name: golden.name.clone(),
         ..ArtifactDiff::default()
@@ -100,28 +112,35 @@ pub fn diff(golden: &Artifact, actual: &Artifact) -> ArtifactDiff {
                 .push(format!("meta `{k}` not present in the golden"));
         }
     }
-    if !d.structural.is_empty() {
-        return d;
-    }
+    d
+}
 
-    // Match rows by key identity.
-    let golden_keys: Vec<String> = (0..golden.rows.len()).map(|i| golden.row_key(i)).collect();
-    let actual_keys: Vec<String> = (0..actual.rows.len()).map(|i| actual.row_key(i)).collect();
+/// Match rows by key identity, in linear time: each golden row is
+/// compared with the first actual row carrying its key, in golden row
+/// order, then actual keys absent from the golden are reported in
+/// actual row order.
+fn match_rows(golden: &Artifact, actual: &Artifact, d: &mut ArtifactDiff) {
+    let golden_keys = golden.row_keys();
+    let actual_keys = actual.row_keys();
+    let mut first_actual: HashMap<&str, usize> = HashMap::with_capacity(actual_keys.len());
+    for (j, key) in actual_keys.iter().enumerate() {
+        first_actual.entry(key.as_str()).or_insert(j);
+    }
     for (i, key) in golden_keys.iter().enumerate() {
-        let Some(j) = actual_keys.iter().position(|k| k == key) else {
+        let Some(&j) = first_actual.get(key.as_str()) else {
             d.structural
                 .push(format!("row `{key}` missing from the actual artifact"));
             continue;
         };
-        diff_row(golden, key, &golden.rows[i], &actual.rows[j], &mut d);
+        diff_row(golden, key, &golden.rows[i], &actual.rows[j], d);
     }
+    let in_golden: HashSet<&str> = golden_keys.iter().map(String::as_str).collect();
     for key in &actual_keys {
-        if !golden_keys.contains(key) {
+        if !in_golden.contains(key.as_str()) {
             d.structural
                 .push(format!("row `{key}` not present in the golden"));
         }
     }
-    d
 }
 
 fn tag(class: Class) -> &'static str {
@@ -360,6 +379,7 @@ impl DiffReport {
 mod tests {
     use super::*;
     use crate::artifact::Column;
+    use proptest::prelude::*;
 
     fn base() -> Artifact {
         let mut a = Artifact::new(
@@ -500,6 +520,188 @@ mod tests {
         assert!(diff(&base(), &drifted).passed());
         let err = verify_bit_identical(&base(), &drifted).unwrap_err();
         assert!(err.contains("canonical serialization"), "{err}");
+    }
+
+    /// The quadratic row identity [`Artifact::row_keys`] replaced: the
+    /// key cells of every earlier row are rendered again to count
+    /// occurrences.
+    fn quadratic_row_key(a: &Artifact, i: usize) -> String {
+        let key_of = |row: &[Json]| -> String {
+            let parts: Vec<String> = a
+                .columns
+                .iter()
+                .zip(row)
+                .filter(|(c, _)| c.key)
+                .map(|(_, v)| v.render())
+                .collect();
+            if parts.is_empty() {
+                String::new()
+            } else {
+                parts.join(" / ")
+            }
+        };
+        let base = key_of(&a.rows[i]);
+        let occurrence = a.rows[..i].iter().filter(|r| key_of(r) == base).count();
+        match (base.is_empty(), occurrence) {
+            (true, _) => format!("row {i}"),
+            (false, 0) => base,
+            (false, n) => format!("{base} #{n}"),
+        }
+    }
+
+    /// [`diff`] with the quadratic matcher it replaced: `position` and
+    /// `contains` over the key vectors.
+    fn quadratic_diff(golden: &Artifact, actual: &Artifact) -> ArtifactDiff {
+        let mut d = diff_header(golden, actual);
+        if !d.structural.is_empty() {
+            return d;
+        }
+        let golden_keys: Vec<String> = (0..golden.rows.len())
+            .map(|i| quadratic_row_key(golden, i))
+            .collect();
+        let actual_keys: Vec<String> = (0..actual.rows.len())
+            .map(|i| quadratic_row_key(actual, i))
+            .collect();
+        for (i, key) in golden_keys.iter().enumerate() {
+            let Some(j) = actual_keys.iter().position(|k| k == key) else {
+                d.structural
+                    .push(format!("row `{key}` missing from the actual artifact"));
+                continue;
+            };
+            diff_row(golden, key, &golden.rows[i], &actual.rows[j], &mut d);
+        }
+        for key in &actual_keys {
+            if !golden_keys.contains(key) {
+                d.structural
+                    .push(format!("row `{key}` not present in the golden"));
+            }
+        }
+        d
+    }
+
+    /// One random row: a string key cell from a small alphabet, an
+    /// integer key cell from three values, and one cell per comparison
+    /// class. The alphabet has an empty word (a `row {i}` key) and words
+    /// that spell other rows' keys (`gemm #1`, `row 1`), so an artifact
+    /// can hold the same key twice.
+    fn arb_row() -> impl Strategy<Value = Vec<Json>> {
+        (0usize..5, 0i64..3, -1.0..1.0f64, 0.5..2.0f64, any::<bool>()).prop_map(
+            |(word, n, err, time, tc)| {
+                vec![
+                    ["gemm", "scan", "", "gemm #1", "row 1"][word].into(),
+                    Json::Int(n.into()),
+                    err.into(),
+                    time.into(),
+                    if tc { "tc" } else { "cc" }.into(),
+                ]
+            },
+        )
+    }
+
+    /// A random artifact with 0, 1 or 2 key columns (0 is a keyless
+    /// schema) and either a few rows or more than 500.
+    fn arb_artifact() -> impl Strategy<Value = Artifact> {
+        let rows = prop_oneof![0usize..40, 501usize..600]
+            .prop_flat_map(|n| prop::collection::vec(arb_row(), n));
+        (0usize..3, rows).prop_map(|(keys, rows)| {
+            let key = |c: Column, k: bool| if k { c.key() } else { c };
+            let mut a = Artifact::new(
+                "t",
+                vec![
+                    key(Column::exact("workload"), keys >= 1),
+                    key(Column::exact("case"), keys >= 2),
+                    Column::exact("err"),
+                    Column::eps("time_s", 1e-3),
+                    Column::ordinal("winner"),
+                ],
+            );
+            for row in rows {
+                a.push(row);
+            }
+            a
+        })
+    }
+
+    /// Edits turning a golden into an actual: cell edits in the first
+    /// 500 rows (one-ulp `err` flips, `time_s` drift inside and outside
+    /// tolerance, `winner` inversions), a one-ulp `err` flip beyond row
+    /// 500, swapped rows, dropped rows and extra rows.
+    #[allow(clippy::type_complexity)]
+    fn arb_edits() -> impl Strategy<
+        Value = (
+            Vec<(prop::sample::Index, usize)>,
+            prop::sample::Index,
+            Vec<(prop::sample::Index, prop::sample::Index)>,
+            Vec<prop::sample::Index>,
+            Vec<Vec<Json>>,
+        ),
+    > {
+        let index = any::<prop::sample::Index>;
+        (
+            prop::collection::vec((index(), 0usize..4), 0..6),
+            index(),
+            prop::collection::vec((index(), index()), 0..8),
+            prop::collection::vec(index(), 0..4),
+            prop::collection::vec(arb_row(), 0..4),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The linear matcher reports exactly what the quadratic one
+        /// did: the same structural messages and cell diffs, in order.
+        #[test]
+        fn linear_matcher_agrees_with_the_quadratic_one(
+            golden in arb_artifact(),
+            (cell_edits, far, swaps, drops, extras) in arb_edits(),
+        ) {
+            let mut actual = golden.clone();
+            let n = actual.rows.len();
+            if n > 0 {
+                for (at, kind) in cell_edits {
+                    let row = &mut actual.rows[at.index(n.min(500))];
+                    match kind {
+                        0 => row[2] = flip_ulp(&row[2]),
+                        1 => row[3] = Json::Float(row[3].as_f64().unwrap() * (1.0 + 5e-4)),
+                        2 => row[3] = Json::Float(row[3].as_f64().unwrap() * 1.01),
+                        _ => row[4] = "baseline".into(),
+                    }
+                }
+                for (a, b) in swaps {
+                    actual.rows.swap(a.index(n), b.index(n));
+                }
+            }
+            if n > 500 {
+                let row = &mut actual.rows[500 + far.index(n - 500)];
+                row[2] = flip_ulp(&row[2]);
+            }
+            for at in drops {
+                if !actual.rows.is_empty() {
+                    actual.rows.remove(at.index(actual.rows.len()));
+                }
+            }
+            for row in extras {
+                actual.push(row);
+            }
+            let d = diff(&golden, &actual);
+            prop_assert_eq!(&d, &quadratic_diff(&golden, &actual));
+            // With every key distinct, rows pair up one to one, so the
+            // flip beyond row 500 cannot hide.
+            if unique_keys(&golden) && unique_keys(&actual) {
+                prop_assert!(n <= 500 || !d.passed(), "the flip beyond row 500 went unreported");
+                prop_assert!(diff(&golden, &golden).passed());
+            }
+        }
+    }
+
+    fn unique_keys(a: &Artifact) -> bool {
+        let keys = a.row_keys();
+        keys.iter().collect::<HashSet<_>>().len() == keys.len()
+    }
+
+    fn flip_ulp(cell: &Json) -> Json {
+        Json::Float(f64::from_bits(cell.as_f64().unwrap().to_bits() ^ 1))
     }
 
     #[test]

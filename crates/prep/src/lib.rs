@@ -143,6 +143,7 @@ pub fn table4_matrices_with(
     cached_table(
         cfg,
         "matrices",
+        scale,
         &specs,
         |spec| PrepKey::matrix(spec.name, scale),
         |spec| spec.nnz as f64,
@@ -164,6 +165,7 @@ pub fn table3_graphs_with(
     cached_table(
         cfg,
         "graphs",
+        scale,
         &specs,
         |spec| PrepKey::graph(spec.name, scale),
         |spec| spec.edges as f64,
@@ -184,6 +186,7 @@ pub fn table3_graphs_with(
 fn cached_table<S: Copy + Sync, T: Send>(
     cfg: &PrepConfig,
     what: &str,
+    scale: usize,
     specs: &[S],
     key_of: impl Fn(&S) -> PrepKey,
     cost_of: impl Fn(&S) -> f64 + Sync,
@@ -274,7 +277,7 @@ fn cached_table<S: Copy + Sync, T: Send>(
     cubie_obs::counter_add("prep.bytes_written", report.bytes_written);
     if store.is_some() {
         cubie_obs::log(format!(
-            "prep: {what} hits={} misses={} invalidated={} loaded={}B written={}B",
+            "prep: {what} scale={scale} hits={} misses={} invalidated={} loaded={}B written={}B",
             report.hits,
             report.misses,
             report.invalidated,

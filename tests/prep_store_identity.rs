@@ -19,7 +19,9 @@
 //!    worker counts {1, 2, 8} (one shared store across paths — a
 //!    snapshot recorded under the scalar path must serve the AVX2 run
 //!    bit-identically), plus two processes racing cold on the same
-//!    store directory.
+//!    store directory, and Figure 10's graph study (whose Table 3
+//!    representatives come through the store) with the store off,
+//!    cold and warm.
 
 use std::path::{Path, PathBuf};
 
@@ -333,7 +335,9 @@ fn prep_cube_probe() {
     eprintln!("prep cube digest: {reference:#018x}");
 }
 
-fn run_probe(probe: &str, envs: &[(&str, &str)]) -> String {
+/// Runs `probe` in a subprocess under `envs` and returns its stderr,
+/// which carries the `prep:` log lines and the probe's digest line.
+fn run_probe_stderr(probe: &str, envs: &[(&str, &str)]) -> String {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = std::process::Command::new(&exe);
     cmd.args([
@@ -353,6 +357,15 @@ fn run_probe(probe: &str, envs: &[(&str, &str)]) -> String {
         out.status.success(),
         "probe failed under {envs:?}:\n{stderr}"
     );
+    stderr
+}
+
+/// The digest `probe` prints under `envs`.
+fn run_probe(probe: &str, envs: &[(&str, &str)]) -> String {
+    digest_of(&run_probe_stderr(probe, envs), envs)
+}
+
+fn digest_of(stderr: &str, envs: &[(&str, &str)]) -> String {
     stderr
         .lines()
         .find(|l| l.contains("digest: "))
@@ -438,4 +451,51 @@ fn racing_cold_processes_on_one_store_both_succeed() {
     assert_eq!(digests[0], digests[1], "racing processes disagreed");
     assert_eq!(store.snapshot_files().len(), 10, "store fully populated");
     assert_eq!(tmp_leftovers(&store.0), 0, "race left .tmp files behind");
+}
+
+/// Figure 10a's graph study at the test scale: every projected point's
+/// name and coordinate bits, printed on stderr for the parent.
+#[test]
+#[ignore = "Figure 10 probe: run in a CUBIE_PREP_* subprocess by the Figure 10 test"]
+fn fig10_graph_study_probe() {
+    let study = cubie::analysis::coverage::graph_corpus_study(40, 256, 13);
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for p in study.corpus.iter().chain(&study.representatives) {
+        fnv(&mut h, p.name.bytes());
+        fold_f64(&mut h, &p.xy);
+    }
+    eprintln!("fig10 digest: {h:#018x}");
+}
+
+/// Figure 10's graph study reads its Table 3 representatives through
+/// the store: the PCA points are the same bits with the store off, cold
+/// (generate and record) and warm (all five graphs served from
+/// snapshots).
+#[test]
+fn fig10_graph_study_is_bit_identical_through_the_store() {
+    let store = TempStore::new("fig10");
+    let dir = store.0.to_string_lossy().to_string();
+    let probe = |cache: &str| {
+        let envs = [
+            ("CUBIE_PREP_CACHE", cache),
+            ("CUBIE_PREP_DIR", dir.as_str()),
+        ];
+        let stderr = run_probe_stderr("fig10_graph_study_probe", &envs);
+        (digest_of(&stderr, &envs), stderr)
+    };
+    let (off, _) = probe("off");
+    assert!(!store.0.exists(), "the store is bypassed when it is off");
+    let (cold, cold_log) = probe("on");
+    assert!(
+        cold_log.contains("prep: graphs scale=256 hits=0 misses=5 "),
+        "the cold run must generate and record all five graphs:\n{cold_log}"
+    );
+    assert_eq!(store.snapshot_files().len(), 5, "five graph snapshots");
+    let (warm, warm_log) = probe("on");
+    assert!(
+        warm_log.contains("prep: graphs scale=256 hits=5 misses=0 "),
+        "the warm run must serve all five graphs from snapshots:\n{warm_log}"
+    );
+    assert_eq!(off, cold, "cold store run diverged from fresh generation");
+    assert_eq!(off, warm, "warm store run diverged from fresh generation");
 }
