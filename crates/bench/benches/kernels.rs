@@ -119,11 +119,23 @@ fn bench_bfs(c: &mut Criterion) {
     let graph = cubie_graph::generators::kron_g500(14, 16, 7);
     let src = graph.max_degree_vertex();
     let mut g = quick(c, "bfs_kron14");
+    // A graph memoises its bitmap traversal, so every iteration runs on
+    // a fresh clone (empty memo) to time a traversal rather than a memo
+    // hit. The clone is inside the timed region.
     for v in [Variant::Baseline, Variant::Tc] {
         g.bench_function(v.label(), |bench| {
-            bench.iter(|| std::hint::black_box(bfs::run(&graph, src, v)))
+            bench.iter(|| std::hint::black_box(bfs::run(&graph.clone(), src, v)))
         });
     }
+    // The three bitmap variants of one case, as a sweep traces them.
+    g.bench_function("bitmap_variants", |bench| {
+        bench.iter(|| {
+            let fresh = graph.clone();
+            for v in [Variant::Tc, Variant::Cc, Variant::CcE] {
+                std::hint::black_box(bfs::run(&fresh, src, v));
+            }
+        })
+    });
     g.finish();
 }
 

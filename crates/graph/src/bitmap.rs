@@ -6,6 +6,10 @@
 //! (a "slice set"). A BFS iteration ANDs each slice against the matching
 //! 128-bit frontier segment via the bit MMA and ORs surviving rows into
 //! the next frontier.
+//!
+//! [`pull_bfs`] is that traversal. Its result is a function of the graph
+//! and the source alone, so one run serves every bitmap BFS variant;
+//! [`CsrGraph::pull_bfs`] memoises it on the graph.
 
 use serde::{Deserialize, Serialize};
 
@@ -138,6 +142,91 @@ impl BitmapGraph {
     }
 }
 
+/// What one bitmap pull traversal leaves behind: everything the traces
+/// of the bitmap BFS variants (TC, CC, CC-E) are a function of.
+#[derive(Debug)]
+pub struct PullBfs {
+    /// The source vertex the traversal started from.
+    pub source: usize,
+    /// Per-vertex levels (`-1` for unreachable vertices).
+    pub levels: Vec<i32>,
+    /// Per launch: (slices processed, vertices discovered). The last
+    /// launch is the final, empty-frontier pass.
+    pub per_level: Vec<(u64, u64)>,
+    /// 128-column frontier segments.
+    pub col_blocks: usize,
+}
+
+/// The pull traversal over the bitmap slice sets. Bands whose rows are
+/// all settled are skipped, and so are slices whose frontier segment is
+/// empty. A processed slice is one bit MMA of its rows against the
+/// frontier segment replicated across the eight `B` columns; only the
+/// diagonal is read, and entry `r` is `popcount(rows[r] & seg)`, so a
+/// row is hit exactly when `rows[r] & seg != 0`.
+///
+/// # Panics
+/// Panics if `source` is not a vertex of `g`, naming the source and `n`.
+pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
+    g.assert_source(source);
+    let bm = BitmapGraph::from_graph(g);
+    let n = g.n;
+    let col_blocks = bm.col_blocks;
+    let mut level = vec![-1i32; n];
+    level[source] = 0;
+    let mut frontier = vec![0u128; col_blocks];
+    let mut next = vec![0u128; col_blocks];
+    frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
+    // Bands that still contain unsettled rows.
+    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
+    if !n.is_multiple_of(BLOCK_ROWS) {
+        band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
+    }
+    band_unsettled[source / BLOCK_ROWS] -= 1;
+
+    let mut per_level = Vec::new();
+    let mut depth = 0i32;
+    let mut frontier_count = 1u64;
+    while frontier_count > 0 {
+        depth += 1;
+        next.fill(0);
+        let mut processed = 0u64;
+        let mut next_count = 0u64;
+        // `band_unsettled[rb]` is also decremented inside the inner loop,
+        // so an iterator over it would alias the mutation.
+        #[allow(clippy::needless_range_loop)]
+        for rb in 0..bm.row_blocks {
+            if band_unsettled[rb] == 0 {
+                continue;
+            }
+            for slice in bm.band(rb) {
+                let seg = frontier[slice.col_block as usize];
+                if seg == 0 {
+                    continue;
+                }
+                processed += 1;
+                for r in 0..BLOCK_ROWS {
+                    let v = rb * BLOCK_ROWS + r;
+                    if v < n && level[v] < 0 && slice.rows[r] & seg != 0 {
+                        level[v] = depth;
+                        next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
+                        band_unsettled[rb] -= 1;
+                        next_count += 1;
+                    }
+                }
+            }
+        }
+        per_level.push((processed, next_count));
+        std::mem::swap(&mut frontier, &mut next);
+        frontier_count = next_count;
+    }
+    PullBfs {
+        source,
+        levels: level,
+        per_level,
+        col_blocks,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +285,32 @@ mod tests {
             let band = b.band(rb);
             for w in band.windows(2) {
                 assert!(w[0].col_block < w[1].col_block, "band {rb} unsorted");
+            }
+        }
+    }
+
+    #[test]
+    fn row_hit_is_the_mma_diagonal() {
+        use cubie_core::mma::mma_b1_m8n8k128_and_popc;
+        let mut rng = cubie_core::SplitMix64::new(11);
+        let mut bits = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
+        for round in 0..200 {
+            let mut rows: [u128; BLOCK_ROWS] = std::array::from_fn(|_| bits());
+            // Sparse rows and segments too, so misses are exercised.
+            let mut seg = bits();
+            if round % 2 == 1 {
+                rows.iter_mut().for_each(|r| *r &= bits() & bits() & bits());
+                seg &= bits() & bits() & bits();
+            }
+            if round % 7 == 0 {
+                rows[round % BLOCK_ROWS] = 0;
+            }
+            let mut c = [0u32; 64];
+            let mut scratch = cubie_core::OpCounters::default();
+            mma_b1_m8n8k128_and_popc(&rows, &[seg; 8], &mut c, &mut scratch);
+            for r in 0..BLOCK_ROWS {
+                assert_eq!(c[r * 8 + r], (rows[r] & seg).count_ones(), "round {round}");
+                assert_eq!(c[r * 8 + r] > 0, rows[r] & seg != 0, "round {round}");
             }
         }
     }

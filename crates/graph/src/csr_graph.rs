@@ -1,7 +1,12 @@
 //! Adjacency in CSR form plus the serial reference BFS.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use cubie_core::slab::Slab;
 use serde::{Deserialize, Serialize};
+
+use crate::bitmap::{self, PullBfs};
 
 /// An unweighted directed graph in CSR adjacency form. Undirected graphs
 /// store both arc directions (as SuiteSparse edge counts do).
@@ -9,7 +14,11 @@ use serde::{Deserialize, Serialize};
 /// The offset and adjacency arrays live in [`Slab`]s: freshly generated
 /// graphs own their storage, graphs loaded from the prepared-input
 /// snapshot store borrow it zero-copy out of an mmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The graph also carries a memo of one bitmap pull traversal (see
+/// [`CsrGraph::pull_bfs`]). It is derived data: a clone starts with an
+/// empty memo, and equality and `Debug` ignore it.
+#[derive(Serialize, Deserialize)]
 pub struct CsrGraph {
     /// Number of vertices.
     pub n: usize,
@@ -17,6 +26,41 @@ pub struct CsrGraph {
     pub offsets: Slab<usize>,
     /// Concatenated neighbour lists.
     pub adj: Slab<u32>,
+    /// The traversal from the first source [`CsrGraph::pull_bfs`] was
+    /// asked for. Invariant: `n`, `offsets` and `adj` are not written
+    /// after construction, which nothing in the workspace does. The only
+    /// constructors ([`CsrGraph::from_edges`], [`CsrGraph::from_parts`],
+    /// [`CsrGraph::reverse`]) and `clone` start the memo empty.
+    pull_memo: OnceLock<Arc<PullBfs>>,
+}
+
+impl Clone for CsrGraph {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            offsets: self.offsets.clone(),
+            adj: self.adj.clone(),
+            pull_memo: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.offsets == other.offsets && self.adj == other.adj
+    }
+}
+
+impl Eq for CsrGraph {}
+
+impl fmt::Debug for CsrGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrGraph")
+            .field("n", &self.n)
+            .field("offsets", &self.offsets)
+            .field("adj", &self.adj)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CsrGraph {
@@ -80,6 +124,7 @@ impl CsrGraph {
             n,
             offsets: offsets.into(),
             adj: adj.into(),
+            pull_memo: OnceLock::new(),
         }
     }
 
@@ -87,7 +132,12 @@ impl CsrGraph {
     /// snapshot-store load path hands in mapped slabs).
     pub fn from_parts(n: usize, offsets: Slab<usize>, adj: Slab<u32>) -> Self {
         assert_eq!(offsets.len(), n + 1, "offsets length mismatch");
-        Self { n, offsets, adj }
+        Self {
+            n,
+            offsets,
+            adj,
+            pull_memo: OnceLock::new(),
+        }
     }
 
     /// Whether the offset/adjacency arrays borrow from a file mapping.
@@ -112,10 +162,20 @@ impl CsrGraph {
         self.offsets[v + 1] - self.offsets[v]
     }
 
+    /// Panics unless `source` is a vertex, naming the source and `n`
+    /// (with `n = 0`, no source is valid).
+    pub fn assert_source(&self, source: usize) {
+        assert!(
+            source < self.n,
+            "BFS source {source} is outside 0..{}",
+            self.n
+        );
+    }
+
     /// Serial reference BFS from `source`: returns per-vertex levels
     /// (`-1` for unreachable vertices).
     pub fn bfs_serial(&self, source: usize) -> Vec<i32> {
-        assert!(source < self.n, "source out of range");
+        self.assert_source(source);
         let mut level = vec![-1i32; self.n];
         let mut frontier = vec![source as u32];
         level[source] = 0;
@@ -134,6 +194,25 @@ impl CsrGraph {
             frontier = next;
         }
         level
+    }
+
+    /// The bitmap pull traversal from `source` ([`bitmap::pull_bfs`]).
+    /// The first source asked for is memoised on the graph, so the
+    /// bitmap BFS variants share one traversal; concurrent callers for
+    /// that source wait for it rather than running it again. Any other
+    /// source is computed and not cached.
+    ///
+    /// # Panics
+    /// Panics if `source` is not a vertex, naming the source and `n`.
+    pub fn pull_bfs(&self, source: usize) -> Arc<PullBfs> {
+        let memo = self
+            .pull_memo
+            .get_or_init(|| Arc::new(bitmap::pull_bfs(self, source)));
+        if memo.source == source {
+            Arc::clone(memo)
+        } else {
+            Arc::new(bitmap::pull_bfs(self, source))
+        }
     }
 
     /// Reverse graph (in-neighbours become out-neighbours).
@@ -163,6 +242,7 @@ impl CsrGraph {
             n,
             offsets: offsets.into(),
             adj: adj.into(),
+            pull_memo: OnceLock::new(),
         }
     }
 
@@ -289,5 +369,29 @@ mod tests {
     fn neighbors_are_sorted() {
         let g = CsrGraph::from_edges(5, &[(0, 4), (0, 1), (0, 3)], false);
         assert_eq!(g.neighbors(0), &[1, 3, 4]);
+    }
+
+    #[test]
+    fn pull_bfs_is_memoised_for_the_first_source() {
+        let g = path(300);
+        let first = g.pull_bfs(7);
+        assert!(Arc::ptr_eq(&first, &g.pull_bfs(7)));
+        // Another source is computed, not cached, and leaves the memo.
+        let other = g.pull_bfs(0);
+        assert_eq!(other.levels, g.bfs_serial(0));
+        assert!(!Arc::ptr_eq(&other, &g.pull_bfs(0)));
+        assert!(Arc::ptr_eq(&first, &g.pull_bfs(7)));
+    }
+
+    #[test]
+    fn clone_is_equal_and_starts_with_an_empty_memo() {
+        let g = path(40);
+        let filled = g.pull_bfs(3);
+        let c = g.clone();
+        assert_eq!(c, g);
+        assert!(c.pull_memo.get().is_none());
+        assert!(!Arc::ptr_eq(&filled, &c.pull_bfs(3)));
+        // Equality and `Debug` ignore the memo's state.
+        assert_eq!(format!("{c:?}"), format!("{:?}", path(40)));
     }
 }

@@ -17,16 +17,19 @@
 //! * **Baseline** models Gunrock: direction-optimizing push/pull BFS
 //!   over CSR with frontier queues.
 //!
-//! TC, CC and CC-E run the same pull traversal: all three skip bands whose
-//! rows are all settled, and slices whose frontier segment is empty.
-//! Their traces differ only in how each processed slice is counted.
+//! TC, CC and CC-E share one pull traversal, which skips bands whose rows
+//! are all settled and slices whose frontier segment is empty. It lives
+//! in `cubie_graph::bitmap` and runs once per graph and source
+//! ([`CsrGraph::pull_bfs`] memoises it); this module owns only the op
+//! accounting, so the three traces differ only in how each processed
+//! slice is counted.
 //!
 //! BFS performs no floating-point arithmetic; correctness is exact
 //! level-by-level agreement with the serial reference.
 
 use cubie_core::counters::MemTraffic;
 use cubie_core::OpCounters;
-use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
+use cubie_graph::bitmap::PullBfs;
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
@@ -41,19 +44,26 @@ pub fn reference(g: &CsrGraph, source: usize) -> Vec<i32> {
 /// Functional execution of one variant; returns per-vertex levels and the
 /// per-iteration workload trace (one kernel launch per BFS level, as the
 /// real implementations issue).
+///
+/// # Panics
+/// Panics if `source` is not a vertex of `g`, naming the source and `n`.
 pub fn run(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
     match variant {
         Variant::Baseline => run_push_pull(g, source),
         Variant::Tc | Variant::Cc | Variant::CcE => {
-            let profile = pull_profile(g, source);
-            let trace = trace_from_profile(&profile, variant);
-            (profile.levels, trace)
+            let profile = g.pull_bfs(source);
+            (
+                profile.levels.clone(),
+                trace_from_profile(&profile, variant),
+            )
         }
     }
 }
 
-/// Trace-only entry point (BFS traces are data-dependent, so this simply
-/// runs the traversal structure; `run` and `trace` share one path).
+/// Trace-only entry point. BFS traces are data-dependent, so this runs
+/// the traversal; `run` and `trace` share one path. The bitmap variants
+/// count from the graph's memoised `cubie_graph::bitmap` pull traversal,
+/// which runs once per graph and source.
 pub fn trace(g: &CsrGraph, source: usize, variant: Variant) -> WorkloadTrace {
     run(g, source, variant).1
 }
@@ -63,83 +73,8 @@ pub fn useful_edges(g: &CsrGraph) -> f64 {
     g.num_arcs() as f64
 }
 
-/// What one bitmap pull traversal (TC / CC / CC-E) leaves behind:
-/// everything the three bitmap variants' traces are a function of.
-struct PullProfile {
-    /// Per-vertex levels (`-1` for unreachable vertices).
-    levels: Vec<i32>,
-    /// Per launch: (slices processed, vertices discovered).
-    per_level: Vec<(u64, u64)>,
-    /// 128-column frontier segments.
-    col_blocks: usize,
-}
-
-/// The pull traversal over the bitmap slice sets. A processed slice is
-/// one bit MMA of its rows against the frontier segment replicated
-/// across the eight `B` columns; only the diagonal is read, and entry
-/// `r` is `popcount(rows[r] & seg)`, so a row is hit exactly when
-/// `rows[r] & seg != 0`.
-fn pull_profile(g: &CsrGraph, source: usize) -> PullProfile {
-    let bm = BitmapGraph::from_graph(g);
-    let n = g.n;
-    let col_blocks = bm.col_blocks;
-    let mut level = vec![-1i32; n];
-    level[source] = 0;
-    let mut frontier = vec![0u128; col_blocks];
-    let mut next = vec![0u128; col_blocks];
-    frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
-    // Bands that still contain unsettled rows.
-    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
-    if !n.is_multiple_of(BLOCK_ROWS) {
-        band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
-    }
-    band_unsettled[source / BLOCK_ROWS] -= 1;
-
-    let mut per_level = Vec::new();
-    let mut depth = 0i32;
-    let mut frontier_count = 1u64;
-    while frontier_count > 0 {
-        depth += 1;
-        next.fill(0);
-        let mut processed = 0u64;
-        let mut next_count = 0u64;
-        // `band_unsettled[rb]` is also decremented inside the inner loop,
-        // so an iterator over it would alias the mutation.
-        #[allow(clippy::needless_range_loop)]
-        for rb in 0..bm.row_blocks {
-            if band_unsettled[rb] == 0 {
-                continue;
-            }
-            for slice in bm.band(rb) {
-                let seg = frontier[slice.col_block as usize];
-                if seg == 0 {
-                    continue;
-                }
-                processed += 1;
-                for r in 0..BLOCK_ROWS {
-                    let v = rb * BLOCK_ROWS + r;
-                    if v < n && level[v] < 0 && slice.rows[r] & seg != 0 {
-                        level[v] = depth;
-                        next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
-                        band_unsettled[rb] -= 1;
-                        next_count += 1;
-                    }
-                }
-            }
-        }
-        per_level.push((processed, next_count));
-        std::mem::swap(&mut frontier, &mut next);
-        frontier_count = next_count;
-    }
-    PullProfile {
-        levels: level,
-        per_level,
-        col_blocks,
-    }
-}
-
 /// One launch per profiled level, counted for the variant's pipes.
-fn trace_from_profile(profile: &PullProfile, variant: Variant) -> WorkloadTrace {
+fn trace_from_profile(profile: &PullBfs, variant: Variant) -> WorkloadTrace {
     let mut workload = WorkloadTrace::default();
     for (i, &(processed, next_count)) in profile.per_level.iter().enumerate() {
         let mut ops = OpCounters::default();
@@ -173,6 +108,7 @@ fn trace_from_profile(profile: &PullProfile, variant: Variant) -> WorkloadTrace 
 
 /// Direction-optimizing push/pull BFS (Gunrock-style baseline).
 fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
+    g.assert_source(source);
     let rev = g.reverse();
     let n = g.n;
     let mut level = vec![-1i32; n];
@@ -338,37 +274,25 @@ mod tests {
     }
 
     #[test]
-    fn row_hit_is_the_mma_diagonal() {
-        use cubie_core::mma::mma_b1_m8n8k128_and_popc;
-        let mut rng = cubie_core::SplitMix64::new(11);
-        let mut bits = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
-        for round in 0..200 {
-            let mut rows: [u128; BLOCK_ROWS] = std::array::from_fn(|_| bits());
-            // Sparse rows and segments too, so misses are exercised.
-            let mut seg = bits();
-            if round % 2 == 1 {
-                rows.iter_mut().for_each(|r| *r &= bits() & bits() & bits());
-                seg &= bits() & bits() & bits();
-            }
-            if round % 7 == 0 {
-                rows[round % BLOCK_ROWS] = 0;
-            }
-            let mut c = [0u32; 64];
-            let mut scratch = OpCounters::default();
-            mma_b1_m8n8k128_and_popc(&rows, &[seg; 8], &mut c, &mut scratch);
-            for r in 0..BLOCK_ROWS {
-                assert_eq!(c[r * 8 + r], (rows[r] & seg).count_ones(), "round {round}");
-                assert_eq!(c[r * 8 + r] > 0, rows[r] & seg != 0, "round {round}");
-            }
-        }
-    }
-
-    #[test]
     fn singleton_source_terminates() {
         let g = CsrGraph::from_edges(4, &[(1, 2)], true);
         for v in Variant::ALL {
             let (levels, _) = run(&g, 3, v);
             assert_eq!(levels, vec![-1, -1, -1, 0], "{v}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "BFS source 64 is outside 0..64")]
+    fn bad_source_panics_naming_it() {
+        let g = CsrGraph::from_edges(64, &[(0, 1)], true);
+        run(&g, 64, Variant::Tc);
+    }
+
+    #[test]
+    #[should_panic(expected = "BFS source 0 is outside 0..0")]
+    fn empty_graph_has_no_source() {
+        let g = CsrGraph::from_edges(0, &[], false);
+        run(&g, g.max_degree_vertex(), Variant::Baseline);
     }
 }

@@ -213,6 +213,7 @@ proptest! {
         edges in proptest::collection::vec((0u32..600, 0u32..600), 0..1500),
         sym in any::<bool>(),
         src_pick in any::<prop::sample::Index>(),
+        other_pick in any::<prop::sample::Index>(),
     ) {
         let edges: Vec<(u32, u32)> = edges
             .into_iter()
@@ -228,6 +229,17 @@ proptest! {
             // memory, every `OpCounters` field and the critical path.
             prop_assert_eq!(&ran, &want, "{}", v);
             prop_assert_eq!(&bfs::trace(&g, src, v), &want, "{}", v);
+        }
+        // A second source on the same graph misses the memo of the
+        // first and must still match.
+        if n > 1 {
+            let other = (src + 1 + other_pick.index(n - 1)) % n;
+            for v in [Variant::Tc, Variant::Cc, Variant::CcE] {
+                let (want_levels, want) = bitmap_bfs_with_mma(&g, other, v);
+                let (levels, ran) = bfs::run(&g, other, v);
+                prop_assert_eq!(&levels, &want_levels, "{} from {}", v, other);
+                prop_assert_eq!(&ran, &want, "{} from {}", v, other);
+            }
         }
     }
 }

@@ -317,6 +317,14 @@ mod tests {
     }
 
     #[test]
+    fn graph_bytes_ignore_the_traversal_memo() {
+        let g = sample_graph();
+        let before = encode_graph("gk", &g);
+        g.pull_bfs(g.max_degree_vertex());
+        assert_eq!(encode_graph("gk", &g), before);
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let mut bytes = encode_matrix("k", &sample_matrix());
         bytes.truncate(bytes.len() - 3);
