@@ -167,7 +167,7 @@ pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> C
 /// Figure 10a: PCA of graph structural features over a synthetic corpus
 /// of `corpus_size` graphs, with the five Table 3 representatives at
 /// `rep_scale`, read through the prepared-input store
-/// ([`cubie_prep::table3_graphs`]: mapped from a snapshot when one is
+/// ([`cubie_prep::table3_graphs`]: loaded from a snapshot when one is
 /// recorded, generated and recorded otherwise; the bits are the same
 /// either way). Feature extraction fans out across the worker pool;
 /// results are collected in order, so the study is the same for any job

@@ -31,9 +31,6 @@
 //!   of the workloads, running on the persistent worker pool in
 //!   [`pool`]; includes LPT (longest-first) scheduling that reorders
 //!   dispatch without changing any result bit.
-//! * [`mmap`] / [`slab`] — read-only file mappings and the
-//!   owned-or-mapped [`slab::Slab`] buffers under prepared cases, so
-//!   snapshot-store hits serve kernel inputs zero-copy from disk.
 //! * [`cas`] — the content-addressed store primitive (FNV-1a
 //!   addressing, atomic writes, validator-driven revalidation) under the
 //!   prepared-input store and the `cubied` result store.
@@ -51,13 +48,11 @@ pub mod error;
 pub mod frag;
 pub mod matrix;
 pub mod mma;
-pub mod mmap;
 pub mod par;
 pub mod pool;
 pub mod rng;
 pub mod scalar;
 pub mod simd;
-pub mod slab;
 
 pub use complex::C64;
 pub use counters::{MemTraffic, OpCounters};

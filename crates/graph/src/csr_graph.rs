@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use cubie_core::slab::Slab;
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::{self, PullBfs};
@@ -11,9 +10,8 @@ use crate::bitmap::{self, PullBfs};
 /// An unweighted directed graph in CSR adjacency form. Undirected graphs
 /// store both arc directions (as SuiteSparse edge counts do).
 ///
-/// The offset and adjacency arrays live in [`Slab`]s: freshly generated
-/// graphs own their storage, graphs loaded from the prepared-input
-/// snapshot store borrow it zero-copy out of an mmap.
+/// Generated graphs and graphs loaded from the prepared-input snapshot
+/// store are built the same way, as plain `Vec`s.
 ///
 /// The graph also carries a memo of one bitmap pull traversal (see
 /// [`CsrGraph::pull_bfs`]). It is derived data: a clone starts with an
@@ -23,9 +21,9 @@ pub struct CsrGraph {
     /// Number of vertices.
     pub n: usize,
     /// Offsets into `adj`, length `n + 1`.
-    pub offsets: Slab<usize>,
+    pub offsets: Vec<usize>,
     /// Concatenated neighbour lists.
-    pub adj: Slab<u32>,
+    pub adj: Vec<u32>,
     /// The traversal from the first source [`CsrGraph::pull_bfs`] was
     /// asked for. Invariant: `n`, `offsets` and `adj` are not written
     /// after construction, which nothing in the workspace does. The only
@@ -122,15 +120,15 @@ impl CsrGraph {
         adj.shrink_to_fit();
         Self {
             n,
-            offsets: offsets.into(),
-            adj: adj.into(),
+            offsets,
+            adj,
             pull_memo: OnceLock::new(),
         }
     }
 
     /// Assemble from already-built CSR adjacency arrays (the
-    /// snapshot-store load path hands in mapped slabs).
-    pub fn from_parts(n: usize, offsets: Slab<usize>, adj: Slab<u32>) -> Self {
+    /// snapshot-store load path).
+    pub fn from_parts(n: usize, offsets: Vec<usize>, adj: Vec<u32>) -> Self {
         assert_eq!(offsets.len(), n + 1, "offsets length mismatch");
         Self {
             n,
@@ -138,11 +136,6 @@ impl CsrGraph {
             adj,
             pull_memo: OnceLock::new(),
         }
-    }
-
-    /// Whether the offset/adjacency arrays borrow from a file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.offsets.is_mapped() || self.adj.is_mapped()
     }
 
     /// Number of stored arcs (directed edges).
@@ -240,8 +233,8 @@ impl CsrGraph {
         }
         Self {
             n,
-            offsets: offsets.into(),
-            adj: adj.into(),
+            offsets,
+            adj,
             pull_memo: OnceLock::new(),
         }
     }

@@ -68,7 +68,7 @@ fn from_edges_by_sort(n: usize, edges: &[(u32, u32)], symmetrize: bool) -> CsrGr
         offsets[i + 1] += offsets[i];
     }
     let adj: Vec<u32> = arcs.into_iter().map(|(_, v)| v).collect();
-    CsrGraph::from_parts(n, offsets.into(), adj.into())
+    CsrGraph::from_parts(n, offsets, adj)
 }
 
 /// The sort-based transpose the counting pass replaced: reversed arcs

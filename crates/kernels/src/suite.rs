@@ -416,8 +416,8 @@ fn prepare_cases_inner(w: Workload, sparse_scale: usize, graph_scale: usize) -> 
             .map(PreparedCase::Pic)
             .collect(),
         // Sparse and graph inputs go through the prepared-input store:
-        // warm starts mmap the snapshot under `results/prep` (zero-copy,
-        // honoring CUBIE_PREP_CACHE / CUBIE_PREP_DIR), cold starts
+        // warm starts load the snapshot under `results/prep` (honoring
+        // CUBIE_PREP_CACHE / CUBIE_PREP_DIR), cold starts
         // generate in parallel and record it.
         Workload::Spmv => cubie_prep::table4_matrices(sparse_scale)
             .into_iter()

@@ -1,7 +1,7 @@
 //! `prep-*` criterion group: cold generation vs snapshot loads.
 //!
-//! Quantifies the store's claim: a warm mmap load of a Table 4 matrix
-//! should beat regenerating it by a wide margin.
+//! Quantifies the store's claim: a warm load of a Table 4 matrix
+//! snapshot should beat regenerating it by a wide margin.
 
 use std::time::Duration;
 
@@ -37,13 +37,13 @@ fn prep_cold_generate(c: &mut Criterion) {
     g.finish();
 }
 
-/// prep-warm: serve the same set from mmap'd snapshots.
+/// prep-warm: serve the same set from recorded snapshots.
 fn prep_warm_load(c: &mut Criterion) {
     let cfg = bench_cfg("warm");
     // Populate once; every timed iteration is then a pure warm load.
     let _ = table4_matrices_with(&cfg, SCALE);
     let mut g = quick(c, "prep-warm");
-    g.bench_function("table4_mmap_load", |b| {
+    g.bench_function("table4_warm_load", |b| {
         b.iter(|| std::hint::black_box(table4_matrices_with(&cfg, SCALE)))
     });
     g.finish();

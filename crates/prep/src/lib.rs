@@ -1,23 +1,24 @@
 //! # cubie-prep
 //!
-//! The persistent prepared-input store: content-addressed, mmap-backed
+//! The persistent prepared-input store: content-addressed, checksummed
 //! snapshots of the Table 4 sparse matrices and Table 3 graphs under
 //! `results/prep/`, shared by every entry point (CLI sweeps, benches,
 //! tests, `cubied`).
 //!
 //! Cold path: generation fans out across the worker pool ([`par_map_lpt`],
 //! heaviest case first) and each generated case is recorded as one
-//! atomic snapshot. Warm path: the snapshot is mapped and the case is
-//! reconstructed as a **zero-copy borrowed view** over the file — the
-//! index/value slabs kernels see are windows of the mapping, so a warm
-//! restart pays open + validate, not regenerate + copy.
+//! atomic snapshot. Warm path: the snapshot is streamed once through a
+//! fixed buffer, checksummed and decoded straight into the case's
+//! `Vec`s, so a warm restart pays one read of the file, not a
+//! regeneration.
 //!
 //! Correctness before speed: every snapshot embeds its canonical key
-//! and a payload checksum; truncated, bit-rotted, or version-skewed
-//! entries are detected at open, logged, deleted, and regenerated —
-//! never a panic, never a silent wrong-input run. Generators are
-//! deterministic, so loaded cases are bit-identical to fresh ones (the
-//! `prep_store_identity` suite and the golden gates enforce this).
+//! and a checksum over its header and payload; truncated, bit-rotted,
+//! or version-skewed entries are detected at open, logged, deleted, and
+//! regenerated — never a panic, never a silent wrong-input run.
+//! Generators are deterministic, so loaded cases are bit-identical to
+//! fresh ones (the `prep_store_identity` suite and the golden gates
+//! enforce this).
 //!
 //! Knobs (read once per call, so tests can flip them):
 //!
@@ -26,11 +27,8 @@
 //! * `CUBIE_PREP_DIR=<path>` — store directory. Default:
 //!   `results/prep` under the current directory.
 //!
-//! Hits are mapped where the platform supports `mmap` and read into an
-//! owned buffer elsewhere ([`cubie_core::mmap::Mapping::of_file`]).
-//!
 //! Observability: `prep.hit` / `prep.miss` / `prep.invalidated` /
-//! `prep.store_err` counters, `prep.bytes_mapped` / `prep.bytes_written`
+//! `prep.store_err` counters, `prep.bytes_loaded` / `prep.bytes_written`
 //! byte counters, and one `prep:` log line per table load — all through
 //! [`cubie_obs`].
 //!
@@ -211,7 +209,7 @@ fn cached_table<S: Copy + Sync, T: Send>(
         None
     };
 
-    // Phase 1 — consult the store (cheap: open + validate + map).
+    // Phase 1 — consult the store (cheap: open + read + validate).
     let mut out: Vec<Option<T>> = specs.iter().map(|_| None).collect();
     if let Some(store) = &store {
         for (slot, spec) in specs.iter().enumerate() {
@@ -273,7 +271,7 @@ fn cached_table<S: Copy + Sync, T: Send>(
     cubie_obs::counter_add("prep.hit", report.hits as u64);
     cubie_obs::counter_add("prep.miss", report.misses as u64);
     cubie_obs::counter_add("prep.invalidated", report.invalidated as u64);
-    cubie_obs::counter_add("prep.bytes_mapped", report.bytes_loaded);
+    cubie_obs::counter_add("prep.bytes_loaded", report.bytes_loaded);
     cubie_obs::counter_add("prep.bytes_written", report.bytes_written);
     if store.is_some() {
         cubie_obs::log(format!(
@@ -296,7 +294,7 @@ fn cached_table<S: Copy + Sync, T: Send>(
 
 /// Revalidate (and page-cache-warm) the store without generating
 /// anything — what `cubied` runs at startup so a restarted daemon
-/// serves its first sweep from mapped snapshots. Missing directory is
+/// serves its first sweep from snapshots. Missing directory is
 /// fine (fresh report); errors are logged and swallowed.
 pub fn prewarm(cfg: &PrepConfig) -> OpenReport {
     if !cfg.enabled {
@@ -358,10 +356,6 @@ mod tests {
             for (a, b) in ma.vals.iter().zip(mb.vals.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-        if format::ZERO_COPY_OK {
-            assert!(warm[0].1.is_mapped(), "warm case should borrow the map");
-            assert!(!cold[0].1.is_mapped(), "cold case owns its buffers");
         }
         let _ = fs::remove_dir_all(&cfg.dir);
     }

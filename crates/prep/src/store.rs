@@ -15,10 +15,8 @@
 use std::fs::File;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use cubie_core::cas::{self, Dir, Key, OpenReport};
-use cubie_core::mmap::Mapping;
 
 use crate::format::{self, Decoded};
 
@@ -32,7 +30,7 @@ pub const GENERATOR_VERSION: u32 = 1;
 
 /// Version of the on-disk binary layout (`format` module). Bump when
 /// the snapshot byte layout changes.
-pub const LAYOUT_VERSION: u32 = 1;
+pub const LAYOUT_VERSION: u32 = 2;
 
 /// The canonical key of one prepared case, and its address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +72,7 @@ impl std::ops::Deref for PrepKey {
 
 /// A successfully loaded snapshot.
 pub struct Loaded {
-    /// The decoded case (zero-copy over the mapping where the platform
-    /// maps files).
+    /// The decoded case, in owned `Vec`s.
     pub case: Decoded,
     /// Snapshot file size in bytes.
     pub bytes: u64,
@@ -91,19 +88,21 @@ pub struct PrepStore {
     dir: Dir,
 }
 
-/// Map an entry file for decoding.
-fn map(mut file: File) -> Result<Arc<Mapping>, String> {
-    Mapping::of_file(&mut file)
-        .map(Arc::new)
-        .map_err(|e| format!("unmappable entry: {e}"))
+/// An entry's length in bytes, which the decoder checks the header
+/// against.
+fn entry_len(file: &File) -> Result<u64, String> {
+    file.metadata()
+        .map(|m| m.len())
+        .map_err(|e| format!("unreadable entry: {e}"))
 }
 
 /// Open-time check: structure sound, key current and at its address.
+/// Checksums the entry without building its case.
 fn validate_entry(file: File, stem: &str) -> Result<(), String> {
-    format::decode(map(file)?, |stored| {
+    let len = entry_len(&file)?;
+    format::validate(file, len, |stored| {
         Key::check_stored(stored, &current_prefix(), stem)
     })
-    .map(drop)
 }
 
 impl PrepStore {
@@ -134,9 +133,8 @@ impl PrepStore {
     /// regenerate.
     pub fn load(&self, key: &PrepKey) -> Lookup {
         self.dir.load(key, |file| {
-            let map = map(file)?;
-            let bytes = map.len() as u64;
-            let case = format::decode(map, |stored| key.check_same(stored))?;
+            let bytes = entry_len(&file)?;
+            let case = format::decode(file, bytes, |stored| key.check_same(stored))?;
             Ok(Loaded { case, bytes })
         })
     }
@@ -185,8 +183,9 @@ mod tests {
         assert_ne!(a.address(), c.address());
         assert_eq!(a.address().len(), 16);
         assert!(a.canonical().starts_with(&current_prefix()));
-        // Pinned: existing snapshot stores stay addressable.
-        assert_eq!(a.address(), "0f7e83fd0c582273");
+        // Pinned: an address moves only when a version in the prefix is
+        // bumped on purpose.
+        assert_eq!(a.address(), "00945d8f9fe52d3a");
     }
 
     #[test]

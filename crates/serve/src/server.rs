@@ -235,7 +235,7 @@ impl Daemon {
         // Prewarm the prepared-input store: revalidate every snapshot
         // (checksumming reads each byte, populating the page cache) and
         // sweep stale `.tmp` / invalid entries, so the first sweep a
-        // client submits mmaps its inputs instead of regenerating them.
+        // client submits loads its inputs instead of regenerating them.
         let prep_cfg = cubie_prep::PrepConfig::from_env();
         if prep_cfg.enabled {
             let prep = cubie_prep::prewarm(&prep_cfg);

@@ -2,17 +2,15 @@
 //! serve as the paper's CPU ground truth (Section 8: "a naive CPU serial
 //! implementation (e.g., CSR-based SpMV)").
 
-use cubie_core::slab::Slab;
 use serde::{Deserialize, Serialize};
 
 use crate::coo::Coo;
 
 /// A CSR sparse matrix.
 ///
-/// The index and value arrays live in [`Slab`]s: freshly generated
-/// matrices own their storage, matrices loaded from the prepared-input
-/// snapshot store borrow it zero-copy out of an mmap. Both deref to
-/// slices, so every kernel sees identical data either way.
+/// Generated matrices and matrices loaded from the prepared-input
+/// snapshot store are built the same way, as plain `Vec`s, so every
+/// kernel sees identical data either way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Csr {
     /// Number of rows.
@@ -20,11 +18,11 @@ pub struct Csr {
     /// Number of columns.
     pub cols: usize,
     /// Row pointer array, length `rows + 1`.
-    pub row_ptr: Slab<usize>,
+    pub row_ptr: Vec<usize>,
     /// Column indices, length `nnz`.
-    pub col_idx: Slab<u32>,
+    pub col_idx: Vec<u32>,
     /// Values, length `nnz`.
-    pub vals: Slab<f64>,
+    pub vals: Vec<f64>,
 }
 
 impl Csr {
@@ -33,20 +31,20 @@ impl Csr {
         Self {
             rows,
             cols,
-            row_ptr: vec![0; rows + 1].into(),
-            col_idx: Slab::new(),
-            vals: Slab::new(),
+            row_ptr: vec![0; rows + 1],
+            col_idx: Vec::new(),
+            vals: Vec::new(),
         }
     }
 
     /// Assemble from already-built CSR arrays (the snapshot-store load
-    /// path hands in mapped slabs; generators hand in owned vectors).
+    /// path).
     pub fn from_parts(
         rows: usize,
         cols: usize,
-        row_ptr: Slab<usize>,
-        col_idx: Slab<u32>,
-        vals: Slab<f64>,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        vals: Vec<f64>,
     ) -> Self {
         assert_eq!(row_ptr.len(), rows + 1, "row_ptr length mismatch");
         assert_eq!(col_idx.len(), vals.len(), "col_idx/vals length mismatch");
@@ -57,11 +55,6 @@ impl Csr {
             col_idx,
             vals,
         }
-    }
-
-    /// Whether any index/value array borrows from a file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.row_ptr.is_mapped() || self.col_idx.is_mapped() || self.vals.is_mapped()
     }
 
     /// Build from (sorted, deduplicated) COO triplets.
@@ -77,9 +70,9 @@ impl Csr {
         Self {
             rows: coo.rows,
             cols: coo.cols,
-            row_ptr: row_ptr.into(),
-            col_idx: coo.col_idx.into(),
-            vals: coo.vals.into(),
+            row_ptr,
+            col_idx: coo.col_idx,
+            vals: coo.vals,
         }
     }
 

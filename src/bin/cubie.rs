@@ -722,8 +722,8 @@ fn golden_list() {
 
 /// Cold-vs-warm verdict on the prepared-input store after a sweep,
 /// printed by `cubie profile` and `cubie bench-smoke`: snapshot hits
-/// mean the `prepare` phase was served zero-copy from mmap'd snapshots
-/// under `results/prep`; misses mean it paid generation and recorded a
+/// mean the `prepare` phase was loaded from snapshots under
+/// `results/prep`; misses mean it paid generation and recorded a
 /// snapshot for the next run. `prepare_busy_s` is this run's measured
 /// `prepare` busy time, so cold and warm invocations can be compared
 /// directly from their output.
@@ -752,9 +752,9 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
         "mixed"
     };
     format!(
-        "prepare: {verdict} — {hits} snapshot hit(s) ({:.1} MiB zero-copy), \
+        "prepare: {verdict} — {hits} snapshot hit(s) ({:.1} MiB loaded), \
          {misses} miss(es) ({:.1} MiB recorded), busy {} (store {})",
-        mib(cubie::obs::counter_get("prep.bytes_mapped")),
+        mib(cubie::obs::counter_get("prep.bytes_loaded")),
         mib(cubie::obs::counter_get("prep.bytes_written")),
         report::seconds(prepare_busy_s),
         cfg.dir.display()

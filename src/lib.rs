@@ -27,8 +27,8 @@
 //! * [`obs`] — the always-compiled span/counter instrumentation layer
 //!   behind `cubie profile` (phase hotspots + Chrome traces).
 //! * [`prep`] — the persistent prepared-input store: content-addressed
-//!   mmap-backed snapshots of the Table 3/4 inputs under `results/prep`,
-//!   served zero-copy on warm starts, generated in parallel on cold ones.
+//!   checksummed snapshots of the Table 3/4 inputs under `results/prep`,
+//!   loaded on warm starts, generated in parallel on cold ones.
 //! * [`serve`] — `cubied`, the sweep-as-a-service daemon: line-delimited
 //!   JSON over a unix socket, request dedup, admission control, and a
 //!   content-addressed result store (`cubie serve` / `cubie client`).

@@ -1,6 +1,6 @@
 //! Prepared-input store bit-identity suite: inputs served from the
-//! snapshot store — cold (generate + record) and warm (mmap'd
-//! zero-copy view) — must be bit-identical to a fresh in-memory
+//! snapshot store — cold (generate + record) and warm (decoded from
+//! the snapshot) — must be bit-identical to a fresh in-memory
 //! generation, and so must everything computed
 //! from them. Corrupted, truncated, or version-skewed snapshots are
 //! detected at open, deleted, and regenerated — never a panic, never a
@@ -10,7 +10,7 @@
 //!
 //! 1. in-process digests: Table 4 matrices + Table 3 graphs and the
 //!    SpMV/SpGEMM/BFS outputs computed from them, fresh vs cold-store
-//!    vs warm-mmap;
+//!    vs warm;
 //! 2. sabotage: doctored version-skew keys, bit-rotted payloads,
 //!    truncated files, and stray `.tmp`s must all be invalidated and
 //!    regenerated with the digest unchanged;
@@ -151,10 +151,9 @@ fn tmp_leftovers(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// Fresh generation, cold store (generate + record) and warm mmap load
-/// all produce the same input and output bits —
-/// and the warm runs really are served from snapshots, zero-copy where
-/// the platform allows it.
+/// Fresh generation, cold store (generate + record) and warm load all
+/// produce the same input and output bits — and the warm runs really
+/// are served from snapshots.
 #[test]
 fn fresh_cold_warm_digests_are_bit_identical() {
     let store = TempStore::new("fresh_cold_warm");
@@ -176,16 +175,7 @@ fn fresh_cold_warm_digests_are_bit_identical() {
     assert!(warm_m.bytes_loaded > 0);
 
     assert_eq!(fresh, cold, "cold store run diverged from fresh generation");
-    assert_eq!(fresh, warm, "warm mmap run diverged from fresh generation");
-
-    // The warm mmap matrices are really zero-copy views on LE 64-bit.
-    if cubie::prep::format::ZERO_COPY_OK {
-        let (matrices, _) = prep::table4_matrices_with(&cfg, SPARSE_SCALE);
-        assert!(
-            matrices.iter().all(|(_, m)| m.is_mapped()),
-            "warm mmap loads must borrow the snapshot, not copy it"
-        );
-    }
+    assert_eq!(fresh, warm, "warm run diverged from fresh generation");
 }
 
 /// A snapshot whose embedded key carries a different generator version
@@ -309,7 +299,7 @@ const PROBE_JOBS: [usize; 3] = [1, 2, 8];
 /// (consumed by [`prep::table4_matrices`]) at jobs {1, 2, 8}, asserting
 /// one digest across worker counts, and prints it on stderr for the
 /// parent. With the cache on and a shared directory, the first
-/// iteration runs cold (records) and later ones warm (mmap hits), so a
+/// iteration runs cold (records) and later ones warm (hits), so a
 /// single probe already crosses the cold/warm boundary.
 #[test]
 #[ignore = "prep cube probe: run in a CUBIE_SIMD/CUBIE_PREP_* subprocess by the cube test"]
