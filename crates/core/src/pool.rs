@@ -314,6 +314,35 @@ mod tests {
     use super::*;
     use crate::par::{par_map, set_max_workers};
     use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
+
+    /// Poll [`worker_count`] until it is at most `limit` or `budget` has
+    /// passed; returns the last count seen.
+    fn wait_for_workers_at_most(limit: usize, budget: Duration) -> usize {
+        let deadline = Instant::now() + budget;
+        let mut seen = worker_count();
+        while seen > limit && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            seen = worker_count();
+        }
+        seen
+    }
+
+    /// Set the worker cap and wait for the pool to settle at or below
+    /// `cap − 1` helpers. Helpers retire lazily, so a test that grew the
+    /// pool (a cap of 8 leaves 7) can leave excess threads alive after it
+    /// drops [`cap_lock`]; tests that assert on the pool's size start
+    /// from here, under that lock. Returns the previous cap.
+    fn set_cap_and_settle(cap: usize) -> usize {
+        let prev = set_max_workers(cap);
+        let limit = desired_helpers();
+        let seen = wait_for_workers_at_most(limit, Duration::from_secs(10));
+        assert!(
+            seen <= limit,
+            "pool did not settle at cap {cap}: {seen} helpers"
+        );
+        prev
+    }
 
     #[test]
     fn batch_completes_with_zero_helpers_available() {
@@ -358,7 +387,7 @@ mod tests {
     #[test]
     fn pool_threads_are_reused_not_leaked() {
         let _guard = cap_lock();
-        let prev = set_max_workers(4);
+        let prev = set_cap_and_settle(4);
         let _ = par_map(64, |i| i); // populate the pool
         let after_first = worker_count();
         for _ in 0..100 {
@@ -376,21 +405,14 @@ mod tests {
     #[test]
     fn shrink_retires_excess_workers() {
         let _guard = cap_lock();
-        let prev = set_max_workers(6);
+        let prev = set_cap_and_settle(6);
         let _ = par_map(256, |i| i);
         assert!(worker_count() <= 5);
         set_max_workers(2);
-        let _ = par_map(256, |i| i); // give retirees a beat to run
-                                     // Parked excess workers exit on wake; poll briefly for the
-                                     // condvar round-trip.
-        let mut shrunk = worker_count();
-        for _ in 0..200 {
-            if shrunk <= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            shrunk = worker_count();
-        }
+        // Give retirees a beat to run: parked excess workers exit on
+        // wake; poll briefly for the condvar round-trip.
+        let _ = par_map(256, |i| i);
+        let shrunk = wait_for_workers_at_most(1, Duration::from_millis(200));
         set_max_workers(prev);
         assert!(shrunk <= 1, "cap 2 leaves at most 1 helper, saw {shrunk}");
     }

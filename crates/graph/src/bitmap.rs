@@ -7,9 +7,13 @@
 //! 128-bit frontier segment via the bit MMA and ORs surviving rows into
 //! the next frontier.
 //!
-//! [`pull_bfs`] is that traversal. Its result is a function of the graph
-//! and the source alone, so one run serves every bitmap BFS variant;
-//! [`CsrGraph::pull_bfs`] memoises it on the graph.
+//! [`pull_bfs`] computes exactly what that traversal counts (levels, and
+//! per launch the slices processed and vertices discovered) from the CSR
+//! alone, without building the bitmap. Its result is a function of the
+//! graph and the source, so one run serves every bitmap BFS variant;
+//! [`CsrGraph::pull_bfs`] memoises it on the graph. [`BitmapGraph`]
+//! remains the format's definition, and the slice traversal over it is
+//! the oracle the property tests hold [`pull_bfs`] to.
 
 use serde::{Deserialize, Serialize};
 
@@ -157,73 +161,114 @@ pub struct PullBfs {
     pub col_blocks: usize,
 }
 
-/// The pull traversal over the bitmap slice sets. Bands whose rows are
-/// all settled are skipped, and so are slices whose frontier segment is
-/// empty. A processed slice is one bit MMA of its rows against the
-/// frontier segment replicated across the eight `B` columns; only the
-/// diagonal is read, and entry `r` is `popcount(rows[r] & seg)`, so a
-/// row is hit exactly when `rows[r] & seg != 0`.
+/// What the pull traversal over the bitmap slice sets counts, computed
+/// from the CSR without building the bitmap.
+///
+/// The traversal this stands for runs one launch per depth `d = 1, 2, …`.
+/// It skips every band whose rows are all settled, and within a scanned
+/// band every slice whose frontier segment is empty. A processed slice is
+/// one bit MMA of its rows against the frontier segment replicated across
+/// the eight `B` columns; only the diagonal is read, and entry `r` is
+/// `popcount(rows[r] & seg)`, so a row is hit exactly when
+/// `rows[r] & seg != 0`. Its counts follow in four steps, linear in the
+/// vertices, the arcs and the slices processed:
+///
+/// 1. **Levels.** A pull discovers `v` at depth `d` exactly when an
+///    in-neighbour of `v` has level `d − 1`, so the levels are the BFS
+///    distances of one queue BFS over out-arcs, and launch `d` discovers
+///    the vertices at level `d`. The last launch is the empty pass at
+///    depth `D + 1`, `D` the deepest level.
+/// 2. **When each band is scanned.** A band's unsettled count is checked
+///    before its own slices, and only its own rows decrement it, so band
+///    `rb` is scanned at depth `d` iff it still holds a vertex of level
+///    `≥ d`: iff `d ≤ band_last[rb]`, its deepest level, or `u32::MAX` if
+///    it holds an unreached vertex.
+/// 3. **Levels per column block.** A slice's frontier segment at depth
+///    `l + 1` is nonzero iff its 128-vertex column block holds a level-`l`
+///    vertex. Each block's distinct levels are listed ascending; depth
+///    can exceed 64, so they are not packed into a word.
+/// 4. **One stamped pass over the arcs.** A slice is a distinct
+///    (`v / 8`, `u / 128`) pair over the arcs `u → v`. Visiting sources in
+///    ascending order, one stamp per band finds each pair once (as in
+///    [`GraphFeatures::slice_fill`](crate::features::GraphFeatures::slice_fill)).
+///    The slice is processed at depth `l + 1` for each level `l` of its
+///    column block with `l < band_last[rb]`.
 ///
 /// # Panics
 /// Panics if `source` is not a vertex of `g`, naming the source and `n`.
 pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
     g.assert_source(source);
-    let bm = BitmapGraph::from_graph(g);
     let n = g.n;
-    let col_blocks = bm.col_blocks;
-    let mut level = vec![-1i32; n];
-    level[source] = 0;
-    let mut frontier = vec![0u128; col_blocks];
-    let mut next = vec![0u128; col_blocks];
-    frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
-    // Bands that still contain unsettled rows.
-    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
-    if !n.is_multiple_of(BLOCK_ROWS) {
-        band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
-    }
-    band_unsettled[source / BLOCK_ROWS] -= 1;
 
-    let mut per_level = Vec::new();
-    let mut depth = 0i32;
-    let mut frontier_count = 1u64;
-    while frontier_count > 0 {
-        depth += 1;
-        next.fill(0);
-        let mut processed = 0u64;
-        let mut next_count = 0u64;
-        // `band_unsettled[rb]` is also decremented inside the inner loop,
-        // so an iterator over it would alias the mutation.
-        #[allow(clippy::needless_range_loop)]
-        for rb in 0..bm.row_blocks {
-            if band_unsettled[rb] == 0 {
-                continue;
+    // 1. Levels, and the vertices each launch discovers.
+    let mut levels = vec![-1i32; n];
+    levels[source] = 0;
+    let mut queue = Vec::with_capacity(n);
+    queue.push(source as u32);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let next = levels[u as usize] + 1;
+        for &v in g.neighbors(u as usize) {
+            if levels[v as usize] < 0 {
+                levels[v as usize] = next;
+                queue.push(v);
             }
-            for slice in bm.band(rb) {
-                let seg = frontier[slice.col_block as usize];
-                if seg == 0 {
-                    continue;
-                }
-                processed += 1;
-                for r in 0..BLOCK_ROWS {
-                    let v = rb * BLOCK_ROWS + r;
-                    if v < n && level[v] < 0 && slice.rows[r] & seg != 0 {
-                        level[v] = depth;
-                        next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
-                        band_unsettled[rb] -= 1;
-                        next_count += 1;
+        }
+    }
+    let deepest = levels[queue[queue.len() - 1] as usize] as usize;
+    let mut per_level = vec![(0u64, 0u64); deepest + 1];
+    for &v in &queue[1..] {
+        per_level[levels[v as usize] as usize - 1].1 += 1;
+    }
+    drop(queue);
+
+    // 2. The deepest level of each band. An unreached row's `-1` casts
+    // to `u32::MAX`: it never settles, so its band is scanned every time.
+    let mut band_last = vec![0u32; n.div_ceil(BLOCK_ROWS)];
+    for (last, band) in band_last.iter_mut().zip(levels.chunks(BLOCK_ROWS)) {
+        *last = band.iter().fold(0, |m, &l| m.max(l as u32));
+    }
+
+    let mut stamp = vec![0u32; band_last.len()];
+    let mut seen = vec![0u32; deepest + 1];
+    let mut block_levels = Vec::with_capacity(BLOCK_COLS);
+    for (cb, block) in levels.chunks(BLOCK_COLS).enumerate() {
+        let tag = cb as u32 + 1;
+        // 3. The distinct levels of this column block, ascending.
+        block_levels.clear();
+        for &l in block {
+            if l >= 0 && seen[l as usize] != tag {
+                seen[l as usize] = tag;
+                block_levels.push(l as u32);
+            }
+        }
+        if block_levels.is_empty() {
+            continue;
+        }
+        block_levels.sort_unstable();
+        // 4. Each slice of this column block once, counted at every depth
+        // that processes it.
+        let first = cb * BLOCK_COLS;
+        for u in first..first + block.len() {
+            for &v in g.neighbors(u) {
+                let rb = v as usize / BLOCK_ROWS;
+                if stamp[rb] != tag {
+                    stamp[rb] = tag;
+                    let last = band_last[rb];
+                    for &l in block_levels.iter().take_while(|&&l| l < last) {
+                        per_level[l as usize].0 += 1;
                     }
                 }
             }
         }
-        per_level.push((processed, next_count));
-        std::mem::swap(&mut frontier, &mut next);
-        frontier_count = next_count;
     }
+
     PullBfs {
         source,
-        levels: level,
+        levels,
         per_level,
-        col_blocks,
+        col_blocks: n.div_ceil(BLOCK_COLS),
     }
 }
 

@@ -13,7 +13,7 @@ use crate::bitmap::{self, PullBfs};
 /// Generated graphs and graphs loaded from the prepared-input snapshot
 /// store are built the same way, as plain `Vec`s.
 ///
-/// The graph also carries a memo of one bitmap pull traversal (see
+/// The graph also carries a memo of one bitmap pull profile (see
 /// [`CsrGraph::pull_bfs`]). It is derived data: a clone starts with an
 /// empty memo, and equality and `Debug` ignore it.
 #[derive(Serialize, Deserialize)]
@@ -24,7 +24,7 @@ pub struct CsrGraph {
     pub offsets: Vec<usize>,
     /// Concatenated neighbour lists.
     pub adj: Vec<u32>,
-    /// The traversal from the first source [`CsrGraph::pull_bfs`] was
+    /// The profile from the first source [`CsrGraph::pull_bfs`] was
     /// asked for. Invariant: `n`, `offsets` and `adj` are not written
     /// after construction, which nothing in the workspace does. The only
     /// constructors ([`CsrGraph::from_edges`], [`CsrGraph::from_parts`],
@@ -189,11 +189,13 @@ impl CsrGraph {
         level
     }
 
-    /// The bitmap pull traversal from `source` ([`bitmap::pull_bfs`]).
-    /// The first source asked for is memoised on the graph, so the
-    /// bitmap BFS variants share one traversal; concurrent callers for
-    /// that source wait for it rather than running it again. Any other
-    /// source is computed and not cached.
+    /// The bitmap pull traversal's profile from `source`
+    /// ([`bitmap::pull_bfs`]: what the slice traversal counts, derived
+    /// from the CSR without building the bitmap). The first source asked
+    /// for is memoised on the graph, so the bitmap BFS variants share one
+    /// profile; concurrent callers for that source wait for it rather
+    /// than computing it again. Any other source is computed and not
+    /// cached.
     ///
     /// # Panics
     /// Panics if `source` is not a vertex, naming the source and `n`.

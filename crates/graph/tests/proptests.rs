@@ -2,10 +2,10 @@
 
 use cubie_core::par::set_max_workers;
 use cubie_core::SplitMix64;
-use cubie_graph::bitmap::{BitmapGraph, Slice, BLOCK_COLS, BLOCK_ROWS};
+use cubie_graph::bitmap::{pull_bfs, BitmapGraph, PullBfs, Slice, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
-use cubie_graph::generators::{community_graph, rmat, EDGE_CHUNK};
+use cubie_graph::generators::{community_graph, grid_graph, rmat, table3_graphs, EDGE_CHUNK};
 use proptest::prelude::*;
 
 /// Arbitrary small graph as (n, edges, symmetrize).
@@ -45,6 +45,134 @@ fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, bool)> {
         }
         (n, edges, sym)
     })
+}
+
+/// [`arb_builder_graph`], or a path through every vertex plus a few
+/// random arcs, so traversals often run deeper than 64 levels and, with
+/// the path directed, leave the bands behind the source unreached.
+fn arb_bfs_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, bool)> {
+    let deep = (65usize..700, any::<bool>()).prop_flat_map(|(n, sym)| {
+        let extra = proptest::collection::vec((0..n as u32, 0..n as u32), 0..8);
+        (Just(n), extra, Just(sym)).prop_map(|(n, mut edges, sym)| {
+            edges.extend((1..n as u32).map(|v| (v - 1, v)));
+            (n, edges, sym)
+        })
+    });
+    prop_oneof![arb_builder_graph(), deep]
+}
+
+/// The pull traversal over the bitmap slice sets that [`pull_bfs`]
+/// replaced, as it ran in production: bands whose rows are all settled
+/// are skipped, and so are slices whose frontier segment is empty; a
+/// row is hit exactly when `rows[r] & seg != 0`, the diagonal of the
+/// slice's bit MMA against the replicated frontier segment.
+fn pull_bfs_by_slices(g: &CsrGraph, source: usize) -> PullBfs {
+    let bm = BitmapGraph::from_graph(g);
+    let n = g.n;
+    let col_blocks = bm.col_blocks;
+    let mut level = vec![-1i32; n];
+    level[source] = 0;
+    let mut frontier = vec![0u128; col_blocks];
+    let mut next = vec![0u128; col_blocks];
+    frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
+    // Bands that still contain unsettled rows.
+    let mut band_unsettled = vec![BLOCK_ROWS as u32; bm.row_blocks];
+    if !n.is_multiple_of(BLOCK_ROWS) {
+        band_unsettled[bm.row_blocks - 1] = (n % BLOCK_ROWS) as u32;
+    }
+    band_unsettled[source / BLOCK_ROWS] -= 1;
+
+    let mut per_level = Vec::new();
+    let mut depth = 0i32;
+    let mut frontier_count = 1u64;
+    while frontier_count > 0 {
+        depth += 1;
+        next.fill(0);
+        let mut processed = 0u64;
+        let mut next_count = 0u64;
+        // `band_unsettled[rb]` is also decremented inside the inner loop,
+        // so an iterator over it would alias the mutation.
+        #[allow(clippy::needless_range_loop)]
+        for rb in 0..bm.row_blocks {
+            if band_unsettled[rb] == 0 {
+                continue;
+            }
+            for slice in bm.band(rb) {
+                let seg = frontier[slice.col_block as usize];
+                if seg == 0 {
+                    continue;
+                }
+                processed += 1;
+                for r in 0..BLOCK_ROWS {
+                    let v = rb * BLOCK_ROWS + r;
+                    if v < n && level[v] < 0 && slice.rows[r] & seg != 0 {
+                        level[v] = depth;
+                        next[v / BLOCK_COLS] |= 1u128 << (v % BLOCK_COLS);
+                        band_unsettled[rb] -= 1;
+                        next_count += 1;
+                    }
+                }
+            }
+        }
+        per_level.push((processed, next_count));
+        std::mem::swap(&mut frontier, &mut next);
+        frontier_count = next_count;
+    }
+    PullBfs {
+        source,
+        levels: level,
+        per_level,
+        col_blocks,
+    }
+}
+
+/// `pull_bfs` from `source` equals the slice traversal in every field.
+fn assert_pull_bfs_matches_slices(g: &CsrGraph, source: usize, what: &str) {
+    let (got, want) = (pull_bfs(g, source), pull_bfs_by_slices(g, source));
+    assert_eq!(got.source, want.source, "{what}: source");
+    assert_eq!(got.levels, want.levels, "{what}: levels");
+    assert_eq!(got.per_level, want.per_level, "{what}: per_level");
+    assert_eq!(got.col_blocks, want.col_blocks, "{what}: col_blocks");
+}
+
+#[test]
+fn pull_bfs_matches_slices_deeper_than_64_levels() {
+    let g = grid_graph(1, 300);
+    for source in [0, 150, 299] {
+        assert_pull_bfs_matches_slices(&g, source, &format!("path of 300 from {source}"));
+    }
+    assert_eq!(pull_bfs(&g, 0).per_level.len(), 300);
+}
+
+#[test]
+fn pull_bfs_matches_slices_on_one_vertex() {
+    for edges in [&[][..], &[(0, 0)][..]] {
+        let g = CsrGraph::from_edges(1, edges, false);
+        assert_pull_bfs_matches_slices(&g, 0, &format!("n = 1, arcs {edges:?}"));
+        assert_eq!(pull_bfs(&g, 0).per_level, [(0, 0)]);
+    }
+}
+
+/// The last band (vertices 296..301, five rows) is unreached, yet has
+/// slices from column block 2, which holds reached vertices, so it is
+/// scanned at every depth; an arc out of it lands in a reached band.
+#[test]
+fn pull_bfs_matches_slices_with_unreached_last_band() {
+    let mut edges: Vec<(u32, u32)> = (0..295).map(|v| (v, v + 1)).collect();
+    edges.extend([(297, 298), (299, 296), (300, 5), (130, 40)]);
+    let g = CsrGraph::from_edges(301, &edges, false);
+    for source in [0, 200, 297] {
+        assert_pull_bfs_matches_slices(&g, source, &format!("unreached last band from {source}"));
+    }
+}
+
+#[test]
+fn pull_bfs_matches_slices_on_table3_graphs() {
+    for (info, g) in table3_graphs(1024) {
+        for source in [g.max_degree_vertex(), 0, g.n - 1] {
+            assert_pull_bfs_matches_slices(&g, source, &format!("{} from {source}", info.name));
+        }
+    }
 }
 
 /// The sort-based builder the counting `from_edges` replaced: every arc
@@ -263,6 +391,18 @@ proptest! {
     fn bitmap_matches_sort_based((n, edges, sym) in arb_builder_graph()) {
         let g = CsrGraph::from_edges(n, &edges, sym);
         prop_assert_eq!(BitmapGraph::from_graph(&g), bitmap_by_sort(&g));
+    }
+
+    /// The bitmap-free `pull_bfs` equals the slice traversal in every
+    /// field, from any source: `n` rarely a multiple of 8 or 128,
+    /// isolated vertices, unreached bands and paths deeper than 64.
+    #[test]
+    fn pull_bfs_matches_slice_traversal(
+        (n, edges, sym) in arb_bfs_graph(),
+        src_pick in any::<prop::sample::Index>(),
+    ) {
+        let g = CsrGraph::from_edges(n, &edges, sym);
+        assert_pull_bfs_matches_slices(&g, src_pick.index(n), "random graph");
     }
 
     /// CSR adjacency is sorted, deduplicated and in bounds.

@@ -17,9 +17,11 @@
 //! * **Baseline** models Gunrock: direction-optimizing push/pull BFS
 //!   over CSR with frontier queues.
 //!
-//! TC, CC and CC-E share one pull traversal, which skips bands whose rows
-//! are all settled and slices whose frontier segment is empty. It lives
-//! in `cubie_graph::bitmap` and runs once per graph and source
+//! TC, CC and CC-E share one pull profile: the levels, and per launch
+//! the slices the pull traversal processes (it skips bands whose rows
+//! are all settled and slices whose frontier segment is empty) and the
+//! vertices it discovers. `cubie_graph::bitmap::pull_bfs` derives it
+//! from the CSR without building the bitmap, once per graph and source
 //! ([`CsrGraph::pull_bfs`] memoises it); this module owns only the op
 //! accounting, so the three traces differ only in how each processed
 //! slice is counted.
@@ -62,8 +64,8 @@ pub fn run(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workload
 
 /// Trace-only entry point. BFS traces are data-dependent, so this runs
 /// the traversal; `run` and `trace` share one path. The bitmap variants
-/// count from the graph's memoised `cubie_graph::bitmap` pull traversal,
-/// which runs once per graph and source.
+/// count from the graph's memoised `cubie_graph::bitmap` pull profile,
+/// which is computed once per graph and source.
 pub fn trace(g: &CsrGraph, source: usize, variant: Variant) -> WorkloadTrace {
     run(g, source, variant).1
 }
