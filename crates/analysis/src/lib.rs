@@ -23,8 +23,8 @@
 //! * [`advisor`] — the Section 4 future-work extension: predict MMU
 //!   accelerability from an existing CUDA-core implementation's trace
 //!   plus a description of its MMA mapping.
-//! * [`report`] — markdown/CSV rendering helpers shared by the `fig*` /
-//!   `table*` harness binaries.
+//! * [`report`] — markdown/CSV rendering helpers shared by the artifact
+//!   renderer and the `cubie` CLI.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Rendering helpers shared by the `fig*` / `table*` harness binaries:
+//! Rendering helpers shared by the artifact renderer and the `cubie` CLI:
 //! markdown tables, CSV output, scientific-notation formatting, and
 //! geometric means.
 

@@ -2,7 +2,7 @@
 //! ten workloads — one group per workload, one benchmark per variant, at
 //! sizes chosen so `cargo bench` finishes in minutes. These measure this
 //! library's actual CPU execution (useful for tracking the
-//! implementation), while the `fig*` harness binaries measure the
+//! implementation), while the `fig*` artifacts (`cubie figure`) hold the
 //! simulated GPU times that reproduce the paper.
 
 use std::time::Duration;

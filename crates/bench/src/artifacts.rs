@@ -1,8 +1,9 @@
-//! The canonical artifact layer: every figure/table binary (and
-//! `observations`) routes its output through one of these builders, so
-//! the data behind each CSV also exists as a schema-versioned canonical
-//! JSON document (`results/<name>.json`) that the golden-regression
-//! harness (`cubie golden record|check`) can snapshot and diff.
+//! The canonical artifact layer: every figure and table of the paper
+//! (plus the observations and extensions) is built here as one
+//! schema-versioned [`Artifact`]. `cubie golden record|check` snapshots
+//! and diffs it; `cubie figure` [`emit`]s it as CSV, canonical JSON and
+//! a markdown log ([`render_markdown`]), so the log a reader opens is a
+//! view of the same data the golden gate pins.
 //!
 //! Column classes follow the contract in `cubie-golden`:
 //!
@@ -15,28 +16,32 @@
 //!   observations must keep their *direction* even if magnitudes drift.
 //!
 //! [`GoldenCtx`] pins the reduced scale the committed goldens under
-//! `results/golden/` are recorded at, and lazily shares one sweep (and
-//! one Table 6 run) across all builders in a record/check pass.
+//! `results/golden/` are recorded at ([`GoldenConfig::default`]), or the
+//! paper scale `cubie figure` renders at ([`GoldenConfig::paper`]), and
+//! lazily shares one sweep, one Table 6 run and one pair of Figure 10
+//! corpus studies across all builders in a pass.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use cubie_analysis::advisor::{advise, reference_mapping};
 use cubie_analysis::coverage::{
-    graph_corpus_study, matrix_corpus_study, suite_diversity_study, CorpusStudy, SuiteStudy,
-    TABLE7, TABLE7_FEATURES,
+    graph_corpus_study, matrix_corpus_study, suite_diversity_study, CorpusStudy, TABLE7,
+    TABLE7_FEATURES,
 };
 use cubie_analysis::errors::{table6, ErrorRow, ErrorScale};
 use cubie_analysis::quadrants::utilizations;
 use cubie_analysis::report;
 use cubie_core::cas::fnv1a64;
+use cubie_core::par::par_map;
 use cubie_device::{all_devices, b200, DeviceSpec, PEAK_EVOLUTION};
-use cubie_golden::{Artifact, Column, Json};
+use cubie_golden::{Artifact, Class, Column, Json};
+use cubie_kernels::segmented::{trace_reduce, trace_scan, SegmentedCase};
 use cubie_kernels::{gemm, MmaGen, Precision, Quadrant, Variant, Workload};
 use cubie_sim::{power_report, power_trace, time_workload, Roofline};
 
-use crate::fig7_repeats;
 use crate::sweep::{Sweep, SweepConfig, SweepRunner};
+use crate::{fig7_repeats, graph_scale, sparse_scale};
 
 /// Relative tolerance for simulated times/throughput/power/energy/EDP.
 pub const TIME_EPS: f64 = 1e-6;
@@ -84,13 +89,34 @@ impl Default for GoldenConfig {
     }
 }
 
+impl GoldenConfig {
+    /// The paper-scale configuration `cubie figure` renders at: the
+    /// Table 4 matrices at their published sizes and the Table 3 graphs
+    /// at 1/16 ([`sparse_scale`]/[`graph_scale`]), 400/150-point
+    /// Figure 10 corpora, 200 samples per Figure 8 trace and the full
+    /// Table 6 cases.
+    pub fn paper() -> Self {
+        GoldenConfig {
+            sparse_scale: sparse_scale(),
+            graph_scale: graph_scale(),
+            matrix_corpus: 400,
+            graph_corpus: 150,
+            power_samples: 200,
+            error_scale: ErrorScale::Full,
+            ..GoldenConfig::default()
+        }
+    }
+}
+
 /// Shared state of one record/check pass: the configuration plus the
-/// lazily-built sweep and Table 6 rows every builder projects from.
+/// lazily-built sweep, Table 6 rows and Figure 10 corpus studies every
+/// builder projects from.
 pub struct GoldenCtx {
     /// The pinned scales/scopes.
     pub config: GoldenConfig,
     sweep: OnceLock<Sweep>,
     errors: OnceLock<Vec<ErrorRow>>,
+    corpora: OnceLock<(CorpusStudy, CorpusStudy)>,
 }
 
 impl GoldenCtx {
@@ -100,6 +126,7 @@ impl GoldenCtx {
             config,
             sweep: OnceLock::new(),
             errors: OnceLock::new(),
+            corpora: OnceLock::new(),
         }
     }
 
@@ -121,11 +148,21 @@ impl GoldenCtx {
     pub fn errors(&self) -> &[ErrorRow] {
         self.errors.get_or_init(|| table6(self.config.error_scale))
     }
+
+    /// Figure 10's (graph, matrix) corpus studies at the configured
+    /// corpus sizes (built once).
+    pub fn corpus_studies(&self) -> &(CorpusStudy, CorpusStudy) {
+        self.corpora.get_or_init(|| {
+            (
+                graph_corpus_study(self.config.graph_corpus, 64, 0xF16A),
+                matrix_corpus_study(self.config.matrix_corpus, 8, 0xF16B),
+            )
+        })
+    }
 }
 
-/// Names of every artifact the golden harness records and checks, in
-/// check order. (The `ext_segmented_sweep` binary also emits a canonical
-/// artifact, but its 16M-element cases are too heavy for the CI gate.)
+/// Names of every artifact the golden harness records and checks (and
+/// `cubie figure` renders), in check order.
 pub const GOLDEN_ARTIFACTS: &[&str] = &[
     "fig3_performance",
     "fig4_tc_vs_baseline",
@@ -135,6 +172,7 @@ pub const GOLDEN_ARTIFACTS: &[&str] = &[
     "fig8_power_traces",
     "fig9_roofline",
     "fig10_corpus_pca",
+    "fig10_coverage_stats",
     "fig11_suite_pca",
     "fig12_peak_evolution",
     "table5_specs",
@@ -147,6 +185,7 @@ pub const GOLDEN_ARTIFACTS: &[&str] = &[
     "ext_future_fp64",
     "ext_precision_sweep",
     "ext_precision_mma",
+    "ext_segmented_sweep",
 ];
 
 /// Build one golden artifact by name (`None` for unknown names).
@@ -160,7 +199,14 @@ pub fn build(ctx: &GoldenCtx, name: &str) -> Option<Artifact> {
         "fig7_edp" => fig7(ctx.sweep()),
         "fig8_power_traces" => fig8(ctx.sweep(), c.power_samples),
         "fig9_roofline" => fig9(ctx.sweep()),
-        "fig10_corpus_pca" => fig10(c.matrix_corpus, c.graph_corpus),
+        "fig10_corpus_pca" => {
+            let (graphs, matrices) = ctx.corpus_studies();
+            fig10(graphs, matrices, c.matrix_corpus, c.graph_corpus)
+        }
+        "fig10_coverage_stats" => {
+            let (graphs, matrices) = ctx.corpus_studies();
+            fig10_coverage(graphs, matrices, c.matrix_corpus, c.graph_corpus)
+        }
         "fig11_suite_pca" => fig11(c.sparse_scale, c.graph_scale),
         "fig12_peak_evolution" => fig12(),
         "table5_specs" => table5(),
@@ -173,6 +219,7 @@ pub fn build(ctx: &GoldenCtx, name: &str) -> Option<Artifact> {
         "ext_future_fp64" => ext_future(ctx.sweep()),
         "ext_precision_sweep" => ext_precision_sweep(),
         "ext_precision_mma" => ext_precision_mma(),
+        "ext_segmented_sweep" => ext_segmented_sweep(),
         _ => return None,
     })
 }
@@ -188,35 +235,83 @@ pub fn golden_dir() -> PathBuf {
     dir
 }
 
-/// Write `artifact` as both CSV and canonical JSON under `results/`,
-/// returning the two paths.
-pub fn emit(artifact: &Artifact) -> std::io::Result<(PathBuf, PathBuf)> {
+/// Write `artifact` as `results/<name>.csv`, `results/<name>.json` and
+/// the markdown log `results/logs/<name>.md`, returning the log's path.
+pub fn emit(artifact: &Artifact) -> std::io::Result<PathBuf> {
     let dir = report::results_dir();
     let (headers, rows) = artifact.csv();
-    let csv_path = dir.join(format!("{}.csv", artifact.name));
-    report::write_csv(&csv_path, &headers, &rows)?;
-    let json_path = dir.join(format!("{}.json", artifact.name));
-    artifact.write(&json_path)?;
-    Ok((csv_path, json_path))
+    report::write_csv(dir.join(format!("{}.csv", artifact.name)), &headers, &rows)?;
+    artifact.write(dir.join(format!("{}.json", artifact.name)))?;
+    let logs = dir.join("logs");
+    std::fs::create_dir_all(&logs)?;
+    let log = logs.join(format!("{}.md", artifact.name));
+    std::fs::write(&log, render_markdown(artifact))?;
+    Ok(log)
 }
 
-/// [`emit`], then print the standard `wrote …` trailer of the harness
-/// binaries.
-pub fn emit_and_announce(artifact: &Artifact) {
-    // Harness binaries call this straight from `main`; a full disk or a
-    // read-only results/ dir is an operator problem, not a bug — report
-    // it as one diagnostic line and exit nonzero instead of panicking.
-    let (csv, json) = match emit(artifact) {
-        Ok(paths) => paths,
-        Err(e) => {
-            eprintln!(
-                "cubie: error: cannot write artifact `{}`: {e}",
-                artifact.name
-            );
-            std::process::exit(1);
+/// Render `artifact` as markdown: a title, its `meta` entries and one
+/// table. Cells follow their column's class: exact and ordinal cells
+/// print as the canonical JSON renders them (exact values in full),
+/// epsilon floats to one significant digit past what their tolerance
+/// pins, and nulls as `-`.
+pub fn render_markdown(artifact: &Artifact) -> String {
+    let mut out = format!("# {}\n\n", artifact.name);
+    for (key, value) in &artifact.meta {
+        out.push_str(&format!("- {key}: {}\n", escape_cell(value.render())));
+    }
+    if !artifact.meta.is_empty() {
+        out.push('\n');
+    }
+    let headers: Vec<&str> = artifact.columns.iter().map(|c| c.name.as_str()).collect();
+    let rows: Vec<Vec<String>> = artifact
+        .rows
+        .iter()
+        .map(|row| {
+            artifact
+                .columns
+                .iter()
+                .zip(row)
+                .map(|(col, cell)| escape_cell(render_cell(col.class, cell)))
+                .collect()
+        })
+        .collect();
+    out.push_str(&report::markdown_table(&headers, &rows));
+    out
+}
+
+fn render_cell(class: Class, cell: &Json) -> String {
+    match (class, cell) {
+        (Class::Epsilon(rel), Json::Float(v)) => {
+            // A relative tolerance of 1e-k pins k significant digits; one
+            // more shows the digit where tolerated drift would appear.
+            significant(*v, (-rel.log10()).ceil().max(0.0) as usize + 1)
         }
-    };
-    println!("\nwrote {} and {}", csv.display(), json.display());
+        _ => cell.render(),
+    }
+}
+
+/// `v` to `digits` significant digits: fixed notation for magnitudes in
+/// [1e-4, 1e6), scientific outside it.
+fn significant(v: f64, digits: usize) -> String {
+    if v == 0.0 || !v.is_finite() {
+        return Json::Float(v).render();
+    }
+    let exp = v.abs().log10().floor() as i64;
+    if (-4..6).contains(&exp) {
+        let decimals = (digits as i64 - 1 - exp).max(0) as usize;
+        format!("{v:.decimals$}")
+    } else {
+        format!("{v:.*e}", digits - 1)
+    }
+}
+
+/// Escape the markdown table delimiter inside a cell.
+fn escape_cell(text: String) -> String {
+    if text.contains('|') {
+        text.replace('|', "\\|")
+    } else {
+        text
+    }
 }
 
 fn scale_meta(a: Artifact, sweep: &Sweep) -> Artifact {
@@ -454,18 +549,9 @@ fn push_corpus_study(a: &mut Artifact, study_name: &str, study: &CorpusStudy) {
     }
 }
 
-/// Figure 10: input-coverage PCA of the synthetic matrix/graph corpora.
-pub fn fig10(matrix_corpus: usize, graph_corpus: usize) -> Artifact {
-    fig10_from(
-        &graph_corpus_study(graph_corpus, 64, 0xF16A),
-        &matrix_corpus_study(matrix_corpus, 8, 0xF16B),
-        matrix_corpus,
-        graph_corpus,
-    )
-}
-
-/// [`fig10`] from already-computed studies (the binary prints them too).
-pub fn fig10_from(
+/// Figure 10: input-coverage PCA of the synthetic graph/matrix corpora
+/// (`graph_corpus`/`matrix_corpus` points) and their representatives.
+pub fn fig10(
     graphs: &CorpusStudy,
     matrices: &CorpusStudy,
     matrix_corpus: usize,
@@ -487,14 +573,46 @@ pub fn fig10_from(
         .with_meta("graph_corpus", graph_corpus)
 }
 
+/// Figure 10's coverage statistics (Section 10): how the representatives
+/// spread over each corpus, from the same studies as [`fig10`].
+pub fn fig10_coverage(
+    graphs: &CorpusStudy,
+    matrices: &CorpusStudy,
+    matrix_corpus: usize,
+    graph_corpus: usize,
+) -> Artifact {
+    let mut a = Artifact::new(
+        "fig10_coverage_stats",
+        vec![
+            Column::exact("study").key(),
+            Column::exact("corpus_points"),
+            Column::eps("representative_dispersion", STAT_EPS),
+            Column::eps("nn_dispersion", STAT_EPS),
+            Column::eps("pc1_range_coverage", STAT_EPS),
+            Column::eps("pc2_range_coverage", STAT_EPS),
+            Column::eps("near_representative_fraction", STAT_EPS),
+            Column::eps("explained_variance", STAT_EPS),
+        ],
+    );
+    for (name, s) in [("graphs", graphs), ("matrices", matrices)] {
+        a.push(vec![
+            name.into(),
+            s.corpus.len().into(),
+            s.representative_dispersion.into(),
+            s.nearest_neighbour_dispersion.into(),
+            s.range_coverage[0].into(),
+            s.range_coverage[1].into(),
+            s.near_representative_fraction.into(),
+            s.explained_variance.into(),
+        ]);
+    }
+    a.with_meta("matrix_corpus", matrix_corpus)
+        .with_meta("graph_corpus", graph_corpus)
+}
+
 /// Figure 11: suite-diversity PCA (Rodinia / SHOC / Cubie) on H200.
 pub fn fig11(sparse_scale: usize, graph_scale: usize) -> Artifact {
     let study = suite_diversity_study(&cubie_device::h200(), sparse_scale, graph_scale);
-    fig11_from(&study, sparse_scale, graph_scale)
-}
-
-/// [`fig11`] from an already-computed study.
-pub fn fig11_from(study: &SuiteStudy, sparse_scale: usize, graph_scale: usize) -> Artifact {
     let mut a = Artifact::new(
         "fig11_suite_pca",
         vec![
@@ -667,7 +785,7 @@ pub fn table234(sparse_scale: usize, graph_scale: usize) -> Artifact {
         push("T2", s.name, "dwarf", s.dwarf.into());
         push("T2", s.name, "baseline", s.baseline.unwrap_or("-").into());
         // Labels are scale-independent; the tiny 1/64, 1/1024 scale keeps
-        // this preparation negligible (same trick as the table binary).
+        // this preparation negligible.
         push(
             "T2",
             s.name,
@@ -1151,6 +1269,50 @@ pub fn ext_precision_mma() -> Artifact {
     a.with_meta("case", case.label())
 }
 
+/// Extension: the Dakkak-style *segmented* scan/reduction sweep — the
+/// throughput regime (~16M elements in flight) next to the paper's
+/// single-block Quadrant II/III cases. There the kernels ride the DRAM
+/// roof and the variants converge, which is why the paper evaluates the
+/// latency regime to tell the compute units apart.
+pub fn ext_segmented_sweep() -> Artifact {
+    let mut a = Artifact::new(
+        "ext_segmented_sweep",
+        vec![
+            Column::exact("workload").key(),
+            Column::exact("device").key(),
+            Column::exact("case").key(),
+            Column::exact("variant").key(),
+            Column::eps("gelems", TIME_EPS),
+        ],
+    );
+    let cases = SegmentedCase::sweep();
+    let n_variants = Variant::ALL.len();
+    for w in [Workload::Scan, Workload::Reduction] {
+        let traces = par_map(cases.len() * n_variants, |i| {
+            let (case, v) = (&cases[i / n_variants], Variant::ALL[i % n_variants]);
+            match w {
+                Workload::Scan => trace_scan(case, v),
+                _ => trace_reduce(case, v),
+            }
+        });
+        for dev in all_devices() {
+            for (ci, case) in cases.iter().enumerate() {
+                for (vi, v) in Variant::ALL.iter().enumerate() {
+                    let timing = time_workload(&dev, &traces[ci * n_variants + vi]);
+                    a.push(vec![
+                        w.spec().name.into(),
+                        dev.name.as_str().into(),
+                        case.label().into(),
+                        v.label().into(),
+                        (case.total() as f64 / timing.total_s / 1e9).into(),
+                    ]);
+                }
+            }
+        }
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,6 +1414,96 @@ mod tests {
                 "gen digests equal for {:?}",
                 pair[0][0]
             );
+        }
+    }
+
+    fn render_fixture() -> Artifact {
+        let mut a = Artifact::new(
+            "render_fixture",
+            vec![
+                Column::exact("name").key(),
+                Column::exact("bits"),
+                Column::eps("time_s", 1e-6),
+                Column::eps("value", 1e-3),
+                Column::ordinal("claim"),
+            ],
+        )
+        .with_meta("sparse_scale", 64usize)
+        .with_meta("device", "H200|SXM");
+        a.push(vec![
+            "a|b".into(),
+            0.1f64.into(),
+            1.234_567_89e-3.into(),
+            2.0f64.into(),
+            "tc_wins".into(),
+        ]);
+        a.push(vec![
+            "plain".into(),
+            Json::Null,
+            12_345_678.9f64.into(),
+            Json::Null,
+            "tc_wins".into(),
+        ]);
+        a
+    }
+
+    #[test]
+    fn render_shows_title_meta_headers_and_every_row() {
+        let a = render_fixture();
+        let md = render_markdown(&a);
+        assert!(md.starts_with("# render_fixture\n"), "{md}");
+        for (key, _) in &a.meta {
+            assert!(md.contains(&format!("- {key}: ")), "meta {key}: {md}");
+        }
+        let header = md.lines().find(|l| l.starts_with("| name")).unwrap();
+        for c in &a.columns {
+            assert!(header.contains(&c.name), "header {}: {md}", c.name);
+        }
+        let table_rows = md.lines().filter(|l| l.starts_with("| ")).count();
+        assert_eq!(table_rows, 1 + a.rows.len(), "{md}");
+    }
+
+    #[test]
+    fn render_formats_cells_by_column_class() {
+        let md = render_markdown(&render_fixture());
+        // Exact floats print in full, epsilon floats to one significant
+        // digit past their tolerance, ordinals verbatim.
+        assert!(md.contains("| 0.1 "), "{md}");
+        assert!(md.contains("| 0.001234568 "), "{md}");
+        assert!(md.contains("| 2.000 "), "{md}");
+        assert!(md.contains("| 1.234568e7 "), "{md}");
+        assert!(md.contains("| tc_wins "), "{md}");
+    }
+
+    #[test]
+    fn render_prints_nulls_as_dashes() {
+        let md = render_markdown(&render_fixture());
+        let row = md.lines().find(|l| l.starts_with("| plain")).unwrap();
+        let cells: Vec<&str> = row.trim_matches('|').split(" | ").map(str::trim).collect();
+        assert_eq!(cells[1], "-", "{row}");
+        assert_eq!(cells[3], "-", "{row}");
+    }
+
+    #[test]
+    fn render_escapes_pipes_in_strings() {
+        let md = render_markdown(&render_fixture());
+        assert!(md.contains("| a\\|b "), "{md}");
+        assert!(md.contains("- device: H200\\|SXM"), "{md}");
+        // Every table line keeps its column count: escaped pipes are not
+        // delimiters.
+        for line in md.lines().filter(|l| l.starts_with('|')) {
+            let delimiters = line.replace("\\|", "").matches('|').count();
+            assert_eq!(delimiters, 6, "{line}");
+        }
+    }
+
+    #[test]
+    fn segmented_sweep_covers_both_workloads_on_every_device() {
+        let a = ext_segmented_sweep();
+        let per_workload = SegmentedCase::sweep().len() * Variant::ALL.len() * 3;
+        assert_eq!(a.rows.len(), 2 * per_workload);
+        for row in &a.rows {
+            assert!(row[4].as_f64().is_some_and(|g| g > 0.0), "{row:?}");
         }
     }
 

@@ -1,41 +1,45 @@
 //! # cubie-bench
 //!
-//! The experiment harness: one binary per paper figure/table (run with
-//! `cargo run --release -p cubie-bench --bin <name>`), plus Criterion
-//! benchmarks of the actual Rust implementations.
+//! The experiment harness: the sweep engine, one [`artifacts`] builder
+//! per paper figure/table, and Criterion benchmarks of the actual Rust
+//! implementations. `cubie figure [--only a,b]` builds every registered
+//! artifact at the paper scale and writes `results/<name>.csv`,
+//! `results/<name>.json` and the markdown log `results/logs/<name>.md`;
+//! `cubie golden check` diffs the same builders, at a reduced scale,
+//! against `results/golden/`.
 //!
-//! | binary                | regenerates            |
-//! |-----------------------|------------------------|
-//! | `fig3_performance`    | Figure 3               |
-//! | `fig4_tc_vs_baseline` | Figure 4               |
-//! | `fig5_cc_vs_tc`       | Figure 5               |
-//! | `fig6_cce_vs_tc`      | Figure 6               |
-//! | `fig7_edp`            | Figure 7               |
-//! | `fig8_power_traces`   | Figure 8               |
-//! | `fig9_roofline`       | Figure 9               |
-//! | `fig10_corpus_pca`    | Figure 10              |
-//! | `fig11_suite_pca`     | Figure 11              |
-//! | `fig12_peak_evolution`| Figure 12              |
-//! | `table5_specs`        | Table 5                |
-//! | `table6_errors`       | Table 6                |
-//! | `table7_coverage`     | Table 7                |
-//! | `table234_inventory`  | Tables 2, 3, 4         |
-//! | `observations`        | Observations O1–O9     |
-//!
-//! Every binary prints a markdown rendering and writes CSV data under
-//! `results/`.
+//! | artifact                 | regenerates                    |
+//! |--------------------------|--------------------------------|
+//! | `fig3_performance`       | Figure 3                       |
+//! | `fig4_tc_vs_baseline`    | Figure 4                       |
+//! | `fig5_cc_vs_tc`          | Figure 5                       |
+//! | `fig6_cce_vs_tc`         | Figure 6                       |
+//! | `fig7_edp`               | Figure 7                       |
+//! | `fig8_power_traces`      | Figure 8                       |
+//! | `fig9_roofline`          | Figure 9                       |
+//! | `fig10_corpus_pca`       | Figure 10                      |
+//! | `fig10_coverage_stats`   | Figure 10's coverage statistics|
+//! | `fig11_suite_pca`        | Figure 11                      |
+//! | `fig12_peak_evolution`   | Figure 12                      |
+//! | `table5_specs`           | Table 5                        |
+//! | `table6_errors`          | Table 6                        |
+//! | `table7_coverage`        | Table 7                        |
+//! | `table234_inventory`     | Tables 2, 3, 4                 |
+//! | `trace_counters`         | per-trace op/byte counters     |
+//! | `observations`           | Observations O1–O9             |
+//! | `ext_*`                  | the extension experiments      |
 //!
 //! ## The sweep engine
 //!
-//! All workload-sweeping binaries are **projections of one shared
+//! All workload-sweeping artifacts are **projections of one shared
 //! [`sweep::SweepRunner`] result**: the engine enumerates the
 //! workload × case × variant × device cross-product, prepares each
 //! workload's Table 2/3/4 cases exactly once per process (memoized in
 //! [`sweep::SweepCache`], keyed by `(workload, case, variant, scale)`),
 //! executes the functional kernels and trace construction in parallel
-//! via `cubie_core::par`, and hands each binary an ordered list of
-//! [`sweep::SweepCell`]s to filter and print. Every binary (and
-//! `cubie sweep`) therefore accepts:
+//! via `cubie_core::par`, and hands each builder an ordered list of
+//! [`sweep::SweepCell`]s to fold. `cubie sweep` exposes the engine
+//! directly:
 //!
 //! * `--filter workload=…|variant=…|device=…|case=…` — sweep a subset
 //!   without paying full-suite cost;
@@ -48,7 +52,6 @@ pub mod artifacts;
 pub mod smoke;
 pub mod sweep;
 
-use cubie_device::DeviceSpec;
 pub use sweep::{Sweep, SweepCache, SweepCell, SweepConfig, SweepRunner};
 
 use cubie_kernels::Workload;
@@ -60,6 +63,14 @@ pub fn parse_env_value<T: std::str::FromStr>(name: &str, value: &str) -> Result<
     value
         .parse()
         .map_err(|_| format!("ignoring {name}={value}: not a valid value for this variable"))
+}
+
+/// Parse `value` of command-line flag `flag` as a `T`, naming both on
+/// failure (``--jobs `fast` is not a number``).
+pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} `{value}` is not a number"))
 }
 
 /// Read and parse environment variable `name`. Unset returns `None`
@@ -88,11 +99,6 @@ pub fn sparse_scale() -> usize {
 /// `CUBIE_GRAPH_SCALE`.
 pub fn graph_scale() -> usize {
     env_parse("CUBIE_GRAPH_SCALE").unwrap_or(16)
-}
-
-/// The three Table 5 devices.
-pub fn devices() -> Vec<DeviceSpec> {
-    cubie_device::all_devices()
 }
 
 /// The paper's Figure 7 per-workload repeat counts ("each of the ten
@@ -173,10 +179,5 @@ mod tests {
         for w in Workload::ALL {
             assert!(fig7_repeats(w) > 0);
         }
-    }
-
-    #[test]
-    fn three_devices() {
-        assert_eq!(devices().len(), 3);
     }
 }

@@ -1,9 +1,9 @@
 //! The shared sweep engine: one parallel, cached execution of the
 //! workload × case × variant × device cross-product that every figure
-//! and table binary projects from.
+//! and table artifact projects from.
 //!
-//! Before this engine each harness binary re-prepared the Table 2/3/4
-//! cases and re-ran the full sweep serially; now
+//! Before this engine each figure re-prepared the Table 2/3/4 cases and
+//! re-ran the full sweep serially; now
 //!
 //! 1. **Preparation is cached.** [`SweepCache`] memoizes, per
 //!    `(workload, sparse_scale, graph_scale)`, the case labels and
@@ -17,12 +17,12 @@
 //!    the output is bit-identical for any `--jobs` setting.
 //! 3. **Projection is cheap.** A [`Sweep`] holds the timed
 //!    [`SweepCell`]s in deterministic (Table 2 workload, case, variant,
-//!    device) order plus the underlying traces, so figure binaries
+//!    device) order plus the underlying traces, so figure artifacts
 //!    become filters/folds over one shared result.
 //!
-//! The `cubie sweep` CLI command (and every figure binary) accepts
-//! `--filter workload=… variant=… device=… case=…` and `--jobs N`, so a
-//! partial sweep never pays full-suite cost.
+//! The `cubie sweep` CLI command accepts `--filter workload=… variant=…
+//! device=… case=…` and `--jobs N`, so a partial sweep never pays
+//! full-suite cost.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,6 +31,8 @@ use cubie_core::par::{par_map, par_map_lpt, set_max_workers};
 use cubie_device::{all_devices, DeviceSpec};
 use cubie_kernels::{gemm, prepare_cases, Precision, Variant, Workload};
 use cubie_sim::{time_workload, WorkloadTiming, WorkloadTrace};
+
+use crate::parse_flag;
 
 /// Case-level cache key: workload at a generation scale.
 type CaseKey = (Workload, usize, usize);
@@ -268,7 +270,7 @@ impl SweepConfig {
         Ok(())
     }
 
-    /// Parse the shared CLI surface of the sweep binaries:
+    /// Parse the CLI surface of `cubie sweep`/`profile`:
     /// `--filter key=v[,v…]` (repeatable), `--jobs N`,
     /// `--sparse-scale K`, `--graph-scale K`. Unrecognized arguments are
     /// an error.
@@ -280,46 +282,17 @@ impl SweepConfig {
                 |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
             match arg.as_str() {
                 "--filter" | "-f" => cfg.apply_filter(&value_of("--filter")?)?,
-                "--jobs" | "-j" => {
-                    let v = value_of("--jobs")?;
-                    cfg.jobs = Some(
-                        v.parse()
-                            .map_err(|_| format!("--jobs `{v}` is not a number"))?,
-                    );
-                }
+                "--jobs" | "-j" => cfg.jobs = Some(parse_flag("--jobs", &value_of("--jobs")?)?),
                 "--sparse-scale" => {
-                    let v = value_of("--sparse-scale")?;
-                    cfg.sparse_scale = v
-                        .parse()
-                        .map_err(|_| format!("--sparse-scale `{v}` is not a number"))?;
+                    cfg.sparse_scale = parse_flag("--sparse-scale", &value_of("--sparse-scale")?)?
                 }
                 "--graph-scale" => {
-                    let v = value_of("--graph-scale")?;
-                    cfg.graph_scale = v
-                        .parse()
-                        .map_err(|_| format!("--graph-scale `{v}` is not a number"))?;
+                    cfg.graph_scale = parse_flag("--graph-scale", &value_of("--graph-scale")?)?
                 }
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
         Ok(cfg)
-    }
-
-    /// Parse the process CLI arguments, exiting with usage on error —
-    /// the one-liner entry point of the figure binaries.
-    pub fn from_env_or_exit() -> Self {
-        match Self::from_cli_args(std::env::args().skip(1)) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!(
-                    "{e}\n\nusage: [--filter workload=gemm,scan] [--filter variant=tc,cc] \
-                     [--filter device=h200] [--filter case=2] \
-                     [--filter precision=f64,f16,bf16,tf32] [--jobs N] \
-                     [--sparse-scale K] [--graph-scale K]"
-                );
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The variants of `w` that survive this config's variant filter.
@@ -568,7 +541,7 @@ enum SweepCacheRef {
 }
 
 impl SweepRunner {
-    /// A runner over the process-global cache (what binaries use).
+    /// A runner over the process-global cache (what the CLI uses).
     pub fn new(config: SweepConfig) -> Self {
         SweepRunner {
             config,
@@ -582,12 +555,6 @@ impl SweepRunner {
             config,
             cache: SweepCacheRef::Owned(cache),
         }
-    }
-
-    /// Parse the process CLI (`--filter`/`--jobs`/scales) and run the
-    /// resulting sweep on the global cache.
-    pub fn cli() -> Sweep {
-        SweepRunner::new(SweepConfig::from_env_or_exit()).run()
     }
 
     fn cache(&self) -> &SweepCache {

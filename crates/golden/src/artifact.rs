@@ -1,7 +1,7 @@
 //! Schema-versioned result artifacts.
 //!
 //! An [`Artifact`] is a named table with typed columns, written as
-//! canonical JSON next to the CSV every harness binary already emits.
+//! canonical JSON next to its CSV and markdown projections.
 //! Each column carries a [`Class`] telling the differ how its cells must
 //! compare across runs:
 //!

@@ -3,8 +3,8 @@
 //! The golden-artifact regression subsystem: turns `results/` from
 //! write-only output into a verified contract.
 //!
-//! The repo's paper claims live in the CSVs the figure/table binaries
-//! emit — a silent numerical regression in the MMU emulator or the
+//! The repo's paper claims live in the figure/table artifacts `cubie
+//! figure` emits — a silent numerical regression in the MMU emulator or the
 //! timing simulator would ship unnoticed. This crate provides the three
 //! pieces that prevent that:
 //!

@@ -399,29 +399,61 @@ impl Daemon {
             };
         }
 
-        let result = self.execute_sweep(spec).map(|(artifact, cells)| {
-            if let Err(e) = self.store.save(&key, &artifact) {
-                // Serving beats persisting: log and move on.
-                cubie_obs::log(format!(
-                    "cubied: store write failed for {}: {e}",
-                    key.address()
-                ));
-            }
-            FlightOut {
-                address: key.address(),
-                cells,
-                artifact: Arc::new(artifact.to_json()),
-            }
-        });
-        flight.publish(result.clone());
+        self.execute_claimed(spec, &key, &flight)
+    }
+
+    /// The executor's path once it owns `key`'s in-flight slot. It looks
+    /// the store up again first: an executor that finished between this
+    /// request's store miss and its in-flight check has saved the key and
+    /// released its slot, and executing again would run the key twice.
+    /// Otherwise it executes and persists. Either way it publishes to the
+    /// flight's waiters and releases the slot. (A `verify` request always
+    /// executes: it asked for a fresh run.)
+    fn execute_claimed(&self, spec: &SweepSpec, key: &StoreKey, flight: &Flight) -> Json {
+        let stored = match self.store.load(key) {
+            Lookup::Hit(stored) if !spec.verify => Some(stored),
+            _ => None,
+        };
+        let result = match stored {
+            Some(stored) => Ok((
+                "hit",
+                FlightOut {
+                    address: key.address(),
+                    cells: stored.rows.len() as u64,
+                    artifact: Arc::new(stored.to_json()),
+                },
+            )),
+            None => self.execute_sweep(spec).map(|(artifact, cells)| {
+                if let Err(e) = self.store.save(key, &artifact) {
+                    // Serving beats persisting: log and move on.
+                    cubie_obs::log(format!(
+                        "cubied: store write failed for {}: {e}",
+                        key.address()
+                    ));
+                }
+                (
+                    "miss",
+                    FlightOut {
+                        address: key.address(),
+                        cells,
+                        artifact: Arc::new(artifact.to_json()),
+                    },
+                )
+            }),
+        };
+        flight.publish(result.clone().map(|(_, out)| out));
         self.inflight
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(key.canonical());
         match result {
-            Ok(out) => {
-                bump(&self.stats.misses);
-                sweep_response("miss", &out.address, out.cells, out.artifact)
+            Ok((outcome, out)) => {
+                bump(if outcome == "hit" {
+                    &self.stats.hits
+                } else {
+                    &self.stats.misses
+                });
+                sweep_response(outcome, &out.address, out.cells, out.artifact)
             }
             Err(e) => {
                 bump(&self.stats.errors);
@@ -860,6 +892,50 @@ mod tests {
         drop(writer);
         drop(reader);
         handle.shutdown();
+    }
+
+    #[test]
+    fn executor_serves_a_key_saved_after_its_store_miss_as_a_hit() {
+        // The interleaving: this request missed the store, then another
+        // executor saved the key and released its in-flight slot, so this
+        // request claims the slot. It must serve the saved entry, not
+        // execute the key a second time.
+        let handle = Daemon::start(test_cfg("recheck")).unwrap();
+        let daemon = &handle.daemon;
+        let spec = SweepSpec {
+            filters: vec![
+                "workload=scan".into(),
+                "case=2".into(),
+                "device=h200".into(),
+            ],
+            sparse_scale: Some(64),
+            graph_scale: Some(512),
+            ..SweepSpec::default()
+        };
+        let key = StoreKey::for_request(&spec.to_config().unwrap().cache_key());
+        let saved = SweepRunner::new(spec.to_config().unwrap())
+            .run()
+            .to_artifact();
+        daemon.store.save(&key, &saved).unwrap();
+
+        let flight = Flight::new();
+        daemon
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(key.canonical().to_string(), Arc::clone(&flight));
+        let resp = daemon.execute_claimed(&spec, &key, &flight);
+
+        assert_eq!(resp.get("store").and_then(Json::as_str), Some("hit"));
+        assert_eq!(daemon.stats.executions.load(Ordering::Relaxed), 0);
+        assert_eq!(daemon.stats.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(daemon.stats.misses.load(Ordering::Relaxed), 0);
+        let served = resp.get("artifact").unwrap().to_canonical_string();
+        assert_eq!(served, saved.to_json().to_canonical_string());
+        // Waiters on the flight get the same bytes, and the slot is free.
+        let published = flight.wait().ok().unwrap();
+        assert_eq!(published.artifact.to_canonical_string(), served);
+        assert!(daemon.inflight.lock().unwrap().is_empty());
     }
 
     #[test]

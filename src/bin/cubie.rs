@@ -8,6 +8,10 @@
 //! cubie run <workload> [opts]        simulate all variants of a workload
 //! cubie verify <workload>            functional run vs CPU ground truth
 //! cubie errors [--quick]             the Table 6 accuracy study
+//! cubie figure [--only a,b] [opts]   build every figure/table artifact
+//!                                    at the paper scale and write
+//!                                    results/<name>.csv, .json and the
+//!                                    markdown log results/logs/<name>.md
 //! cubie advise <workload> [opts]     MMU-suitability prediction
 //! cubie golden record [--only a,b]   snapshot every canonical artifact
 //!                                    at the pinned reduced scale into
@@ -58,7 +62,7 @@
 use cubie::analysis::advisor::{advise, reference_mapping};
 use cubie::analysis::errors::{table6, ErrorScale};
 use cubie::analysis::report;
-use cubie::bench::{artifacts, smoke, SweepConfig, SweepRunner};
+use cubie::bench::{artifacts, parse_flag, smoke, SweepConfig, SweepRunner};
 use cubie::device::{a100, all_devices, b200, h200, DeviceSpec};
 use cubie::golden::{ArtifactDiff, DiffReport};
 use cubie::kernels::{Variant, Workload};
@@ -78,6 +82,7 @@ fn main() {
         "run" => run_cmd(&rest),
         "verify" => verify_cmd(&rest),
         "errors" => errors_cmd(&rest),
+        "figure" => figure_cmd(&rest),
         "advise" => advise_cmd(&rest),
         "golden" => golden_cmd(&rest),
         "bench-smoke" => bench_smoke_cmd(&rest),
@@ -102,6 +107,7 @@ fn usage() {
          cubie run <workload> [--device a100|h200|b200] [--case 0..4] \
          [--sparse-scale K] [--graph-scale K]\n  \
          cubie verify <workload>\n  cubie errors [--quick]\n  \
+         cubie figure [--only name,name] [--sparse-scale K] [--graph-scale K]\n  \
          cubie advise <workload> [--device ...]\n  \
          cubie golden record|check|list [--only name,name]\n  \
          cubie bench-smoke [--record]\n  \
@@ -138,6 +144,25 @@ fn opt<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
+/// The parsed value of flag `name`, `None` when absent. A flag without
+/// a value, or with one that does not parse, is a usage error (exit 2)
+/// naming the flag and the value — never a silent fall-back to the
+/// default.
+fn flag<T: std::str::FromStr>(rest: &[&String], name: &str) -> Option<T> {
+    rest.iter().position(|a| a.as_str() == name)?;
+    let parsed = match opt(rest, name) {
+        Some(raw) => parse_flag(name, raw),
+        None => Err(format!("{name} needs a value")),
+    };
+    match parsed {
+        Ok(v) => Some(v),
+        Err(e) => {
+            eprintln!("cubie: error: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_workload(s: &str) -> Workload {
     match s.to_ascii_lowercase().as_str() {
         "gemm" => Workload::Gemm,
@@ -170,14 +195,13 @@ fn parse_devices(rest: &[&String]) -> Vec<DeviceSpec> {
     }
 }
 
+/// `--sparse-scale`/`--graph-scale`, defaulting to `CUBIE_SPARSE_SCALE`/
+/// `CUBIE_GRAPH_SCALE` (1 / 16) like every other sweep entry point.
 fn scales(rest: &[&String]) -> (usize, usize) {
-    let s = opt(rest, "--sparse-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let g = opt(rest, "--graph-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    (s, g)
+    (
+        flag(rest, "--sparse-scale").unwrap_or_else(cubie::bench::sparse_scale),
+        flag(rest, "--graph-scale").unwrap_or_else(cubie::bench::graph_scale),
+    )
 }
 
 fn devices_cmd() {
@@ -292,9 +316,7 @@ fn run_cmd(rest: &[&String]) {
     };
     let w = parse_workload(wname);
     let (ss, gs) = scales(rest);
-    let case_idx: usize = opt(rest, "--case")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+    let case_idx: usize = flag(rest, "--case").unwrap_or(2);
     if case_idx > 4 {
         eprintln!("case index out of range (0..5)");
         std::process::exit(2);
@@ -518,40 +540,68 @@ fn errors_cmd(rest: &[&String]) {
     } else {
         ErrorScale::Full
     };
-    let rows = table6(scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let fmt = |e: Option<cubie::core::ErrorStats>| match e {
-                Some(e) => format!("{} / {}", report::sci(e.avg), report::sci(e.max)),
-                None => "-".to_string(),
-            };
-            vec![
-                r.workload.spec().name.to_string(),
-                r.case_label.clone(),
-                fmt(r.baseline),
-                format!(
-                    "{} / {}",
-                    report::sci(r.tc_cc.avg),
-                    report::sci(r.tc_cc.max)
-                ),
-                fmt(r.cce),
-            ]
-        })
-        .collect();
-    println!(
+    print!(
         "{}",
-        report::markdown_table(
-            &[
-                "workload",
-                "case",
-                "Baseline avg/max",
-                "TC=CC avg/max",
-                "CC-E avg/max"
-            ],
-            &table
-        )
+        artifacts::render_markdown(&artifacts::table6_artifact(&table6(scale), scale))
     );
+}
+
+/// Parse `cubie figure`'s flags into the paper configuration and the
+/// `--only` selection. Unknown arguments are an error.
+fn figure_args<'a>(
+    rest: &[&'a String],
+) -> Result<(artifacts::GoldenConfig, Option<&'a str>), String> {
+    let mut config = artifacts::GoldenConfig::paper();
+    let mut only = None;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let mut value_of = |name: &str| {
+            it.next()
+                .map(|v| v.as_str())
+                .ok_or_else(|| format!("{name} needs a value"))
+        };
+        match arg.as_str() {
+            "--only" => only = Some(value_of("--only")?),
+            "--sparse-scale" => {
+                config.sparse_scale = parse_flag("--sparse-scale", value_of("--sparse-scale")?)?
+            }
+            "--graph-scale" => {
+                config.graph_scale = parse_flag("--graph-scale", value_of("--graph-scale")?)?
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok((config, only))
+}
+
+fn figure_cmd(rest: &[&String]) {
+    let (config, only) = figure_args(rest).unwrap_or_else(|e| {
+        eprintln!(
+            "{e}\n\nusage: cubie figure [--only name,name] [--sparse-scale K] [--graph-scale K]"
+        );
+        std::process::exit(2);
+    });
+    let names = artifact_selection(only);
+    let ctx = artifacts::GoldenCtx::new(config);
+    println!(
+        "rendering {} artifact(s) at sparse_scale={} graph_scale={}",
+        names.len(),
+        ctx.config.sparse_scale,
+        ctx.config.graph_scale
+    );
+    for name in names {
+        let Some(artifact) = artifacts::build(&ctx, name) else {
+            fail(format!("artifact `{name}` missing from the build registry"));
+        };
+        match artifacts::emit(&artifact) {
+            Ok(log) => println!(
+                "  {name}: {} rows -> {}",
+                artifact.rows.len(),
+                log.display()
+            ),
+            Err(e) => fail(format!("cannot write artifact `{name}`: {e}")),
+        }
+    }
 }
 
 fn advise_cmd(rest: &[&String]) {
@@ -612,8 +662,8 @@ fn advise_cmd(rest: &[&String]) {
 }
 
 /// Artifact names selected by `--only a,b` (default: the full registry).
-fn golden_selection(rest: &[&String]) -> Vec<&'static str> {
-    let Some(only) = opt(rest, "--only") else {
+fn artifact_selection(only: Option<&str>) -> Vec<&'static str> {
+    let Some(only) = only else {
         return artifacts::GOLDEN_ARTIFACTS.to_vec();
     };
     let mut names = Vec::new();
@@ -652,7 +702,7 @@ fn golden_record(rest: &[&String]) {
         ctx.config.graph_scale,
         dir.display()
     );
-    for name in golden_selection(rest) {
+    for name in artifact_selection(opt(rest, "--only")) {
         let Some(artifact) = artifacts::build(&ctx, name) else {
             fail(format!("artifact `{name}` missing from the build registry"));
         };
@@ -672,7 +722,7 @@ fn golden_check(rest: &[&String]) {
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
     let mut report_diffs = Vec::new();
-    for name in golden_selection(rest) {
+    for name in artifact_selection(opt(rest, "--only")) {
         let path = dir.join(format!("{name}.json"));
         let diff = match cubie::golden::Artifact::read(&path) {
             Ok(golden) => {
@@ -1013,16 +1063,6 @@ fn socket_path(rest: &[&String]) -> std::path::PathBuf {
     }
 }
 
-fn parse_usize_opt(rest: &[&String], name: &str) -> Option<usize> {
-    let raw = opt(rest, name)?;
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => fail(format!(
-            "{name} expects a non-negative integer, got `{raw}`"
-        )),
-    }
-}
-
 fn serve_cmd(rest: &[&String]) {
     let mut cfg = cubie::serve::ServeConfig {
         socket: socket_path(rest),
@@ -1031,13 +1071,13 @@ fn serve_cmd(rest: &[&String]) {
     if let Some(dir) = opt(rest, "--store") {
         cfg.store_dir = std::path::PathBuf::from(dir);
     }
-    if let Some(n) = parse_usize_opt(rest, "--max-jobs") {
+    if let Some(n) = flag(rest, "--max-jobs") {
         cfg.max_jobs = n;
     }
-    if let Some(n) = parse_usize_opt(rest, "--heavy") {
+    if let Some(n) = flag::<usize>(rest, "--heavy") {
         cfg.heavy_slots = n.max(1);
     }
-    if let Some(n) = parse_usize_opt(rest, "--queue") {
+    if let Some(n) = flag(rest, "--queue") {
         cfg.queue_limit = n;
     }
     let mut handle = match cubie::serve::Daemon::start(cfg) {
@@ -1070,9 +1110,9 @@ fn client_build_request(sub: &str, tail: &[&String]) -> cubie::golden::Json {
             }
             let spec = cubie::serve::SweepSpec {
                 filters,
-                jobs: parse_usize_opt(tail, "--jobs"),
-                sparse_scale: parse_usize_opt(tail, "--sparse-scale"),
-                graph_scale: parse_usize_opt(tail, "--graph-scale"),
+                jobs: flag(tail, "--jobs"),
+                sparse_scale: flag(tail, "--sparse-scale"),
+                graph_scale: flag(tail, "--graph-scale"),
                 verify: tail.iter().any(|a| a.as_str() == "--verify"),
             };
             spec.to_json(sub)
@@ -1084,8 +1124,8 @@ fn client_build_request(sub: &str, tail: &[&String]) -> cubie::golden::Json {
             let spec = cubie::serve::AdviseSpec {
                 workload: (*wname).clone(),
                 devices: opt(tail, "--device").map(|d| vec![d.to_string()]),
-                sparse_scale: parse_usize_opt(tail, "--sparse-scale"),
-                graph_scale: parse_usize_opt(tail, "--graph-scale"),
+                sparse_scale: flag(tail, "--sparse-scale"),
+                graph_scale: flag(tail, "--graph-scale"),
             };
             spec.to_json()
         }

@@ -1,0 +1,111 @@
+//! The `cubie` CLI's argument handling, driven through the built binary:
+//! a malformed flag value is a usage error (exit 2) naming the flag and
+//! the value, and `cubie figure` writes the CSV, the JSON and the
+//! markdown log of every artifact it is asked for.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use cubie::bench::artifacts;
+use cubie::golden::Artifact;
+
+/// A fresh working directory, so anything a run writes under `results/`
+/// stays out of the repository.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cubie-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn cubie(args: &[&str], cwd: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cubie"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn cubie")
+}
+
+fn assert_usage_error(args: &[&str], cwd: &Path, mentions: &[&str]) {
+    let out = cubie(args, cwd);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    for m in mentions {
+        assert!(stderr.contains(m), "{args:?}: stderr lacks `{m}`: {stderr}");
+    }
+}
+
+#[test]
+fn unparsable_scale_and_case_values_are_usage_errors() {
+    let dir = scratch_dir("values");
+    for (args, flag, value) in [
+        (
+            &["run", "spmv", "--sparse-scale", "abc"][..],
+            "--sparse-scale",
+            "abc",
+        ),
+        (
+            &["run", "bfs", "--graph-scale", "1.5"],
+            "--graph-scale",
+            "1.5",
+        ),
+        (&["run", "scan", "--case", "two"], "--case", "two"),
+        (
+            &["advise", "spgemm", "--sparse-scale", "-4"],
+            "--sparse-scale",
+            "-4",
+        ),
+    ] {
+        assert_usage_error(args, &dir, &[flag, value]);
+    }
+    assert_usage_error(
+        &["run", "scan", "--case"],
+        &dir,
+        &["--case", "needs a value"],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figure_rejects_unknown_arguments_names_and_values() {
+    let dir = scratch_dir("figure-args");
+    assert_usage_error(&["figure", "--bogus"], &dir, &["--bogus", "usage"]);
+    assert_usage_error(
+        &["figure", "--only", "fig99_imaginary"],
+        &dir,
+        &["fig99_imaginary"],
+    );
+    assert_usage_error(
+        &["figure", "--sparse-scale", "big"],
+        &dir,
+        &["--sparse-scale", "big"],
+    );
+    assert_usage_error(
+        &["figure", "--graph-scale"],
+        &dir,
+        &["--graph-scale", "needs a value"],
+    );
+    assert!(!dir.join("results").exists(), "a rejected run wrote output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figure_writes_csv_json_and_log_for_each_selected_artifact() {
+    let dir = scratch_dir("figure");
+    let names = ["table5_specs", "fig12_peak_evolution"];
+    let out = cubie(&["figure", "--only", &names.join(",")], &dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let results = dir.join("results");
+    for name in names {
+        assert!(results.join(format!("{name}.csv")).is_file(), "{name}.csv");
+        let artifact = Artifact::read(results.join(format!("{name}.json"))).unwrap();
+        assert_eq!(artifact.name, name);
+        let log = std::fs::read_to_string(results.join(format!("logs/{name}.md"))).unwrap();
+        assert_eq!(log, artifacts::render_markdown(&artifact), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
