@@ -18,16 +18,17 @@
 //! [`GoldenCtx`] pins the reduced scale the committed goldens under
 //! `results/golden/` are recorded at ([`GoldenConfig::default`]), or the
 //! paper scale `cubie figure` renders at ([`GoldenConfig::paper`]), and
-//! lazily shares one sweep, one Table 6 run and one pair of Figure 10
-//! corpus studies across all builders in a pass.
+//! lazily shares one sweep, one Table 6 run, one pair of Figure 10
+//! corpus studies and one Figure 11 suite study across all builders in
+//! a pass.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use cubie_analysis::advisor::{advise, reference_mapping};
 use cubie_analysis::coverage::{
-    graph_corpus_study, matrix_corpus_study, suite_diversity_study, CorpusStudy, TABLE7,
-    TABLE7_FEATURES,
+    graph_corpus_study, matrix_corpus_study, suite_diversity_study, CorpusStudy, SuiteStudy,
+    TABLE7, TABLE7_FEATURES,
 };
 use cubie_analysis::errors::{table6, ErrorRow, ErrorScale};
 use cubie_analysis::quadrants::utilizations;
@@ -109,14 +110,15 @@ impl GoldenConfig {
 }
 
 /// Shared state of one record/check pass: the configuration plus the
-/// lazily-built sweep, Table 6 rows and Figure 10 corpus studies every
-/// builder projects from.
+/// lazily-built sweep, Table 6 rows, Figure 10 corpus studies and
+/// Figure 11 suite study every builder projects from.
 pub struct GoldenCtx {
     /// The pinned scales/scopes.
     pub config: GoldenConfig,
     sweep: OnceLock<Sweep>,
     errors: OnceLock<Vec<ErrorRow>>,
     corpora: OnceLock<(CorpusStudy, CorpusStudy)>,
+    suite: OnceLock<SuiteStudy>,
 }
 
 impl GoldenCtx {
@@ -127,6 +129,7 @@ impl GoldenCtx {
             sweep: OnceLock::new(),
             errors: OnceLock::new(),
             corpora: OnceLock::new(),
+            suite: OnceLock::new(),
         }
     }
 
@@ -156,6 +159,18 @@ impl GoldenCtx {
             (
                 graph_corpus_study(self.config.graph_corpus, 64, 0xF16A),
                 matrix_corpus_study(self.config.matrix_corpus, 8, 0xF16B),
+            )
+        })
+    }
+
+    /// Figure 11's suite-diversity study on H200 at the configured
+    /// scales (built once): Figure 11 plots it and O9 reads its spreads.
+    pub fn suite_study(&self) -> &SuiteStudy {
+        self.suite.get_or_init(|| {
+            suite_diversity_study(
+                &cubie_device::h200(),
+                self.config.sparse_scale,
+                self.config.graph_scale,
             )
         })
     }
@@ -207,14 +222,14 @@ pub fn build(ctx: &GoldenCtx, name: &str) -> Option<Artifact> {
             let (graphs, matrices) = ctx.corpus_studies();
             fig10_coverage(graphs, matrices, c.matrix_corpus, c.graph_corpus)
         }
-        "fig11_suite_pca" => fig11(c.sparse_scale, c.graph_scale),
+        "fig11_suite_pca" => fig11(ctx.suite_study(), c.sparse_scale, c.graph_scale),
         "fig12_peak_evolution" => fig12(),
         "table5_specs" => table5(),
         "table6_errors" => table6_artifact(ctx.errors(), c.error_scale),
         "table7_coverage" => table7(),
         "table234_inventory" => table234(c.sparse_scale, c.graph_scale),
         "trace_counters" => trace_counters(ctx.sweep()),
-        "observations" => observations(ctx.sweep(), ctx.errors()),
+        "observations" => observations(ctx.sweep(), ctx.errors(), ctx.suite_study()),
         "ext_advisor_validation" => ext_advisor(ctx.sweep()),
         "ext_future_fp64" => ext_future(ctx.sweep()),
         "ext_precision_sweep" => ext_precision_sweep(),
@@ -610,9 +625,9 @@ pub fn fig10_coverage(
         .with_meta("graph_corpus", graph_corpus)
 }
 
-/// Figure 11: suite-diversity PCA (Rodinia / SHOC / Cubie) on H200.
-pub fn fig11(sparse_scale: usize, graph_scale: usize) -> Artifact {
-    let study = suite_diversity_study(&cubie_device::h200(), sparse_scale, graph_scale);
+/// Figure 11: suite-diversity PCA (Rodinia / SHOC / Cubie) on H200,
+/// from `study` at `sparse_scale`/`graph_scale`.
+pub fn fig11(study: &SuiteStudy, sparse_scale: usize, graph_scale: usize) -> Artifact {
     let mut a = Artifact::new(
         "fig11_suite_pca",
         vec![
@@ -852,8 +867,8 @@ pub fn trace_counters(sweep: &Sweep) -> Artifact {
 /// `claim` column is ordinal — magnitudes may drift inside `value`'s
 /// lenient epsilon, but a direction inversion (TC stops beating the
 /// baseline, EDP stops shrinking, Cubie stops being the widest suite)
-/// fails the check.
-pub fn observations(sweep: &Sweep, errors: &[ErrorRow]) -> Artifact {
+/// fails the check. O9 reads the spreads of Figure 11's `suite` study.
+pub fn observations(sweep: &Sweep, errors: &[ErrorRow], suite: &SuiteStudy) -> Artifact {
     let mut a = Artifact::new(
         "observations",
         vec![
@@ -1037,23 +1052,18 @@ pub fn observations(sweep: &Sweep, errors: &[ErrorRow]) -> Artifact {
     }
 
     // O9 — Cubie spans wider behaviour than Rodinia/SHOC.
-    let study = suite_diversity_study(
-        &dev,
-        sweep.config.sparse_scale.max(8),
-        sweep.config.graph_scale.max(64),
-    );
-    let widest = study
+    let widest = suite
         .spread
         .iter()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(s, _)| *s)
         .unwrap_or("-");
-    for (suite, spread) in &study.spread {
+    for (name, spread) in &suite.spread {
         a.push(vec![
             "O9".into(),
-            (*suite).into(),
+            (*name).into(),
             (*spread).into(),
-            if *suite == widest {
+            if *name == widest {
                 "widest"
             } else {
                 "narrower"
@@ -1327,6 +1337,33 @@ mod tests {
             ..SweepConfig::default()
         };
         SweepRunner::with_cache(cfg, Arc::new(SweepCache::default())).run()
+    }
+
+    #[test]
+    fn o9_reports_the_spreads_of_figure_11s_study() {
+        // Below sparse 8 / graph 64, O9 once clamped its scales and so
+        // reported a different study from the Figure 11 it cites.
+        let (ss, gs) = (7, 63);
+        let ctx = GoldenCtx::new(GoldenConfig {
+            sparse_scale: ss,
+            graph_scale: gs,
+            workloads: vec![Workload::Scan],
+            ..GoldenConfig::default()
+        });
+        let o9: Vec<(String, f64)> = build(&ctx, "observations")
+            .unwrap()
+            .rows
+            .iter()
+            .filter(|r| r[0] == "O9".into())
+            .map(|r| (r[1].as_str().unwrap().to_string(), r[2].as_f64().unwrap()))
+            .collect();
+        let fig11 = suite_diversity_study(&cubie_device::h200(), ss, gs);
+        let want: Vec<(String, f64)> = fig11
+            .spread
+            .iter()
+            .map(|(s, v)| (s.to_string(), *v))
+            .collect();
+        assert_eq!(o9, want);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
-pub mod smoke;
 pub mod sweep;
 
 pub use sweep::{Sweep, SweepCache, SweepCell, SweepConfig, SweepRunner};
@@ -73,6 +72,23 @@ pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, St
         .map_err(|_| format!("{flag} `{value}` is not a number"))
 }
 
+/// The one rule for a scale divisor, wherever it is read: it must be at
+/// least 1. The generators treat 0 as 1, so accepting it would record
+/// the scale-1 inputs a second time under a new key. The error names
+/// `name` (a flag, an env var or a request field).
+pub fn check_scale(name: &str, k: usize) -> Result<usize, String> {
+    if k == 0 {
+        return Err(format!("{name} must be at least 1"));
+    }
+    Ok(k)
+}
+
+/// Parse the value of scale flag `flag` (`--sparse-scale`/
+/// `--graph-scale`): a number, and [`check_scale`]d.
+pub fn parse_scale(flag: &str, value: &str) -> Result<usize, String> {
+    check_scale(flag, parse_flag(flag, value)?)
+}
+
 /// Read and parse environment variable `name`. Unset returns `None`
 /// silently; a set-but-unparseable value (e.g. `CUBIE_JOBS=fast`) emits a
 /// one-line stderr warning and returns `None`, so typos degrade loudly to
@@ -88,17 +104,30 @@ pub fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
     }
 }
 
+/// Scale environment variable `name`, or `default`. A value of 0 warns
+/// and falls back, like an unparsable one.
+fn env_scale(name: &str, default: usize) -> usize {
+    match env_parse(name).map(|k| check_scale(name, k)) {
+        Some(Ok(k)) => k,
+        Some(Err(msg)) => {
+            eprintln!("warning: ignoring {name}=0: {msg}");
+            default
+        }
+        None => default,
+    }
+}
+
 /// Scale divisor for the Table 4 sparse matrices (1 = the published
 /// sizes). Override with `CUBIE_SPARSE_SCALE`.
 pub fn sparse_scale() -> usize {
-    env_parse("CUBIE_SPARSE_SCALE").unwrap_or(1)
+    env_scale("CUBIE_SPARSE_SCALE", 1)
 }
 
 /// Scale divisor for the Table 3 graphs (default 16: the published
 /// 90–234M-arc graphs need several GB to materialize). Override with
 /// `CUBIE_GRAPH_SCALE`.
 pub fn graph_scale() -> usize {
-    env_parse("CUBIE_GRAPH_SCALE").unwrap_or(16)
+    env_scale("CUBIE_GRAPH_SCALE", 16)
 }
 
 /// The paper's Figure 7 per-workload repeat counts ("each of the ten
@@ -134,7 +163,10 @@ mod tests {
     #[test]
     fn parse_env_value_accepts_valid_input() {
         assert_eq!(parse_env_value::<usize>("CUBIE_JOBS", "8"), Ok(8));
-        assert_eq!(parse_env_value::<f64>("CUBIE_SMOKE_FACTOR", "2.5"), Ok(2.5));
+        assert_eq!(
+            parse_env_value::<f64>("CUBIE_EXAMPLE_FACTOR", "2.5"),
+            Ok(2.5)
+        );
     }
 
     #[test]
@@ -159,6 +191,8 @@ mod tests {
         let _guard = env_lock();
         std::env::set_var("CUBIE_SPARSE_SCALE", "1.5");
         assert_eq!(sparse_scale(), 1);
+        std::env::set_var("CUBIE_SPARSE_SCALE", "0");
+        assert_eq!(sparse_scale(), 1);
         std::env::set_var("CUBIE_SPARSE_SCALE", "4");
         assert_eq!(sparse_scale(), 4);
         std::env::remove_var("CUBIE_SPARSE_SCALE");
@@ -168,6 +202,8 @@ mod tests {
     fn cubie_graph_scale_falls_back_on_garbage() {
         let _guard = env_lock();
         std::env::set_var("CUBIE_GRAPH_SCALE", "");
+        assert_eq!(graph_scale(), 16);
+        std::env::set_var("CUBIE_GRAPH_SCALE", "0");
         assert_eq!(graph_scale(), 16);
         std::env::set_var("CUBIE_GRAPH_SCALE", "32");
         assert_eq!(graph_scale(), 32);

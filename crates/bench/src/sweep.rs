@@ -32,7 +32,7 @@ use cubie_device::{all_devices, DeviceSpec};
 use cubie_kernels::{gemm, prepare_cases, Precision, Variant, Workload};
 use cubie_sim::{time_workload, WorkloadTiming, WorkloadTrace};
 
-use crate::parse_flag;
+use crate::{parse_flag, parse_scale};
 
 /// Case-level cache key: workload at a generation scale.
 type CaseKey = (Workload, usize, usize);
@@ -284,10 +284,10 @@ impl SweepConfig {
                 "--filter" | "-f" => cfg.apply_filter(&value_of("--filter")?)?,
                 "--jobs" | "-j" => cfg.jobs = Some(parse_flag("--jobs", &value_of("--jobs")?)?),
                 "--sparse-scale" => {
-                    cfg.sparse_scale = parse_flag("--sparse-scale", &value_of("--sparse-scale")?)?
+                    cfg.sparse_scale = parse_scale("--sparse-scale", &value_of("--sparse-scale")?)?
                 }
                 "--graph-scale" => {
-                    cfg.graph_scale = parse_flag("--graph-scale", &value_of("--graph-scale")?)?
+                    cfg.graph_scale = parse_scale("--graph-scale", &value_of("--graph-scale")?)?
                 }
                 other => return Err(format!("unknown argument `{other}`")),
             }

@@ -16,10 +16,9 @@
 //! static ALLOC: cubie_obs::alloc::CountingAlloc = cubie_obs::alloc::CountingAlloc;
 //! ```
 //!
-//! The `cubie` crate installs it (so the CLI, `bench-smoke`, `cubie
-//! profile` and the root integration tests all count). Where it is not
-//! installed every counter reads 0 — the schema-compatible default the
-//! bench-smoke baseline parser relies on. Overhead when installed is two
+//! The `cubie` crate installs it (so the CLI, `cubie profile` and the
+//! root integration tests all count). Where it is not installed every
+//! counter reads 0. Overhead when installed is two
 //! relaxed atomic adds and two thread-local increments per allocation,
 //! far below the cost of the allocation itself.
 //!

@@ -14,7 +14,7 @@
 //! recorder — spans are coarse (milliseconds each), so one mutex push per
 //! span is far below measurement noise.
 //!
-//! Consumers ([`cubie profile`], `bench-smoke`) [`drain`] the recorder,
+//! Consumers ([`cubie profile`]) [`drain`] the recorder,
 //! [`aggregate`] the records into a per-`(phase, label)` hotspot table,
 //! and serialize a Chrome trace-event document ([`chrome_trace`])
 //! loadable in `chrome://tracing` or Perfetto. The document is written

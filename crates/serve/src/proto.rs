@@ -24,7 +24,7 @@
 //! `"dedup"` (this request piggybacked on a concurrent identical
 //! execution) — plus the store `"key"` and the canonical `"artifact"`.
 
-use cubie_bench::SweepConfig;
+use cubie_bench::{check_scale, SweepConfig};
 use cubie_golden::{obj, Json};
 
 /// Protocol identifier, included in `ping`/`stats` responses.
@@ -167,16 +167,10 @@ impl SweepSpec {
             ..SweepConfig::default()
         };
         if let Some(ss) = self.sparse_scale {
-            if ss == 0 {
-                return Err("`sparse_scale` must be at least 1".into());
-            }
-            cfg.sparse_scale = ss;
+            cfg.sparse_scale = check_scale("`sparse_scale`", ss)?;
         }
         if let Some(gs) = self.graph_scale {
-            if gs == 0 {
-                return Err("`graph_scale` must be at least 1".into());
-            }
-            cfg.graph_scale = gs;
+            cfg.graph_scale = check_scale("`graph_scale`", gs)?;
         }
         for term in &self.filters {
             cfg.apply_filter(term)?;
@@ -211,6 +205,22 @@ impl SweepSpec {
 }
 
 impl AdviseSpec {
+    /// The `(sparse, graph)` scales to advise at: the request's, checked
+    /// like a sweep's, or the daemon defaults.
+    pub fn scales(&self) -> Result<(usize, usize), String> {
+        let defaults = SweepConfig::default();
+        Ok((
+            match self.sparse_scale {
+                Some(ss) => check_scale("`sparse_scale`", ss)?,
+                None => defaults.sparse_scale,
+            },
+            match self.graph_scale {
+                Some(gs) => check_scale("`graph_scale`", gs)?,
+                None => defaults.graph_scale,
+            },
+        ))
+    }
+
     /// The request as a wire [`Json`] object (client side).
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = vec![
@@ -334,5 +344,24 @@ mod tests {
             ..SweepSpec::default()
         };
         assert!(zero.to_config().unwrap_err().contains("sparse_scale"));
+    }
+
+    #[test]
+    fn advise_scales_reject_zero_like_a_sweep() {
+        let spec = AdviseSpec {
+            workload: "spmv".into(),
+            devices: None,
+            sparse_scale: Some(64),
+            graph_scale: Some(512),
+        };
+        assert_eq!(spec.scales(), Ok((64, 512)));
+        let zero = AdviseSpec {
+            graph_scale: Some(0),
+            ..spec
+        };
+        assert_eq!(
+            zero.scales().unwrap_err(),
+            "`graph_scale` must be at least 1"
+        );
     }
 }

@@ -586,9 +586,13 @@ impl Daemon {
                 }
             }
         }
-        let defaults = cubie_bench::SweepConfig::default();
-        let ss = spec.sparse_scale.unwrap_or(defaults.sparse_scale);
-        let gs = spec.graph_scale.unwrap_or(defaults.graph_scale);
+        let (ss, gs) = match spec.scales() {
+            Ok(scales) => scales,
+            Err(e) => {
+                bump(&self.stats.errors);
+                return error_response(&e);
+            }
+        };
 
         let cache = SweepCache::global();
         let advice = catch_unwind(AssertUnwindSafe(|| {

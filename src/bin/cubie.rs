@@ -22,9 +22,6 @@
 //!                                    writes results/golden_diff.json,
 //!                                    exits 1 on any mismatch
 //! cubie golden list                  registry + recorded status
-//! cubie bench-smoke [--record]       pinned perf smoke sweep; gates
-//!                                    wall time against the committed
-//!                                    results/golden/BENCH_sweep.json
 //! cubie profile [opts] [--check]     run a (filterable) sweep with the
 //!                                    span recorder on; print a per-phase
 //!                                    hotspot table and write a Chrome
@@ -62,7 +59,7 @@
 use cubie::analysis::advisor::{advise, reference_mapping};
 use cubie::analysis::errors::{table6, ErrorScale};
 use cubie::analysis::report;
-use cubie::bench::{artifacts, parse_flag, smoke, SweepConfig, SweepRunner};
+use cubie::bench::{artifacts, parse_flag, parse_scale, SweepConfig, SweepRunner};
 use cubie::device::{a100, all_devices, b200, h200, DeviceSpec};
 use cubie::golden::{ArtifactDiff, DiffReport};
 use cubie::kernels::{Variant, Workload};
@@ -85,7 +82,6 @@ fn main() {
         "figure" => figure_cmd(&rest),
         "advise" => advise_cmd(&rest),
         "golden" => golden_cmd(&rest),
-        "bench-smoke" => bench_smoke_cmd(&rest),
         "profile" => profile_cmd(&rest),
         "serve" => serve_cmd(&rest),
         "client" => client_cmd(&rest),
@@ -110,7 +106,6 @@ fn usage() {
          cubie figure [--only name,name] [--sparse-scale K] [--graph-scale K]\n  \
          cubie advise <workload> [--device ...]\n  \
          cubie golden record|check|list [--only name,name]\n  \
-         cubie bench-smoke [--record]\n  \
          cubie profile [--filter workload=…|variant=…|device=…|case=…] [--jobs N] \
          [--sparse-scale K] [--graph-scale K] [--check]\n  \
          cubie serve [--socket PATH] [--store DIR] [--max-jobs N] [--heavy N] [--queue N]\n  \
@@ -149,9 +144,22 @@ fn opt<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
 /// naming the flag and the value — never a silent fall-back to the
 /// default.
 fn flag<T: std::str::FromStr>(rest: &[&String], name: &str) -> Option<T> {
+    flag_with(rest, name, parse_flag)
+}
+
+/// [`flag`] for `--sparse-scale`/`--graph-scale`: 0 is a usage error too.
+fn scale_flag(rest: &[&String], name: &str) -> Option<usize> {
+    flag_with(rest, name, parse_scale)
+}
+
+fn flag_with<T>(
+    rest: &[&String],
+    name: &str,
+    parse: fn(&str, &str) -> Result<T, String>,
+) -> Option<T> {
     rest.iter().position(|a| a.as_str() == name)?;
     let parsed = match opt(rest, name) {
-        Some(raw) => parse_flag(name, raw),
+        Some(raw) => parse(name, raw),
         None => Err(format!("{name} needs a value")),
     };
     match parsed {
@@ -199,8 +207,8 @@ fn parse_devices(rest: &[&String]) -> Vec<DeviceSpec> {
 /// `CUBIE_GRAPH_SCALE` (1 / 16) like every other sweep entry point.
 fn scales(rest: &[&String]) -> (usize, usize) {
     (
-        flag(rest, "--sparse-scale").unwrap_or_else(cubie::bench::sparse_scale),
-        flag(rest, "--graph-scale").unwrap_or_else(cubie::bench::graph_scale),
+        scale_flag(rest, "--sparse-scale").unwrap_or_else(cubie::bench::sparse_scale),
+        scale_flag(rest, "--graph-scale").unwrap_or_else(cubie::bench::graph_scale),
     )
 }
 
@@ -563,10 +571,10 @@ fn figure_args<'a>(
         match arg.as_str() {
             "--only" => only = Some(value_of("--only")?),
             "--sparse-scale" => {
-                config.sparse_scale = parse_flag("--sparse-scale", value_of("--sparse-scale")?)?
+                config.sparse_scale = parse_scale("--sparse-scale", value_of("--sparse-scale")?)?
             }
             "--graph-scale" => {
-                config.graph_scale = parse_flag("--graph-scale", value_of("--graph-scale")?)?
+                config.graph_scale = parse_scale("--graph-scale", value_of("--graph-scale")?)?
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -771,10 +779,9 @@ fn golden_list() {
 }
 
 /// Cold-vs-warm verdict on the prepared-input store after a sweep,
-/// printed by `cubie profile` and `cubie bench-smoke`: snapshot hits
-/// mean the `prepare` phase was loaded from snapshots under
-/// `results/prep`; misses mean it paid generation and recorded a
-/// snapshot for the next run. `prepare_busy_s` is this run's measured
+/// printed by `cubie profile`: snapshot hits mean the `prepare` phase
+/// was loaded from snapshots under `results/prep`; misses mean it paid
+/// generation and recorded a snapshot for the next run. `prepare_busy_s` is this run's measured
 /// `prepare` busy time, so cold and warm invocations can be compared
 /// directly from their output.
 fn prep_store_line(prepare_busy_s: f64) -> String {
@@ -809,83 +816,6 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
         report::seconds(prepare_busy_s),
         cfg.dir.display()
     )
-}
-
-fn bench_smoke_cmd(rest: &[&String]) {
-    let record = rest.iter().any(|a| a.as_str() == "--record");
-    println!(
-        "smoke sweep: {} x {} reps, jobs pinned to {} (host has {} cores; \
-         preparation included, best wall time kept)…",
-        smoke::SMOKE_WORKLOADS
-            .iter()
-            .map(|w| w.spec().name)
-            .collect::<Vec<_>>()
-            .join("/"),
-        smoke::smoke_reps(),
-        smoke::smoke_jobs(),
-        smoke::host_cores()
-    );
-    let result = smoke::run_smoke();
-    println!(
-        "  {} cells, simulated total {:.3e} s, best wall {:.0} ms \
-         ({} persistent pool worker(s))",
-        result.cells,
-        result.sim_total_s,
-        result.wall_ms,
-        cubie::core::pool::worker_count()
-    );
-    for p in &result.phases {
-        println!(
-            "    phase {:8} {:6} calls, busy {:8.1} ms, {:>10} allocs ({:.1} MiB)",
-            p.phase,
-            p.calls,
-            p.busy_ms,
-            p.alloc_count,
-            p.alloc_bytes as f64 / (1024.0 * 1024.0)
-        );
-    }
-    println!(
-        "  simd path {}: {:.2}x vs scalar (strided MMA core)",
-        result.simd_path, result.simd_ratio
-    );
-    let prepare_busy_s = result
-        .phases
-        .iter()
-        .filter(|p| p.phase == "prepare")
-        .map(|p| p.busy_ms * 1e-3)
-        .sum::<f64>();
-    println!("  {}", prep_store_line(prepare_busy_s));
-    let out = report::results_dir().join("BENCH_sweep.json");
-    write_or_fail(&out, &result.to_json().to_pretty_string());
-    println!("wrote {}", out.display());
-
-    let baseline_path = artifacts::golden_dir().join("BENCH_sweep.json");
-    if record {
-        write_or_fail(&baseline_path, &result.to_json().to_pretty_string());
-        println!("recorded baseline {}", baseline_path.display());
-        return;
-    }
-    let baseline = match smoke::SmokeResult::read(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("no committed baseline ({e}) — run `cubie bench-smoke --record`");
-            std::process::exit(1);
-        }
-    };
-    let factor = smoke::smoke_factor();
-    let failures =
-        smoke::check_smoke_with_allocs(&result, &baseline, factor, smoke::smoke_alloc_factor());
-    if failures.is_empty() {
-        println!(
-            "PASS: wall {:.0} ms within {factor}x of baseline {:.0} ms",
-            result.wall_ms, baseline.wall_ms
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
 }
 
 /// Coverage window of `profile --check`: the summed busy time of the
@@ -1111,8 +1041,8 @@ fn client_build_request(sub: &str, tail: &[&String]) -> cubie::golden::Json {
             let spec = cubie::serve::SweepSpec {
                 filters,
                 jobs: flag(tail, "--jobs"),
-                sparse_scale: flag(tail, "--sparse-scale"),
-                graph_scale: flag(tail, "--graph-scale"),
+                sparse_scale: scale_flag(tail, "--sparse-scale"),
+                graph_scale: scale_flag(tail, "--graph-scale"),
                 verify: tail.iter().any(|a| a.as_str() == "--verify"),
             };
             spec.to_json(sub)
@@ -1124,8 +1054,8 @@ fn client_build_request(sub: &str, tail: &[&String]) -> cubie::golden::Json {
             let spec = cubie::serve::AdviseSpec {
                 workload: (*wname).clone(),
                 devices: opt(tail, "--device").map(|d| vec![d.to_string()]),
-                sparse_scale: flag(tail, "--sparse-scale"),
-                graph_scale: flag(tail, "--graph-scale"),
+                sparse_scale: scale_flag(tail, "--sparse-scale"),
+                graph_scale: scale_flag(tail, "--graph-scale"),
             };
             spec.to_json()
         }

@@ -20,8 +20,7 @@
 //! * [`analysis`] — PCA, coverage, quadrants, report rendering.
 //! * [`mod@bench`] — the parallel cached sweep engine every figure/table
 //!   harness projects from (`bench::sweep`), plus the canonical artifact
-//!   builders (`bench::artifacts`) and the perf smoke harness
-//!   (`bench::smoke`).
+//!   builders (`bench::artifacts`).
 //! * [`golden`] — canonical JSON, the artifact schema, and the
 //!   tolerance-aware golden differ behind `cubie golden record|check`.
 //! * [`obs`] — the always-compiled span/counter instrumentation layer
@@ -53,8 +52,8 @@
 /// Allocation telemetry for everything linking this facade (the `cubie`
 /// CLI, the root integration tests, the examples): every span recorded by
 /// [`obs`] carries `alloc_count` / `alloc_bytes` for its phase, and
-/// `cubie bench-smoke` gates on them. Leaf crates that are used without
-/// the facade don't count (their counters read 0).
+/// `cubie profile` prints them in its allocs column. Leaf crates that
+/// are used without the facade don't count (their counters read 0).
 #[global_allocator]
 static ALLOC: cubie_obs::alloc::CountingAlloc = cubie_obs::alloc::CountingAlloc;
 

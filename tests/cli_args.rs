@@ -1,6 +1,6 @@
 //! The `cubie` CLI's argument handling, driven through the built binary:
-//! a malformed flag value is a usage error (exit 2) naming the flag and
-//! the value, and `cubie figure` writes the CSV, the JSON and the
+//! a malformed flag value, or a scale of 0, is a usage error (exit 2)
+//! naming the flag, and `cubie figure` writes the CSV, the JSON and the
 //! markdown log of every artifact it is asked for.
 
 use std::path::{Path, PathBuf};
@@ -63,6 +63,60 @@ fn unparsable_scale_and_case_values_are_usage_errors() {
         &dir,
         &["--case", "needs a value"],
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scale_zero_is_a_usage_error_on_every_command_and_prepares_nothing() {
+    let dir = scratch_dir("scale-zero");
+    let store = dir.join("prep");
+    for (args, flag) in [
+        (
+            &["sweep", "--filter", "workload=spmv", "--sparse-scale", "0"][..],
+            "--sparse-scale",
+        ),
+        (
+            &["profile", "--filter", "workload=bfs", "--graph-scale", "0"],
+            "--graph-scale",
+        ),
+        (
+            &[
+                "figure",
+                "--only",
+                "table234_inventory",
+                "--sparse-scale",
+                "0",
+            ],
+            "--sparse-scale",
+        ),
+        (&["run", "spmv", "--sparse-scale", "0"], "--sparse-scale"),
+        (&["advise", "bfs", "--graph-scale", "0"], "--graph-scale"),
+        (
+            &["client", "sweep", "--sparse-scale", "0"],
+            "--sparse-scale",
+        ),
+        (
+            &["client", "advise", "bfs", "--graph-scale", "0"],
+            "--graph-scale",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cubie"))
+            .args(args)
+            .current_dir(&dir)
+            .env("CUBIE_PREP_DIR", &store)
+            .output()
+            .expect("spawn cubie");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let want = format!("{flag} must be at least 1");
+        assert!(
+            stderr.contains(&want),
+            "{args:?}: stderr lacks `{want}`: {stderr}"
+        );
+    }
+    let stored = std::fs::read_dir(&store).map_or(0, |d| d.count());
+    assert_eq!(stored, 0, "a rejected run wrote to the prep store");
+    assert!(!dir.join("results").exists(), "a rejected run wrote output");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

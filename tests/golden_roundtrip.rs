@@ -8,7 +8,7 @@
 //! by `cubie golden record` and checked by the CI `golden-check` job.
 
 use cubie::bench::artifacts::{self, GoldenConfig, GoldenCtx};
-use cubie::golden::{diff, Artifact, Json};
+use cubie::golden::{diff, Artifact};
 use cubie::kernels::Workload;
 
 fn test_ctx() -> GoldenCtx {
@@ -88,11 +88,33 @@ fn committed_goldens_parse_and_declare_the_schema() {
         seen += 1;
     }
     assert_eq!(seen, artifacts::GOLDEN_ARTIFACTS.len());
-    // The smoke baseline is committed alongside them.
-    let smoke = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-    let doc = Json::parse(&smoke).unwrap();
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("cubie-bench-smoke/v2")
+}
+
+#[test]
+fn simulated_total_of_the_four_quadrant_representatives_is_pinned() {
+    // Scan, Reduction, SpMV and BFS: one cheap workload per quadrant and
+    // input family. Their summed simulated time is pinned far tighter
+    // than golden's per-cell TIME_EPS, so a model change that drifts
+    // every cell by less than 1e-6 still fails here, under every SIMD
+    // path and job count the test suite runs with.
+    const WORKLOADS: [Workload; 4] = [
+        Workload::Scan,
+        Workload::Reduction,
+        Workload::Spmv,
+        Workload::Bfs,
+    ];
+    const PINNED_TOTAL_S: f64 = 0.006060909034635003;
+    let ctx = test_ctx();
+    let cells: Vec<_> = ctx
+        .sweep()
+        .cells
+        .iter()
+        .filter(|c| WORKLOADS.contains(&c.workload))
+        .collect();
+    assert_eq!(cells.len(), 240, "the swept cell set changed shape");
+    let total: f64 = cells.iter().map(|c| c.time_s()).sum();
+    assert!(
+        (total - PINNED_TOTAL_S).abs() <= 1e-9 * PINNED_TOTAL_S.max(total.abs()),
+        "simulated total drifted: pinned {PINNED_TOTAL_S:?} s vs current {total:?} s"
     );
 }
