@@ -9,11 +9,15 @@
 //!   over Rodinia, SHOC and Cubie workloads, with per-suite spread.
 //! * [`TABLE7`] — the dwarf/feature comparison of Table 7.
 
+use std::sync::Arc;
+
 use cubie_core::par::par_map;
 use cubie_device::DeviceSpec;
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators as graph_gen;
+use cubie_kernels::Workload;
+use cubie_sim::WorkloadTrace;
 use cubie_sparse::features::MatrixFeatures;
 use cubie_sparse::generators as sparse_gen;
 use serde::{Deserialize, Serialize};
@@ -196,11 +200,13 @@ pub struct SuiteStudy {
 }
 
 /// Figure 11: PCA of architectural metrics across Rodinia, SHOC and
-/// Cubie workloads on `device`.
+/// Cubie workloads on `device`. `cubie_tc_traces` holds each Cubie
+/// workload's TC trace of its
+/// [`REPRESENTATIVE_CASE`](crate::metrics::REPRESENTATIVE_CASE), in
+/// Table 2 order.
 pub fn suite_diversity_study(
     device: &DeviceSpec,
-    sparse_scale: usize,
-    graph_scale: usize,
+    cubie_tc_traces: &[(Workload, Arc<WorkloadTrace>)],
 ) -> SuiteStudy {
     let mut all = Vec::new();
     for k in minisuites::rodinia() {
@@ -209,7 +215,7 @@ pub fn suite_diversity_study(
     for k in minisuites::shoc() {
         all.push(metrics_of(k.name, "SHOC", device, &k.trace));
     }
-    all.extend(cubie_metrics(device, sparse_scale, graph_scale));
+    all.extend(cubie_metrics(device, cubie_tc_traces));
 
     let vecs: Vec<Vec<f64>> = all.iter().map(|a| a.values.clone()).collect();
     let pca = Pca::fit(&vecs);
@@ -324,6 +330,7 @@ pub const TABLE7_FEATURES: [(&str, [bool; 3]); 6] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::representative_tc_traces;
     use cubie_device::h200;
 
     #[test]
@@ -352,7 +359,7 @@ mod tests {
 
     #[test]
     fn cubie_spreads_wider_than_rodinia_and_shoc() {
-        let study = suite_diversity_study(&h200(), 64, 512);
+        let study = suite_diversity_study(&h200(), &representative_tc_traces(64, 512));
         let get = |name: &str| {
             study
                 .spread

@@ -5,7 +5,10 @@
 //! Compute. Here the same family of metrics is derived from the simulated
 //! pipe utilizations and operation mixes of a workload trace.
 
+use std::sync::Arc;
+
 use cubie_device::DeviceSpec;
+use cubie_kernels::Workload;
 use cubie_sim::{time_workload, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 
@@ -90,34 +93,44 @@ pub fn metrics_of(
     }
 }
 
-/// Metric vectors of all ten Cubie workloads (TC variant, one
-/// representative Table 2 case each) on `device`. Sparse/graph inputs are
-/// generated at the given scales.
+/// The Table 2 case whose TC trace stands for its workload in Figure 11:
+/// the middle one.
+pub const REPRESENTATIVE_CASE: usize = 2;
+
+/// Metric vectors of the Cubie workloads on `device`, one per
+/// `(workload, trace)`: the TC trace of the workload's
+/// [`REPRESENTATIVE_CASE`].
 pub fn cubie_metrics(
     device: &DeviceSpec,
-    sparse_scale: usize,
-    graph_scale: usize,
+    tc_traces: &[(Workload, Arc<WorkloadTrace>)],
 ) -> Vec<ArchMetrics> {
-    use cubie_kernels::{prepare_cases, Variant, Workload};
-    Workload::ALL
+    tc_traces
         .iter()
-        .map(|w| {
-            let cases = prepare_cases(*w, sparse_scale, graph_scale);
-            // Middle case as the representative.
-            let case = &cases[2];
-            let trace = case
-                .trace(Variant::Tc)
-                .expect("TC variant exists for every workload");
-            metrics_of(format!("Cubie-{}", w.spec().name), "Cubie", device, &trace)
-        })
+        .map(|(w, trace)| metrics_of(format!("Cubie-{}", w.spec().name), "Cubie", device, trace))
         .collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cubie_device::h200;
-    use cubie_kernels::{gemm, scan, Variant};
+    use cubie_kernels::{gemm, prepare_cases, scan, Variant};
+
+    /// Each workload's representative TC trace at the given scales,
+    /// prepared and traced directly.
+    pub(crate) fn representative_tc_traces(
+        sparse_scale: usize,
+        graph_scale: usize,
+    ) -> Vec<(Workload, Arc<WorkloadTrace>)> {
+        Workload::ALL
+            .iter()
+            .map(|&w| {
+                let cases = prepare_cases(w, sparse_scale, graph_scale);
+                let trace = cases[REPRESENTATIVE_CASE].trace(Variant::Tc).unwrap();
+                (w, Arc::new(trace))
+            })
+            .collect()
+    }
 
     #[test]
     fn gemm_tc_is_tensor_heavy() {
@@ -168,7 +181,7 @@ mod tests {
     #[test]
     fn cubie_metrics_cover_all_workloads() {
         let d = h200();
-        let m = cubie_metrics(&d, 64, 512);
+        let m = cubie_metrics(&d, &representative_tc_traces(64, 512));
         assert_eq!(m.len(), 10);
         for a in &m {
             assert!(a.values.iter().all(|v| v.is_finite()), "{}", a.name);

@@ -31,6 +31,7 @@ use cubie_analysis::coverage::{
     TABLE7, TABLE7_FEATURES,
 };
 use cubie_analysis::errors::{table6, ErrorRow, ErrorScale};
+use cubie_analysis::metrics::REPRESENTATIVE_CASE;
 use cubie_analysis::quadrants::utilizations;
 use cubie_analysis::report;
 use cubie_core::cas::fnv1a64;
@@ -41,7 +42,7 @@ use cubie_kernels::segmented::{trace_reduce, trace_scan, SegmentedCase};
 use cubie_kernels::{gemm, MmaGen, Precision, Quadrant, Variant, Workload};
 use cubie_sim::{power_report, power_trace, time_workload, Roofline};
 
-use crate::sweep::{Sweep, SweepConfig, SweepRunner};
+use crate::sweep::{Sweep, SweepCache, SweepConfig, SweepRunner};
 use crate::{fig7_repeats, graph_scale, sparse_scale};
 
 /// Relative tolerance for simulated times/throughput/power/energy/EDP.
@@ -166,14 +167,31 @@ impl GoldenCtx {
     /// Figure 11's suite-diversity study on H200 at the configured
     /// scales (built once): Figure 11 plots it and O9 reads its spreads.
     pub fn suite_study(&self) -> &SuiteStudy {
-        self.suite.get_or_init(|| {
-            suite_diversity_study(
-                &cubie_device::h200(),
-                self.config.sparse_scale,
-                self.config.graph_scale,
-            )
-        })
+        self.suite
+            .get_or_init(|| suite_study(self.config.sparse_scale, self.config.graph_scale))
     }
+}
+
+/// Figure 11's suite-diversity study on H200 at the given scales. The
+/// Cubie workloads' traces come from the process-global sweep cache, so
+/// a pass whose sweep ran at the same scales prepares nothing again.
+pub fn suite_study(sparse_scale: usize, graph_scale: usize) -> SuiteStudy {
+    let cache = SweepCache::global();
+    let traces = par_map(Workload::ALL.len(), |i| {
+        let w = Workload::ALL[i];
+        cache.ensure(w, sparse_scale, graph_scale);
+        let trace = cache
+            .trace(
+                w,
+                REPRESENTATIVE_CASE,
+                Variant::Tc,
+                sparse_scale,
+                graph_scale,
+            )
+            .expect("TC variant exists for every workload");
+        (w, trace)
+    });
+    suite_diversity_study(&cubie_device::h200(), &traces)
 }
 
 /// Names of every artifact the golden harness records and checks (and
@@ -1357,7 +1375,7 @@ mod tests {
             .filter(|r| r[0] == "O9".into())
             .map(|r| (r[1].as_str().unwrap().to_string(), r[2].as_f64().unwrap()))
             .collect();
-        let fig11 = suite_diversity_study(&cubie_device::h200(), ss, gs);
+        let fig11 = suite_study(ss, gs);
         let want: Vec<(String, f64)> = fig11
             .spread
             .iter()

@@ -9,8 +9,9 @@
 //!
 //! [`pull_bfs`] computes exactly what that traversal counts (levels, and
 //! per launch the slices processed and vertices discovered) from the CSR
-//! alone, without building the bitmap. Its result is a function of the
-//! graph and the source, so one run serves every bitmap BFS variant;
+//! alone, without building the bitmap, plus the per-level arc totals a
+//! push/pull traversal counts ([`LevelArcs`]). Its result is a function
+//! of the graph and the source, so one run serves every BFS variant;
 //! [`CsrGraph::pull_bfs`] memoises it on the graph. [`BitmapGraph`]
 //! remains the format's definition, and the slice traversal over it is
 //! the oracle the property tests hold [`pull_bfs`] to.
@@ -146,8 +147,9 @@ impl BitmapGraph {
     }
 }
 
-/// What one bitmap pull traversal leaves behind: everything the traces
-/// of the bitmap BFS variants (TC, CC, CC-E) are a function of.
+/// What one bitmap pull traversal leaves behind, plus the arcs of each
+/// level: everything the traces of all four BFS variants are a function
+/// of.
 #[derive(Debug)]
 pub struct PullBfs {
     /// The source vertex the traversal started from.
@@ -159,6 +161,24 @@ pub struct PullBfs {
     pub per_level: Vec<(u64, u64)>,
     /// 128-column frontier segments.
     pub col_blocks: usize,
+    /// Per level `0..=D`, `D` the deepest, then one entry for the
+    /// unreached vertices: what a push/pull traversal inspects there.
+    pub level_arcs: Vec<LevelArcs>,
+}
+
+/// The arcs of the vertices at one BFS level.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelArcs {
+    /// Vertices at the level.
+    pub vertices: u64,
+    /// Their out-arcs.
+    pub out_arcs: u64,
+    /// Their in-arcs.
+    pub in_arcs: u64,
+    /// Σ of their ranks, 0 at level 0 and for the unreached. The rank of
+    /// `v` at level `l > 0` is the 1-based position, among `v`'s in-arcs
+    /// with sources ascending, of the first from level `l − 1`.
+    pub rank_sum: u64,
 }
 
 /// What the pull traversal over the bitmap slice sets counts, computed
@@ -193,6 +213,10 @@ pub struct PullBfs {
 ///    [`GraphFeatures::slice_fill`](crate::features::GraphFeatures::slice_fill)).
 ///    The slice is processed at depth `l + 1` for each level `l` of its
 ///    column block with `l < band_last[rb]`.
+/// 5. **The arcs of each level** ([`LevelArcs`]). The same pass counts
+///    each target's in-arcs, sources ascending, and notes the count at
+///    the first from the level above: that is its rank. Column blocks
+///    with no reached vertex only add in-arcs.
 ///
 /// # Panics
 /// Panics if `source` is not a vertex of `g`, naming the source and `n`.
@@ -232,6 +256,10 @@ pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
 
     let mut stamp = vec![0u32; band_last.len()];
     let mut seen = vec![0u32; deepest + 1];
+    // 5. Per vertex: its in-arcs so far, and their number when the first
+    // from the level above came (0 until then). Branch-free: which arc
+    // that is depends on the data and mispredicts.
+    let mut ranks = vec![[0u32; 2]; n];
     let mut block_levels = Vec::with_capacity(BLOCK_COLS);
     for (cb, block) in levels.chunks(BLOCK_COLS).enumerate() {
         let tag = cb as u32 + 1;
@@ -243,15 +271,21 @@ pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
                 block_levels.push(l as u32);
             }
         }
+        let first = cb * BLOCK_COLS;
         if block_levels.is_empty() {
+            for &v in &g.adj[g.offsets[first]..g.offsets[first + block.len()]] {
+                ranks[v as usize][0] += 1;
+            }
             continue;
         }
         block_levels.sort_unstable();
         // 4. Each slice of this column block once, counted at every depth
         // that processes it.
-        let first = cb * BLOCK_COLS;
-        for u in first..first + block.len() {
+        for (u, &lu) in (first..).zip(block) {
             for &v in g.neighbors(u) {
+                let [arcs, rank] = &mut ranks[v as usize];
+                *arcs += 1;
+                *rank |= *arcs * ((lu + 1 == levels[v as usize]) & (*rank == 0)) as u32;
                 let rb = v as usize / BLOCK_ROWS;
                 if stamp[rb] != tag {
                     stamp[rb] = tag;
@@ -264,11 +298,24 @@ pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
         }
     }
 
+    let mut level_arcs = vec![LevelArcs::default(); deepest + 2];
+    for (v, (&l, &[arcs, rank])) in levels.iter().zip(&ranks).enumerate() {
+        let at = &mut level_arcs[if l < 0 { deepest + 1 } else { l as usize }];
+        at.vertices += 1;
+        at.out_arcs += g.degree(v) as u64;
+        at.in_arcs += u64::from(arcs);
+        // An arc from an unreached vertex into the source also "ranks" it.
+        if l > 0 {
+            at.rank_sum += u64::from(rank);
+        }
+    }
+
     PullBfs {
         source,
         levels,
         per_level,
         col_blocks: n.div_ceil(BLOCK_COLS),
+        level_arcs,
     }
 }
 

@@ -2,7 +2,9 @@
 
 use cubie_core::par::set_max_workers;
 use cubie_core::SplitMix64;
-use cubie_graph::bitmap::{pull_bfs, BitmapGraph, PullBfs, Slice, BLOCK_COLS, BLOCK_ROWS};
+use cubie_graph::bitmap::{
+    pull_bfs, BitmapGraph, LevelArcs, PullBfs, Slice, BLOCK_COLS, BLOCK_ROWS,
+};
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators::{community_graph, grid_graph, rmat, table3_graphs, EDGE_CHUNK};
@@ -120,10 +122,34 @@ fn pull_bfs_by_slices(g: &CsrGraph, source: usize) -> PullBfs {
     }
     PullBfs {
         source,
+        level_arcs: level_arcs_by_reverse(g, &level),
         levels: level,
         per_level,
         col_blocks,
     }
+}
+
+/// Each level's arcs read off the reversed graph, whose in-arc lists are
+/// sorted by source: a rank is the position of the first in-neighbour
+/// one level up.
+fn level_arcs_by_reverse(g: &CsrGraph, levels: &[i32]) -> Vec<LevelArcs> {
+    let rev = g.reverse();
+    let deepest = *levels.iter().max().unwrap() as usize;
+    let mut out = vec![LevelArcs::default(); deepest + 2];
+    for (v, &l) in levels.iter().enumerate() {
+        let at = &mut out[if l < 0 { deepest + 1 } else { l as usize }];
+        at.vertices += 1;
+        at.out_arcs += g.degree(v) as u64;
+        at.in_arcs += rev.degree(v) as u64;
+        if l > 0 {
+            let parent = rev
+                .neighbors(v)
+                .iter()
+                .position(|&u| levels[u as usize] == l - 1);
+            at.rank_sum += parent.unwrap() as u64 + 1;
+        }
+    }
+    out
 }
 
 /// `pull_bfs` from `source` equals the slice traversal in every field.
@@ -133,6 +159,7 @@ fn assert_pull_bfs_matches_slices(g: &CsrGraph, source: usize, what: &str) {
     assert_eq!(got.levels, want.levels, "{what}: levels");
     assert_eq!(got.per_level, want.per_level, "{what}: per_level");
     assert_eq!(got.col_blocks, want.col_blocks, "{what}: col_blocks");
+    assert_eq!(got.level_arcs, want.level_arcs, "{what}: level_arcs");
 }
 
 #[test]

@@ -17,14 +17,17 @@
 //! * **Baseline** models Gunrock: direction-optimizing push/pull BFS
 //!   over CSR with frontier queues.
 //!
-//! TC, CC and CC-E share one pull profile: the levels, and per launch
-//! the slices the pull traversal processes (it skips bands whose rows
-//! are all settled and slices whose frontier segment is empty) and the
-//! vertices it discovers. `cubie_graph::bitmap::pull_bfs` derives it
-//! from the CSR without building the bitmap, once per graph and source
-//! ([`CsrGraph::pull_bfs`] memoises it); this module owns only the op
-//! accounting, so the three traces differ only in how each processed
-//! slice is counted.
+//! All four variants share one profile: the levels; per launch the
+//! slices the pull traversal processes (it skips bands whose rows are
+//! all settled and slices whose frontier segment is empty) and the
+//! vertices it discovers; and per level the vertices' out-arcs, in-arcs
+//! and ranks, which the push/pull baseline inspects.
+//! `cubie_graph::bitmap::pull_bfs` derives it from the CSR in one
+//! traversal and one pass over the arcs, without building the bitmap or
+//! the reversed graph, once per graph and source ([`CsrGraph::pull_bfs`]
+//! memoises it). This module owns only the op accounting: TC, CC and
+//! CC-E differ in how each processed slice is counted, and Baseline
+//! counts its push and pull launches from the level totals.
 //!
 //! BFS performs no floating-point arithmetic; correctness is exact
 //! level-by-level agreement with the serial reference.
@@ -50,22 +53,18 @@ pub fn reference(g: &CsrGraph, source: usize) -> Vec<i32> {
 /// # Panics
 /// Panics if `source` is not a vertex of `g`, naming the source and `n`.
 pub fn run(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
-    match variant {
-        Variant::Baseline => run_push_pull(g, source),
-        Variant::Tc | Variant::Cc | Variant::CcE => {
-            let profile = g.pull_bfs(source);
-            (
-                profile.levels.clone(),
-                trace_from_profile(&profile, variant),
-            )
-        }
-    }
+    let profile = g.pull_bfs(source);
+    let trace = match variant {
+        Variant::Baseline => baseline_trace(&profile, g.num_arcs()),
+        Variant::Tc | Variant::Cc | Variant::CcE => trace_from_profile(&profile, variant),
+    };
+    (profile.levels.clone(), trace)
 }
 
 /// Trace-only entry point. BFS traces are data-dependent, so this runs
-/// the traversal; `run` and `trace` share one path. The bitmap variants
-/// count from the graph's memoised `cubie_graph::bitmap` pull profile,
-/// which is computed once per graph and source.
+/// the traversal; `run` and `trace` share one path. Every variant counts
+/// from the graph's memoised `cubie_graph::bitmap` pull profile, which
+/// is computed once per graph and source.
 pub fn trace(g: &CsrGraph, source: usize, variant: Variant) -> WorkloadTrace {
     run(g, source, variant).1
 }
@@ -108,76 +107,68 @@ fn trace_from_profile(profile: &PullBfs, variant: Variant) -> WorkloadTrace {
     workload
 }
 
-/// Direction-optimizing push/pull BFS (Gunrock-style baseline).
-fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
-    g.assert_source(source);
-    let rev = g.reverse();
-    let n = g.n;
-    let mut level = vec![-1i32; n];
-    level[source] = 0;
-    let mut frontier = vec![source as u32];
-    let mut next = Vec::new();
+/// Direction-optimizing push/pull BFS (Gunrock-style baseline), counted
+/// from the shared profile's
+/// [`LevelArcs`](cubie_graph::bitmap::LevelArcs).
+///
+/// The traversal this stands for runs one launch per depth `d = 1, 2, …`
+/// from the frontier of level `d − 1`, until the frontier is empty. It
+/// pulls when the frontier's out-arcs exceed 1/14 of the unvisited
+/// vertices' estimated arcs, and pushes otherwise. Both discover exactly
+/// the level-`d` vertices, so every count follows from the levels:
+///
+/// * **Push** inspects Σ out-degree over level `d − 1`.
+/// * **Pull** has every unvisited vertex scan its in-arcs, sources
+///   ascending, until one comes from level `d − 1`. A level-`d` vertex
+///   stops at its rank; a deeper or unreached vertex has no such arc and
+///   scans all its in-arcs.
+/// * **The choice** and the unvisited count follow from the level
+///   histogram.
+fn baseline_trace(profile: &PullBfs, num_arcs: usize) -> WorkloadTrace {
+    let n = profile.levels.len();
+    let (reached, unreached) = profile.level_arcs.split_at(profile.level_arcs.len() - 1);
+    let arcs_per_vertex = (num_arcs as u64 / n as u64).max(1);
     let mut unvisited = n as u64 - 1;
+    // In-arcs of the vertices deeper than the launch's level, or unreached.
+    let mut deeper_in: u64 = reached[1..]
+        .iter()
+        .chain(unreached)
+        .map(|l| l.in_arcs)
+        .sum();
     let mut workload = WorkloadTrace::default();
-    let mut depth = 0i32;
-    while !frontier.is_empty() {
-        depth += 1;
-        let frontier_edges: u64 = frontier.iter().map(|&u| g.degree(u as usize) as u64).sum();
-        let unvisited_edges = unvisited * (g.num_arcs() as u64 / n.max(1) as u64).max(1);
+    for depth in 1..=reached.len() {
+        let frontier = reached[depth - 1];
+        // The last launch discovers nothing.
+        let next = reached.get(depth).copied().unwrap_or_default();
+        deeper_in -= next.in_arcs;
+        let unvisited_edges = unvisited * arcs_per_vertex;
         let mut ops = OpCounters::default();
-        next.clear();
-        if frontier_edges > unvisited_edges / 14 && unvisited > 0 {
-            // Pull: every unvisited vertex scans its in-neighbours until
-            // it finds a frontier parent.
-            let mut inspections = 0u64;
-            for v in 0..n {
-                if level[v] >= 0 {
-                    continue;
-                }
-                for &u in rev.neighbors(v) {
-                    inspections += 1;
-                    if level[u as usize] == depth - 1 {
-                        level[v] = depth;
-                        next.push(v as u32);
-                        break;
-                    }
-                }
-            }
+        if frontier.out_arcs > unvisited_edges / 14 && unvisited > 0 {
+            let inspections = next.rank_sum + deeper_in;
             ops.int_ops = inspections * 4;
             ops.gmem_load = MemTraffic::strided(inspections * 4)
                 + MemTraffic::random(inspections * 4)
                 + MemTraffic::coalesced((n as u64) * 8);
-            ops.gmem_store = MemTraffic::coalesced(next.len() as u64 * 4);
+            ops.gmem_store = MemTraffic::coalesced(next.vertices * 4);
         } else {
-            // Push: expand the frontier queue.
-            let mut inspections = 0u64;
-            for &u in frontier.iter() {
-                for &v in g.neighbors(u as usize) {
-                    inspections += 1;
-                    if level[v as usize] < 0 {
-                        level[v as usize] = depth;
-                        next.push(v);
-                    }
-                }
-            }
-            ops.int_ops = inspections * 4 + next.len() as u64 * 2;
+            let inspections = frontier.out_arcs;
+            ops.int_ops = inspections * 4 + next.vertices * 2;
             ops.gmem_load = MemTraffic::strided(inspections * 4)
                 + MemTraffic::random(inspections * 4)
-                + MemTraffic::coalesced(frontier.len() as u64 * 12);
-            ops.gmem_store = MemTraffic::random(next.len() as u64 * 8);
+                + MemTraffic::coalesced(frontier.vertices * 12);
+            ops.gmem_store = MemTraffic::random(next.vertices * 8);
         }
-        unvisited -= next.len() as u64;
+        unvisited -= next.vertices;
         workload.push(KernelTrace::new(
             format!("bfs-Baseline-level{depth}"),
-            (frontier.len() as u64).div_ceil(256).max(1),
+            frontier.vertices.div_ceil(256).max(1),
             256,
             0,
             ops,
             latency::GMEM_RT * 2.0,
         ));
-        std::mem::swap(&mut frontier, &mut next);
     }
-    (level, workload)
+    workload
 }
 
 #[cfg(test)]

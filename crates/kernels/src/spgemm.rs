@@ -13,13 +13,20 @@
 //! * **CC-E** computes only the two useful quadrants (128 of 256 FMAs).
 //! * **Baseline** models cuSPARSE's row-wise SpGEMM: scalar CSR products
 //!   through a per-row hash accumulator.
+//!
+//! The four traces are structure-only: they count from one
+//! [`SquareStructure`](cubie_sparse::mbsr::SquareStructure) (blocks of
+//! `A` and `C`, block and scalar products), which
+//! [`Csr::square_structure`] counts from the CSR pattern without block
+//! values and memoises on the matrix, so every variant's trace and
+//! [`useful_flops`] share one count.
 
 use cubie_core::counters::{MemTraffic, MMA_F64_FMAS};
 use cubie_core::mma::mma_f64_m8n8k4;
 use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use cubie_sparse::mbsr::{Mbsr, BLOCK};
+use cubie_sparse::mbsr::{self, Mbsr, BLOCK};
 use cubie_sparse::{Coo, Csr};
 
 use crate::common::Variant;
@@ -214,6 +221,7 @@ fn run_baseline(a: &Csr) -> Csr {
 
 /// Structure statistics needed by the trace (block products, result
 /// blocks, scalar products).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpgemmStats {
     /// 4×4 block products of the mBSR formulation.
     pub block_products: u64,
@@ -231,42 +239,21 @@ pub struct SpgemmStats {
     pub block_bytes: u64,
 }
 
-/// Count the multiplication structure without numeric work.
+/// Count the multiplication structure without numeric work, from the
+/// matrix's memoised [`Csr::square_structure`]: every variant's trace and
+/// [`useful_flops`] share one count per matrix.
 pub fn stats(a: &Csr) -> SpgemmStats {
-    let am = Mbsr::from_csr(a);
-    let mut block_products = 0u64;
-    let mut c_blocks = 0u64;
-    let mut marker = vec![-1i32; am.block_cols];
-    for br in 0..am.block_rows {
-        let (acols, _) = am.block_row(br);
-        for ac in acols {
-            let (bcols, _) = am.block_row(*ac as usize);
-            block_products += bcols.len() as u64;
-            for bc in bcols {
-                if marker[*bc as usize] != br as i32 {
-                    marker[*bc as usize] = br as i32;
-                    c_blocks += 1;
-                }
-            }
-        }
-    }
-    let mut scalar_products = 0u64;
-    for r in 0..a.rows {
-        let (cols, _) = a.row(r);
-        for c in cols {
-            scalar_products += a.row_nnz(*c as usize) as u64;
-        }
-    }
-    // C's nnz: estimated from block structure (exact value needs the
-    // numeric phase; the 16× bound is what the memory trace uses).
-    let c_nnz = c_blocks * (BLOCK * BLOCK) as u64;
+    let s = a.square_structure();
     SpgemmStats {
-        block_products,
-        c_blocks,
-        a_blocks: am.nnz_blocks() as u64,
-        scalar_products,
-        c_nnz,
-        block_bytes: 4 + (16.0 * am.fill_ratio(a.nnz()) * 8.0).ceil() as u64,
+        block_products: s.block_products,
+        c_blocks: s.c_blocks,
+        a_blocks: s.a_blocks,
+        scalar_products: s.scalar_products,
+        // C's nnz: estimated from block structure (exact value needs the
+        // numeric phase; the 16× bound is what the memory trace uses).
+        c_nnz: s.c_blocks * (BLOCK * BLOCK) as u64,
+        block_bytes: 4
+            + (16.0 * mbsr::fill_ratio(a.nnz(), s.a_blocks as usize) * 8.0).ceil() as u64,
     }
 }
 

@@ -1,4 +1,4 @@
-//! The bitmap BFS variants of one prepared case share a single pull
+//! All four BFS variants of one prepared case share a single pull
 //! traversal, memoised on the case's graph, even when their traces are
 //! built concurrently (as `SweepCache::ensure`'s parallel fan-out does).
 
@@ -22,7 +22,7 @@ fn concurrent_variants_share_one_traversal() {
     let PreparedCase::Bfs { graph, source, .. } = &case else {
         unreachable!()
     };
-    let variants = [Variant::Tc, Variant::Cc, Variant::CcE];
+    let variants = Variant::ALL;
     let seen: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = variants
             .iter()

@@ -7,9 +7,11 @@ use cubie_core::mma::mma_b1_m8n8k128_and_popc;
 use cubie_core::{ErrorStats, OpCounters, C64};
 use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::CsrGraph;
+use cubie_kernels::spgemm::{self, SpgemmStats};
 use cubie_kernels::{bfs, fft, gemv, reduction, scan, spmv, Variant};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
+use cubie_sparse::mbsr::{Mbsr, BLOCK};
 use cubie_sparse::{Coo, Csr};
 use proptest::prelude::*;
 
@@ -88,6 +90,237 @@ fn bitmap_bfs_with_mma(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i3
         frontier_count = next_count;
     }
     (level, workload)
+}
+
+/// Direction-optimizing push/pull BFS (Gunrock-style baseline).
+///
+/// The Baseline trace as it was before it was counted from the shared
+/// levels: it builds the reversed graph and runs its own traversal.
+fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
+    g.assert_source(source);
+    let rev = g.reverse();
+    let n = g.n;
+    let mut level = vec![-1i32; n];
+    level[source] = 0;
+    let mut frontier = vec![source as u32];
+    let mut next = Vec::new();
+    let mut unvisited = n as u64 - 1;
+    let mut workload = WorkloadTrace::default();
+    let mut depth = 0i32;
+    while !frontier.is_empty() {
+        depth += 1;
+        let frontier_edges: u64 = frontier.iter().map(|&u| g.degree(u as usize) as u64).sum();
+        let unvisited_edges = unvisited * (g.num_arcs() as u64 / n.max(1) as u64).max(1);
+        let mut ops = OpCounters::default();
+        next.clear();
+        if frontier_edges > unvisited_edges / 14 && unvisited > 0 {
+            // Pull: every unvisited vertex scans its in-neighbours until
+            // it finds a frontier parent.
+            let mut inspections = 0u64;
+            for v in 0..n {
+                if level[v] >= 0 {
+                    continue;
+                }
+                for &u in rev.neighbors(v) {
+                    inspections += 1;
+                    if level[u as usize] == depth - 1 {
+                        level[v] = depth;
+                        next.push(v as u32);
+                        break;
+                    }
+                }
+            }
+            ops.int_ops = inspections * 4;
+            ops.gmem_load = MemTraffic::strided(inspections * 4)
+                + MemTraffic::random(inspections * 4)
+                + MemTraffic::coalesced((n as u64) * 8);
+            ops.gmem_store = MemTraffic::coalesced(next.len() as u64 * 4);
+        } else {
+            // Push: expand the frontier queue.
+            let mut inspections = 0u64;
+            for &u in frontier.iter() {
+                for &v in g.neighbors(u as usize) {
+                    inspections += 1;
+                    if level[v as usize] < 0 {
+                        level[v as usize] = depth;
+                        next.push(v);
+                    }
+                }
+            }
+            ops.int_ops = inspections * 4 + next.len() as u64 * 2;
+            ops.gmem_load = MemTraffic::strided(inspections * 4)
+                + MemTraffic::random(inspections * 4)
+                + MemTraffic::coalesced(frontier.len() as u64 * 12);
+            ops.gmem_store = MemTraffic::random(next.len() as u64 * 8);
+        }
+        unvisited -= next.len() as u64;
+        workload.push(KernelTrace::new(
+            format!("bfs-Baseline-level{depth}"),
+            (frontier.len() as u64).div_ceil(256).max(1),
+            256,
+            0,
+            ops,
+            latency::GMEM_RT * 2.0,
+        ));
+        std::mem::swap(&mut frontier, &mut next);
+    }
+    (level, workload)
+}
+
+/// Count the multiplication structure without numeric work.
+///
+/// The SpGEMM statistics as they were before they were counted from the
+/// CSR pattern: a full mBSR, values included, built per call.
+fn stats(a: &Csr) -> SpgemmStats {
+    let am = Mbsr::from_csr(a);
+    let mut block_products = 0u64;
+    let mut c_blocks = 0u64;
+    let mut marker = vec![-1i32; am.block_cols];
+    for br in 0..am.block_rows {
+        let (acols, _) = am.block_row(br);
+        for ac in acols {
+            let (bcols, _) = am.block_row(*ac as usize);
+            block_products += bcols.len() as u64;
+            for bc in bcols {
+                if marker[*bc as usize] != br as i32 {
+                    marker[*bc as usize] = br as i32;
+                    c_blocks += 1;
+                }
+            }
+        }
+    }
+    let mut scalar_products = 0u64;
+    for r in 0..a.rows {
+        let (cols, _) = a.row(r);
+        for c in cols {
+            scalar_products += a.row_nnz(*c as usize) as u64;
+        }
+    }
+    // C's nnz: estimated from block structure (exact value needs the
+    // numeric phase; the 16× bound is what the memory trace uses).
+    let c_nnz = c_blocks * (BLOCK * BLOCK) as u64;
+    SpgemmStats {
+        block_products,
+        c_blocks,
+        a_blocks: am.nnz_blocks() as u64,
+        scalar_products,
+        c_nnz,
+        block_bytes: 4 + (16.0 * am.fill_ratio(a.nnz()) * 8.0).ceil() as u64,
+    }
+}
+
+/// The Baseline's levels and trace, from `run` and from `trace`, equal
+/// the push/pull oracle's launch by launch.
+fn assert_baseline_matches_push_pull(g: &CsrGraph, source: usize) {
+    let (want_levels, want) = run_push_pull(g, source);
+    let (levels, ran) = bfs::run(g, source, Variant::Baseline);
+    assert_eq!(levels, want_levels, "levels from {source}");
+    // `KernelTrace` equality covers label, grid, block, shared memory,
+    // every `OpCounters` field and the critical path.
+    assert_eq!(ran, want, "trace from {source}");
+    assert_eq!(bfs::trace(g, source, Variant::Baseline), want);
+}
+
+/// The SpGEMM statistics, every variant's trace and the useful work of
+/// `a` match the mBSR oracle, on the memoised count and on a clone that
+/// counts afresh.
+fn assert_spgemm_matches_mbsr(a: &Csr) {
+    let want = stats(a);
+    for m in [a, &a.clone()] {
+        assert_eq!(spgemm::stats(m), want);
+        assert_eq!(
+            spgemm::useful_flops(m).to_bits(),
+            (2.0 * want.scalar_products as f64).to_bits()
+        );
+    }
+    for v in Variant::ALL {
+        assert_eq!(spgemm::trace(a, v), spgemm::trace(&a.clone(), v), "{v}");
+    }
+}
+
+/// A square matrix from arbitrary triplets (out-of-range ones dropped).
+fn square(n: usize, entries: Vec<(usize, usize, f64)>) -> Csr {
+    let mut coo = Coo::new(n, n);
+    for (r, c, v) in entries {
+        if r < n && c < n {
+            coo.push(r, c, v);
+        }
+    }
+    Csr::from_coo(coo)
+}
+
+#[test]
+fn baseline_matches_push_pull_on_a_path_deeper_than_64_levels() {
+    let edges: Vec<(u32, u32)> = (0..199u32).map(|i| (i, i + 1)).collect();
+    for sym in [false, true] {
+        let g = CsrGraph::from_edges(200, &edges, sym);
+        assert!(*g.bfs_serial(0).iter().max().unwrap() > 64);
+        for source in [0, 70, 199] {
+            assert_baseline_matches_push_pull(&g, source);
+        }
+    }
+}
+
+#[test]
+fn baseline_matches_push_pull_with_unreached_vertices() {
+    // Directed: arcs from unreached vertices into reached ones, a
+    // self-loop on each side, and isolated vertices.
+    let edges = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (5, 2),
+        (6, 5),
+        (5, 5),
+        (1, 1),
+        (7, 3),
+        (3, 0),
+    ];
+    let g = CsrGraph::from_edges(10, &edges, false);
+    let levels = g.bfs_serial(0);
+    assert!(levels.contains(&-1));
+    for source in 0..10 {
+        assert_baseline_matches_push_pull(&g, source);
+    }
+    // A star that pulls at once, while the 128-column block 256..300
+    // holds no reached vertex: its arcs, among its own vertices and into
+    // the star, are in-arcs every pull inspects.
+    let mut edges: Vec<(u32, u32)> = (1..=200).map(|v| (0, v)).collect();
+    edges.extend((256..300).map(|u| (u, if u % 2 == 0 { u + 1 } else { u % 200 })));
+    let g = CsrGraph::from_edges(300, &edges, false);
+    let (_, t) = run_push_pull(&g, 0);
+    assert!(
+        t.kernels[0].ops.gmem_store.coalesced > 0,
+        "the first launch pulls"
+    );
+    assert_baseline_matches_push_pull(&g, 0);
+}
+
+#[test]
+fn baseline_matches_push_pull_on_a_star_that_pulls() {
+    let n = 1 << 12;
+    let mut edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
+    edges.extend((1..200u32).map(|v| (v, v + 200)));
+    let g = CsrGraph::from_edges(n, &edges, true);
+    // A pull launch is the only kind whose store is coalesced.
+    let (_, t) = run_push_pull(&g, 0);
+    assert!(t.kernels.iter().any(|k| k.ops.gmem_store.coalesced > 0));
+    assert_baseline_matches_push_pull(&g, 0);
+    assert_baseline_matches_push_pull(&g, 5);
+}
+
+#[test]
+fn table3_and_table4_inputs_match_the_oracles() {
+    for (info, g) in cubie_graph::generators::table3_graphs(512) {
+        let source = g.max_degree_vertex();
+        let (want_levels, want) = run_push_pull(&g, source);
+        let (levels, ran) = bfs::run(&g, source, Variant::Baseline);
+        assert_eq!(levels, want_levels, "{}", info.name);
+        assert_eq!(ran, want, "{}", info.name);
+    }
+    for (info, m) in cubie_sparse::generators::table4_matrices(64) {
+        assert_eq!(spgemm::stats(&m), stats(&m), "{}", info.name);
+    }
 }
 
 proptest! {
@@ -241,5 +474,35 @@ proptest! {
                 prop_assert_eq!(&ran, &want, "{} from {}", v, other);
             }
         }
+    }
+
+    /// BFS Baseline: levels and every traced field equal the push/pull
+    /// oracle on random graphs (directed or not, with self-loops), from
+    /// any source.
+    #[test]
+    fn bfs_baseline_matches_push_pull(
+        n in 1usize..600,
+        edges in proptest::collection::vec((0u32..600, 0u32..600), 0..1500),
+        loops in proptest::collection::vec(0u32..600, 0..20),
+        sym in any::<bool>(),
+        src_pick in any::<prop::sample::Index>(),
+    ) {
+        let edges: Vec<(u32, u32)> = edges
+            .into_iter()
+            .chain(loops.into_iter().map(|v| (v, v)))
+            .filter(|(u, v)| (*u as usize) < n && (*v as usize) < n)
+            .collect();
+        let g = CsrGraph::from_edges(n, &edges, sym);
+        assert_baseline_matches_push_pull(&g, src_pick.index(n));
+    }
+
+    /// SpGEMM: the statistics behind every variant's trace, and the
+    /// useful work, equal the mBSR oracle on random square matrices.
+    #[test]
+    fn spgemm_stats_match_mbsr(
+        n in 1usize..120,
+        entries in proptest::collection::vec((0usize..120, 0usize..120, -5.0..5.0f64), 0..600),
+    ) {
+        assert_spgemm_matches_mbsr(&square(n, entries));
     }
 }

@@ -421,6 +421,14 @@ mod tests {
     }
 
     #[test]
+    fn matrix_bytes_ignore_the_structure_memo() {
+        let m = sample_matrix();
+        let before = encode_matrix("k", &m);
+        m.square_structure();
+        assert_eq!(encode_matrix("k", &m), before);
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let mut bytes = encode_matrix("k", &sample_matrix());
         bytes.truncate(bytes.len() - 3);

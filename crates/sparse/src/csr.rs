@@ -2,16 +2,24 @@
 //! serve as the paper's CPU ground truth (Section 8: "a naive CPU serial
 //! implementation (e.g., CSR-based SpMV)").
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::coo::Coo;
+use crate::mbsr::SquareStructure;
 
 /// A CSR sparse matrix.
 ///
 /// Generated matrices and matrices loaded from the prepared-input
 /// snapshot store are built the same way, as plain `Vec`s, so every
 /// kernel sees identical data either way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The matrix also carries a memo of its [`SquareStructure`] (see
+/// [`Csr::square_structure`]). It is derived data: a clone starts with
+/// an empty memo, and equality and `Debug` ignore it.
+#[derive(Serialize, Deserialize)]
 pub struct Csr {
     /// Number of rows.
     pub rows: usize,
@@ -23,6 +31,45 @@ pub struct Csr {
     pub col_idx: Vec<u32>,
     /// Values, length `nnz`.
     pub vals: Vec<f64>,
+    /// Invariant: `rows`, `cols`, `row_ptr` and `col_idx` are not written
+    /// after construction, which nothing in the workspace does. Every
+    /// constructor and `clone` start the memo empty.
+    square_memo: OnceLock<SquareStructure>,
+}
+
+impl Clone for Csr {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            vals: self.vals.clone(),
+            square_memo: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.vals == other.vals
+    }
+}
+
+impl fmt::Debug for Csr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Csr")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("row_ptr", &self.row_ptr)
+            .field("col_idx", &self.col_idx)
+            .field("vals", &self.vals)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Csr {
@@ -34,6 +81,7 @@ impl Csr {
             row_ptr: vec![0; rows + 1],
             col_idx: Vec::new(),
             vals: Vec::new(),
+            square_memo: OnceLock::new(),
         }
     }
 
@@ -54,6 +102,7 @@ impl Csr {
             row_ptr,
             col_idx,
             vals,
+            square_memo: OnceLock::new(),
         }
     }
 
@@ -73,6 +122,7 @@ impl Csr {
             row_ptr,
             col_idx: coo.col_idx,
             vals: coo.vals,
+            square_memo: OnceLock::new(),
         }
     }
 
@@ -92,6 +142,14 @@ impl Csr {
     pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
         let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);
         (&self.col_idx[s..e], &self.vals[s..e])
+    }
+
+    /// The structure of `self·self` ([`SquareStructure::of`]), counted
+    /// on first use and memoised, so every SpGEMM trace of the matrix
+    /// shares one count; concurrent callers wait for it rather than
+    /// counting again.
+    pub fn square_structure(&self) -> SquareStructure {
+        *self.square_memo.get_or_init(|| SquareStructure::of(self))
     }
 
     /// Serial CSR SpMV — the CPU ground truth: per row, ascending-column
@@ -242,6 +300,19 @@ mod tests {
     fn transpose_roundtrip() {
         let m = small();
         assert_eq!(m.transpose().transpose(), m);
+    }
+
+    #[test]
+    fn square_structure_is_memoised_and_a_clone_starts_empty() {
+        let m = small();
+        let counted = m.square_structure();
+        assert_eq!(m.square_memo.get(), Some(&counted));
+        let c = m.clone();
+        assert!(c.square_memo.get().is_none());
+        // Equality and `Debug` ignore the memo's state.
+        assert_eq!(c, m);
+        assert_eq!(format!("{m:?}"), format!("{:?}", small()));
+        assert_eq!(c.square_structure(), counted);
     }
 
     #[test]

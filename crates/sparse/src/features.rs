@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::csr::Csr;
-use crate::mbsr::Mbsr;
+use crate::mbsr;
 
 /// Names of the feature dimensions, in [`MatrixFeatures::to_vec`] order.
 pub const FEATURE_NAMES: [&str; 10] = [
@@ -93,8 +93,9 @@ impl MatrixFeatures {
             0.0
         };
 
-        let blocked = Mbsr::from_csr(m);
-        let block_fill = blocked.fill_ratio(m.nnz());
+        let mut blocks = 0usize;
+        mbsr::for_each_block(m, |_, _| blocks += 1);
+        let block_fill = mbsr::fill_ratio(m.nnz(), blocks);
 
         Self {
             log_rows: rows.ln(),

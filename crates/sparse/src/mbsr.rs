@@ -97,10 +97,7 @@ impl Mbsr {
     /// Fraction of stored block slots holding an actual nonzero — the
     /// fill efficiency of the blocked representation.
     pub fn fill_ratio(&self, scalar_nnz: usize) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        scalar_nnz as f64 / (self.nnz_blocks() * BLOCK * BLOCK) as f64
+        fill_ratio(scalar_nnz, self.nnz_blocks())
     }
 
     /// Expand back to CSR (drops explicit zeros inside blocks).
@@ -130,6 +127,101 @@ impl Mbsr {
     pub fn block_row(&self, br: usize) -> (&[u32], &[[f64; BLOCK * BLOCK]]) {
         let (s, e) = (self.row_ptr[br], self.row_ptr[br + 1]);
         (&self.col_idx[s..e], &self.blocks[s..e])
+    }
+}
+
+/// Fraction of `blocks` 4×4 slots that `scalar_nnz` nonzeros fill (0 for
+/// no blocks): [`Mbsr::fill_ratio`] without building the blocks.
+pub fn fill_ratio(scalar_nnz: usize, blocks: usize) -> f64 {
+    if blocks == 0 {
+        return 0.0;
+    }
+    scalar_nnz as f64 / (blocks * BLOCK * BLOCK) as f64
+}
+
+/// Calls `visit(br, bc)` once per nonempty 4×4 block of `m`, block rows
+/// ascending and each block row's columns in first-seen order: the block
+/// pattern of [`Mbsr::from_csr`] without its values, sort or copies. A
+/// block row's scalar rows are contiguous in the CSR, and one stamp per
+/// block column, tagged with the block row, finds each block once.
+pub fn for_each_block(m: &Csr, mut visit: impl FnMut(usize, u32)) {
+    let mut stamp = vec![usize::MAX; m.cols.div_ceil(BLOCK)];
+    for br in 0..m.rows.div_ceil(BLOCK) {
+        let (lo, hi) = (
+            m.row_ptr[br * BLOCK],
+            m.row_ptr[((br + 1) * BLOCK).min(m.rows)],
+        );
+        for &c in &m.col_idx[lo..hi] {
+            let bc = c as usize / BLOCK;
+            if stamp[bc] != br {
+                stamp[bc] = br;
+                visit(br, bc as u32);
+            }
+        }
+    }
+}
+
+/// The multiplication structure of `C = A·A`, counted from `A`'s
+/// pattern alone: what the SpGEMM traces need, with no values moved.
+/// [`Csr::square_structure`] memoises it on the matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SquareStructure {
+    /// Nonempty 4×4 blocks of `A` ([`Mbsr::nnz_blocks`]).
+    pub a_blocks: u64,
+    /// 4×4 block products: Σ over blocks `(br, k)` of `A` of the blocks
+    /// in block row `k`.
+    pub block_products: u64,
+    /// Nonempty 4×4 blocks of `C`.
+    pub c_blocks: u64,
+    /// Scalar multiply-adds of the row-wise CSR product: Σ over nonzeros
+    /// `(r, k)` of `nnz(row k)`.
+    pub scalar_products: u64,
+}
+
+impl SquareStructure {
+    /// Count the structure of `a·a`. The block pattern comes from
+    /// [`for_each_block`]; `C`'s blocks per block row are the distinct
+    /// columns over the pattern rows it reaches, found with one stamp per
+    /// block column. `a` must have at least as many rows as columns.
+    pub fn of(a: &Csr) -> Self {
+        let block_rows = a.rows.div_ceil(BLOCK);
+        let mut ptr = vec![0usize; block_rows + 1];
+        let mut cols = Vec::new();
+        for_each_block(a, |br, bc| {
+            ptr[br + 1] += 1;
+            cols.push(bc);
+        });
+        for br in 0..block_rows {
+            ptr[br + 1] += ptr[br];
+        }
+        let pattern_row = |br: usize| &cols[ptr[br]..ptr[br + 1]];
+
+        let mut block_products = 0u64;
+        let mut c_blocks = 0u64;
+        let mut stamp = vec![usize::MAX; a.cols.div_ceil(BLOCK)];
+        for br in 0..block_rows {
+            for &k in pattern_row(br) {
+                let row = pattern_row(k as usize);
+                block_products += row.len() as u64;
+                for &bc in row {
+                    if stamp[bc as usize] != br {
+                        stamp[bc as usize] = br;
+                        c_blocks += 1;
+                    }
+                }
+            }
+        }
+        let scalar_products = a
+            .col_idx
+            .iter()
+            .map(|&k| a.row_nnz(k as usize) as u64)
+            .sum();
+        SquareStructure {
+            a_blocks: cols.len() as u64,
+            block_products,
+            c_blocks,
+            scalar_products,
+        }
     }
 }
 
@@ -181,6 +273,30 @@ mod tests {
         let b = Mbsr::from_csr(&m);
         assert_eq!(b.nnz_blocks(), 2);
         assert!((b.fill_ratio(m.nnz()) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn square_structure_of_a_block_diagonal_matrix() {
+        // Two dense 4×4 diagonal blocks and one entry in block (0, 1):
+        // C's block row 0 reaches block rows 0 and 1.
+        let mut coo = Coo::new(8, 8);
+        for i in 0..8 {
+            for j in 0..8 {
+                if (i / 4) == (j / 4) {
+                    coo.push(i, j, 1.0);
+                }
+            }
+        }
+        coo.push(0, 5, 1.0);
+        let m = Csr::from_coo(coo);
+        let s = SquareStructure::of(&m);
+        assert_eq!(s.a_blocks, 3);
+        // Block row 0 holds (0,0) and (0,1): 2 + 1 products; row 1: 1.
+        assert_eq!(s.block_products, 4);
+        assert_eq!(s.c_blocks, 3);
+        // Row 0 (cols 0..4 and 5) reaches rows of 5, 4, 4, 4 and 4
+        // nonzeros; rows 1..4 reach rows 0..4; rows 4..8 rows 4..8.
+        assert_eq!(s.scalar_products, 21 + 3 * 17 + 4 * 16);
     }
 
     #[test]

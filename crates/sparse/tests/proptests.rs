@@ -1,7 +1,7 @@
 //! Property-based tests of the sparse substrate.
 
 use cubie_core::SplitMix64;
-use cubie_sparse::{mm_io, Coo, Csr, Mbsr};
+use cubie_sparse::{mbsr, mm_io, Coo, Csr, MatrixFeatures, Mbsr};
 use proptest::prelude::*;
 
 /// Arbitrary small sparse matrix as (rows, cols, triplets).
@@ -103,6 +103,27 @@ proptest! {
         let m = build(r, c, &t);
         let blocked = Mbsr::from_csr(&m);
         prop_assert_eq!(blocked.to_csr(), m);
+    }
+
+    /// The stamped block pattern visits exactly the blocks of the built
+    /// mBSR, each once, and the features' block fill equals its fill bit
+    /// for bit.
+    #[test]
+    fn block_pattern_matches_mbsr((r, c, t) in arb_matrix()) {
+        let m = build(r, c, &t);
+        let blocked = Mbsr::from_csr(&m);
+        let mut rows = vec![Vec::new(); blocked.block_rows];
+        mbsr::for_each_block(&m, |br, bc| rows[br].push(bc));
+        for (br, cols) in rows.iter_mut().enumerate() {
+            cols.sort_unstable();
+            prop_assert_eq!(&cols[..], blocked.block_row(br).0, "block row {}", br);
+        }
+        if m.nnz() > 0 {
+            prop_assert_eq!(
+                MatrixFeatures::of(&m).block_fill.to_bits(),
+                blocked.fill_ratio(m.nnz()).to_bits()
+            );
+        }
     }
 
     /// MatrixMarket write/read round-trips exactly (bit-precise values

@@ -2,9 +2,9 @@
 //! `paper_shapes.rs`: O2 (quadrants), O6 (EDP), O7 (numerics),
 //! O8 (memory regularization) and O9 (suite diversity).
 
-use cubie::analysis::coverage::suite_diversity_study;
 use cubie::analysis::errors::{table6, ErrorScale};
 use cubie::analysis::quadrants::{utilization_of, utilizations};
+use cubie::bench::artifacts::suite_study;
 use cubie::device::h200;
 use cubie::kernels::{prepare_cases, Quadrant, Variant, Workload};
 use cubie::sim::{power_report, time_workload};
@@ -121,7 +121,7 @@ fn o8_tc_coalesced_fraction_dominates_baseline_on_quadrant_iv() {
 }
 
 fn assert_o9_cubie_most_diverse((ss, gs): (usize, usize)) {
-    let study = suite_diversity_study(&h200(), ss, gs);
+    let study = suite_study(ss, gs);
     let spread = |s: &str| {
         study
             .spread
