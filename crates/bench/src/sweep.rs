@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cubie_core::par::{par_map, par_map_lpt, set_max_workers};
-use cubie_device::{all_devices, DeviceSpec};
+use cubie_device::{all_devices, find_device, DeviceSpec};
 use cubie_kernels::{gemm, prepare_cases, Precision, Variant, Workload};
 use cubie_sim::{time_workload, WorkloadTiming, WorkloadTrace};
 
@@ -222,17 +222,7 @@ impl SweepConfig {
                 self.variants = Some(vs);
             }
             "device" | "d" => {
-                let all = all_devices();
-                let mut ds = Vec::new();
-                for v in vals.split(',') {
-                    let lower = v.to_ascii_lowercase();
-                    let dev = all
-                        .iter()
-                        .find(|d| d.name.to_ascii_lowercase().contains(&lower))
-                        .ok_or_else(|| format!("unknown device `{v}` (a100|h200|b200)"))?;
-                    ds.push(dev.clone());
-                }
-                self.devices = ds;
+                self.devices = vals.split(',').map(find_device).collect::<Result<_, _>>()?;
             }
             "precision" | "p" => {
                 let mut ps = Vec::new();
@@ -425,17 +415,6 @@ impl Sweep {
         self.cells.iter().find(|c| {
             c.workload == w && c.case_idx == case_idx && c.variant == v && c.device == device
         })
-    }
-
-    /// All cells of one workload on one device, in (case, variant) order.
-    pub fn cells_of<'a>(
-        &'a self,
-        w: Workload,
-        device: &'a str,
-    ) -> impl Iterator<Item = &'a SweepCell> + 'a {
-        self.cells
-            .iter()
-            .filter(move |c| c.workload == w && c.device == device)
     }
 
     /// The cached analytic trace behind a cell (`None` for unevaluated

@@ -49,12 +49,6 @@ impl C64 {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Multiply-accumulate: `self + a * b` using real FMA-style grouping
     /// (four real multiplies, as the tensor-core complex-GEMM mapping
     /// performs them).

@@ -36,7 +36,7 @@
 //!   prepared-input store and the `cubied` result store.
 //! * [`simd`] — SIMD-width implementations of the dominant inner loops
 //!   (strided MMA core, CSR SpMV row, stencil star row) with runtime
-//!   dispatch across scalar/AVX2/AVX-512/NEON, every path bit-identical
+//!   dispatch across scalar/AVX2/NEON, every path bit-identical
 //!   to scalar (`CUBIE_SIMD` forces a path).
 
 #![warn(missing_docs)]

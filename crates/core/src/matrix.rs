@@ -73,11 +73,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {

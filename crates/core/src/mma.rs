@@ -191,25 +191,6 @@ pub fn mma_b1_m8n8k128_and_popc(
     counters.mma_b1 += 1;
 }
 
-/// CUDA-core replacement of the bit MMA: the same AND/popcount work issued
-/// as 32-bit integer operations (each 128-bit row-column pair costs four
-/// 32-bit AND + four popcounts + accumulation), counted on `int_ops`.
-#[inline]
-pub fn cc_mma_b1_m8n8k128_and_popc(
-    a_rows: &[u128; 8],
-    b_cols: &[u128; 8],
-    c: &mut [u32; 64],
-    counters: &mut OpCounters,
-) {
-    for i in 0..8 {
-        for j in 0..8 {
-            c[i * 8 + j] += (a_rows[i] & b_cols[j]).count_ones();
-        }
-    }
-    // 8*8 pairs × (4 AND + 4 POPC + 4 ADD) 32-bit ops.
-    counters.int_ops += 8 * 8 * 12;
-}
-
 /// One logical 8×8×8 matrix multiply-accumulate, issued as two chained
 /// FP64 `m8n8k4` MMAs (`k = 0..4` then `k = 4..8`) — the building block
 /// of the Scan/Reduction kernels, whose constant operands are full 8×8

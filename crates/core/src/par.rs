@@ -14,17 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// [`set_max_workers`] (the `--jobs N` flag of the sweep engine).
 static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Largest number of partial blocks [`par_reduce`] splits its domain
-/// into. The partition is a function of `n` alone — never of the worker
-/// count — so the merge tree (and any float result) is identical under
-/// every cap.
-const MAX_REDUCE_BLOCKS: usize = 256;
-
 /// Cap the number of worker threads every subsequent `par_*` call may
 /// use (0 restores "all available cores"). Returns the previous cap.
 ///
-/// Results of `par_map`/`par_reduce` are collected in index order, so
-/// changing the cap never changes any result — only the wall-clock time.
+/// Results of `par_map` are collected in index order, so changing the
+/// cap never changes any result — only the wall-clock time.
 /// The persistent pool resizes to the new cap: shrinking retires parked
 /// workers, growing spawns lazily on the next parallel call.
 pub fn set_max_workers(n: usize) -> usize {
@@ -189,38 +183,6 @@ where
     });
 }
 
-/// Parallel fold-and-reduce over `0..n`: each index produces a value with
-/// `f`, merged associatively with `merge` starting from `identity`.
-///
-/// The domain is split into fixed blocks (a function of `n` only); each
-/// block folds linearly in index order into one partial, and the
-/// partials merge in block order seeded with `identity`. Both the block
-/// partition and the merge tree are independent of the worker cap, so
-/// results — float results included — are bit-identical for every
-/// `--jobs` value and reproducible run-to-run.
-pub fn par_reduce<T, F, M>(n: usize, identity: T, f: F, merge: M) -> T
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    M: Fn(T, T) -> T + Sync,
-{
-    if n == 0 {
-        return identity;
-    }
-    let block = n.div_ceil(MAX_REDUCE_BLOCKS).max(1);
-    let n_blocks = n.div_ceil(block);
-    let partials = par_map(n_blocks, |b| {
-        let start = b * block;
-        let end = (start + block).min(n);
-        let mut acc = f(start);
-        for i in start + 1..end {
-            acc = merge(acc, f(i));
-        }
-        acc
-    });
-    partials.into_iter().fold(identity, merge)
-}
-
 /// Raw-pointer view of `par_map`'s uninitialized output buffer,
 /// shareable across the pool workers.
 struct SendSlots<T>(*mut T);
@@ -290,36 +252,6 @@ mod tests {
             chunk[0] = ci as u32;
         });
         assert_eq!(data[56], 7);
-    }
-
-    #[test]
-    fn par_reduce_sums() {
-        let s = par_reduce(10_000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(s, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn par_reduce_is_deterministic_with_float_merge() {
-        let a = par_reduce(5000, 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
-        let b = par_reduce(5000, 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_reduce_float_merge_is_cap_independent() {
-        // The blocked merge tree is a function of n alone, so a float
-        // reduction gives the same bits under any worker cap.
-        let _guard = crate::pool::cap_lock();
-        let run = || par_reduce(5000, 0.0f64, |i| (i as f64).sin(), |x, y| x + y);
-        let prev = set_max_workers(1);
-        let serial = run();
-        set_max_workers(3);
-        let three = run();
-        set_max_workers(8);
-        let eight = run();
-        set_max_workers(prev);
-        assert_eq!(serial.to_bits(), three.to_bits());
-        assert_eq!(serial.to_bits(), eight.to_bits());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! **Dispatch.** [`active_path`] resolves once per process (a
 //! [`OnceLock`]) from CPU feature detection
 //! (`is_x86_feature_detected!` / `is_aarch64_feature_detected!`),
-//! overridable with `CUBIE_SIMD=scalar|avx2|avx512|neon`. An
+//! overridable with `CUBIE_SIMD=scalar|avx2|neon`. An
 //! unparseable value warns on stderr and falls back to detection (the
 //! same convention as every other `CUBIE_*` knob); a parseable path the
 //! host cannot run warns and falls back too. The resolution is
@@ -26,19 +26,18 @@
 //! forced-path matrix greps that line so a silent scalar fallback fails
 //! the job instead of green-washing it.
 //!
-//! **Compile gating.** AVX2 requires the `fma` feature alongside
-//! (`avx2` alone does not imply FMA units). The AVX-512 intrinsics
-//! stabilized in Rust 1.89, above the workspace MSRV, so that path
-//! compiles only under the `cubie_avx512` cfg emitted by this crate's
-//! `build.rs`; older compilers top out at AVX2. NEON compiles on
-//! `aarch64` only. [`compiled_paths`] lists what this binary carries,
-//! [`supported_paths`] what the host can actually run — the cross-path
-//! differential suite iterates the latter.
+//! **Compile gating.** The target architecture alone decides what is
+//! compiled: AVX2 on `x86_64` (it requires the `fma` feature alongside;
+//! `avx2` alone does not imply FMA units), NEON on `aarch64`, and the
+//! scalar path everywhere. [`compiled_paths`] lists what this binary
+//! carries, [`supported_paths`] what the host can actually run — the
+//! cross-path differential suite iterates the latter.
 
 use std::sync::OnceLock;
 
-/// One vectorization strategy for the inner kernels. Order matters:
-/// later variants are wider (preferred by [`detected_path`]).
+/// One vectorization strategy for the inner kernels. Each architecture
+/// compiles the scalar path and at most one vector path (see
+/// [`compiled_paths`]); [`detected_path`] prefers the vector one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdPath {
     /// Portable scalar fallback — the reference all other paths must
@@ -46,8 +45,6 @@ pub enum SimdPath {
     Scalar,
     /// 256-bit AVX2 + FMA (4 × f64 lanes).
     Avx2,
-    /// 512-bit AVX-512F (8 × f64 lanes); needs rustc ≥ 1.89 to compile.
-    Avx512,
     /// 128-bit aarch64 NEON (2 × f64 lanes).
     Neon,
 }
@@ -58,18 +55,16 @@ impl SimdPath {
         match self {
             SimdPath::Scalar => "scalar",
             SimdPath::Avx2 => "avx2",
-            SimdPath::Avx512 => "avx512",
             SimdPath::Neon => "neon",
         }
     }
 
     /// Parse a `CUBIE_SIMD` value (case-insensitive). `None` for
-    /// anything outside the four known names.
+    /// anything outside the three known names.
     pub fn parse(s: &str) -> Option<SimdPath> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(SimdPath::Scalar),
             "avx2" => Some(SimdPath::Avx2),
-            "avx512" => Some(SimdPath::Avx512),
             "neon" => Some(SimdPath::Neon),
             _ => None,
         }
@@ -85,8 +80,6 @@ impl SimdPath {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
-            #[cfg(all(target_arch = "x86_64", cubie_avx512))]
-            SimdPath::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(target_arch = "aarch64")]
             SimdPath::Neon => std::arch::is_aarch64_feature_detected!("neon"),
             #[allow(unreachable_patterns)] // which arms exist is cfg-dependent
@@ -98,11 +91,7 @@ impl SimdPath {
 /// The paths compiled into this binary, narrowest first (always starts
 /// with [`SimdPath::Scalar`]).
 pub fn compiled_paths() -> &'static [SimdPath] {
-    #[cfg(all(target_arch = "x86_64", cubie_avx512))]
-    {
-        &[SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512]
-    }
-    #[cfg(all(target_arch = "x86_64", not(cubie_avx512)))]
+    #[cfg(target_arch = "x86_64")]
     {
         &[SimdPath::Scalar, SimdPath::Avx2]
     }
@@ -369,8 +358,6 @@ fn dispatch_mma(
         SimdPath::Scalar => scalar::mma_strided(a, a0, lda, b, b0, ldb, c, c0, ldc),
         #[cfg(target_arch = "x86_64")]
         SimdPath::Avx2 => unsafe { avx2::mma_strided(a, a0, lda, b, b0, ldb, c, c0, ldc) },
-        #[cfg(all(target_arch = "x86_64", cubie_avx512))]
-        SimdPath::Avx512 => unsafe { avx512::mma_strided(a, a0, lda, b, b0, ldb, c, c0, ldc) },
         #[cfg(target_arch = "aarch64")]
         SimdPath::Neon => unsafe { neon::mma_strided(a, a0, lda, b, b0, ldb, c, c0, ldc) },
         #[allow(unreachable_patterns)] // which arms exist is cfg-dependent
@@ -385,8 +372,6 @@ fn dispatch_spmv(path: SimdPath, vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
         SimdPath::Scalar => scalar::spmv_row(vals, cols, x),
         #[cfg(target_arch = "x86_64")]
         SimdPath::Avx2 => unsafe { avx2::spmv_row(vals, cols, x) },
-        #[cfg(all(target_arch = "x86_64", cubie_avx512))]
-        SimdPath::Avx512 => unsafe { avx512::spmv_row(vals, cols, x) },
         #[cfg(target_arch = "aarch64")]
         SimdPath::Neon => unsafe { neon::spmv_row(vals, cols, x) },
         #[allow(unreachable_patterns)]
@@ -401,8 +386,6 @@ fn dispatch_star(path: SimdPath, cw: f64, center: &[f64], taps: &[StarTap], out:
         SimdPath::Scalar => scalar::star_row(cw, center, taps, out),
         #[cfg(target_arch = "x86_64")]
         SimdPath::Avx2 => unsafe { avx2::star_row(cw, center, taps, out) },
-        #[cfg(all(target_arch = "x86_64", cubie_avx512))]
-        SimdPath::Avx512 => unsafe { avx512::star_row(cw, center, taps, out) },
         #[cfg(target_arch = "aarch64")]
         SimdPath::Neon => unsafe { neon::star_row(cw, center, taps, out) },
         #[allow(unreachable_patterns)]
@@ -600,119 +583,6 @@ mod avx2 {
     }
 }
 
-/// AVX-512F kernels: 8 × f64 lanes (one register per 8-wide MMA row).
-/// Compiled only when `build.rs` found a rustc with stable `_mm512_*`
-/// intrinsics; see the module docs.
-// The `cubie_avx512` cfg already restricts this module to rustc ≥ 1.89,
-// where the `_mm512_*` intrinsics are stable — clippy's MSRV lint can't
-// see the build.rs gate, so silence it here only.
-#[allow(clippy::incompatible_msrv)]
-#[cfg(all(target_arch = "x86_64", cubie_avx512))]
-mod avx512 {
-    use super::StarTap;
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure the host supports `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn mma_strided(
-        a: &[f64],
-        a0: usize,
-        lda: usize,
-        b: &[f64],
-        b0: usize,
-        ldb: usize,
-        c: &mut [f64],
-        c0: usize,
-        ldc: usize,
-    ) {
-        let mut br = [_mm512_setzero_pd(); 4];
-        for kk in 0..4 {
-            br[kk] = _mm512_loadu_pd(b[b0 + kk * ldb..b0 + kk * ldb + 8].as_ptr());
-        }
-        for i in 0..8 {
-            let ar: &[f64; 4] = a[a0 + i * lda..a0 + i * lda + 4].try_into().unwrap();
-            let cr = &mut c[c0 + i * ldc..c0 + i * ldc + 8];
-            let mut acc = _mm512_loadu_pd(cr.as_ptr());
-            for (kk, &av) in ar.iter().enumerate() {
-                acc = _mm512_fmadd_pd(_mm512_set1_pd(av), br[kk], acc);
-            }
-            _mm512_storeu_pd(cr.as_mut_ptr(), acc);
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn spmv_row(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-        let n = vals.len().min(cols.len());
-        let full = n & !31;
-        let mut lanes = [0.0f64; 32];
-        if full > 0 {
-            let mut acc = [_mm512_setzero_pd(); 4];
-            let mut i = 0;
-            while i < full {
-                for (q, accq) in acc.iter_mut().enumerate() {
-                    let o = i + 8 * q;
-                    let v = _mm512_loadu_pd(vals.as_ptr().add(o));
-                    let xg = _mm512_set_pd(
-                        x[cols[o + 7] as usize],
-                        x[cols[o + 6] as usize],
-                        x[cols[o + 5] as usize],
-                        x[cols[o + 4] as usize],
-                        x[cols[o + 3] as usize],
-                        x[cols[o + 2] as usize],
-                        x[cols[o + 1] as usize],
-                        x[cols[o] as usize],
-                    );
-                    *accq = _mm512_fmadd_pd(v, xg, *accq);
-                }
-                i += 32;
-            }
-            for (q, accq) in acc.iter().enumerate() {
-                _mm512_storeu_pd(lanes.as_mut_ptr().add(8 * q), *accq);
-            }
-        }
-        for j in full..n {
-            let l = j - full;
-            lanes[l] = vals[j].mul_add(x[cols[j] as usize], lanes[l]);
-        }
-        super::reduce_lanes(lanes)
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports `avx512f`, and that
-    /// `center` and every tap row hold at least `out.len()` elements
-    /// (asserted by [`super::check_star`]).
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn star_row(cw: f64, center: &[f64], taps: &[StarTap], out: &mut [f64]) {
-        let n = out.len();
-        let full = n & !7;
-        let cwv = _mm512_set1_pd(cw);
-        let mut i = 0;
-        while i < full {
-            let mut v = _mm512_mul_pd(cwv, _mm512_loadu_pd(center.as_ptr().add(i)));
-            for t in taps {
-                let s = _mm512_add_pd(
-                    _mm512_loadu_pd(t.a.as_ptr().add(i)),
-                    _mm512_loadu_pd(t.b.as_ptr().add(i)),
-                );
-                v = _mm512_fmadd_pd(_mm512_set1_pd(t.weight), s, v);
-            }
-            _mm512_storeu_pd(out.as_mut_ptr().add(i), v);
-            i += 8;
-        }
-        for i in full..n {
-            let mut v = cw * center[i];
-            for t in taps {
-                v = t.weight.mul_add(t.a[i] + t.b[i], v);
-            }
-            out[i] = v;
-        }
-    }
-}
-
 /// aarch64 NEON kernels: 2 × f64 lanes. `vfmaq_f64`/`vfmaq_n_f64` are
 /// fused (one rounding), matching `f64::mul_add` per lane.
 #[cfg(target_arch = "aarch64")]
@@ -831,12 +701,7 @@ mod tests {
 
     #[test]
     fn labels_round_trip_and_garbage_rejects() {
-        for &p in &[
-            SimdPath::Scalar,
-            SimdPath::Avx2,
-            SimdPath::Avx512,
-            SimdPath::Neon,
-        ] {
+        for &p in &[SimdPath::Scalar, SimdPath::Avx2, SimdPath::Neon] {
             assert_eq!(SimdPath::parse(p.label()), Some(p));
             assert_eq!(SimdPath::parse(&p.label().to_uppercase()), Some(p));
         }
@@ -864,11 +729,17 @@ mod tests {
 
     #[test]
     fn resolve_warns_and_falls_back_on_garbage() {
-        let (p, how, warn) = resolve(Some("avx1024"));
-        assert_eq!((p, how), (detected_path(), DETECTED));
-        let warn = warn.expect("garbage must warn");
-        assert!(warn.contains("ignoring CUBIE_SIMD=avx1024"), "{warn}");
-        assert!(warn.contains("not a valid value"), "{warn}");
+        // A retired path name is no path of this crate: it takes the
+        // garbage branch, not the host-lacks-it one.
+        for v in ["avx1024", "avx512"] {
+            let (p, how, warn) = resolve(Some(v));
+            assert_eq!((p, how), (detected_path(), DETECTED));
+            let warn = warn.expect("garbage must warn");
+            assert!(
+                warn.contains(&format!("ignoring CUBIE_SIMD={v}: not a valid value")),
+                "{warn}"
+            );
+        }
     }
 
     #[test]

@@ -16,5 +16,5 @@
 pub mod presets;
 pub mod spec;
 
-pub use presets::{a100, all_devices, b200, h200, GenerationPeaks, PEAK_EVOLUTION};
+pub use presets::{a100, all_devices, b200, find_device, h200, GenerationPeaks, PEAK_EVOLUTION};
 pub use spec::{Arch, DeviceSpec, MemEfficiency, PowerSpec};

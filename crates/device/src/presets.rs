@@ -122,6 +122,18 @@ pub fn all_devices() -> Vec<DeviceSpec> {
     vec![a100(), h200(), b200()]
 }
 
+/// The first Table 5 device whose name contains `query`, ignoring case
+/// (`h200`, `H200` and `hopper` all find the H200). Every user-facing
+/// device selector resolves names here: `--device`, `--filter device=`
+/// and `cubied`'s `advise`.
+pub fn find_device(query: &str) -> Result<DeviceSpec, String> {
+    let lower = query.to_ascii_lowercase();
+    all_devices()
+        .into_iter()
+        .find(|d| !lower.is_empty() && d.name.to_ascii_lowercase().contains(&lower))
+        .ok_or_else(|| format!("unknown device `{query}` (a100|h200|b200)"))
+}
+
 /// One generation's peak-throughput entry for Figure 12.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GenerationPeaks {
@@ -181,6 +193,19 @@ mod tests {
             PEAK_EVOLUTION[2].fp64_tc < PEAK_EVOLUTION[1].fp64_tc / 2.0,
             "paper: Blackwell FP64 TC is less than half of Hopper"
         );
+    }
+
+    #[test]
+    fn find_device_matches_any_case_and_any_part_of_the_name() {
+        for q in ["h200", "H200", "Hopper", "sxm 96"] {
+            assert_eq!(find_device(q).unwrap().name, h200().name, "{q}");
+        }
+        assert_eq!(find_device("A100").unwrap().name, a100().name);
+        assert_eq!(find_device("blackwell").unwrap().name, b200().name);
+        for q in ["v100", ""] {
+            let e = find_device(q).unwrap_err();
+            assert!(e.contains(&format!("unknown device `{q}`")), "{e}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The device parameter set consumed by the timing and power models.
 
-use cubie_core::scalar::{MmaGen, Precision};
+use cubie_core::scalar::MmaGen;
 use serde::{Deserialize, Serialize};
 
 /// GPU architecture generation.
@@ -184,16 +184,6 @@ impl DeviceSpec {
         self.cc_fp32_tflops * 1e12
     }
 
-    /// Peak tensor-core FLOP/s for a given operand precision.
-    pub fn tc_peak_flops(&self, p: Precision) -> f64 {
-        match p {
-            Precision::F64 => self.tc_fp64_flops(),
-            Precision::F16 => self.tc_f16_flops(),
-            Precision::Bf16 => self.tc_bf16_flops(),
-            Precision::Tf32 => self.tc_tf32_flops(),
-        }
-    }
-
     /// The MMA accumulation semantics of this device's generation.
     pub fn mma_gen(&self) -> MmaGen {
         self.arch.mma_gen()
@@ -222,11 +212,6 @@ impl DeviceSpec {
     /// FP64 tensor-core FLOPs per SM per cycle (for occupancy reasoning).
     pub fn tc_fp64_flops_per_sm_cycle(&self) -> f64 {
         self.tc_fp64_flops() / (self.sm_count as f64 * self.clock_ghz * 1e9)
-    }
-
-    /// FP64 CUDA-core FLOPs per SM per cycle.
-    pub fn cc_fp64_flops_per_sm_cycle(&self) -> f64 {
-        self.cc_fp64_flops() / (self.sm_count as f64 * self.clock_ghz * 1e9)
     }
 
     /// Ratio of tensor-core to CUDA-core FP64 peaks — 2.0 on Ampere and

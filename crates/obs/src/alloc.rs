@@ -1,13 +1,12 @@
 //! Allocation telemetry: a counting wrapper around the system allocator.
 //!
 //! [`CountingAlloc`] forwards every request to [`std::alloc::System`]
-//! and counts allocation events and requested bytes — into process-wide
-//! relaxed atomics (totals) and into per-thread cells (so a [`Span`]
-//! can attribute the allocations of *its own* thread to its phase
-//! without cross-thread noise). `realloc` and `alloc_zeroed` count as
-//! one event of the new size; `dealloc` is not counted — the telemetry
-//! answers "how much allocator traffic do the hot loops generate", not
-//! "what is live".
+//! and counts allocation events and requested bytes into per-thread
+//! cells, so a [`Span`] can attribute the allocations of *its own*
+//! thread to its phase without cross-thread noise. `realloc` and
+//! `alloc_zeroed` count as one event of the new size; `dealloc` is not
+//! counted — the telemetry answers "how much allocator traffic do the
+//! hot loops generate", not "what is live".
 //!
 //! The wrapper only counts in binaries that install it:
 //!
@@ -18,19 +17,14 @@
 //!
 //! The `cubie` crate installs it (so the CLI, `cubie profile` and the
 //! root integration tests all count). Where it is not installed every
-//! counter reads 0. Overhead when installed is two
-//! relaxed atomic adds and two thread-local increments per allocation,
-//! far below the cost of the allocation itself.
+//! counter reads 0. Overhead when installed is two thread-local
+//! increments per allocation, far below the cost of the allocation
+//! itself.
 //!
 //! [`Span`]: crate::Span
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process totals (all threads).
-static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
-static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // Per-thread counters. `const`-initialized `Cell`s with no destructor
 // compile to plain TLS slots: no lazy init and no registration, so
@@ -47,9 +41,7 @@ pub struct CountingAlloc;
 impl CountingAlloc {
     #[inline]
     fn record(size: usize) {
-        TOTAL_COUNT.fetch_add(1, Ordering::Relaxed);
-        TOTAL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-        // During thread teardown TLS may be gone; totals still count.
+        // During thread teardown TLS may be gone; skip the count then.
         let _ = THREAD_COUNT.try_with(|c| c.set(c.get() + 1));
         let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + size as u64));
     }
@@ -82,13 +74,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// started. Monotonic; callers snapshot and diff.
 pub fn thread_allocs() -> (u64, u64) {
     (THREAD_COUNT.with(Cell::get), THREAD_BYTES.with(Cell::get))
-}
-
-/// `(allocation events, requested bytes)` process-wide since start.
-/// Monotonic; callers snapshot and diff.
-pub fn total_allocs() -> (u64, u64) {
-    (
-        TOTAL_COUNT.load(Ordering::Relaxed),
-        TOTAL_BYTES.load(Ordering::Relaxed),
-    )
 }

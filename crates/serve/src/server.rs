@@ -564,28 +564,20 @@ impl Daemon {
             bump(&self.stats.errors);
             return error_response(&format!("unknown workload `{}`", spec.workload));
         };
-        let mut devices = Vec::new();
-        match &spec.devices {
-            None => devices = cubie_device::all_devices(),
-            Some(names) => {
-                let all = cubie_device::all_devices();
-                for name in names {
-                    let lower = name.to_ascii_lowercase();
-                    match all
-                        .iter()
-                        .find(|d| d.name.to_ascii_lowercase().contains(&lower))
-                    {
-                        Some(d) => devices.push(d.clone()),
-                        None => {
-                            bump(&self.stats.errors);
-                            return error_response(&format!(
-                                "unknown device `{name}` (a100|h200|b200)"
-                            ));
-                        }
-                    }
-                }
+        let devices = match &spec.devices {
+            None => Ok(cubie_device::all_devices()),
+            Some(names) => names
+                .iter()
+                .map(|n| cubie_device::find_device(n))
+                .collect::<Result<Vec<_>, _>>(),
+        };
+        let devices = match devices {
+            Ok(devices) => devices,
+            Err(e) => {
+                bump(&self.stats.errors);
+                return error_response(&e);
             }
-        }
+        };
         let (ss, gs) = match spec.scales() {
             Ok(scales) => scales,
             Err(e) => {

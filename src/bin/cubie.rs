@@ -60,7 +60,7 @@ use cubie::analysis::advisor::{advise, reference_mapping};
 use cubie::analysis::errors::{table6, ErrorScale};
 use cubie::analysis::report;
 use cubie::bench::{artifacts, parse_flag, parse_scale, SweepConfig, SweepRunner};
-use cubie::device::{a100, all_devices, b200, h200, DeviceSpec};
+use cubie::device::{all_devices, find_device, DeviceSpec};
 use cubie::golden::{ArtifactDiff, DiffReport};
 use cubie::kernels::{Variant, Workload};
 
@@ -172,33 +172,18 @@ fn flag_with<T>(
 }
 
 fn parse_workload(s: &str) -> Workload {
-    match s.to_ascii_lowercase().as_str() {
-        "gemm" => Workload::Gemm,
-        "pic" => Workload::Pic,
-        "fft" => Workload::Fft,
-        "stencil" => Workload::Stencil,
-        "scan" => Workload::Scan,
-        "reduction" => Workload::Reduction,
-        "bfs" => Workload::Bfs,
-        "gemv" => Workload::Gemv,
-        "spmv" => Workload::Spmv,
-        "spgemm" => Workload::Spgemm,
-        other => {
-            eprintln!("unknown workload `{other}`");
-            std::process::exit(2);
-        }
-    }
+    Workload::parse(s).unwrap_or_else(|| {
+        eprintln!("unknown workload `{s}`");
+        std::process::exit(2);
+    })
 }
 
 fn parse_devices(rest: &[&String]) -> Vec<DeviceSpec> {
     match opt(rest, "--device") {
-        Some("a100") => vec![a100()],
-        Some("h200") => vec![h200()],
-        Some("b200") => vec![b200()],
-        Some(other) => {
-            eprintln!("unknown device `{other}` (a100|h200|b200)");
+        Some(name) => vec![find_device(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        }
+        })],
         None => all_devices(),
     }
 }
@@ -618,6 +603,7 @@ fn advise_cmd(rest: &[&String]) {
         std::process::exit(2);
     };
     let w = parse_workload(wname);
+    let devices = parse_devices(rest);
     let (ss, gs) = scales(rest);
     // Prepare through the shared sweep cache: labels and traces of all
     // variants are memoized for the rest of the process.
@@ -642,7 +628,7 @@ fn advise_cmd(rest: &[&String]) {
         cc_variant.label()
     );
     let mut rows = Vec::new();
-    for dev in parse_devices(rest) {
+    for dev in devices {
         let a = advise(&dev, &cc_trace, &mapping);
         rows.push(vec![
             dev.name.clone(),

@@ -1,7 +1,8 @@
 //! The `cubie` CLI's argument handling, driven through the built binary:
 //! a malformed flag value, or a scale of 0, is a usage error (exit 2)
-//! naming the flag, and `cubie figure` writes the CSV, the JSON and the
-//! markdown log of every artifact it is asked for.
+//! naming the flag, `--device` names a device the way `--filter device=`
+//! does, and `cubie figure` writes the CSV, the JSON and the markdown log
+//! of every artifact it is asked for.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -117,6 +118,47 @@ fn scale_zero_is_a_usage_error_on_every_command_and_prepares_nothing() {
     let stored = std::fs::read_dir(&store).map_or(0, |d| d.count());
     assert_eq!(stored, 0, "a rejected run wrote to the prep store");
     assert!(!dir.join("results").exists(), "a rejected run wrote output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cubie advise` in a fresh directory with its own prep store.
+fn advise(args: &[&str], dir: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cubie"))
+        .arg("advise")
+        .args(args)
+        .current_dir(dir)
+        .env("CUBIE_PREP_DIR", dir.join("prep"))
+        .output()
+        .expect("spawn cubie")
+}
+
+#[test]
+fn advise_device_matches_the_name_in_any_case() {
+    let dir = scratch_dir("advise-device");
+    let out = advise(&["spmv", "--device", "H200", "--sparse-scale", "64"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("advising on"), "{stdout}");
+    assert!(stdout.contains("H200 (Hopper)"), "{stdout}");
+    assert!(!stdout.contains("A100"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn advise_unknown_device_is_a_usage_error_before_any_preparation() {
+    let dir = scratch_dir("advise-unknown-device");
+    let out = advise(&["spmv", "--device", "V100", "--sparse-scale", "64"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown device `V100`"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("advising on"), "{stdout}");
+    let stored = std::fs::read_dir(dir.join("prep")).map_or(0, |d| d.count());
+    assert_eq!(stored, 0, "a rejected advise wrote to the prep store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
