@@ -4,7 +4,9 @@
 //!   structural features over a synthetic corpus standing in for the
 //!   SuiteSparse collection, with the five Table 3/4 representatives
 //!   projected into the same space, plus the dispersion / range-coverage
-//!   metrics the paper quotes.
+//!   metrics the paper quotes. Each corpus is built on the worker pool
+//!   from per-item seeds drawn up front, and its features are extracted
+//!   there too, so a study has the same bits for any job count.
 //! * [`suite_diversity_study`] — Figure 11: PCA of architectural metrics
 //!   over Rodinia, SHOC and Cubie workloads, with per-suite spread.
 //! * [`TABLE7`] — the dwarf/feature comparison of Table 7.
@@ -20,6 +22,7 @@ use cubie_kernels::Workload;
 use cubie_sim::WorkloadTrace;
 use cubie_sparse::features::MatrixFeatures;
 use cubie_sparse::generators as sparse_gen;
+use cubie_sparse::Csr;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{cubie_metrics, metrics_of};
@@ -155,17 +158,21 @@ fn finish_study(
 
 /// Figure 10b: PCA of matrix structural features over a synthetic corpus
 /// of `corpus_size` matrices, with the five Table 4 representatives
-/// (generated at `rep_scale`).
+/// (generated at `rep_scale`). Feature extraction fans out across the
+/// worker pool; results are collected in order.
 pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
-    let corpus_vecs: Vec<(String, Vec<f64>)> = sparse_gen::diverse_corpus(corpus_size, seed)
+    let features = |matrices: Vec<(String, Csr)>| -> Vec<(String, Vec<f64>)> {
+        let vecs = par_map(matrices.len(), |i| {
+            MatrixFeatures::of(&matrices[i].1).to_vec()
+        });
+        matrices.into_iter().map(|(n, _)| n).zip(vecs).collect()
+    };
+    let corpus_vecs = features(sparse_gen::diverse_corpus(corpus_size, seed));
+    let reps = sparse_gen::table4_matrices(rep_scale)
         .into_iter()
-        .map(|(n, m)| (n, MatrixFeatures::of(&m).to_vec()))
+        .map(|(info, m)| (info.name.to_string(), m))
         .collect();
-    let rep_vecs: Vec<(String, Vec<f64>)> = sparse_gen::table4_matrices(rep_scale)
-        .into_iter()
-        .map(|(info, m)| (info.name.to_string(), MatrixFeatures::of(&m).to_vec()))
-        .collect();
-    finish_study(corpus_vecs, rep_vecs)
+    finish_study(corpus_vecs, features(reps))
 }
 
 /// Figure 10a: PCA of graph structural features over a synthetic corpus

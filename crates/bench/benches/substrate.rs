@@ -84,6 +84,22 @@ fn bench_sparse(c: &mut Criterion) {
     g.bench_function("dasp_format_build", |bench| {
         bench.iter(|| std::hint::black_box(cubie_kernels::spmv::DaspFormat::from_csr(&m)))
     });
+    // Generation is dominated by COO→CSR assembly (`Csr::from_coo`).
+    g.bench_function("generate_bcsstk39_eighth", |bench| {
+        bench.iter(|| {
+            std::hint::black_box(cubie_sparse::generators::bcsstk39_like(
+                std::hint::black_box(8),
+            ))
+        })
+    });
+    g.bench_function("generate_diverse_corpus_80", |bench| {
+        bench.iter(|| {
+            std::hint::black_box(cubie_sparse::generators::diverse_corpus(
+                std::hint::black_box(80),
+                0xF16B,
+            ))
+        })
+    });
     g.finish();
 }
 

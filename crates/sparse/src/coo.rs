@@ -49,42 +49,14 @@ impl Coo {
     /// Append one entry.
     ///
     /// # Panics
-    /// Panics (debug) if indices are out of bounds.
+    /// Panics (debug) if indices are out of bounds; in every build,
+    /// [`Csr::from_coo`](crate::Csr::from_coo) rejects such an entry.
     #[inline]
     pub fn push(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.rows && c < self.cols, "({r},{c}) out of bounds");
         self.row_idx.push(r as u32);
         self.col_idx.push(c as u32);
         self.vals.push(v);
-    }
-
-    /// Sort entries by `(row, col)` and sum duplicates.
-    pub fn sort_dedup(&mut self) {
-        let n = self.nnz();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (self.row_idx[i as usize], self.col_idx[i as usize]));
-        let mut row = Vec::with_capacity(n);
-        let mut col = Vec::with_capacity(n);
-        let mut val: Vec<f64> = Vec::with_capacity(n);
-        for &i in order.iter() {
-            let (r, c, v) = (
-                self.row_idx[i as usize],
-                self.col_idx[i as usize],
-                self.vals[i as usize],
-            );
-            if let (Some(&lr), Some(&lc)) = (row.last(), col.last()) {
-                if lr == r && lc == c {
-                    *val.last_mut().unwrap() += v;
-                    continue;
-                }
-            }
-            row.push(r);
-            col.push(c);
-            val.push(v);
-        }
-        self.row_idx = row;
-        self.col_idx = col;
-        self.vals = val;
     }
 }
 
@@ -98,28 +70,5 @@ mod tests {
         m.push(0, 0, 1.0);
         m.push(2, 1, -2.0);
         assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
-    fn sort_dedup_sums_duplicates() {
-        let mut m = Coo::new(2, 2);
-        m.push(1, 1, 1.0);
-        m.push(0, 0, 2.0);
-        m.push(1, 1, 3.0);
-        m.sort_dedup();
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.row_idx, vec![0, 1]);
-        assert_eq!(m.vals, vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn sort_orders_by_row_then_col() {
-        let mut m = Coo::new(2, 3);
-        m.push(1, 0, 1.0);
-        m.push(0, 2, 2.0);
-        m.push(0, 1, 3.0);
-        m.sort_dedup();
-        assert_eq!(m.row_idx, vec![0, 0, 1]);
-        assert_eq!(m.col_idx, vec![1, 2, 0]);
     }
 }

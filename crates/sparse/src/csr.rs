@@ -106,22 +106,71 @@ impl Csr {
         }
     }
 
-    /// Build from (sorted, deduplicated) COO triplets.
-    pub fn from_coo(mut coo: Coo) -> Self {
-        coo.sort_dedup();
-        let mut row_ptr = vec![0usize; coo.rows + 1];
-        for &r in &coo.row_idx {
+    /// Build from COO triplets.
+    ///
+    /// The triplets may come in any order. Each row comes out sorted by
+    /// column, and entries that share a `(row, col)` cell are summed in
+    /// the order they were pushed. The build counts entries per row,
+    /// scatters each into its row's bucket in push order and sorts every
+    /// row stably by column; nothing sorts the triplets as a whole.
+    ///
+    /// # Panics
+    /// Panics, naming the entry, if any row or column index lies outside
+    /// the matrix.
+    pub fn from_coo(coo: Coo) -> Self {
+        let Coo {
+            rows,
+            cols,
+            row_idx,
+            col_idx: coo_cols,
+            vals: coo_vals,
+        } = coo;
+        let mut row_ptr = vec![0usize; rows + 1];
+        for (i, (&r, &c)) in row_idx.iter().zip(&coo_cols).enumerate() {
+            assert!(
+                (r as usize) < rows && (c as usize) < cols,
+                "entry {i} ({r}, {c}) lies outside the {rows}x{cols} matrix"
+            );
             row_ptr[r as usize + 1] += 1;
         }
-        for i in 0..coo.rows {
+        for i in 0..rows {
             row_ptr[i + 1] += row_ptr[i];
         }
+        let mut cursor = row_ptr[..rows].to_vec();
+        let mut bucket = vec![(0u32, 0.0f64); row_ptr[rows]];
+        for ((&r, &c), &v) in row_idx.iter().zip(&coo_cols).zip(&coo_vals) {
+            bucket[cursor[r as usize]] = (c, v);
+            cursor[r as usize] += 1;
+        }
+        // Free the triplets before the output arrays are allocated.
+        drop((row_idx, coo_cols, coo_vals));
+        // Sort each row, then append its distinct columns, summing each
+        // run of equal columns in push order; `row_ptr[r]` is rewritten
+        // once row `r` is read.
+        let mut col_idx = Vec::with_capacity(bucket.len());
+        let mut vals = Vec::with_capacity(bucket.len());
+        for r in 0..rows {
+            let row = &mut bucket[row_ptr[r]..row_ptr[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let start = col_idx.len();
+            row_ptr[r] = start;
+            for &(c, v) in row.iter() {
+                let n = col_idx.len();
+                if n > start && col_idx[n - 1] == c {
+                    vals[n - 1] += v;
+                } else {
+                    col_idx.push(c);
+                    vals.push(v);
+                }
+            }
+        }
+        row_ptr[rows] = col_idx.len();
         Self {
-            rows: coo.rows,
-            cols: coo.cols,
+            rows,
+            cols,
             row_ptr,
-            col_idx: coo.col_idx,
-            vals: coo.vals,
+            col_idx,
+            vals,
             square_memo: OnceLock::new(),
         }
     }
@@ -253,6 +302,53 @@ mod tests {
         assert_eq!(m.row_ptr, vec![0, 2, 3, 5]);
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.row_nnz(0), 2);
+    }
+
+    #[test]
+    fn from_coo_sums_duplicates() {
+        let mut coo = Coo::new(2, 2);
+        coo.push(1, 1, 1.0);
+        coo.push(0, 0, 2.0);
+        coo.push(1, 1, 3.0);
+        let m = Csr::from_coo(coo);
+        assert_eq!(m.row_ptr, vec![0, 1, 2]);
+        assert_eq!(m.vals, vec![2.0, 4.0]);
+    }
+
+    #[test]
+    fn from_coo_orders_by_row_then_col() {
+        let mut coo = Coo::new(2, 3);
+        coo.push(1, 0, 1.0);
+        coo.push(0, 2, 2.0);
+        coo.push(0, 1, 3.0);
+        let m = Csr::from_coo(coo);
+        assert_eq!(m.row_ptr, vec![0, 2, 3]);
+        assert_eq!(m.col_idx, vec![1, 2, 0]);
+        assert_eq!(m.vals, vec![3.0, 2.0, 1.0]);
+    }
+
+    /// Triplets with the given indices, built past `Coo::push`'s
+    /// debug-only bounds check.
+    fn raw_coo(rows: usize, cols: usize, entries: &[(u32, u32)]) -> Coo {
+        Coo {
+            rows,
+            cols,
+            row_idx: entries.iter().map(|e| e.0).collect(),
+            col_idx: entries.iter().map(|e| e.1).collect(),
+            vals: vec![1.0; entries.len()],
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 1 (3, 0) lies outside the 3x2 matrix")]
+    fn from_coo_rejects_a_row_outside_the_matrix() {
+        Csr::from_coo(raw_coo(3, 2, &[(0, 0), (3, 0)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 2 (1, 2) lies outside the 3x2 matrix")]
+    fn from_coo_rejects_a_column_outside_the_matrix() {
+        Csr::from_coo(raw_coo(3, 2, &[(0, 0), (2, 1), (1, 2)]));
     }
 
     #[test]

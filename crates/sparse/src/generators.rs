@@ -375,7 +375,8 @@ enum CorpusClass {
 /// Generate a diverse synthetic corpus standing in for the SuiteSparse
 /// collection in the PCA coverage study (Figure 10b): `n` small matrices
 /// drawn from banded / grid / blocked / power-law / random structure
-/// classes with randomized parameters.
+/// classes with randomized parameters. Matrices are built in parallel
+/// from per-matrix seeds drawn up front.
 pub fn diverse_corpus(n: usize, seed: u64) -> Vec<(String, Csr)> {
     let classes = [
         CorpusClass::Banded,
@@ -384,15 +385,13 @@ pub fn diverse_corpus(n: usize, seed: u64) -> Vec<(String, Csr)> {
         CorpusClass::PowerLaw,
         CorpusClass::Random,
     ];
+    // Seeds are drawn serially, so the stream is that of a serial loop.
     let mut g = SplitMix64::new(seed);
-    (0..n)
-        .map(|i| {
-            let class = classes[i % classes.len()];
-            let s = g.next_u64();
-            let m = corpus_matrix(class, s);
-            (format!("{class:?}-{i}"), m)
-        })
-        .collect()
+    let seeds: Vec<u64> = (0..n).map(|_| g.next_u64()).collect();
+    cubie_core::par::par_map(n, |i| {
+        let class = classes[i % classes.len()];
+        (format!("{class:?}-{i}"), corpus_matrix(class, seeds[i]))
+    })
 }
 
 fn corpus_matrix(class: CorpusClass, seed: u64) -> Csr {
@@ -581,5 +580,24 @@ mod tests {
             avg_rows.last().unwrap() > &(avg_rows.first().unwrap() * 1.5),
             "corpus row densities too uniform: {avg_rows:?}"
         );
+    }
+
+    #[test]
+    fn corpus_bits_do_not_depend_on_the_worker_count() {
+        let _guard = cubie_core::pool::cap_lock();
+        let prev = cubie_core::par::set_max_workers(1);
+        let serial = diverse_corpus(80, 0xF16B);
+        cubie_core::par::set_max_workers(3);
+        let pooled = diverse_corpus(80, 0xF16B);
+        cubie_core::par::set_max_workers(prev);
+        assert_eq!(serial.len(), 80);
+        for ((sn, s), (pn, p)) in serial.iter().zip(&pooled) {
+            assert_eq!(sn, pn);
+            assert_eq!((s.rows, s.cols), (p.rows, p.cols), "{sn}");
+            assert_eq!(s.row_ptr, p.row_ptr, "{sn}");
+            assert_eq!(s.col_idx, p.col_idx, "{sn}");
+            let bits = |m: &Csr| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(s), bits(p), "{sn}");
+        }
     }
 }

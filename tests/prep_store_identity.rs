@@ -10,7 +10,7 @@
 //!
 //! 1. in-process digests: Table 4 matrices + Table 3 graphs and the
 //!    SpMV/SpGEMM/BFS outputs computed from them, fresh vs cold-store
-//!    vs warm;
+//!    vs warm, and the fresh digest pinned;
 //! 2. sabotage: doctored version-skew keys, bit-rotted payloads,
 //!    truncated files, and stray `.tmp`s must all be invalidated and
 //!    regenerated with the digest unchanged;
@@ -176,6 +176,18 @@ fn fresh_cold_warm_digests_are_bit_identical() {
 
     assert_eq!(fresh, cold, "cold store run diverged from fresh generation");
     assert_eq!(fresh, warm, "warm run diverged from fresh generation");
+}
+
+/// The fresh digest, pinned. The other tiers compare fresh, cold and
+/// warm runs only with each other, so a change to generation or CSR
+/// assembly that shifts every input alike would pass them; it fails
+/// here. The pinned value is the digest of the row-sorted,
+/// duplicate-summed inputs that both the comparison-sort and the
+/// row-bucket assembly of `Csr::from_coo` produce.
+#[test]
+fn fresh_digest_is_pinned() {
+    let (fresh, _, _) = digest_with(&PrepConfig::disabled());
+    assert_eq!(fresh, 0x832d_2a17_f72e_4309, "fresh digest {fresh:#018x}");
 }
 
 /// A snapshot whose embedded key carries a different generator version
