@@ -1,24 +1,32 @@
 //! Benchmark-suite coverage analyses (Section 10).
 //!
-//! * [`matrix_corpus_study`] / [`graph_corpus_study`] — Figure 10: PCA of
+//! * [`corpus_studies`] (and [`graph_corpus_study`] for the graph half
+//!   alone) — Figure 10: PCA of
 //!   structural features over a synthetic corpus standing in for the
 //!   SuiteSparse collection, with the five Table 3/4 representatives
 //!   projected into the same space, plus the dispersion / range-coverage
-//!   metrics the paper quotes. Each corpus is built on the worker pool
-//!   from per-item seeds drawn up front, and its features are extracted
-//!   there too, so a study has the same bits for any job count.
+//!   metrics the paper quotes. Every input of both studies is one task
+//!   of a single pool fan-out, heaviest (the representatives) first: a
+//!   corpus item is built from its seed, drawn up front; a
+//!   representative is loaded from the prepared-input store, or
+//!   generated and recorded there ([`cubie_prep::Table::case`]). Each
+//!   task featurises its input and drops it, so only the inputs in
+//!   flight are in memory. The vectors are collected in index order, so
+//!   a study has the same bits for any job count and any store state.
 //! * [`suite_diversity_study`] — Figure 11: PCA of architectural metrics
 //!   over Rodinia, SHOC and Cubie workloads, with per-suite spread.
 //! * [`TABLE7`] — the dwarf/feature comparison of Table 7.
 
 use std::sync::Arc;
 
-use cubie_core::par::par_map;
+use cubie_core::par::par_map_lpt;
+use cubie_core::SplitMix64;
 use cubie_device::DeviceSpec;
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators as graph_gen;
 use cubie_kernels::Workload;
+use cubie_prep::{LoadReport, PrepCase, PrepConfig, Table};
 use cubie_sim::WorkloadTrace;
 use cubie_sparse::features::MatrixFeatures;
 use cubie_sparse::generators as sparse_gen;
@@ -156,44 +164,189 @@ fn finish_study(
     }
 }
 
-/// Figure 10b: PCA of matrix structural features over a synthetic corpus
-/// of `corpus_size` matrices, with the five Table 4 representatives
-/// (generated at `rep_scale`). Feature extraction fans out across the
-/// worker pool; results are collected in order.
-pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
-    let features = |matrices: Vec<(String, Csr)>| -> Vec<(String, Vec<f64>)> {
-        let vecs = par_map(matrices.len(), |i| {
-            MatrixFeatures::of(&matrices[i].1).to_vec()
-        });
-        matrices.into_iter().map(|(n, _)| n).zip(vecs).collect()
-    };
-    let corpus_vecs = features(sparse_gen::diverse_corpus(corpus_size, seed));
-    let reps = sparse_gen::table4_matrices(rep_scale)
-        .into_iter()
-        .map(|(info, m)| (info.name.to_string(), m))
-        .collect();
-    finish_study(corpus_vecs, features(reps))
+/// What one Figure 10 study is built from: `corpus` corpus items drawn
+/// from `seed`, and the five Table 3/4 representatives at the scale
+/// divisor `rep_scale`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StudyInputs {
+    /// Number of corpus items.
+    pub corpus: usize,
+    /// Scale divisor of the representatives.
+    pub rep_scale: usize,
+    /// Corpus seed; item `i` is built from its draw `i`.
+    pub seed: u64,
 }
 
-/// Figure 10a: PCA of graph structural features over a synthetic corpus
-/// of `corpus_size` graphs, with the five Table 3 representatives at
-/// `rep_scale`, read through the prepared-input store
-/// ([`cubie_prep::table3_graphs`]: loaded from a snapshot when one is
-/// recorded, generated and recorded otherwise; the bits are the same
-/// either way). Feature extraction fans out across the worker pool;
-/// results are collected in order, so the study is the same for any job
-/// count.
+/// Figure 10's two studies, (graphs, matrices), from one pool fan-out
+/// over all of their inputs, heaviest first: each task builds or loads
+/// one input, featurises it and drops it.
+pub fn corpus_studies(graphs: StudyInputs, matrices: StudyInputs) -> (CorpusStudy, CorpusStudy) {
+    let graphs = Study::<CsrGraph>::new(graphs);
+    let matrices = Study::<Csr>::new(matrices);
+    let [graphs, matrices]: [CorpusStudy; 2] = fan_out(&[&graphs, &matrices])
+        .try_into()
+        .expect("one study per input set");
+    (graphs, matrices)
+}
+
+/// Figure 10a alone: PCA of graph structural features over a synthetic
+/// corpus of `corpus_size` graphs, with the five Table 3 representatives
+/// at `rep_scale`, read through the prepared-input store.
 pub fn graph_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
-    let features = |graphs: Vec<(String, CsrGraph)>| -> Vec<(String, Vec<f64>)> {
-        let vecs = par_map(graphs.len(), |i| GraphFeatures::of(&graphs[i].1).to_vec());
-        graphs.into_iter().map(|(n, _)| n).zip(vecs).collect()
-    };
-    let corpus_vecs = features(graph_gen::diverse_graph_corpus(corpus_size, seed));
-    let reps = cubie_prep::table3_graphs(rep_scale)
-        .into_iter()
-        .map(|(info, g)| (info.name.to_string(), g))
+    study::<CsrGraph>(StudyInputs {
+        corpus: corpus_size,
+        rep_scale,
+        seed,
+    })
+}
+
+/// One study on its own fan-out.
+fn study<T: Fig10Case>(inputs: StudyInputs) -> CorpusStudy {
+    fan_out(&[&Study::<T>::new(inputs)]).remove(0)
+}
+
+/// A Figure 10 input kind: its corpus, its Table 3/4 representatives
+/// and the structural features its PCA reads.
+trait Fig10Case: PrepCase + Send {
+    /// Corpus item `i`, built from its own seed.
+    fn corpus_item(i: usize, seed: u64) -> (String, Self);
+    /// The representatives' names and published sizes (entries).
+    fn representatives() -> Vec<(&'static str, f64)>;
+    /// The structural feature vector.
+    fn features(&self) -> Vec<f64>;
+}
+
+impl Fig10Case for CsrGraph {
+    fn corpus_item(i: usize, seed: u64) -> (String, CsrGraph) {
+        graph_gen::corpus_graph(i, seed)
+    }
+
+    fn representatives() -> Vec<(&'static str, f64)> {
+        graph_gen::table3_specs()
+            .iter()
+            .map(|s| (s.name, s.edges as f64))
+            .collect()
+    }
+
+    fn features(&self) -> Vec<f64> {
+        GraphFeatures::of(self).to_vec()
+    }
+}
+
+impl Fig10Case for Csr {
+    fn corpus_item(i: usize, seed: u64) -> (String, Csr) {
+        sparse_gen::corpus_matrix(i, seed)
+    }
+
+    fn representatives() -> Vec<(&'static str, f64)> {
+        sparse_gen::table4_specs()
+            .iter()
+            .map(|s| (s.name, s.nnz as f64))
+            .collect()
+    }
+
+    fn features(&self) -> Vec<f64> {
+        MatrixFeatures::of(self).to_vec()
+    }
+}
+
+/// One study's labelled feature vector, with the prep accounting of the
+/// input it came from.
+type Featurised = (String, Vec<f64>, LoadReport);
+
+/// A study as [`fan_out`] sees it: `len` inputs, each featurised on its
+/// own, then one [`finish_study`] over the vectors in index order.
+trait StudyTasks: Sync {
+    fn len(&self) -> usize;
+    fn cost(&self, i: usize) -> f64;
+    fn featurise(&self, i: usize) -> Featurised;
+    fn finish(&self, vecs: Vec<Featurised>) -> CorpusStudy;
+}
+
+/// One study's inputs: corpus items `0..seeds.len()`, then the
+/// representatives, loaded or generated and recorded through `table`.
+struct Study<T> {
+    seeds: Vec<u64>,
+    reps: Vec<(&'static str, f64)>,
+    rep_scale: usize,
+    table: Table<T>,
+}
+
+impl<T: Fig10Case> Study<T> {
+    fn new(inputs: StudyInputs) -> Study<T> {
+        Study {
+            seeds: SplitMix64::seeds(inputs.seed, inputs.corpus),
+            reps: T::representatives(),
+            rep_scale: inputs.rep_scale,
+            table: Table::open(&PrepConfig::from_env(), inputs.rep_scale),
+        }
+    }
+}
+
+impl<T: Fig10Case> StudyTasks for Study<T> {
+    fn len(&self) -> usize {
+        self.seeds.len() + self.reps.len()
+    }
+
+    /// A representative costs its scaled size; corpus items are small
+    /// next to the largest of them and follow in index order.
+    fn cost(&self, i: usize) -> f64 {
+        match i.checked_sub(self.seeds.len()) {
+            Some(r) => self.reps[r].1 / self.rep_scale as f64,
+            None => 0.0,
+        }
+    }
+
+    /// Build or load input `i`, featurise it and drop it.
+    fn featurise(&self, i: usize) -> Featurised {
+        match i.checked_sub(self.seeds.len()) {
+            Some(r) => {
+                let name = self.reps[r].0;
+                let (case, report) = self.table.case(name);
+                (name.to_string(), case.features(), report)
+            }
+            None => {
+                let (name, case) = T::corpus_item(i, self.seeds[i]);
+                (name, case.features(), LoadReport::default())
+            }
+        }
+    }
+
+    fn finish(&self, vecs: Vec<Featurised>) -> CorpusStudy {
+        let mut report = LoadReport::default();
+        let mut corpus_vecs: Vec<(String, Vec<f64>)> = vecs
+            .into_iter()
+            .map(|(name, v, r)| {
+                report += r;
+                (name, v)
+            })
+            .collect();
+        let rep_vecs = corpus_vecs.split_off(self.seeds.len());
+        self.table.finish(&report);
+        finish_study(corpus_vecs, rep_vecs)
+    }
+}
+
+/// Featurise every input of `studies` in one [`par_map_lpt`], heaviest
+/// first, each task building or loading one input and dropping it once
+/// its vector is taken; then finish each study on its vectors in index
+/// order, so every bit is that of a serial build for any job count.
+fn fan_out(studies: &[&dyn StudyTasks]) -> Vec<CorpusStudy> {
+    let tasks: Vec<(usize, usize)> = studies
+        .iter()
+        .enumerate()
+        .flat_map(|(s, study)| (0..study.len()).map(move |i| (s, i)))
         .collect();
-    finish_study(corpus_vecs, features(reps))
+    let mut vecs = par_map_lpt(
+        tasks.len(),
+        |t| studies[tasks[t].0].cost(tasks[t].1),
+        |t| studies[tasks[t].0].featurise(tasks[t].1),
+    )
+    .into_iter();
+    studies
+        .iter()
+        .map(|study| study.finish(vecs.by_ref().take(study.len()).collect()))
+        .collect()
 }
 
 /// A Figure 11-style suite diversity study.
@@ -342,7 +495,11 @@ mod tests {
 
     #[test]
     fn matrix_study_metrics_behave() {
-        let s = matrix_corpus_study(60, 32, 11);
+        let s = study::<Csr>(StudyInputs {
+            corpus: 60,
+            rep_scale: 32,
+            seed: 11,
+        });
         assert_eq!(s.representatives.len(), 5);
         assert!(s.representative_dispersion.is_finite());
         assert!(
@@ -362,6 +519,150 @@ mod tests {
         assert_eq!(s.representatives.len(), 5);
         assert!(s.representative_dispersion > s.nearest_neighbour_dispersion);
         assert!(s.near_representative_fraction > 0.4);
+    }
+
+    /// The Figure 10 studies as they were built before the single
+    /// fan-out, unchanged: each stage builds all of its inputs, then
+    /// featurises them. The oracle of [`corpus_studies`].
+    mod two_phase {
+        use super::super::*;
+        use cubie_core::par::par_map;
+
+        /// Figure 10b: PCA of matrix structural features over a synthetic corpus
+        /// of `corpus_size` matrices, with the five Table 4 representatives
+        /// (generated at `rep_scale`). Feature extraction fans out across the
+        /// worker pool; results are collected in order.
+        pub fn matrix_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
+            let features = |matrices: Vec<(String, Csr)>| -> Vec<(String, Vec<f64>)> {
+                let vecs = par_map(matrices.len(), |i| {
+                    MatrixFeatures::of(&matrices[i].1).to_vec()
+                });
+                matrices.into_iter().map(|(n, _)| n).zip(vecs).collect()
+            };
+            let corpus_vecs = features(sparse_gen::diverse_corpus(corpus_size, seed));
+            let reps = sparse_gen::table4_matrices(rep_scale)
+                .into_iter()
+                .map(|(info, m)| (info.name.to_string(), m))
+                .collect();
+            finish_study(corpus_vecs, features(reps))
+        }
+
+        /// Figure 10a: PCA of graph structural features over a synthetic corpus
+        /// of `corpus_size` graphs, with the five Table 3 representatives at
+        /// `rep_scale`, read through the prepared-input store
+        /// ([`cubie_prep::table3_graphs`]: loaded from a snapshot when one is
+        /// recorded, generated and recorded otherwise; the bits are the same
+        /// either way). Feature extraction fans out across the worker pool;
+        /// results are collected in order, so the study is the same for any job
+        /// count.
+        pub fn graph_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
+            let features = |graphs: Vec<(String, CsrGraph)>| -> Vec<(String, Vec<f64>)> {
+                let vecs = par_map(graphs.len(), |i| GraphFeatures::of(&graphs[i].1).to_vec());
+                graphs.into_iter().map(|(n, _)| n).zip(vecs).collect()
+            };
+            let corpus_vecs = features(graph_gen::diverse_graph_corpus(corpus_size, seed));
+            let reps = cubie_prep::table3_graphs(rep_scale)
+                .into_iter()
+                .map(|(info, g)| (info.name.to_string(), g))
+                .collect();
+            finish_study(corpus_vecs, features(reps))
+        }
+    }
+
+    /// Every name and every bit of a study, in order.
+    fn study_bits(s: &CorpusStudy) -> Vec<(String, u64)> {
+        let mut bits: Vec<(String, u64)> = s
+            .corpus
+            .iter()
+            .chain(&s.representatives)
+            .flat_map(|p| p.xy.map(|c| (p.name.clone(), c.to_bits())))
+            .collect();
+        for (i, v) in [
+            s.representative_dispersion,
+            s.nearest_neighbour_dispersion,
+            s.range_coverage[0],
+            s.range_coverage[1],
+            s.near_representative_fraction,
+            s.explained_variance,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            bits.push((format!("summary-{i}"), v.to_bits()));
+        }
+        bits
+    }
+
+    /// Representative scales of the oracle checks: small enough for a
+    /// debug build, large enough that every representative has
+    /// non-trivial structure.
+    const GRAPH_REP_SCALE: usize = 2048;
+    const MATRIX_REP_SCALE: usize = 64;
+
+    fn fan_out_matches_two_phase(graphs: usize, matrices: usize, seed: u64) {
+        let inputs = |corpus, rep_scale, seed| StudyInputs {
+            corpus,
+            rep_scale,
+            seed,
+        };
+        let (g, m) = corpus_studies(
+            inputs(graphs, GRAPH_REP_SCALE, seed),
+            inputs(matrices, MATRIX_REP_SCALE, seed ^ 1),
+        );
+        let g_old = two_phase::graph_corpus_study(graphs, GRAPH_REP_SCALE, seed);
+        let m_old = two_phase::matrix_corpus_study(matrices, MATRIX_REP_SCALE, seed ^ 1);
+        assert_eq!(
+            study_bits(&g),
+            study_bits(&g_old),
+            "graph study, seed {seed}"
+        );
+        assert_eq!(
+            study_bits(&m),
+            study_bits(&m_old),
+            "matrix study, seed {seed}"
+        );
+        let one = graph_corpus_study(graphs, GRAPH_REP_SCALE, seed);
+        assert_eq!(study_bits(&one), study_bits(&g_old), "graph study alone");
+        let one = study::<Csr>(inputs(matrices, MATRIX_REP_SCALE, seed ^ 1));
+        assert_eq!(study_bits(&one), study_bits(&m_old), "matrix study alone");
+    }
+
+    #[test]
+    fn fan_out_is_bit_identical_to_the_two_phase_studies() {
+        fan_out_matches_two_phase(12, 20, 0xF16A);
+        fan_out_matches_two_phase(7, 3, 5);
+    }
+
+    #[test]
+    fn fan_out_bits_do_not_depend_on_the_worker_count() {
+        let _guard = cubie_core::pool::cap_lock();
+        let inputs = |corpus, rep_scale| StudyInputs {
+            corpus,
+            rep_scale,
+            seed: 21,
+        };
+        let run = |jobs| {
+            let prev = cubie_core::par::set_max_workers(jobs);
+            let (g, m) = corpus_studies(inputs(11, GRAPH_REP_SCALE), inputs(17, MATRIX_REP_SCALE));
+            cubie_core::par::set_max_workers(prev);
+            (study_bits(&g), study_bits(&m))
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(3), "jobs 3");
+        assert_eq!(serial, run(2), "jobs 2");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn fan_out_matches_two_phase_for_any_corpus(
+            graphs in 2usize..10,
+            matrices in 2usize..14,
+            seed in 0u64..u64::MAX,
+        ) {
+            fan_out_matches_two_phase(graphs, matrices, seed);
+        }
     }
 
     #[test]

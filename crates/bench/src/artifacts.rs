@@ -27,8 +27,8 @@ use std::sync::OnceLock;
 
 use cubie_analysis::advisor::{advise, reference_mapping};
 use cubie_analysis::coverage::{
-    graph_corpus_study, matrix_corpus_study, suite_diversity_study, CorpusStudy, SuiteStudy,
-    TABLE7, TABLE7_FEATURES,
+    corpus_studies, suite_diversity_study, CorpusStudy, StudyInputs, SuiteStudy, TABLE7,
+    TABLE7_FEATURES,
 };
 use cubie_analysis::errors::{table6, ErrorRow, ErrorScale};
 use cubie_analysis::metrics::REPRESENTATIVE_CASE;
@@ -157,9 +157,17 @@ impl GoldenCtx {
     /// corpus sizes (built once).
     pub fn corpus_studies(&self) -> &(CorpusStudy, CorpusStudy) {
         self.corpora.get_or_init(|| {
-            (
-                graph_corpus_study(self.config.graph_corpus, 64, 0xF16A),
-                matrix_corpus_study(self.config.matrix_corpus, 8, 0xF16B),
+            corpus_studies(
+                StudyInputs {
+                    corpus: self.config.graph_corpus,
+                    rep_scale: 64,
+                    seed: 0xF16A,
+                },
+                StudyInputs {
+                    corpus: self.config.matrix_corpus,
+                    rep_scale: 8,
+                    seed: 0xF16B,
+                },
             )
         })
     }

@@ -69,13 +69,23 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    par_map_chunked(n, |workers| (n / (workers * 8)).max(1), f)
+}
+
+/// [`par_map`] with the number of indices a worker claims at a time
+/// chosen by `chunk(workers)`.
+fn par_map_chunked<T, F>(n: usize, chunk: impl Fn(usize) -> usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let workers = workers_for(n);
     if workers == 1 {
         return (0..n).map(f).collect();
     }
     let mut out: Vec<T> = Vec::with_capacity(n);
     let next = AtomicUsize::new(0);
-    let chunk = (n / (workers * 8)).max(1);
+    let chunk = chunk(workers);
     let slots = SendSlots(out.as_mut_ptr());
     crate::pool::run_batch(workers - 1, &|| {
         let mut span = cubie_obs::span("par", "map");
@@ -125,7 +135,8 @@ pub fn makespan_order(n: usize, cost: impl Fn(usize) -> f64) -> Vec<usize> {
 }
 
 /// [`par_map`] with LPT scheduling: items are *dispatched* in
-/// [`makespan_order`] but *collected* at their original indices, so the
+/// [`makespan_order`], one per claim, so the heaviest items start on
+/// different workers, but *collected* at their original indices, so the
 /// result is element-for-element identical to `par_map(n, f)` — only the
 /// wall-clock schedule differs (sort the keys, never the results).
 pub fn par_map_lpt<T: Send>(
@@ -134,7 +145,7 @@ pub fn par_map_lpt<T: Send>(
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let order = makespan_order(n, cost);
-    let permuted = par_map(n, |slot| f(order[slot]));
+    let permuted = par_map_chunked(n, |_| 1, |slot| f(order[slot]));
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (slot, item) in permuted.into_iter().enumerate() {
         out[order[slot]] = Some(item);

@@ -86,6 +86,14 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// The first `n` draws of `SplitMix64::new(seed)`: per-item seeds
+    /// drawn up front, so items built in any order, on any worker, see
+    /// the stream a serial loop would give them.
+    pub fn seeds(seed: u64, n: usize) -> Vec<u64> {
+        let mut g = SplitMix64::new(seed);
+        (0..n).map(|_| g.next_u64()).collect()
+    }
+
     /// Next 64 pseudo-random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

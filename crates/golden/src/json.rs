@@ -123,11 +123,14 @@ impl Json {
         out
     }
 
-    /// Parse canonical (or any strict) JSON text.
+    /// Parse canonical (or any strict) JSON text. Arrays and objects
+    /// nested more than 128 deep are a [`ParseError`], so no input can
+    /// exhaust the parsing thread's stack.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -253,9 +256,15 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The deepest
+/// JSON the project writes nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -294,11 +303,26 @@ impl<'a> Parser<'a> {
             b't' => self.expect("true").map(|()| Json::Bool(true)),
             b'f' => self.expect("false").map(|()| Json::Bool(false)),
             b'"' => self.string().map(Json::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -500,6 +524,33 @@ impl From<bool> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Depth counts what is open, not what has been seen.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_deep_line_is_an_error_on_a_default_stack_thread() {
+        let line = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+        let result = std::thread::spawn(move || Json::parse(&line).map(|_| ()))
+            .join()
+            .expect("parsing must not overflow the thread's stack");
+        assert!(result.is_err());
+    }
 
     #[test]
     fn float_formatting_round_trips_bits() {

@@ -275,49 +275,51 @@ pub fn table3_graphs(scale: usize) -> Vec<(GraphInfo, CsrGraph)> {
 
 /// A small diverse corpus of graphs for the Figure 10a coverage study:
 /// RMAT variants, Kronecker, Mycielskians, grids and random graphs.
-/// Graphs are built in parallel from per-graph seeds drawn up front.
+/// Graphs are built in parallel from per-graph seeds drawn up front
+/// ([`SplitMix64::seeds`]), each by [`corpus_graph`].
 pub fn diverse_graph_corpus(count: usize, seed: u64) -> Vec<(String, CsrGraph)> {
-    // Seeds are drawn serially, so the stream is that of a serial loop.
-    let mut g = SplitMix64::new(seed);
-    let seeds: Vec<u64> = (0..count).map(|_| g.next_u64()).collect();
-    cubie_core::par::par_map(count, |i| {
-        let s = seeds[i];
-        let graph = match i % 5 {
-            0 => {
-                let logn = 9 + (s % 4) as u32;
-                kron_g500(logn, 8 + (s % 24) as usize, s)
-            }
-            1 => {
-                let n = 1usize << (9 + (s % 4));
-                rmat(
-                    n,
-                    n * (4 + (s % 16) as usize),
-                    0.45,
-                    0.25,
-                    0.2,
-                    0.1,
-                    s,
-                    false,
-                )
-            }
-            2 => mycielskian(6 + (s % 5) as u32),
-            3 => grid_graph(12 + (s % 40) as usize, 12 + ((s >> 8) % 40) as usize),
-            _ => {
-                let n = 1usize << (9 + (s % 4));
-                rmat(
-                    n,
-                    n * (2 + (s % 6) as usize),
-                    0.25,
-                    0.25,
-                    0.25,
-                    0.25,
-                    s,
-                    true,
-                )
-            }
-        };
-        (format!("corpus-{i}"), graph)
-    })
+    let seeds = SplitMix64::seeds(seed, count);
+    cubie_core::par::par_map(count, |i| corpus_graph(i, seeds[i]))
+}
+
+/// Graph `i` of the Figure 10a corpus, named `corpus-{i}`, from its own
+/// seed `s` (the corpus seed's draw `i`). Its index picks the family.
+pub fn corpus_graph(i: usize, s: u64) -> (String, CsrGraph) {
+    let graph = match i % 5 {
+        0 => {
+            let logn = 9 + (s % 4) as u32;
+            kron_g500(logn, 8 + (s % 24) as usize, s)
+        }
+        1 => {
+            let n = 1usize << (9 + (s % 4));
+            rmat(
+                n,
+                n * (4 + (s % 16) as usize),
+                0.45,
+                0.25,
+                0.2,
+                0.1,
+                s,
+                false,
+            )
+        }
+        2 => mycielskian(6 + (s % 5) as u32),
+        3 => grid_graph(12 + (s % 40) as usize, 12 + ((s >> 8) % 40) as usize),
+        _ => {
+            let n = 1usize << (9 + (s % 4));
+            rmat(
+                n,
+                n * (2 + (s % 6) as usize),
+                0.25,
+                0.25,
+                0.25,
+                0.25,
+                s,
+                true,
+            )
+        }
+    };
+    (format!("corpus-{i}"), graph)
 }
 
 /// A 2-D grid graph (4-connected), the low-variance end of the corpus.

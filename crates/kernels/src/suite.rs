@@ -280,35 +280,6 @@ impl PreparedCase {
         }
     }
 
-    /// Approximate bytes of generated input state for this case — the
-    /// `bytes` counter of the `prepare` profiling phase. Sparse/graph
-    /// cases count the structure generated up front; dense cases are
-    /// parameter-only but still account for the input state one
-    /// functional execution generates from the case parameters, so the
-    /// phase counter reflects the data volume the case stands for.
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            // Dense inputs: operands of one functional execution.
-            PreparedCase::Gemm(c) => ((c.m * c.k + c.k * c.n) * 8) as u64,
-            PreparedCase::Gemv(c) => ((c.m * c.n + c.n) * 8) as u64,
-            // C64 = 16 bytes per point, all batched transforms.
-            PreparedCase::Fft(c) => (c.batch * c.points() * 16) as u64,
-            PreparedCase::Stencil(c) => (c.points() * 8) as u64,
-            PreparedCase::Scan(c) => (c.n * 8) as u64,
-            PreparedCase::Reduction(c) => (c.n * 8) as u64,
-            // Particles (pos + vel, 3 f64 each) + E/B field grid.
-            PreparedCase::Pic(c) => (c.n * 48 + pic::GRID * pic::GRID * pic::GRID * 48) as u64,
-            PreparedCase::Spmv { matrix, .. } | PreparedCase::Spgemm { matrix, .. } => {
-                // vals (f64) + col_idx (u32) + row_ptr (usize).
-                (matrix.nnz() * (8 + 4) + (matrix.rows + 1) * 8) as u64
-            }
-            PreparedCase::Bfs { graph, .. } => {
-                // adj (u32) + offsets (usize).
-                (graph.num_arcs() * 4 + (graph.n + 1) * 8) as u64
-            }
-        }
-    }
-
     /// Case label (x-axis of Figure 3).
     pub fn label(&self) -> String {
         match self {
@@ -376,12 +347,11 @@ impl PreparedCase {
 /// `sparse_scale` / `graph_scale` divide the sparse-matrix and graph
 /// sizes (1 = full published sizes; graphs at scale 1 need several GB).
 /// Generation is profiled as the `prepare` phase, labelled with the
-/// workload key and counting the bytes of generated input state.
+/// workload key and counting the cases prepared.
 pub fn prepare_cases(w: Workload, sparse_scale: usize, graph_scale: usize) -> Vec<PreparedCase> {
     let mut span = cubie_obs::span("prepare", w.key());
     let cases = prepare_cases_inner(w, sparse_scale, graph_scale);
     span.add_items(cases.len() as u64);
-    span.add_bytes(cases.iter().map(PreparedCase::approx_bytes).sum());
     cases
 }
 

@@ -5,12 +5,16 @@
 //! `results/prep/`, shared by every entry point (CLI sweeps, benches,
 //! tests, `cubied`).
 //!
-//! Cold path: generation fans out across the worker pool ([`par_map_lpt`],
-//! heaviest case first) and each generated case is recorded as one
-//! atomic snapshot. Warm path: the snapshot is streamed once through a
-//! fixed buffer, checksummed and decoded straight into the case's
-//! `Vec`s, so a warm restart pays one read of the file, not a
-//! regeneration.
+//! Every case is served on its own by [`Table::case`]: on a hit its
+//! snapshot is streamed once through a fixed buffer, checksummed and
+//! decoded straight into the case's `Vec`s, so a warm restart pays one
+//! read of the file, not a regeneration; on a miss the case is
+//! generated and recorded as one atomic snapshot. A table load
+//! ([`table4_matrices_with`], [`table3_graphs_with`]) runs its five
+//! cases on the worker pool ([`par_map_lpt`], heaviest case first),
+//! hits and misses alike, then [`Table::finish`] publishes the summed
+//! [`LoadReport`]. Callers that want one case at a time, such as
+//! Figure 10's study fan-out, open a [`Table`] and do the same.
 //!
 //! Correctness before speed: every snapshot embeds its canonical key
 //! and a checksum over its header and payload; truncated, bit-rotted,
@@ -39,6 +43,7 @@
 pub mod format;
 pub mod store;
 
+use std::marker::PhantomData;
 use std::path::PathBuf;
 
 use cubie_core::par::par_map_lpt;
@@ -101,8 +106,9 @@ impl Default for PrepConfig {
     }
 }
 
-/// One table-load's hit/miss accounting (also logged and mirrored into
-/// the `prep.*` counters).
+/// One load's hit/miss accounting: of one case ([`Table::case`]) or
+/// summed over a table (logged and mirrored into the `prep.*` counters
+/// by [`Table::finish`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoadReport {
     /// Cases served from snapshots.
@@ -115,6 +121,185 @@ pub struct LoadReport {
     pub bytes_loaded: u64,
     /// Bytes written for newly recorded snapshots.
     pub bytes_written: u64,
+}
+
+impl std::ops::AddAssign for LoadReport {
+    fn add_assign(&mut self, other: LoadReport) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidated += other.invalidated;
+        self.bytes_loaded += other.bytes_loaded;
+        self.bytes_written += other.bytes_written;
+    }
+}
+
+/// A kind of case the store holds: a Table 4 matrix or a Table 3 graph.
+pub trait PrepCase: Sized {
+    /// The table's name in the `prep:` log line.
+    const TABLE: &'static str;
+    /// The key of the case called `name` at a scale divisor.
+    fn key(name: &str, scale: usize) -> PrepKey;
+    /// Generate the case fresh.
+    fn generate(name: &str, scale: usize) -> Self;
+    /// The decoded snapshot as this kind of case, if it is one.
+    fn from_decoded(case: Decoded) -> Option<Self>;
+    /// Record the case as the snapshot of `key`.
+    fn save(&self, store: &PrepStore, key: &PrepKey) -> std::io::Result<PathBuf>;
+}
+
+impl PrepCase for Csr {
+    const TABLE: &'static str = "matrices";
+
+    fn key(name: &str, scale: usize) -> PrepKey {
+        PrepKey::matrix(name, scale)
+    }
+
+    fn generate(name: &str, scale: usize) -> Csr {
+        sparse_gen::generate(name, scale)
+    }
+
+    fn from_decoded(case: Decoded) -> Option<Csr> {
+        match case {
+            Decoded::Matrix(m) => Some(m),
+            Decoded::Graph(_) => None,
+        }
+    }
+
+    fn save(&self, store: &PrepStore, key: &PrepKey) -> std::io::Result<PathBuf> {
+        store.save_matrix(key, self)
+    }
+}
+
+impl PrepCase for CsrGraph {
+    const TABLE: &'static str = "graphs";
+
+    fn key(name: &str, scale: usize) -> PrepKey {
+        PrepKey::graph(name, scale)
+    }
+
+    fn generate(name: &str, scale: usize) -> CsrGraph {
+        graph_gen::generate(name, scale)
+    }
+
+    fn from_decoded(case: Decoded) -> Option<CsrGraph> {
+        match case {
+            Decoded::Graph(g) => Some(g),
+            Decoded::Matrix(_) => None,
+        }
+    }
+
+    fn save(&self, store: &PrepStore, key: &PrepKey) -> std::io::Result<PathBuf> {
+        store.save_graph(key, self)
+    }
+}
+
+/// One table's load at one scale divisor: the store its cases are read
+/// from and recorded into, or none when the store is off or unusable.
+/// [`Table::case`] serves one case at a time, from any thread;
+/// [`Table::finish`] publishes the summed accounting once.
+pub struct Table<T> {
+    store: Option<PrepStore>,
+    scale: usize,
+    kind: PhantomData<fn() -> T>,
+}
+
+impl<T: PrepCase> Table<T> {
+    /// Open the store `cfg` names for a load at `scale`. An unusable
+    /// store is logged and counted, and the load generates in memory.
+    pub fn open(cfg: &PrepConfig, scale: usize) -> Table<T> {
+        let store = if cfg.enabled {
+            match PrepStore::open_unchecked(&cfg.dir) {
+                Ok(s) => Some(s),
+                Err(e) => {
+                    cubie_obs::counter_add("prep.store_err", 1);
+                    cubie_obs::log(format!(
+                        "prep: store at {} unavailable ({e}); generating in-memory",
+                        cfg.dir.display()
+                    ));
+                    None
+                }
+            }
+        } else {
+            None
+        };
+        Table {
+            store,
+            scale,
+            kind: PhantomData,
+        }
+    }
+
+    /// The case called `name`: loaded from its snapshot when a valid one
+    /// is recorded, generated (and recorded) otherwise. The bits are the
+    /// same either way. The report counts this case alone.
+    pub fn case(&self, name: &str) -> (T, LoadReport) {
+        let mut report = LoadReport::default();
+        let key = T::key(name, self.scale);
+        if let Some(store) = &self.store {
+            match store.load(&key) {
+                Lookup::Hit(loaded) => {
+                    if let Some(case) = T::from_decoded(loaded.case) {
+                        report.hits = 1;
+                        report.bytes_loaded = loaded.bytes;
+                        return (case, report);
+                    }
+                    // Address collision across kinds — astronomically
+                    // unlikely, but treat as a miss, never mis-serve.
+                    cubie_obs::log(format!(
+                        "prep: entry at {} holds the wrong case kind; regenerating",
+                        key.address()
+                    ));
+                }
+                Lookup::Miss => {}
+                Lookup::Invalidated(reason) => {
+                    report.invalidated = 1;
+                    cubie_obs::log(format!(
+                        "prep: invalidated snapshot {}: {reason}",
+                        key.address()
+                    ));
+                }
+            }
+        }
+        let case = T::generate(name, self.scale);
+        report.misses = 1;
+        if let Some(store) = &self.store {
+            match case.save(store, &key) {
+                Ok(path) => {
+                    report.bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                }
+                Err(e) => {
+                    cubie_obs::counter_add("prep.store_err", 1);
+                    cubie_obs::log(format!(
+                        "prep: failed to record snapshot {}: {e}",
+                        key.address()
+                    ));
+                }
+            }
+        }
+        (case, report)
+    }
+
+    /// Publish a table's summed accounting: the `prep.*` counters, and
+    /// one `prep:` log line when the store is in use.
+    pub fn finish(&self, report: &LoadReport) {
+        cubie_obs::counter_add("prep.hit", report.hits as u64);
+        cubie_obs::counter_add("prep.miss", report.misses as u64);
+        cubie_obs::counter_add("prep.invalidated", report.invalidated as u64);
+        cubie_obs::counter_add("prep.bytes_loaded", report.bytes_loaded);
+        cubie_obs::counter_add("prep.bytes_written", report.bytes_written);
+        if self.store.is_some() {
+            cubie_obs::log(format!(
+                "prep: {} scale={} hits={} misses={} invalidated={} loaded={}B written={}B",
+                T::TABLE,
+                self.scale,
+                report.hits,
+                report.misses,
+                report.invalidated,
+                report.bytes_loaded,
+                report.bytes_written
+            ));
+        }
+    }
 }
 
 /// The five Table 4 matrices, through the store configured by the
@@ -137,21 +322,9 @@ pub fn table4_matrices_with(
     cfg: &PrepConfig,
     scale: usize,
 ) -> (Vec<(MatrixInfo, Csr)>, LoadReport) {
-    let specs = sparse_gen::table4_specs().to_vec();
-    cached_table(
-        cfg,
-        "matrices",
-        scale,
-        &specs,
-        |spec| PrepKey::matrix(spec.name, scale),
-        |spec| spec.nnz as f64,
-        |spec| sparse_gen::generate(spec.name, scale),
-        |loaded| match loaded {
-            Decoded::Matrix(m) => Some(m),
-            Decoded::Graph(_) => None,
-        },
-        |store, key, m| store.save_matrix(key, m),
-    )
+    let specs = sparse_gen::table4_specs();
+    let (cases, report) = load_table(cfg, scale, &specs.map(|s| (s.name, s.nnz as f64)));
+    (specs.into_iter().zip(cases).collect(), report)
 }
 
 /// [`table3_graphs`] with an explicit config.
@@ -159,136 +332,31 @@ pub fn table3_graphs_with(
     cfg: &PrepConfig,
     scale: usize,
 ) -> (Vec<(GraphInfo, CsrGraph)>, LoadReport) {
-    let specs = graph_gen::table3_specs().to_vec();
-    cached_table(
-        cfg,
-        "graphs",
-        scale,
-        &specs,
-        |spec| PrepKey::graph(spec.name, scale),
-        |spec| spec.edges as f64,
-        |spec| graph_gen::generate(spec.name, scale),
-        |loaded| match loaded {
-            Decoded::Graph(g) => Some(g),
-            Decoded::Matrix(_) => None,
-        },
-        |store, key, g| store.save_graph(key, g),
-    )
+    let specs = graph_gen::table3_specs();
+    let (cases, report) = load_table(cfg, scale, &specs.map(|s| (s.name, s.edges as f64)));
+    (specs.into_iter().zip(cases).collect(), report)
 }
 
-/// The shared load-or-generate engine: try every key against the store,
-/// fan misses out with LPT-ordered [`par_map_lpt`], record what was
-/// generated, and return cases in spec order — bit-identical to a pure
-/// generation run, whatever mix of hits and misses happened.
-#[allow(clippy::too_many_arguments)]
-fn cached_table<S: Copy + Sync, T: Send>(
+/// Load a table's `(name, cost)` cases on the pool, heaviest first
+/// ([`par_map_lpt`]), each through [`Table::case`], and return them in
+/// the given order — bit-identical to a pure generation run, whatever
+/// mix of hits and misses happened.
+fn load_table<T: PrepCase + Send>(
     cfg: &PrepConfig,
-    what: &str,
     scale: usize,
-    specs: &[S],
-    key_of: impl Fn(&S) -> PrepKey,
-    cost_of: impl Fn(&S) -> f64 + Sync,
-    generate: impl Fn(&S) -> T + Sync,
-    downcast: impl Fn(Decoded) -> Option<T>,
-    save: impl Fn(&PrepStore, &PrepKey, &T) -> std::io::Result<std::path::PathBuf>,
-) -> (Vec<(S, T)>, LoadReport) {
+    cases: &[(&str, f64)],
+) -> (Vec<T>, LoadReport) {
+    let table = Table::<T>::open(cfg, scale);
+    let loaded = par_map_lpt(cases.len(), |i| cases[i].1, |i| table.case(cases[i].0));
     let mut report = LoadReport::default();
-    let store = if cfg.enabled {
-        match PrepStore::open_unchecked(&cfg.dir) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                cubie_obs::counter_add("prep.store_err", 1);
-                cubie_obs::log(format!(
-                    "prep: store at {} unavailable ({e}); generating in-memory",
-                    cfg.dir.display()
-                ));
-                None
-            }
-        }
-    } else {
-        None
-    };
-
-    // Phase 1 — consult the store (cheap: open + read + validate).
-    let mut out: Vec<Option<T>> = specs.iter().map(|_| None).collect();
-    if let Some(store) = &store {
-        for (slot, spec) in specs.iter().enumerate() {
-            let key = key_of(spec);
-            match store.load(&key) {
-                Lookup::Hit(loaded) => {
-                    if let Some(case) = downcast(loaded.case) {
-                        report.hits += 1;
-                        report.bytes_loaded += loaded.bytes;
-                        out[slot] = Some(case);
-                    } else {
-                        // Address collision across kinds — astronomically
-                        // unlikely, but treat as a miss, never mis-serve.
-                        cubie_obs::log(format!(
-                            "prep: entry at {} holds the wrong case kind; regenerating",
-                            key.address()
-                        ));
-                    }
-                }
-                Lookup::Miss => {}
-                Lookup::Invalidated(reason) => {
-                    report.invalidated += 1;
-                    cubie_obs::log(format!(
-                        "prep: invalidated snapshot {}: {reason}",
-                        key.address()
-                    ));
-                }
-            }
-        }
-    }
-
-    // Phase 2 — generate what's missing, heaviest first, in parallel.
-    let missing: Vec<usize> = (0..specs.len()).filter(|&i| out[i].is_none()).collect();
-    report.misses = missing.len();
-    let generated = par_map_lpt(
-        missing.len(),
-        |i| cost_of(&specs[missing[i]]),
-        |i| generate(&specs[missing[i]]),
-    );
-    for (&slot, case) in missing.iter().zip(generated) {
-        if let Some(store) = &store {
-            let key = key_of(&specs[slot]);
-            match save(store, &key, &case) {
-                Ok(path) => {
-                    report.bytes_written += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                }
-                Err(e) => {
-                    cubie_obs::counter_add("prep.store_err", 1);
-                    cubie_obs::log(format!(
-                        "prep: failed to record snapshot {}: {e}",
-                        key.address()
-                    ));
-                }
-            }
-        }
-        out[slot] = Some(case);
-    }
-
-    cubie_obs::counter_add("prep.hit", report.hits as u64);
-    cubie_obs::counter_add("prep.miss", report.misses as u64);
-    cubie_obs::counter_add("prep.invalidated", report.invalidated as u64);
-    cubie_obs::counter_add("prep.bytes_loaded", report.bytes_loaded);
-    cubie_obs::counter_add("prep.bytes_written", report.bytes_written);
-    if store.is_some() {
-        cubie_obs::log(format!(
-            "prep: {what} scale={scale} hits={} misses={} invalidated={} loaded={}B written={}B",
-            report.hits,
-            report.misses,
-            report.invalidated,
-            report.bytes_loaded,
-            report.bytes_written
-        ));
-    }
-
-    let cases = specs
-        .iter()
-        .copied()
-        .zip(out.into_iter().map(|o| o.expect("every slot filled")))
+    let cases = loaded
+        .into_iter()
+        .map(|(case, r)| {
+            report += r;
+            case
+        })
         .collect();
+    table.finish(&report);
     (cases, report)
 }
 

@@ -23,7 +23,7 @@
 //! the `stats` response reports.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -742,6 +742,11 @@ fn accept_loop(daemon: Arc<Daemon>, listener: UnixListener) {
     cubie_obs::log("cubied: shut down cleanly".to_string());
 }
 
+/// The longest request line the daemon reads, newline included. A
+/// longer line gets an error response and the connection is closed, so
+/// no client can make the daemon buffer without bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// One connection: line-delimited request/response until EOF. All
 /// diagnostics in the request path go through `cubie_obs::log` (echoed
 /// to the daemon's stderr, never the client stream), so responses stay
@@ -763,7 +768,10 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Never read past one byte over the limit, however the line
+        // arrives across timeouts.
+        let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {}
             Err(e)
@@ -779,6 +787,16 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
                 cubie_obs::log(format!("cubied: read failed: {e}"));
                 return;
             }
+        }
+        if line.len() > MAX_REQUEST_LINE {
+            bump(&daemon.stats.errors);
+            let mut payload = error_response(&format!(
+                "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+            ))
+            .to_canonical_string();
+            payload.push('\n');
+            let _ = writer.write_all(payload.as_bytes());
+            return;
         }
         if !line.trim().is_empty() {
             let response = match parse_request(line.trim()) {
@@ -887,6 +905,46 @@ mod tests {
         }
         drop(writer);
         drop(reader);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_request_line_gets_an_error_and_the_connection_closes() {
+        let mut handle = Daemon::start(test_cfg("oversized")).unwrap();
+        let socket = handle.socket().to_path_buf();
+        let stream = UnixStream::connect(&socket).unwrap();
+        // A daemon that reads on, waiting for a newline, fails the test
+        // instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The daemon stops reading at the limit, so the tail of the line
+        // may meet a closed socket; the writer ignores that.
+        let sender = std::thread::spawn(move || {
+            let line = vec![b'['; MAX_REQUEST_LINE + 4096];
+            let _ = writer.write_all(&line);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = Json::parse(line.trim()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("request line longer than"), "{error}");
+        // The daemon closes with the line's tail unread, so the socket
+        // may report a reset rather than a clean end of stream.
+        line.clear();
+        let closed = match reader.read_line(&mut line) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "the connection must be closed, read {line:?}");
+        sender.join().unwrap();
+        let pong = client_request(&socket, &crate::proto::simple_request("ping")).unwrap();
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+        let errors = handle.daemon.stats.errors.load(Ordering::Relaxed);
+        assert_eq!(errors, 1);
         handle.shutdown();
     }
 

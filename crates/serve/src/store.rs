@@ -244,6 +244,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An entry nested past the JSON parser's depth limit is corrupt:
+    /// invalidated on load and dropped at open, never a stack overflow.
+    #[test]
+    fn too_deep_entry_is_invalidated_at_load_and_open() {
+        let dir = tmp_dir("deep");
+        let (store, _) = Store::open(&dir).unwrap();
+        let key = StoreKey::for_request("wl=Scan;sparse=64");
+        let path = store.path_for(&key);
+        let deep = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+        fs::write(&path, &deep).unwrap();
+        match store.load(&key) {
+            Lookup::Invalidated(reason) => assert!(reason.contains("nesting"), "{reason}"),
+            other => panic!("expected invalidation, got {other:?}"),
+        }
+        assert!(!path.exists(), "invalidated entry must be deleted");
+        fs::write(&path, &deep).unwrap();
+        let (_, report) = Store::open(&dir).unwrap();
+        assert_eq!(report.removed_invalid, 1);
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Writers of one key must never share a temp file: every save of
     /// every round succeeds, the entry serves a hit, and nothing is left
     /// behind.

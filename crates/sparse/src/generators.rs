@@ -376,25 +376,28 @@ enum CorpusClass {
 /// collection in the PCA coverage study (Figure 10b): `n` small matrices
 /// drawn from banded / grid / blocked / power-law / random structure
 /// classes with randomized parameters. Matrices are built in parallel
-/// from per-matrix seeds drawn up front.
+/// from per-matrix seeds drawn up front ([`SplitMix64::seeds`]), each by
+/// [`corpus_matrix`].
 pub fn diverse_corpus(n: usize, seed: u64) -> Vec<(String, Csr)> {
-    let classes = [
+    let seeds = SplitMix64::seeds(seed, n);
+    cubie_core::par::par_map(n, |i| corpus_matrix(i, seeds[i]))
+}
+
+/// Matrix `i` of the Figure 10b corpus, named `{class}-{i}`, from its
+/// own seed (the corpus seed's draw `i`). Its index picks the class.
+pub fn corpus_matrix(i: usize, seed: u64) -> (String, Csr) {
+    const CLASSES: [CorpusClass; 5] = [
         CorpusClass::Banded,
         CorpusClass::Grid9,
         CorpusClass::Blocked,
         CorpusClass::PowerLaw,
         CorpusClass::Random,
     ];
-    // Seeds are drawn serially, so the stream is that of a serial loop.
-    let mut g = SplitMix64::new(seed);
-    let seeds: Vec<u64> = (0..n).map(|_| g.next_u64()).collect();
-    cubie_core::par::par_map(n, |i| {
-        let class = classes[i % classes.len()];
-        (format!("{class:?}-{i}"), corpus_matrix(class, seeds[i]))
-    })
+    let class = CLASSES[i % CLASSES.len()];
+    (format!("{class:?}-{i}"), class_matrix(class, seed))
 }
 
-fn corpus_matrix(class: CorpusClass, seed: u64) -> Csr {
+fn class_matrix(class: CorpusClass, seed: u64) -> Csr {
     let mut g = SplitMix64::new(seed);
     match class {
         CorpusClass::Banded => {

@@ -2,7 +2,9 @@
 //! concurrent identical requests deduplicate to a single execution, a
 //! daemon restart serves a pure content-addressed store hit that is
 //! bit-identical to the original computation, and a version-skewed
-//! store entry is invalidated and recomputed rather than served.
+//! store entry is invalidated and recomputed rather than served, and a
+//! request line nested 20,000 deep gets an error while the daemon goes
+//! on answering.
 //!
 //! Each test runs its own daemon on a private socket + store under a
 //! unique temp directory, and reads the daemon's per-process `stats`
@@ -197,4 +199,56 @@ fn version_skewed_store_entry_is_invalidated_and_recomputed() {
     let warm = client_request(&socket, &sweep_request()).expect("warm sweep");
     assert_eq!(field(&warm, "store").as_str(), Some("hit"));
     handle.shutdown();
+}
+
+/// A live daemon sent one 40 KB line of 20,000 `[` and 20,000 `]`,
+/// then `ping` on the same connection, answers both: an error for the
+/// line, a pong after it. Run in a subprocess by the test below, so a
+/// daemon abort fails that test instead of killing the test binary.
+#[test]
+#[ignore = "hostile-input probe: run in a subprocess by the hostile-input test"]
+fn hostile_probe_deep_line_then_ping() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("deep_line");
+    let mut handle = Daemon::start(cfg_in(&dir, 0)).expect("daemon");
+    let stream = std::os::unix::net::UnixStream::connect(handle.socket()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let deep = format!("{}{}\n", "[".repeat(20_000), "]".repeat(20_000));
+    let mut answer = |request: &str| {
+        writer.write_all(request.as_bytes()).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response");
+        Json::parse(line.trim()).expect("response is JSON")
+    };
+    let refused = answer(&deep);
+    assert_eq!(field(&refused, "ok"), &Json::Bool(false), "{refused:?}");
+    let pong = answer("{\"cmd\":\"ping\"}\n");
+    assert_eq!(field(&pong, "ok"), &Json::Bool(true), "{pong:?}");
+    drop(writer);
+    drop(reader);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_and_the_daemon_lives() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(&exe)
+        .args([
+            "--exact",
+            "hostile_probe_deep_line_then_ping",
+            "--include-ignored",
+            "--test-threads",
+            "1",
+        ])
+        .output()
+        .expect("spawn probe subprocess");
+    assert!(
+        out.status.success(),
+        "the daemon did not answer a deep line and then a ping ({}):\n{}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

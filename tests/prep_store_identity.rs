@@ -13,15 +13,17 @@
 //!    vs warm, and the fresh digest pinned;
 //! 2. sabotage: doctored version-skew keys, bit-rotted payloads,
 //!    truncated files, and stray `.tmp`s must all be invalidated and
-//!    regenerated with the digest unchanged;
+//!    regenerated with the digest unchanged; one corrupt snapshot among
+//!    five is accounted and rewritten on its own; threads recording
+//!    different keys at once leave no `.tmp`;
 //! 3. subprocess probes: the digest is re-derived under
 //!    `CUBIE_PREP_CACHE` off/on × every forced `CUBIE_SIMD` path ×
 //!    worker counts {1, 2, 8} (one shared store across paths — a
 //!    snapshot recorded under the scalar path must serve the AVX2 run
 //!    bit-identically), plus two processes racing cold on the same
-//!    store directory, and Figure 10's graph study (whose Table 3
+//!    store directory, and Figure 10's studies (whose Table 3/4
 //!    representatives come through the store) with the store off,
-//!    cold and warm.
+//!    cold and warm, under worker caps 1 and 3.
 
 use std::path::{Path, PathBuf};
 
@@ -500,4 +502,169 @@ fn fig10_graph_study_is_bit_identical_through_the_store() {
     );
     assert_eq!(off, cold, "cold store run diverged from fresh generation");
     assert_eq!(off, warm, "warm store run diverged from fresh generation");
+}
+
+/// Both Figure 10 studies at the test scales, built by the one fan-out
+/// under worker caps 1 and 3 (one digest asserted across them): every
+/// projected point's name and coordinate bits, printed on stderr for
+/// the parent. Graph representatives at scale 256, matrix
+/// representatives at scale 8, the matrix scale of the golden config.
+#[test]
+#[ignore = "Figure 10 probe: run in a CUBIE_PREP_* subprocess by the Figure 10 test"]
+fn fig10_studies_probe() {
+    use cubie::analysis::coverage::{corpus_studies, StudyInputs};
+    let _guard = cubie::core::pool::cap_lock();
+    let mut digests = Vec::new();
+    for jobs in [1, 3] {
+        let prev = cubie::core::par::set_max_workers(jobs);
+        let (graphs, matrices) = corpus_studies(
+            StudyInputs {
+                corpus: 40,
+                rep_scale: 256,
+                seed: 13,
+            },
+            StudyInputs {
+                corpus: 80,
+                rep_scale: 8,
+                seed: 0xF16B,
+            },
+        );
+        cubie::core::par::set_max_workers(prev);
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for study in [&graphs, &matrices] {
+            for p in study.corpus.iter().chain(&study.representatives) {
+                fnv(&mut h, p.name.bytes());
+                fold_f64(&mut h, &p.xy);
+            }
+        }
+        digests.push((jobs, h));
+    }
+    assert_eq!(digests[0].1, digests[1].1, "digests by jobs: {digests:?}");
+    eprintln!("fig10 studies digest: {:#018x}", digests[0].1);
+}
+
+/// Figure 10's two studies, built by one fan-out, give the same bits
+/// with the store off, cold (the matrix representatives at scale 8 are
+/// generated and recorded, as the graphs are) and warm (all ten served
+/// from snapshots), under worker caps 1 and 3.
+#[test]
+fn fig10_studies_are_bit_identical_through_the_store_and_the_schedule() {
+    let store = TempStore::new("fig10_studies");
+    let dir = store.0.to_string_lossy().to_string();
+    let probe = |cache: &str| {
+        let envs = [
+            ("CUBIE_PREP_CACHE", cache),
+            ("CUBIE_PREP_DIR", dir.as_str()),
+        ];
+        let stderr = run_probe_stderr("fig10_studies_probe", &envs);
+        (digest_of(&stderr, &envs), stderr)
+    };
+    let (off, _) = probe("off");
+    assert!(!store.0.exists(), "the store is bypassed when it is off");
+    let (cold, cold_log) = probe("on");
+    assert!(
+        cold_log.contains("prep: matrices scale=8 hits=0 misses=5 "),
+        "the cold run must generate and record all five matrices:\n{cold_log}"
+    );
+    let recorded = store.snapshot_files().len();
+    assert_eq!(recorded, 10, "five scale-8 matrix and five graph snapshots");
+    let (warm, warm_log) = probe("on");
+    assert!(
+        warm_log.contains("prep: matrices scale=8 hits=5 misses=0 ")
+            && warm_log.contains("prep: graphs scale=256 hits=5 misses=0 "),
+        "the warm run must serve all ten representatives from snapshots:\n{warm_log}"
+    );
+    assert_eq!(
+        store.snapshot_files().len(),
+        10,
+        "a warm run records nothing"
+    );
+    assert_eq!(off, cold, "cold store run diverged from fresh generation");
+    assert_eq!(off, warm, "warm store run diverged from fresh generation");
+}
+
+/// Each snapshot's inode: a rewrite renames a new file over the old
+/// one while the old one still exists, so an unchanged inode means the
+/// file was not rewritten.
+fn inodes(files: &[PathBuf]) -> Vec<u64> {
+    use std::os::unix::fs::MetadataExt;
+    files
+        .iter()
+        .map(|f| std::fs::metadata(f).expect("snapshot exists").ino())
+        .collect()
+}
+
+/// One corrupt snapshot among five is accounted and repaired on its
+/// own: the table load reports 4 hits, 1 invalidation and 1 miss,
+/// rewrites only that file (with the bytes it had), and returns the
+/// bits of the cold load.
+#[test]
+fn one_corrupt_snapshot_is_the_only_one_regenerated() {
+    let store = TempStore::new("one_corrupt");
+    let cfg = store.cfg();
+    let (cold, _) = prep::table4_matrices_with(&cfg, SPARSE_SCALE);
+    let files = store.snapshot_files();
+    assert_eq!(files.len(), 5);
+    let before = inodes(&files);
+    let victim = 2;
+    let original = std::fs::read(&files[victim]).unwrap();
+    let mut bytes = original.clone();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&files[victim], &bytes).unwrap();
+
+    let (redone, report) = prep::table4_matrices_with(&cfg, SPARSE_SCALE);
+    assert_eq!(
+        (report.hits, report.invalidated, report.misses),
+        (4, 1, 1),
+        "{report:?}"
+    );
+    assert_eq!(report.bytes_written, original.len() as u64);
+    let after = inodes(&files);
+    for (i, f) in files.iter().enumerate() {
+        if i != victim {
+            assert_eq!(after[i], before[i], "{} rewritten", f.display());
+        }
+    }
+    assert_eq!(
+        std::fs::read(&files[victim]).unwrap(),
+        original,
+        "the corrupt snapshot is rewritten with its original bytes"
+    );
+    assert_eq!(table_digest(&cold, &[]), table_digest(&redone, &[]));
+    assert_eq!(tmp_leftovers(&store.0), 0);
+}
+
+/// Cases recorded at once from many threads of one process, each its
+/// own key, leave every snapshot whole and no `.tmp` behind.
+#[test]
+fn concurrent_in_process_recording_leaves_no_tmp_files() {
+    let store = TempStore::new("concurrent_record");
+    let cfg = store.cfg();
+    let names: Vec<&str> = cubie::sparse::generators::table4_specs()
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    let matrices = prep::Table::<Csr>::open(&cfg, SPARSE_SCALE);
+    let graphs = prep::Table::<CsrGraph>::open(&cfg, GRAPH_SCALE);
+    let graph_names: Vec<&str> = cubie::graph::generators::table3_specs()
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    let reports: Vec<prep::LoadReport> = std::thread::scope(|s| {
+        let m = names.iter().map(|&n| s.spawn(|| matrices.case(n).1));
+        let g = graph_names.iter().map(|&n| s.spawn(|| graphs.case(n).1));
+        let handles: Vec<_> = m.chain(g).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(reports.iter().all(|r| r.misses == 1 && r.bytes_written > 0));
+    assert_eq!(
+        tmp_leftovers(&store.0),
+        0,
+        "concurrent records left .tmp files"
+    );
+    let report = prep::prewarm(&cfg);
+    assert_eq!((report.kept, report.removed_invalid), (10, 0));
+    let (_, m, g) = digest_with(&cfg);
+    assert_eq!((m.hits, g.hits), (5, 5), "every recorded snapshot serves");
 }
