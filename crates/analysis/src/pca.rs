@@ -100,11 +100,6 @@ impl Pca {
             .collect()
     }
 
-    /// Project many samples onto the top `k` components.
-    pub fn project_all(&self, samples: &[Vec<f64>], k: usize) -> Vec<Vec<f64>> {
-        samples.iter().map(|s| self.project(s, k)).collect()
-    }
-
     /// Fraction of total variance explained by the top `k` components.
     pub fn explained_variance(&self, k: usize) -> f64 {
         let total: f64 = self.eigenvalues.iter().sum();
@@ -241,7 +236,7 @@ mod tests {
     fn projection_centers_the_data() {
         let s = correlated_samples(100, 4);
         let pca = Pca::fit(&s);
-        let proj = pca.project_all(&s, 2);
+        let proj: Vec<Vec<f64>> = s.iter().map(|x| pca.project(x, 2)).collect();
         let mean0: f64 = proj.iter().map(|p| p[0]).sum::<f64>() / proj.len() as f64;
         let mean1: f64 = proj.iter().map(|p| p[1]).sum::<f64>() / proj.len() as f64;
         assert!(mean0.abs() < 1e-9 && mean1.abs() < 1e-9);

@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the substrates: the MMA emulation, sparse
-//! formats, bitmap graphs, generators and PCA.
+//! formats, graph traversal, generators and PCA.
 
 use std::time::Duration;
 
@@ -106,9 +106,6 @@ fn bench_sparse(c: &mut Criterion) {
 fn bench_graph(c: &mut Criterion) {
     let graph = cubie_graph::generators::kron_g500(13, 16, 5);
     let mut g = quick(c, "graph_substrate");
-    g.bench_function("bitmap_from_graph_kron13", |bench| {
-        bench.iter(|| std::hint::black_box(cubie_graph::BitmapGraph::from_graph(&graph)))
-    });
     g.bench_function("bfs_serial_kron13", |bench| {
         bench.iter(|| std::hint::black_box(graph.bfs_serial(0)))
     });

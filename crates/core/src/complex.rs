@@ -34,15 +34,6 @@ impl C64 {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Magnitude (Euclidean norm).
     #[inline]
     pub fn abs(self) -> f64 {
@@ -130,12 +121,6 @@ mod tests {
             let z = C64::cis(k as f64 * 0.3);
             assert!((z.abs() - 1.0).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn conj_negates_imag() {
-        let z = C64::new(0.5, -0.25).conj();
-        assert_eq!(z, C64::new(0.5, 0.25));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl ErrorStats {
             n,
         }
     }
-
-    /// True when the result is bit-identical to the reference.
-    pub fn is_exact(&self) -> bool {
-        self.max == 0.0
-    }
 }
 
 /// A compensated (Kahan) accumulator, used by CPU ground-truth reductions
@@ -130,7 +125,7 @@ mod tests {
     fn compare_identical_is_exact() {
         let v = vec![1.0, -2.5, 3.25];
         let e = ErrorStats::compare(&v, &v);
-        assert!(e.is_exact());
+        assert_eq!(e.max, 0.0);
         assert_eq!(e.avg, 0.0);
         assert_eq!(e.n, 3);
     }

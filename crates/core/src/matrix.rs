@@ -34,15 +34,6 @@ impl DenseMatrix {
         Self { rows, cols, data }
     }
 
-    /// Wrap an existing row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer size mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Fill with LINPACK-style pseudo-random values in `(-2, 2)`.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
         let mut g = LcgF64::new(seed);
@@ -127,11 +118,6 @@ impl DenseMatrix {
             })
             .collect()
     }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +154,7 @@ mod tests {
     fn matvec_matches_matmul_column() {
         let a = DenseMatrix::random(6, 3, 5);
         let x = vec![1.0, -2.0, 0.5];
-        let bx = DenseMatrix::from_vec(3, 1, x.clone());
+        let bx = DenseMatrix::from_fn(3, 1, |i, _| x[i]);
         let y = a.matvec_naive(&x);
         let p = a.matmul_naive(&bx);
         for (i, yi) in y.iter().enumerate() {
@@ -180,17 +166,5 @@ mod tests {
     fn row_slice_is_contiguous() {
         let m = DenseMatrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn frobenius_of_unit_rows() {
-        let m = DenseMatrix::from_fn(2, 2, |i, j| if i == j { 3.0 } else { 4.0 });
-        assert!((m.frobenius() - 50.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_vec_rejects_bad_size() {
-        let _ = DenseMatrix::from_vec(2, 2, vec![0.0; 3]);
     }
 }

@@ -12,11 +12,10 @@
 //! alone, without building the bitmap, plus the per-level arc totals a
 //! push/pull traversal counts ([`LevelArcs`]). Its result is a function
 //! of the graph and the source, so one run serves every BFS variant;
-//! [`CsrGraph::pull_bfs`] memoises it on the graph. [`BitmapGraph`]
-//! remains the format's definition, and the slice traversal over it is
-//! the oracle the property tests hold [`pull_bfs`] to.
-
-use serde::{Deserialize, Serialize};
+//! [`CsrGraph::pull_bfs`] memoises it on the graph. The format itself,
+//! `BitmapGraph` and its `Slice`s, lives in the graph crate's tests
+//! (`tests/support/bitmap.rs`): the slice traversal over it is the
+//! oracle the property tests hold [`pull_bfs`] to.
 
 use crate::csr_graph::CsrGraph;
 
@@ -24,128 +23,6 @@ use crate::csr_graph::CsrGraph;
 pub const BLOCK_ROWS: usize = 8;
 /// Columns per block (MMA `k` dimension).
 pub const BLOCK_COLS: usize = 128;
-
-/// One 8×128 adjacency bit block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Slice {
-    /// Which 128-column band this block covers.
-    pub col_block: u32,
-    /// The eight 128-bit row bitmaps.
-    pub rows: [u128; BLOCK_ROWS],
-}
-
-/// A graph stored as bitmap block slice sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitmapGraph {
-    /// Number of vertices.
-    pub n: usize,
-    /// Number of 8-row bands.
-    pub row_blocks: usize,
-    /// Number of 128-column bands.
-    pub col_blocks: usize,
-    /// Slice-set offsets per row band, length `row_blocks + 1`.
-    pub offsets: Vec<usize>,
-    /// The nonempty slices, ordered by (row band, column band).
-    pub slices: Vec<Slice>,
-}
-
-impl BitmapGraph {
-    /// Build the slice-set representation from CSR adjacency. Row `r` of
-    /// the adjacency matrix holds the *in*-neighbour relationship used by
-    /// pull-style BFS: bit `c` of row `r` is set when arc `c → r` exists,
-    /// i.e. the structure is the transpose of the out-adjacency.
-    ///
-    /// One counting pass buckets the arcs by destination band. Sources
-    /// are scattered in ascending order, so each band's arcs arrive
-    /// sorted by column block and its slices are appended in order.
-    pub fn from_graph(g: &CsrGraph) -> Self {
-        let n = g.n;
-        let row_blocks = n.div_ceil(BLOCK_ROWS);
-        let col_blocks = n.div_ceil(BLOCK_COLS);
-
-        let mut band_start = vec![0usize; row_blocks + 1];
-        for &v in g.adj.iter() {
-            band_start[v as usize / BLOCK_ROWS + 1] += 1;
-        }
-        for i in 0..row_blocks {
-            band_start[i + 1] += band_start[i];
-        }
-        // Per arc `u → v`: source `u` and local row `v % 8`, packed.
-        let mut cursor = band_start[..row_blocks].to_vec();
-        let mut arcs = vec![0u64; g.num_arcs()];
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                let rb = v as usize / BLOCK_ROWS;
-                arcs[cursor[rb]] = (u as u64) << 3 | (v as usize % BLOCK_ROWS) as u64;
-                cursor[rb] += 1;
-            }
-        }
-
-        let mut offsets = Vec::with_capacity(row_blocks + 1);
-        offsets.push(0usize);
-        let mut slices: Vec<Slice> = Vec::new();
-        for rb in 0..row_blocks {
-            let first = slices.len();
-            for &arc in &arcs[band_start[rb]..band_start[rb + 1]] {
-                let (u, r) = ((arc >> 3) as usize, (arc & 7) as usize);
-                let cb = (u / BLOCK_COLS) as u32;
-                if slices.len() == first || slices[slices.len() - 1].col_block != cb {
-                    slices.push(Slice {
-                        col_block: cb,
-                        rows: [0u128; BLOCK_ROWS],
-                    });
-                }
-                slices.last_mut().unwrap().rows[r] |= 1u128 << (u % BLOCK_COLS);
-            }
-            offsets.push(slices.len());
-        }
-        Self {
-            n,
-            row_blocks,
-            col_blocks,
-            offsets,
-            slices,
-        }
-    }
-
-    /// Slices of one 8-row band.
-    pub fn band(&self, rb: usize) -> &[Slice] {
-        &self.slices[self.offsets[rb]..self.offsets[rb + 1]]
-    }
-
-    /// Number of stored slices.
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Total set bits (must equal the number of arcs).
-    pub fn num_bits(&self) -> usize {
-        self.slices
-            .iter()
-            .map(|s| {
-                s.rows
-                    .iter()
-                    .map(|r| r.count_ones() as usize)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Average fraction of set bits per stored slice — the bitmap
-    /// density that determines BFS memory efficiency.
-    pub fn slice_fill(&self) -> f64 {
-        if self.slices.is_empty() {
-            return 0.0;
-        }
-        self.num_bits() as f64 / (self.num_slices() * BLOCK_ROWS * BLOCK_COLS) as f64
-    }
-
-    /// Bytes occupied by the slice payloads (the low-memory-footprint
-    /// property Section 6.1 credits for BFS speedups).
-    pub fn payload_bytes(&self) -> usize {
-        self.num_slices() * (BLOCK_ROWS * BLOCK_COLS / 8 + 4)
-    }
-}
 
 /// What one bitmap pull traversal leaves behind, plus the arcs of each
 /// level: everything the traces of all four BFS variants are a function
@@ -322,64 +199,6 @@ pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-
-    #[test]
-    fn bits_equal_arcs() {
-        let g = generators::rmat(1 << 10, 8 << 10, 0.45, 0.2, 0.2, 0.15, 42, true);
-        let b = BitmapGraph::from_graph(&g);
-        assert_eq!(b.num_bits(), g.num_arcs());
-    }
-
-    #[test]
-    fn pull_structure_is_transposed() {
-        let g = CsrGraph::from_edges(300, &[(5, 200)], false);
-        let b = BitmapGraph::from_graph(&g);
-        // arc 5 → 200 sets bit 5 of row 200: band 25, local row 0,
-        // col block 0, local col 5.
-        let band = b.band(200 / BLOCK_ROWS);
-        assert_eq!(band.len(), 1);
-        assert_eq!(band[0].col_block, 0);
-        assert_eq!(band[0].rows[0], 1u128 << 5);
-    }
-
-    #[test]
-    fn empty_bands_have_no_slices() {
-        let g = CsrGraph::from_edges(1000, &[(0, 1)], false);
-        let b = BitmapGraph::from_graph(&g);
-        assert_eq!(b.num_slices(), 1);
-        assert!(b.band(50).is_empty());
-        assert_eq!(b.band(0).len(), 1);
-    }
-
-    #[test]
-    fn dense_clique_fills_slices() {
-        let n = 128;
-        let mut edges = Vec::new();
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                if u != v {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = CsrGraph::from_edges(n, &edges, false);
-        let b = BitmapGraph::from_graph(&g);
-        assert_eq!(b.num_slices(), n / BLOCK_ROWS); // one col block
-        assert!(b.slice_fill() > 0.99 - 1.0 / 128.0);
-    }
-
-    #[test]
-    fn slices_sorted_within_band() {
-        let g = generators::rmat(1 << 11, 16 << 11, 0.5, 0.2, 0.2, 0.1, 7, true);
-        let b = BitmapGraph::from_graph(&g);
-        for rb in 0..b.row_blocks {
-            let band = b.band(rb);
-            for w in band.windows(2) {
-                assert!(w[0].col_block < w[1].col_block, "band {rb} unsorted");
-            }
-        }
-    }
 
     #[test]
     fn row_hit_is_the_mma_diagonal() {

@@ -210,91 +210,10 @@ impl CsrGraph {
         }
     }
 
-    /// Reverse graph (in-neighbours become out-neighbours).
-    ///
-    /// A counting transpose: in-degrees, prefix sum, then one scatter
-    /// with sources ascending, so every reversed list comes out sorted.
-    /// Arcs are already de-duplicated, so this equals re-sorting the
-    /// reversed arc list through [`CsrGraph::from_edges`].
-    pub fn reverse(&self) -> CsrGraph {
-        let n = self.n;
-        let mut offsets = vec![0usize; n + 1];
-        for &v in self.adj.iter() {
-            offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut adj = vec![0u32; self.num_arcs()];
-        for u in 0..n {
-            for &v in self.neighbors(u) {
-                adj[cursor[v as usize]] = u as u32;
-                cursor[v as usize] += 1;
-            }
-        }
-        Self {
-            n,
-            offsets,
-            adj,
-            pull_memo: OnceLock::new(),
-        }
-    }
-
     /// The highest-degree vertex — the paper's BFS sources follow the
     /// common convention of starting from a well-connected vertex.
     pub fn max_degree_vertex(&self) -> usize {
         (0..self.n).max_by_key(|&v| self.degree(v)).unwrap_or(0)
-    }
-
-    /// Relabel vertices in BFS visitation order from the highest-degree
-    /// vertex (unreached vertices appended in degree order) — a
-    /// bandwidth-reducing reordering in the Cuthill–McKee family.
-    ///
-    /// Real-world SuiteSparse graphs carry strong vertex locality (web
-    /// graphs are URL-sorted, social graphs community-clustered); the
-    /// synthetic RMAT samplers do not. Bitmap-block formats like
-    /// BerryBees' slice sets rely on that locality, so generated graphs
-    /// are reordered before use.
-    pub fn relabel_by_bfs_order(&self) -> CsrGraph {
-        // Traverse the symmetrized structure so directed graphs reorder
-        // coherently.
-        let rev = self.reverse();
-        let start = self.max_degree_vertex();
-        let mut order: Vec<u32> = Vec::with_capacity(self.n);
-        let mut seen = vec![false; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start as u32);
-        seen[start] = true;
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in self
-                .neighbors(u as usize)
-                .iter()
-                .chain(rev.neighbors(u as usize))
-            {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        // Unreached vertices, by descending degree.
-        let mut rest: Vec<u32> = (0..self.n as u32).filter(|&v| !seen[v as usize]).collect();
-        rest.sort_by_key(|&v| std::cmp::Reverse(self.degree(v as usize) + rev.degree(v as usize)));
-        order.extend(rest);
-
-        let mut new_id = vec![0u32; self.n];
-        for (new, &old) in order.iter().enumerate() {
-            new_id[old as usize] = new as u32;
-        }
-        let mut edges = Vec::with_capacity(self.num_arcs());
-        for u in 0..self.n {
-            for &v in self.neighbors(u) {
-                edges.push((new_id[u], new_id[v as usize]));
-            }
-        }
-        CsrGraph::from_edges(self.n, &edges, false)
     }
 }
 
@@ -335,15 +254,6 @@ mod tests {
     fn duplicate_arcs_merge() {
         let g = CsrGraph::from_edges(2, &[(0, 1), (0, 1), (0, 1)], false);
         assert_eq!(g.num_arcs(), 1);
-    }
-
-    #[test]
-    fn reverse_of_directed_edge() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2)], false);
-        let r = g.reverse();
-        assert_eq!(r.neighbors(1), &[0]);
-        assert_eq!(r.neighbors(2), &[0]);
-        assert!(r.neighbors(0).is_empty());
     }
 
     #[test]

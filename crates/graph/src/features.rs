@@ -36,8 +36,8 @@ pub struct GraphFeatures {
     /// small-world graphs, large for grids/chains.
     pub bfs_depth_ratio: f64,
     /// Bitmap slice fill of the 8×128 block representation: arcs over
-    /// `1024 ·` the number of nonempty blocks, bit for bit
-    /// [`BitmapGraph::slice_fill`](crate::bitmap::BitmapGraph::slice_fill).
+    /// `1024 ·` the number of nonempty blocks, bit for bit the bitmap
+    /// format's own fill (its test oracle, `BitmapGraph::slice_fill`).
     /// Computed by counting the distinct (destination band, source
     /// column block) pairs, without materialising the bitmap.
     pub slice_fill: f64,
@@ -94,12 +94,13 @@ impl GraphFeatures {
     }
 }
 
-/// [`BitmapGraph::slice_fill`](crate::bitmap::BitmapGraph::slice_fill)
-/// without building the bitmap. A slice is a distinct (`v / 8`, `u / 128`)
-/// pair over the arcs `u → v`. Sources are visited in ascending order, so
-/// each band sees its column blocks in nondecreasing order and one stamp
-/// per band (last column block seen, plus one) counts them. Arcs are
-/// distinct, so they equal the bitmap's set bits.
+/// The bitmap format's slice fill (`BitmapGraph::slice_fill` in the
+/// graph tests) without building the bitmap. A slice is a distinct
+/// (`v / 8`, `u / 128`) pair over the arcs `u → v`. Sources are visited
+/// in ascending order, so each band sees its column blocks in
+/// nondecreasing order and one stamp per band (last column block seen,
+/// plus one) counts them. Arcs are distinct, so they equal the bitmap's
+/// set bits.
 fn slice_fill(g: &CsrGraph) -> f64 {
     let mut stamp = vec![0u32; g.n.div_ceil(BLOCK_ROWS)];
     let mut slices = 0usize;

@@ -4,8 +4,9 @@
 //!
 //! * [`csr_graph`] — adjacency in CSR form with a serial reference BFS
 //!   (the correctness oracle).
-//! * [`bitmap`] — the BerryBees 8×128 bitmap block slice-set format that
-//!   feeds the single-bit `mma.m8n8k128` tensor-core BFS.
+//! * [`bitmap`] — the BFS pull profile over the BerryBees 8×128 bitmap
+//!   block slice-set format that feeds the single-bit `mma.m8n8k128`
+//!   tensor-core BFS, computed from the CSR without building the bitmap.
 //! * [`generators`] — synthetic stand-ins for the five SuiteSparse graphs
 //!   of Table 3. `mycielskian17` is reconstructed **exactly** (the
 //!   Mycielski construction is deterministic; our vertex and edge counts
@@ -22,7 +23,6 @@ pub mod csr_graph;
 pub mod features;
 pub mod generators;
 
-pub use bitmap::BitmapGraph;
 pub use csr_graph::CsrGraph;
 pub use features::GraphFeatures;
 pub use generators::{table3_graphs, table3_specs, GraphInfo};

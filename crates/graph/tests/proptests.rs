@@ -1,10 +1,12 @@
 //! Property-based tests of the graph substrate.
 
+#[path = "support/bitmap.rs"]
+mod bitmap;
+
+use bitmap::{reverse, BitmapGraph, Slice};
 use cubie_core::par::set_max_workers;
 use cubie_core::SplitMix64;
-use cubie_graph::bitmap::{
-    pull_bfs, BitmapGraph, LevelArcs, PullBfs, Slice, BLOCK_COLS, BLOCK_ROWS,
-};
+use cubie_graph::bitmap::{pull_bfs, LevelArcs, PullBfs, BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators::{community_graph, grid_graph, rmat, table3_graphs, EDGE_CHUNK};
@@ -133,7 +135,7 @@ fn pull_bfs_by_slices(g: &CsrGraph, source: usize) -> PullBfs {
 /// sorted by source: a rank is the position of the first in-neighbour
 /// one level up.
 fn level_arcs_by_reverse(g: &CsrGraph, levels: &[i32]) -> Vec<LevelArcs> {
-    let rev = g.reverse();
+    let rev = reverse(g);
     let deepest = *levels.iter().max().unwrap() as usize;
     let mut out = vec![LevelArcs::default(); deepest + 2];
     for (v, &l) in levels.iter().enumerate() {
@@ -319,6 +321,74 @@ fn arb_edge_count() -> impl Strategy<Value = usize> {
     ]
 }
 
+// Deterministic cases of the bitmap oracle itself.
+
+#[test]
+fn bits_equal_arcs() {
+    let g = rmat(1 << 10, 8 << 10, 0.45, 0.2, 0.2, 0.15, 42, true);
+    let b = BitmapGraph::from_graph(&g);
+    assert_eq!(b.num_bits(), g.num_arcs());
+}
+
+#[test]
+fn pull_structure_is_transposed() {
+    let g = CsrGraph::from_edges(300, &[(5, 200)], false);
+    let b = BitmapGraph::from_graph(&g);
+    // arc 5 → 200 sets bit 5 of row 200: band 25, local row 0,
+    // col block 0, local col 5.
+    let band = b.band(200 / BLOCK_ROWS);
+    assert_eq!(band.len(), 1);
+    assert_eq!(band[0].col_block, 0);
+    assert_eq!(band[0].rows[0], 1u128 << 5);
+}
+
+#[test]
+fn empty_bands_have_no_slices() {
+    let g = CsrGraph::from_edges(1000, &[(0, 1)], false);
+    let b = BitmapGraph::from_graph(&g);
+    assert_eq!(b.num_slices(), 1);
+    assert!(b.band(50).is_empty());
+    assert_eq!(b.band(0).len(), 1);
+}
+
+#[test]
+fn dense_clique_fills_slices() {
+    let n = 128;
+    let mut edges = Vec::new();
+    for u in 0..n as u32 {
+        for v in 0..n as u32 {
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+    }
+    let g = CsrGraph::from_edges(n, &edges, false);
+    let b = BitmapGraph::from_graph(&g);
+    assert_eq!(b.num_slices(), n / BLOCK_ROWS); // one col block
+    assert!(b.slice_fill() > 0.99 - 1.0 / 128.0);
+}
+
+#[test]
+fn reverse_of_directed_edge() {
+    let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2)], false);
+    let r = reverse(&g);
+    assert_eq!(r.neighbors(1), &[0]);
+    assert_eq!(r.neighbors(2), &[0]);
+    assert!(r.neighbors(0).is_empty());
+}
+
+#[test]
+fn slices_sorted_within_band() {
+    let g = rmat(1 << 11, 16 << 11, 0.5, 0.2, 0.2, 0.1, 7, true);
+    let b = BitmapGraph::from_graph(&g);
+    for rb in 0..b.row_blocks {
+        let band = b.band(rb);
+        for w in band.windows(2) {
+            assert!(w[0].col_block < w[1].col_block, "band {rb} unsorted");
+        }
+    }
+}
+
 /// Run `f` under each of the worker caps 1 and 3, restoring the cap.
 fn under_worker_caps<T>(f: impl Fn() -> T) -> Vec<T> {
     [1, 3]
@@ -407,9 +477,9 @@ proptest! {
     #[test]
     fn reverse_matches_sort_based((n, edges, sym) in arb_builder_graph()) {
         let g = CsrGraph::from_edges(n, &edges, sym);
-        let r = g.reverse();
+        let r = reverse(&g);
         prop_assert_eq!(&r, &reverse_by_sort(&g));
-        prop_assert_eq!(r.reverse(), g);
+        prop_assert_eq!(reverse(&r), g);
     }
 
     /// The per-band bitmap build equals the sort-based one field by
@@ -503,20 +573,6 @@ proptest! {
                 prop_assert_eq!(bit, 1, "bit unset for arc {}→{}", u, v);
             }
         }
-    }
-
-    /// BFS-order relabelling preserves the degree sequence and the arc
-    /// count (it is a vertex permutation).
-    #[test]
-    fn relabel_preserves_structure((n, edges, _) in arb_graph()) {
-        let g = CsrGraph::from_edges(n, &edges, true);
-        let r = g.relabel_by_bfs_order();
-        prop_assert_eq!(r.num_arcs(), g.num_arcs());
-        let mut a: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-        let mut b: Vec<usize> = (0..n).map(|v| r.degree(v)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 }
 

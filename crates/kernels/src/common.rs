@@ -99,12 +99,6 @@ pub const fn bytes_f64(n: usize) -> u64 {
     (n * 8) as u64
 }
 
-/// Bytes of `n` 32-bit indices.
-#[inline]
-pub const fn bytes_u32(n: usize) -> u64 {
-    (n * 4) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +121,5 @@ mod tests {
     #[test]
     fn byte_helpers() {
         assert_eq!(bytes_f64(4), 32);
-        assert_eq!(bytes_u32(4), 16);
     }
 }

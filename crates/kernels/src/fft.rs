@@ -237,8 +237,9 @@ fn fft_stockham(x: &mut [C64], tmp: &mut [C64], ctr: &mut OpCounters) {
     }
 }
 
-/// Functional 1-D FFT of a batch under one variant (exposed for tests and
-/// the examples; the paper's cases are 2-D).
+/// Functional 1-D FFT of a batch under one variant (exposed for the
+/// tests, which check it against the DFT and its MMA count; the
+/// paper's cases are 2-D).
 pub fn fft1d_batch(xs: &mut [Vec<C64>], variant: Variant) -> OpCounters {
     let mut ctr = OpCounters::new();
     match variant {

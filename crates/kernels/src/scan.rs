@@ -22,7 +22,7 @@
 //! throughput; the traces therefore carry careful `critical_cycles`.
 
 use cubie_core::mma::mma_f64_8x8x8;
-use cubie_core::{par, OpCounters};
+use cubie_core::OpCounters;
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use serde::{Deserialize, Serialize};
@@ -364,24 +364,6 @@ pub fn trace(case: &ScanCase, variant: Variant) -> WorkloadTrace {
     ))
 }
 
-/// Exclusive prefix sum under one variant: `y[i] = Σ_{j<i} x[j]`,
-/// derived from the inclusive tensor-core scan by a shifted extraction
-/// (the standard CUB `ExclusiveSum` relationship).
-pub fn run_exclusive(x: &[f64], variant: Variant) -> (Vec<f64>, WorkloadTrace) {
-    let (inc, trace) = run(x, variant);
-    let mut y = Vec::with_capacity(x.len());
-    y.push(0.0);
-    y.extend_from_slice(&inc[..inc.len().saturating_sub(1)]);
-    (y, trace)
-}
-
-/// Scan many independent segments (used by the power/EDP experiments,
-/// where the paper executes the workload millions of times): functional
-/// batch helper.
-pub fn run_batch(xs: &[Vec<f64>], variant: Variant) -> Vec<Vec<f64>> {
-    par::par_map(xs.len(), |i| run(&xs[i], variant).0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,19 +435,6 @@ mod tests {
         assert_eq!(tc.gmem_bytes(), cce.gmem_bytes());
         assert_eq!(tc.gmem_bytes(), 2 * 1024 * 8, "compulsory in/out only");
         assert!(tc.cmem_bytes > 0);
-    }
-
-    #[test]
-    fn exclusive_scan_shifts_the_inclusive_result() {
-        let x = input(&ScanCase { n: 300 });
-        for v in Variant::ALL {
-            let (exc, _) = run_exclusive(&x, v);
-            assert_eq!(exc[0], 0.0, "{v}");
-            let (inc, _) = run(&x, v);
-            for i in 1..x.len() {
-                assert_eq!(exc[i], inc[i - 1], "{v} at {i}");
-            }
-        }
     }
 
     #[test]

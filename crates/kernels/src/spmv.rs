@@ -38,17 +38,6 @@ pub const LONG_THRESHOLD: usize = 128;
 /// Segment length of a split long row.
 pub const LONG_CHUNK: usize = 128;
 
-/// DASP row-length categories (reported by the format statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowCategory {
-    /// ≤ 4 nonzeros: one MMA step covers the row.
-    Short,
-    /// 5–128 nonzeros.
-    Medium,
-    /// > 128 nonzeros.
-    Long,
-}
-
 /// One bundle: 8 length-sorted (virtual) rows packed into `steps` 8×4
 /// blocks. Split long rows appear as several entries with the same
 /// original row index; their partial sums accumulate at scatter time.

@@ -33,16 +33,11 @@ use crate::common::Variant;
 pub enum StencilKind {
     /// 5-point star, radius 1, 2-D.
     Star2D1R,
-    /// 9-point star, radius 2, 2-D (a LoRAStencil extension case: the
-    /// wider band still fits the 8×12 factor exactly — 8 outputs need
-    /// 12 input rows).
-    Star2D2R,
     /// 7-point star, radius 1, 3-D.
     Star3D1R,
 }
 
-/// Stencil coefficients: centre plus one weight per axis direction (and
-/// a distance-2 weight for radius-2 stars).
+/// Stencil coefficients: centre plus one weight per axis direction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Coefficients {
     /// Centre weight.
@@ -53,8 +48,6 @@ pub struct Coefficients {
     pub axis_x: f64,
     /// Front/back (z-axis) weight (3-D only).
     pub axis_z: f64,
-    /// Distance-2 weight along both in-plane axes (radius-2 stars).
-    pub axis_2: f64,
 }
 
 impl Coefficients {
@@ -66,21 +59,12 @@ impl Coefficients {
                 axis_y: 1.0,
                 axis_x: 1.0,
                 axis_z: 0.0,
-                axis_2: 0.0,
-            },
-            StencilKind::Star2D2R => Self {
-                center: -6.0,
-                axis_y: 1.25,
-                axis_x: 1.25,
-                axis_z: 0.0,
-                axis_2: 0.25,
             },
             StencilKind::Star3D1R => Self {
                 center: -6.0,
                 axis_y: 1.0,
                 axis_x: 1.0,
                 axis_z: 1.0,
-                axis_2: 0.0,
             },
         }
     }
@@ -100,14 +84,6 @@ impl StencilCase {
     pub fn star2d(ny: usize, nx: usize) -> Self {
         Self {
             kind: StencilKind::Star2D1R,
-            dims: (1, ny, nx),
-        }
-    }
-
-    /// A radius-2 2-D case.
-    pub fn star2d2r(ny: usize, nx: usize) -> Self {
-        Self {
-            kind: StencilKind::Star2D2R,
             dims: (1, ny, nx),
         }
     }
@@ -142,7 +118,6 @@ impl StencilCase {
     pub fn useful_flops(&self) -> f64 {
         let taps = match self.kind {
             StencilKind::Star2D1R => 5.0,
-            StencilKind::Star2D2R => 9.0,
             StencilKind::Star3D1R => 7.0,
         };
         2.0 * taps * self.points() as f64
@@ -152,7 +127,6 @@ impl StencilCase {
     pub fn label(&self) -> String {
         match self.kind {
             StencilKind::Star2D1R => format!("star2d1r-{}x{}", self.dims.1, self.dims.2),
-            StencilKind::Star2D2R => format!("star2d2r-{}x{}", self.dims.1, self.dims.2),
             StencilKind::Star3D1R => {
                 format!("star3d1r-{}x{}x{}", self.dims.0, self.dims.1, self.dims.2)
             }
@@ -184,10 +158,6 @@ pub fn reference(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                 let mut v = co.center * at(z, y, xx);
                 v += co.axis_y * (at(z, y - 1, xx) + at(z, y + 1, xx));
                 v += co.axis_x * (at(z, y, xx - 1) + at(z, y, xx + 1));
-                if case.kind == StencilKind::Star2D2R {
-                    v += co.axis_2 * (at(z, y - 2, xx) + at(z, y + 2, xx));
-                    v += co.axis_2 * (at(z, y, xx - 2) + at(z, y, xx + 2));
-                }
                 if case.kind == StencilKind::Star3D1R {
                     v += co.axis_z * (at(z - 1, y, xx) + at(z + 1, y, xx));
                 }
@@ -208,46 +178,29 @@ pub fn run(case: &StencilCase, x: &[f64], variant: Variant) -> (Vec<f64>, Worklo
     (out, trace(case, variant))
 }
 
-/// Band radius of a stencil kind.
-fn radius(kind: StencilKind) -> usize {
-    match kind {
-        StencilKind::Star2D1R | StencilKind::Star3D1R => 1,
-        StencilKind::Star2D2R => 2,
-    }
-}
-
 /// Build the 8×12 vertical band factor (row-major): out row `r` draws on
-/// padded input rows `r + radius ± d` (the input slab starts `radius`
-/// rows above the tile; 8 outputs + 2·radius halo ≤ 12 for radius ≤ 2).
-/// The centre weight is split between the passes.
-fn v_factor(kind: StencilKind, co: &Coefficients, center_share: f64) -> [f64; 96] {
-    let rad = radius(kind);
+/// padded input rows `r`, `r + 1` and `r + 2` (the input slab starts one
+/// row above the tile; 8 outputs + 2 halo rows fill 10 of the 12 rows
+/// that three chained `m8n8k4` MMAs cover). The centre weight is split
+/// between the passes.
+fn v_factor(co: &Coefficients, center_share: f64) -> [f64; 96] {
     let mut v = [0.0f64; 96];
     for r in 0..8 {
-        if rad == 2 {
-            v[r * 12 + r] = co.axis_2;
-            v[r * 12 + r + 4] = co.axis_2;
-        }
-        v[r * 12 + r + rad - 1] = co.axis_y;
-        v[r * 12 + r + rad] = center_share;
-        v[r * 12 + r + rad + 1] = co.axis_y;
+        v[r * 12 + r] = co.axis_y;
+        v[r * 12 + r + 1] = center_share;
+        v[r * 12 + r + 2] = co.axis_y;
     }
     v
 }
 
 /// The 12×8 horizontal band factor: transpose structure of `v_factor`
 /// with the x-axis weights.
-fn h_factor(kind: StencilKind, co: &Coefficients, center_share: f64) -> [f64; 96] {
-    let rad = radius(kind);
+fn h_factor(co: &Coefficients, center_share: f64) -> [f64; 96] {
     let mut h = [0.0f64; 96];
     for c in 0..8 {
-        if rad == 2 {
-            h[c * 8 + c] = co.axis_2;
-            h[(c + 4) * 8 + c] = co.axis_2;
-        }
-        h[(c + rad - 1) * 8 + c] = co.axis_x;
-        h[(c + rad) * 8 + c] = center_share;
-        h[(c + rad + 1) * 8 + c] = co.axis_x;
+        h[c * 8 + c] = co.axis_x;
+        h[(c + 1) * 8 + c] = center_share;
+        h[(c + 2) * 8 + c] = co.axis_x;
     }
     h
 }
@@ -259,10 +212,10 @@ fn h_factor(kind: StencilKind, co: &Coefficients, center_share: f64) -> [f64; 96
 fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
     let (nz, ny, nx) = case.dims;
     let co = Coefficients::diffusion(case.kind);
-    let (vshare, hshare) = center_split(case.kind, &co);
-    let v = v_factor(case.kind, &co, vshare);
-    let h = h_factor(case.kind, &co, hshare);
-    let rad = radius(case.kind) as i64;
+    // The centre weight splits evenly between the two passes (the z
+    // contribution carries no centre share).
+    let v = v_factor(&co, co.center / 2.0);
+    let h = h_factor(&co, co.center / 2.0);
     let tiles_y = ny.div_ceil(8);
     let tiles_x = nx.div_ceil(8);
     let mut out = vec![0.0f64; x.len()];
@@ -285,7 +238,7 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                 let mut slab = [0.0f64; 96];
                 for k in 0..12 {
                     for c in 0..8 {
-                        slab[k * 8 + c] = at(y0 + k as i64 - rad, x0 + c as i64);
+                        slab[k * 8 + c] = at(y0 + k as i64 - 1, x0 + c as i64);
                     }
                 }
                 mma_chain_8xk(&v, &slab, &mut ct, &mut scratch);
@@ -294,7 +247,7 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                 let mut slab_h = [0.0f64; 96];
                 for r in 0..8 {
                     for k in 0..12 {
-                        slab_h[r * 12 + k] = at(y0 + r as i64, x0 + k as i64 - rad);
+                        slab_h[r * 12 + k] = at(y0 + r as i64, x0 + k as i64 - 1);
                     }
                 }
                 mma_chain_kx8(&slab_h, &h, &mut ct, &mut scratch);
@@ -334,16 +287,6 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
         }
     });
     out
-}
-
-/// How the centre weight splits between the vertical and horizontal
-/// passes (the z contribution carries no centre share).
-fn center_split(kind: StencilKind, co: &Coefficients) -> (f64, f64) {
-    match kind {
-        StencilKind::Star2D1R | StencilKind::Star2D2R | StencilKind::Star3D1R => {
-            (co.center / 2.0, co.center / 2.0)
-        }
-    }
 }
 
 /// `C (8×8) += A (8×12) · B (12×8)` as three chained `m8n8k4` MMAs.
@@ -406,24 +349,16 @@ fn grid_row<'a>(
 /// tiling changes traffic, not numerics). Interior columns of each row
 /// run on the active `cubie_core::simd` path as one [`simd::star_row`]
 /// per output row (independent output points in lanes, per-point op
-/// order preserved → bit-identical to scalar); the `radius` border
-/// columns keep the scalar per-point loop.
+/// order preserved → bit-identical to scalar); the two border columns
+/// keep the scalar per-point loop.
 fn run_baseline(case: &StencilCase, x: &[f64]) -> Vec<f64> {
     let (nz, ny, nx) = case.dims;
     let co = Coefficients::diffusion(case.kind);
-    let rad = match case.kind {
-        StencilKind::Star2D2R => 2usize,
-        StencilKind::Star2D1R | StencilKind::Star3D1R => 1,
-    };
     let plane = ny * nx;
     let zeros = vec![0.0f64; nx];
-    // Degenerate-width grids (nx ≤ 2·rad) have no interior: lo == hi
-    // makes the border loop cover every column.
-    let (lo, hi) = if nx > 2 * rad {
-        (rad, nx - rad)
-    } else {
-        (0, 0)
-    };
+    // Degenerate-width grids (nx ≤ 2) have no interior: lo == hi makes
+    // the border loop cover every column.
+    let (lo, hi) = if nx > 2 { (1, nx - 1) } else { (0, 0) };
     let mut out = vec![0.0f64; x.len()];
     par::par_chunks_mut(&mut out, plane, |z, out_plane| {
         let row = |zz: i64, y: i64| grid_row(x, &zeros, plane, nx, ny, nz, zz, y);
@@ -437,7 +372,7 @@ fn run_baseline(case: &StencilCase, x: &[f64]) -> Vec<f64> {
         let zi = z as i64;
         // One tap list per plane, cleared per row (the taps borrow rows
         // of `x`/`zeros`, which outlive the loop).
-        let mut taps: Vec<StarTap> = Vec::with_capacity(5);
+        let mut taps: Vec<StarTap> = Vec::with_capacity(3);
         for y in 0..ny {
             let yi = y as i64;
             if lo < hi {
@@ -454,18 +389,6 @@ fn run_baseline(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                     a: &cr[lo - 1..hi - 1],
                     b: &cr[lo + 1..hi + 1],
                 });
-                if case.kind == StencilKind::Star2D2R {
-                    taps.push(StarTap {
-                        weight: co.axis_2,
-                        a: &row(zi, yi - 2)[lo..hi],
-                        b: &row(zi, yi + 2)[lo..hi],
-                    });
-                    taps.push(StarTap {
-                        weight: co.axis_2,
-                        a: &cr[lo - 2..hi - 2],
-                        b: &cr[lo + 2..hi + 2],
-                    });
-                }
                 if case.kind == StencilKind::Star3D1R {
                     taps.push(StarTap {
                         weight: co.axis_z,
@@ -485,10 +408,6 @@ fn run_baseline(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                 let mut v = co.center * at(yi, xx);
                 v = co.axis_y.mul_add(at(yi - 1, xx) + at(yi + 1, xx), v);
                 v = co.axis_x.mul_add(at(yi, xx - 1) + at(yi, xx + 1), v);
-                if case.kind == StencilKind::Star2D2R {
-                    v = co.axis_2.mul_add(at(yi - 2, xx) + at(yi + 2, xx), v);
-                    v = co.axis_2.mul_add(at(yi, xx - 2) + at(yi, xx + 2), v);
-                }
                 if case.kind == StencilKind::Star3D1R {
                     let below = row(zi - 1, yi)[xx as usize];
                     let above = row(zi + 1, yi)[xx as usize];
@@ -545,11 +464,7 @@ pub fn trace(case: &StencilCase, variant: Variant) -> WorkloadTrace {
                     };
         }
         Variant::Baseline => {
-            let taps = match case.kind {
-                StencilKind::Star3D1R => 7,
-                StencilKind::Star2D2R => 9,
-                StencilKind::Star2D1R => 5,
-            };
+            let taps = if is_3d { 7 } else { 5 };
             ops.fma_f64 = points * taps;
             // DRStencil loads tile + halo with unaligned row segments:
             // the access stream is partially coalesced, and each point is
@@ -657,56 +572,5 @@ mod tests {
         let t = trace(&case, Variant::Tc).total_ops();
         assert!(b.gmem_load.strided > 0);
         assert_eq!(t.gmem_load.strided, 0);
-    }
-}
-
-#[cfg(test)]
-mod radius2_tests {
-    use super::*;
-    use crate::common::Variant;
-    use cubie_core::ErrorStats;
-
-    #[test]
-    fn star2d2r_variants_match_reference() {
-        let case = StencilCase::star2d2r(40, 56);
-        let x = input(&case);
-        let gold = reference(&case, &x);
-        for v in [Variant::Baseline, Variant::Tc, Variant::Cc] {
-            let (y, _) = run(&case, &x, v);
-            let e = ErrorStats::compare(&y, &gold);
-            assert!(e.max < 1e-12, "{v}: max err {}", e.max);
-        }
-    }
-
-    #[test]
-    fn star2d2r_tc_equals_cc_bitwise() {
-        let case = StencilCase::star2d2r(24, 32);
-        let x = input(&case);
-        assert_eq!(run(&case, &x, Variant::Tc).0, run(&case, &x, Variant::Cc).0);
-    }
-
-    #[test]
-    fn radius2_constant_grid_interior_is_zero() {
-        // Weights sum to zero: -6 + 2·1.25 + 2·1.25 + 4·0.25 = 0.
-        let case = StencilCase::star2d2r(16, 16);
-        let x = vec![1.0; case.points()];
-        let (y, _) = run(&case, &x, Variant::Tc);
-        assert_eq!(y[8 * 16 + 8], 0.0);
-    }
-
-    #[test]
-    fn radius2_uses_the_same_mma_budget() {
-        // 8 outputs + 4 halo rows = 12 = the same k extent: radius 2
-        // costs no extra MMAs — the LoRAStencil selling point.
-        let r1 = trace(&StencilCase::star2d(1024, 1024), Variant::Tc).total_ops();
-        let r2 = trace(&StencilCase::star2d2r(1024, 1024), Variant::Tc).total_ops();
-        assert_eq!(r1.mma_f64, r2.mma_f64);
-    }
-
-    #[test]
-    fn radius2_baseline_pays_more_taps() {
-        let r1 = trace(&StencilCase::star2d(1024, 1024), Variant::Baseline).total_ops();
-        let r2 = trace(&StencilCase::star2d2r(1024, 1024), Variant::Baseline).total_ops();
-        assert!(r2.fma_f64 > r1.fma_f64);
     }
 }

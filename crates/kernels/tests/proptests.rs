@@ -2,10 +2,14 @@
 //! must agree with its serial reference on arbitrary inputs, and TC must
 //! be bit-identical to CC everywhere.
 
+#[path = "../../graph/tests/support/bitmap.rs"]
+mod bitmap;
+
+use bitmap::{reverse, BitmapGraph};
 use cubie_core::counters::MemTraffic;
 use cubie_core::mma::mma_b1_m8n8k128_and_popc;
 use cubie_core::{ErrorStats, OpCounters, C64};
-use cubie_graph::bitmap::{BitmapGraph, BLOCK_COLS, BLOCK_ROWS};
+use cubie_graph::bitmap::{BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::CsrGraph;
 use cubie_kernels::spgemm::{self, SpgemmStats};
 use cubie_kernels::{bfs, fft, gemv, reduction, scan, spmv, Variant};
@@ -98,7 +102,7 @@ fn bitmap_bfs_with_mma(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i3
 /// levels: it builds the reversed graph and runs its own traversal.
 fn run_push_pull(g: &CsrGraph, source: usize) -> (Vec<i32>, WorkloadTrace) {
     g.assert_source(source);
-    let rev = g.reverse();
+    let rev = reverse(g);
     let n = g.n;
     let mut level = vec![-1i32; n];
     level[source] = 0;

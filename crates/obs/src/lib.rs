@@ -10,7 +10,8 @@
 //! a single branch. When enabled via [`enable`], each [`Span`] records a
 //! phase name, a free-form label (the sweep uses `workload/variant`), the
 //! recording thread, wall-clock start/duration against a process epoch,
-//! and two counters (bytes, items) into a mutex-buffered process-global
+//! an item counter and the thread's allocator traffic into a
+//! mutex-buffered process-global
 //! recorder — spans are coarse (milliseconds each), so one mutex push per
 //! span is far below measurement noise.
 //!
@@ -75,8 +76,6 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Bytes processed/generated under this span (caller-defined).
-    pub bytes: u64,
     /// Work items under this span (cases, kernels, indices — caller-defined).
     pub items: u64,
     /// Heap allocation events on the recording thread while the span was
@@ -124,7 +123,6 @@ struct SpanInner {
     phase: &'static str,
     label: String,
     start: Instant,
-    bytes: u64,
     items: u64,
     /// Thread allocation counters at open; the delta at drop is the
     /// span's attributed allocator traffic.
@@ -132,13 +130,6 @@ struct SpanInner {
 }
 
 impl Span {
-    /// Add to this span's byte counter (no-op when inert).
-    pub fn add_bytes(&mut self, n: u64) {
-        if let Some(inner) = &mut self.0 {
-            inner.bytes += n;
-        }
-    }
-
     /// Add to this span's item counter (no-op when inert).
     pub fn add_items(&mut self, n: u64) {
         if let Some(inner) = &mut self.0 {
@@ -164,7 +155,6 @@ impl Drop for Span {
             tid: TID.with(|t| *t),
             start_ns,
             dur_ns,
-            bytes: inner.bytes,
             items: inner.items,
             alloc_count: ac - inner.alloc0.0,
             alloc_bytes: ab - inner.alloc0.1,
@@ -188,7 +178,6 @@ pub fn span(phase: &'static str, label: &str) -> Span {
         phase,
         label,
         start: Instant::now(),
-        bytes: 0,
         items: 0,
         alloc0,
     }))
@@ -208,7 +197,6 @@ pub fn span_with(phase: &'static str, label: impl FnOnce() -> String) -> Span {
         phase,
         label,
         start: Instant::now(),
-        bytes: 0,
         items: 0,
         alloc0,
     }))
@@ -341,8 +329,6 @@ pub struct PhaseAgg {
     /// one worker this equals `busy_s`; under parallelism it is the
     /// interval the group was live.
     pub wall_s: f64,
-    /// Summed byte counters.
-    pub bytes: u64,
     /// Summed item counters.
     pub items: u64,
     /// Summed allocation events attributed to the group's spans.
@@ -367,7 +353,6 @@ pub fn aggregate(spans: &[SpanRecord]) -> Vec<PhaseAgg> {
                 let g = &mut groups[i];
                 g.calls += 1;
                 g.busy_s += s.dur_ns as f64 * 1e-9;
-                g.bytes += s.bytes;
                 g.items += s.items;
                 g.alloc_count += s.alloc_count;
                 g.alloc_bytes += s.alloc_bytes;
@@ -381,7 +366,6 @@ pub fn aggregate(spans: &[SpanRecord]) -> Vec<PhaseAgg> {
                     calls: 1,
                     busy_s: s.dur_ns as f64 * 1e-9,
                     wall_s: 0.0,
-                    bytes: s.bytes,
                     items: s.items,
                     alloc_count: s.alloc_count,
                     alloc_bytes: s.alloc_bytes,
@@ -444,7 +428,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> Json {
                 (
                     "args",
                     obj(vec![
-                        ("bytes", s.bytes.into()),
                         ("items", s.items.into()),
                         ("alloc_count", s.alloc_count.into()),
                         ("alloc_bytes", s.alloc_bytes.into()),
@@ -477,7 +460,7 @@ mod tests {
         let _ = drain();
         {
             let mut s = span("prepare", "gemm");
-            s.add_bytes(10);
+            s.add_items(10);
         }
         assert!(drain().is_empty());
     }
@@ -488,7 +471,6 @@ mod tests {
         enable();
         {
             let mut s = span("trace", "spmv/tc");
-            s.add_bytes(123);
             s.add_items(5);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
@@ -497,7 +479,7 @@ mod tests {
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!((s.phase, s.label.as_str()), ("trace", "spmv/tc"));
-        assert_eq!((s.bytes, s.items), (123, 5));
+        assert_eq!(s.items, 5);
         assert!(s.dur_ns >= 2_000_000, "dur {} ns", s.dur_ns);
     }
 
@@ -529,14 +511,13 @@ mod tests {
         assert!(spans.iter().all(|s| s.phase == "par"));
     }
 
-    fn rec(phase: &'static str, label: &str, start: u64, dur: u64, bytes: u64) -> SpanRecord {
+    fn rec(phase: &'static str, label: &str, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
             phase,
             label: label.to_string(),
             tid: 0,
             start_ns: start,
             dur_ns: dur,
-            bytes,
             items: 1,
             alloc_count: 2,
             alloc_bytes: 64,
@@ -546,28 +527,25 @@ mod tests {
     #[test]
     fn aggregate_groups_and_sorts_by_busy_time() {
         let spans = vec![
-            rec("trace", "spmv/tc", 0, 100, 8),
-            rec("trace", "spmv/tc", 200, 300, 8),
-            rec("prepare", "spmv", 0, 1000, 64),
+            rec("trace", "spmv/tc", 0, 100),
+            rec("trace", "spmv/tc", 200, 300),
+            rec("prepare", "spmv", 0, 1000),
         ];
         let agg = aggregate(&spans);
         assert_eq!(agg.len(), 2);
         assert_eq!((agg[0].phase, agg[0].label.as_str()), ("prepare", "spmv"));
-        assert_eq!(agg[0].bytes, 64);
+        assert_eq!(agg[0].alloc_bytes, 64);
         let t = &agg[1];
         assert_eq!(t.calls, 2);
-        assert_eq!(t.bytes, 16);
         assert_eq!(t.items, 2);
+        assert_eq!(t.alloc_bytes, 128);
         assert!((t.busy_s - 400e-9).abs() < 1e-15);
         assert!((t.wall_s - 500e-9).abs() < 1e-15);
     }
 
     #[test]
     fn busy_of_filters_phases() {
-        let spans = vec![
-            rec("prepare", "a", 0, 100, 0),
-            rec("par", "worker", 0, 900, 0),
-        ];
+        let spans = vec![rec("prepare", "a", 0, 100), rec("par", "worker", 0, 900)];
         assert!((busy_of(&spans, &["prepare"]) - 100e-9).abs() < 1e-15);
         assert!((busy_of(&spans, &["prepare", "par"]) - 1000e-9).abs() < 1e-15);
     }
@@ -611,8 +589,8 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_deterministic() {
         let spans = vec![
-            rec("trace", "spmv/tc", 2000, 500, 8),
-            rec("prepare", "spmv", 0, 1500, 64),
+            rec("trace", "spmv/tc", 2000, 500),
+            rec("prepare", "spmv", 0, 1500),
         ];
         let doc = chrome_trace(&spans);
         let text = doc.to_pretty_string();

@@ -542,7 +542,6 @@ impl Daemon {
                     ("calls", g.calls.into()),
                     ("busy_ms", (g.busy_s * 1e3).into()),
                     ("wall_ms", (g.wall_s * 1e3).into()),
-                    ("bytes", g.bytes.into()),
                     ("items", g.items.into()),
                 ])
             })
@@ -905,6 +904,34 @@ mod tests {
         }
         drop(writer);
         drop(reader);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn profile_rows_carry_exactly_the_documented_keys() {
+        let mut handle = Daemon::start(test_cfg("profile")).unwrap();
+        let spec = crate::proto::SweepSpec {
+            filters: vec!["workload=scan".into(), "device=h200".into()],
+            sparse_scale: Some(64),
+            graph_scale: Some(512),
+            ..Default::default()
+        };
+        let resp = client_request(handle.socket(), &spec.to_json("profile")).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        let rows = resp.get("hotspots").and_then(Json::as_array).unwrap();
+        assert!(!rows.is_empty(), "no hotspot rows");
+        for row in rows {
+            let Json::Object(pairs) = row else {
+                panic!("row is not an object: {row:?}");
+            };
+            let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            keys.sort_unstable();
+            assert_eq!(
+                keys,
+                ["busy_ms", "calls", "items", "label", "phase", "wall_ms"],
+                "{row:?}"
+            );
+        }
         handle.shutdown();
     }
 

@@ -1,5 +1,5 @@
 //! Coordinate (triplet) sparse storage — the assembly format produced by
-//! the generators and the MatrixMarket reader.
+//! the generators.
 
 use serde::{Deserialize, Serialize};
 

@@ -7,8 +7,7 @@
 //! importantly for kernel behaviour — the **structure class**: what
 //! drives DASP's row categorization and mBSR's block fill is the
 //! row-length distribution, bandwidth, and block density, not the
-//! particular values. Real `.mtx` files can be substituted at any time via
-//! [`crate::mm_io::read_matrix_file`].
+//! particular values.
 //!
 //! | matrix           | class reproduced                                   |
 //! |------------------|----------------------------------------------------|

@@ -7,8 +7,6 @@
 //!   with serial reference kernels (the paper's CPU ground truth).
 //! * [`mbsr`] — the mBSR blocked format (4×4 blocks, pairable into the
 //!   8×4 MMA operand shape) used by the AmgT SpGEMM kernel.
-//! * [`mm_io`] — MatrixMarket coordinate-format reader/writer, so real
-//!   SuiteSparse files can be dropped in when available.
 //! * [`generators`] — synthetic stand-ins for the five SuiteSparse
 //!   matrices of Table 4 (paper inputs are not redistributable here);
 //!   each generator reproduces the published row count, a closely
@@ -17,8 +15,6 @@
 //! * [`features`] — structural feature extraction (sparsity, degree
 //!   statistics, bandwidth, block structure) feeding the PCA coverage
 //!   study of Figure 10.
-//! * [`rcm`] — reverse Cuthill–McKee reordering, a pre-conditioner that
-//!   improves blocked-format fill for user-supplied matrices.
 
 #![warn(missing_docs)]
 
@@ -27,8 +23,6 @@ pub mod csr;
 pub mod features;
 pub mod generators;
 pub mod mbsr;
-pub mod mm_io;
-pub mod rcm;
 
 pub use coo::Coo;
 pub use csr::Csr;

@@ -1,7 +1,7 @@
 //! Property-based tests of the sparse substrate.
 
 use cubie_core::SplitMix64;
-use cubie_sparse::{mbsr, mm_io, Coo, Csr, MatrixFeatures, Mbsr};
+use cubie_sparse::{mbsr, Coo, Csr, MatrixFeatures, Mbsr};
 use proptest::prelude::*;
 
 /// Arbitrary small sparse matrix as (rows, cols, triplets).
@@ -265,16 +265,5 @@ proptest! {
                 blocked.fill_ratio(m.nnz()).to_bits()
             );
         }
-    }
-
-    /// MatrixMarket write/read round-trips exactly (bit-precise values
-    /// via the %.17e format).
-    #[test]
-    fn matrix_market_roundtrip((r, c, t) in arb_matrix()) {
-        let m = build(r, c, &t);
-        let mut buf = Vec::new();
-        mm_io::write_matrix(&m, &mut buf).unwrap();
-        let back = mm_io::read_matrix(buf.as_slice()).unwrap();
-        prop_assert_eq!(back, m);
     }
 }

@@ -1,7 +1,8 @@
-//! BFS traversal: encode a power-law graph in the BerryBees 8×128 bitmap
-//! slice-set format, traverse it with the single-bit tensor-core MMA,
-//! verify exact level agreement with the serial reference and the
-//! Gunrock-style baseline, and report simulated GTEPS.
+//! BFS traversal: profile the pull traversal of a power-law graph over
+//! the BerryBees 8×128 bitmap slice-set format (what the single-bit
+//! tensor-core MMA processes, counted from the CSR), verify exact level
+//! agreement with the serial reference and the Gunrock-style baseline,
+//! and report simulated GTEPS.
 //!
 //! ```sh
 //! cargo run --release --example bfs_traversal
@@ -9,7 +10,7 @@
 
 use cubie::device::all_devices;
 use cubie::graph::generators::{kron_g500, mycielskian};
-use cubie::graph::BitmapGraph;
+use cubie::graph::GraphFeatures;
 use cubie::kernels::{bfs, Variant};
 use cubie::sim::time_workload;
 
@@ -22,14 +23,15 @@ fn main() {
         ("mycielskian12 (exact construction)", mycielskian(12)),
     ] {
         let src = graph.max_degree_vertex();
-        let bitmap = BitmapGraph::from_graph(&graph);
+        let pull = graph.pull_bfs(src);
+        let processed: u64 = pull.per_level.iter().map(|&(slices, _)| slices).sum();
         println!(
-            "{name}: {} vertices, {} arcs | bitmap: {} slices, {:.1}% fill, {:.2} MB payload",
+            "{name}: {} vertices, {} arcs | bitmap: {:.1}% slice fill, \
+             {processed} slices processed over {} launches",
             graph.n,
             graph.num_arcs(),
-            bitmap.num_slices(),
-            100.0 * bitmap.slice_fill(),
-            bitmap.payload_bytes() as f64 / 1e6,
+            100.0 * GraphFeatures::of(&graph).slice_fill,
+            pull.per_level.len(),
         );
 
         let gold = bfs::reference(&graph, src);

@@ -870,11 +870,6 @@ fn profile_cmd(rest: &[&String]) {
                 a.calls.to_string(),
                 report::seconds(a.busy_s),
                 report::seconds(a.wall_s),
-                if a.bytes == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.1} MiB", a.bytes as f64 / (1024.0 * 1024.0))
-                },
                 if a.alloc_count == 0 {
                     "-".to_string()
                 } else {
@@ -891,7 +886,7 @@ fn profile_cmd(rest: &[&String]) {
     println!(
         "{}",
         report::markdown_table(
-            &["phase", "label", "calls", "busy", "wall", "bytes", "allocs", "items"],
+            &["phase", "label", "calls", "busy", "wall", "allocs", "items"],
             &rows
         )
     );
@@ -919,7 +914,7 @@ fn profile_cmd(rest: &[&String]) {
     );
 
     let hotspots = cubie::golden::obj(vec![
-        ("schema", "cubie-profile/v1".into()),
+        ("schema", "cubie-profile/v2".into()),
         ("wall_s", wall_s.into()),
         ("cells", sweep.cells.len().into()),
         ("spans", spans.len().into()),
@@ -934,7 +929,6 @@ fn profile_cmd(rest: &[&String]) {
                             ("calls", a.calls.into()),
                             ("busy_s", a.busy_s.into()),
                             ("wall_s", a.wall_s.into()),
-                            ("bytes", a.bytes.into()),
                             ("alloc_count", a.alloc_count.into()),
                             ("alloc_bytes", a.alloc_bytes.into()),
                             ("items", a.items.into()),

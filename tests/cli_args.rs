@@ -1,14 +1,15 @@
 //! The `cubie` CLI's argument handling, driven through the built binary:
 //! a malformed flag value, or a scale of 0, is a usage error (exit 2)
 //! naming the flag, `--device` names a device the way `--filter device=`
-//! does, and `cubie figure` writes the CSV, the JSON and the markdown log
-//! of every artifact it is asked for.
+//! does, `cubie figure` writes the CSV, the JSON and the markdown log
+//! of every artifact it is asked for, and `cubie profile` writes its
+//! hotspot table and Chrome trace with exactly the documented keys.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use cubie::bench::artifacts;
-use cubie::golden::Artifact;
+use cubie::golden::{Artifact, Json};
 
 /// A fresh working directory, so anything a run writes under `results/`
 /// stays out of the repository.
@@ -202,6 +203,82 @@ fn figure_writes_csv_json_and_log_for_each_selected_artifact() {
         assert_eq!(artifact.name, name);
         let log = std::fs::read_to_string(results.join(format!("logs/{name}.md"))).unwrap();
         assert_eq!(log, artifacts::render_markdown(&artifact), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The keys of a JSON object, sorted.
+fn keys(doc: &Json) -> Vec<&str> {
+    let Json::Object(pairs) = doc else {
+        panic!("not an object: {doc:?}");
+    };
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn profile_writes_schema_v2_hotspots_and_trace_with_exact_keys() {
+    let dir = scratch_dir("profile");
+    let out = cubie(
+        &[
+            "profile",
+            "--filter",
+            "workload=spmv",
+            "--sparse-scale",
+            "64",
+            "--graph-scale",
+            "512",
+        ],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(dir.join("results").join(name)).unwrap();
+        Json::parse(&text).unwrap()
+    };
+
+    let hotspots = read("profile_hotspots.json");
+    assert_eq!(
+        keys(&hotspots),
+        ["cells", "hotspots", "schema", "spans", "wall_s"]
+    );
+    assert_eq!(
+        hotspots.get("schema").and_then(Json::as_str),
+        Some("cubie-profile/v2")
+    );
+    let rows = hotspots.get("hotspots").and_then(Json::as_array).unwrap();
+    assert!(!rows.is_empty(), "no hotspot rows");
+    for row in rows {
+        assert_eq!(
+            keys(row),
+            [
+                "alloc_bytes",
+                "alloc_count",
+                "busy_s",
+                "calls",
+                "items",
+                "label",
+                "phase",
+                "wall_s"
+            ],
+            "{row:?}"
+        );
+    }
+
+    let trace = read("profile_trace.json");
+    let events = trace.get("traceEvents").and_then(Json::as_array).unwrap();
+    assert!(!events.is_empty(), "no trace events");
+    for event in events {
+        assert_eq!(
+            keys(event.get("args").unwrap()),
+            ["alloc_bytes", "alloc_count", "items"],
+            "{event:?}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
