@@ -4,7 +4,7 @@
 //! floating point). TC and CC are verified bit-identical and reported as
 //! one column, exactly as the paper groups them.
 
-use cubie_core::ErrorStats;
+use cubie_core::{par, ErrorStats};
 use cubie_kernels::{
     fft, gemm, gemv, pic, reduction, scan, spgemm, spmv, stencil, Variant, Workload,
 };
@@ -89,193 +89,172 @@ fn compare_sparse(a: &Csr, b: &Csr) -> ErrorStats {
     }
 }
 
-/// Run the full Table 6 study.
+/// Table 6's blocks in Table 2 order, each with a fixed relative cost
+/// that orders only the dispatch: SpGEMM, the slowest block, starts
+/// first.
+const BLOCKS: [(Workload, f64); 9] = [
+    (Workload::Gemv, 0.0),
+    (Workload::Gemm, 3.0),
+    (Workload::Spmv, 2.0),
+    (Workload::Spgemm, 4.0),
+    (Workload::Fft, 2.0),
+    (Workload::Stencil, 0.0),
+    (Workload::Reduction, 0.0),
+    (Workload::Scan, 0.0),
+    (Workload::Pic, 1.0),
+];
+
+/// Run the full Table 6 study: the blocks run as pool tasks, and the
+/// rows come back in Table 2 order. Every kernel gives the same bits
+/// under any schedule, so the rows do too.
 pub fn table6(scale: ErrorScale) -> Vec<ErrorRow> {
     let quick = scale == ErrorScale::Quick;
-    let mut rows = Vec::new();
+    par::par_map_lpt(BLOCKS.len(), |i| BLOCKS[i].1, |i| block(BLOCKS[i].0, quick))
+}
 
-    // GEMV.
-    {
-        let case = if quick {
-            gemv::GemvCase { m: 512, n: 16 }
-        } else {
-            gemv::GemvCase { m: 11_008, n: 16 }
-        };
-        let (a, x) = gemv::inputs(&case);
-        let gold = gemv::reference(&a, &x);
-        let err = |v: Variant| ErrorStats::compare(&gemv::run(&a, &x, v).0, &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc, "GEMV: TC and CC must be bit-identical");
-        rows.push(ErrorRow {
-            workload: Workload::Gemv,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: Some(err(Variant::CcE)),
-        });
+/// One block's row: `err(v)` runs variant `v` and compares it with the
+/// block's reference, computed beforehand. The variants run as pool
+/// tasks; the Baseline only when `baseline`, CC-E only when `cce`. TC
+/// and CC must agree bit for bit.
+fn row(
+    workload: Workload,
+    case_label: String,
+    baseline: bool,
+    cce: bool,
+    err: impl Fn(Variant) -> ErrorStats + Sync,
+) -> ErrorRow {
+    let variants: Vec<Variant> = [
+        (baseline, Variant::Baseline),
+        (true, Variant::Tc),
+        (true, Variant::Cc),
+        (cce, Variant::CcE),
+    ]
+    .into_iter()
+    .filter_map(|(run, v)| run.then_some(v))
+    .collect();
+    let errs = par::par_map(variants.len(), |i| err(variants[i]));
+    let of = |v: Variant| variants.iter().position(|&u| u == v).map(|i| errs[i]);
+    let (tc, cc) = (of(Variant::Tc).unwrap(), of(Variant::Cc).unwrap());
+    assert_eq!(tc, cc, "{workload:?}: TC and CC must be bit-identical");
+    ErrorRow {
+        workload,
+        case_label,
+        baseline: of(Variant::Baseline),
+        tc_cc: tc,
+        cce: of(Variant::CcE),
     }
+}
 
-    // GEMM.
-    {
-        let case = gemm::GemmCase::square(if quick { 96 } else { 512 });
-        let (a, b) = gemm::inputs(&case);
-        let gold = gemm::reference(&a, &b);
-        let err =
-            |v: Variant| ErrorStats::compare(gemm::run(&a, &b, v).0.as_slice(), gold.as_slice());
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Gemm,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: None,
-        });
+/// The Table 6 row of one workload.
+fn block(workload: Workload, quick: bool) -> ErrorRow {
+    match workload {
+        Workload::Gemv => {
+            let case = if quick {
+                gemv::GemvCase { m: 512, n: 16 }
+            } else {
+                gemv::GemvCase { m: 11_008, n: 16 }
+            };
+            let (a, x) = gemv::inputs(&case);
+            let gold = gemv::reference(&a, &x);
+            row(workload, case.label(), true, true, |v| {
+                ErrorStats::compare(&gemv::run(&a, &x, v).0, &gold)
+            })
+        }
+        Workload::Gemm => {
+            let case = gemm::GemmCase::square(if quick { 96 } else { 512 });
+            let (a, b) = gemm::inputs(&case);
+            let gold = gemm::reference(&a, &b);
+            row(workload, case.label(), true, false, |v| {
+                ErrorStats::compare(gemm::run(&a, &b, v).0.as_slice(), gold.as_slice())
+            })
+        }
+        Workload::Spmv => {
+            let m = cubie_sparse::generators::conf5_like(if quick { 16 } else { 1 });
+            let x = spmv::input_vector(&m);
+            let gold = spmv::reference(&m, &x);
+            row(
+                workload,
+                format!("conf5-like {}r", m.rows),
+                true,
+                true,
+                |v| ErrorStats::compare(&spmv::run(&m, &x, v).0, &gold),
+            )
+        }
+        Workload::Spgemm => {
+            let m = cubie_sparse::generators::spmsrts_like(if quick { 32 } else { 1 });
+            let gold = spgemm::reference(&m);
+            row(
+                workload,
+                format!("spmsrts-like {}r", m.rows),
+                true,
+                true,
+                |v| compare_sparse(&spgemm::run(&m, v).0, &gold),
+            )
+        }
+        Workload::Fft => {
+            let (h, w, batch) = if quick { (16, 32, 2) } else { (256, 256, 1) };
+            let case = fft::FftCase { h, w, batch };
+            let data = fft::input(&case);
+            let gold: Vec<Vec<cubie_core::C64>> =
+                data.iter().map(|g| fft::dft2_naive(h, w, g)).collect();
+            row(workload, case.label(), true, false, |v| {
+                let (out, _) = fft::run(&case, &data, v);
+                out.iter()
+                    .zip(&gold)
+                    .map(|(o, g)| ErrorStats::compare_c64(o, g))
+                    .fold(ErrorStats::default(), |acc, e| acc.merge(e))
+            })
+        }
+        Workload::Stencil => {
+            let case = if quick {
+                stencil::StencilCase::star2d(64, 64)
+            } else {
+                stencil::StencilCase::star2d(1024, 1024)
+            };
+            let x = stencil::input(&case);
+            let gold = stencil::reference(&case, &x);
+            row(workload, case.label(), true, false, |v| {
+                ErrorStats::compare(&stencil::run(&case, &x, v).0, &gold)
+            })
+        }
+        Workload::Reduction => {
+            let case = reduction::ReductionCase { n: 1024 };
+            let x = reduction::input(&case);
+            let gold = vec![reduction::reference(&x)];
+            row(workload, case.label(), true, true, |v| {
+                ErrorStats::compare(&[reduction::run(&x, v).0], &gold)
+            })
+        }
+        Workload::Scan => {
+            let case = scan::ScanCase { n: 1024 };
+            let x = scan::input(&case);
+            let gold = scan::reference(&x);
+            row(workload, case.label(), true, true, |v| {
+                ErrorStats::compare(&scan::run(&x, v).0, &gold)
+            })
+        }
+        // PiC has no baseline.
+        Workload::Pic => {
+            let case = pic::PicCase {
+                n: if quick { 1024 } else { 65_536 },
+            };
+            let (parts, grid) = pic::input(&case);
+            let gold = pic::run_serial_style(&parts, &grid);
+            let flat = |p: &pic::Particles| -> Vec<f64> {
+                p.pos
+                    .iter()
+                    .chain(p.vel.iter())
+                    .flat_map(|v| v.iter().copied())
+                    .collect()
+            };
+            let gold_flat = flat(&gold);
+            row(workload, case.label(), false, false, |v| {
+                ErrorStats::compare(&flat(&pic::run(&case, &parts, &grid, v).0), &gold_flat)
+            })
+        }
+        // No floating point.
+        Workload::Bfs => unreachable!("BFS has no Table 6 row"),
     }
-
-    // SpMV.
-    {
-        let m = cubie_sparse::generators::conf5_like(if quick { 16 } else { 1 });
-        let x = spmv::input_vector(&m);
-        let gold = spmv::reference(&m, &x);
-        let err = |v: Variant| ErrorStats::compare(&spmv::run(&m, &x, v).0, &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Spmv,
-            case_label: format!("conf5-like {}r", m.rows),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: Some(err(Variant::CcE)),
-        });
-    }
-
-    // SpGEMM.
-    {
-        let m = cubie_sparse::generators::spmsrts_like(if quick { 32 } else { 1 });
-        let gold = spgemm::reference(&m);
-        let err = |v: Variant| compare_sparse(&spgemm::run(&m, v).0, &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Spgemm,
-            case_label: format!("spmsrts-like {}r", m.rows),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: Some(err(Variant::CcE)),
-        });
-    }
-
-    // FFT.
-    {
-        let (h, w, batch) = if quick { (16, 32, 2) } else { (256, 256, 1) };
-        let case = fft::FftCase { h, w, batch };
-        let data = fft::input(&case);
-        let gold: Vec<Vec<cubie_core::C64>> =
-            data.iter().map(|g| fft::dft2_naive(h, w, g)).collect();
-        let err = |v: Variant| {
-            let (out, _) = fft::run(&case, &data, v);
-            out.iter()
-                .zip(&gold)
-                .map(|(o, g)| ErrorStats::compare_c64(o, g))
-                .fold(ErrorStats::default(), |acc, e| acc.merge(e))
-        };
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Fft,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: None,
-        });
-    }
-
-    // Stencil.
-    {
-        let case = if quick {
-            stencil::StencilCase::star2d(64, 64)
-        } else {
-            stencil::StencilCase::star2d(1024, 1024)
-        };
-        let x = stencil::input(&case);
-        let gold = stencil::reference(&case, &x);
-        let err = |v: Variant| ErrorStats::compare(&stencil::run(&case, &x, v).0, &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Stencil,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: None,
-        });
-    }
-
-    // Reduction.
-    {
-        let case = reduction::ReductionCase { n: 1024 };
-        let x = reduction::input(&case);
-        let gold = vec![reduction::reference(&x)];
-        let err = |v: Variant| ErrorStats::compare(&[reduction::run(&x, v).0], &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Reduction,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: Some(err(Variant::CcE)),
-        });
-    }
-
-    // Scan.
-    {
-        let case = scan::ScanCase { n: 1024 };
-        let x = scan::input(&case);
-        let gold = scan::reference(&x);
-        let err = |v: Variant| ErrorStats::compare(&scan::run(&x, v).0, &gold);
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Scan,
-            case_label: case.label(),
-            baseline: Some(err(Variant::Baseline)),
-            tc_cc: tc,
-            cce: Some(err(Variant::CcE)),
-        });
-    }
-
-    // PiC (no baseline).
-    {
-        let case = pic::PicCase {
-            n: if quick { 1024 } else { 65_536 },
-        };
-        let (parts, grid) = pic::input(&case);
-        let gold = pic::run_serial_style(&parts, &grid);
-        let flat = |p: &pic::Particles| -> Vec<f64> {
-            p.pos
-                .iter()
-                .chain(p.vel.iter())
-                .flat_map(|v| v.iter().copied())
-                .collect()
-        };
-        let gold_flat = flat(&gold);
-        let err = |v: Variant| {
-            ErrorStats::compare(&flat(&pic::run(&case, &parts, &grid, v).0), &gold_flat)
-        };
-        let (tc, cc) = (err(Variant::Tc), err(Variant::Cc));
-        assert_eq!(tc, cc);
-        rows.push(ErrorRow {
-            workload: Workload::Pic,
-            case_label: case.label(),
-            baseline: None,
-            tc_cc: tc,
-            cce: None,
-        });
-    }
-
-    rows
 }
 
 #[cfg(test)]
@@ -288,6 +267,44 @@ mod tests {
         // All workloads except BFS (no floating point).
         assert_eq!(rows.len(), 9);
         assert!(!rows.iter().any(|r| r.workload == Workload::Bfs));
+    }
+
+    #[test]
+    fn quick_rows_are_bit_identical_at_one_and_three_workers_in_table2_order() {
+        let bits = |e: &ErrorStats| (e.avg.to_bits(), e.max.to_bits(), e.n);
+        let run = |jobs: usize| {
+            let prev = par::set_max_workers(jobs);
+            let rows = table6(ErrorScale::Quick);
+            par::set_max_workers(prev);
+            rows.iter()
+                .map(|r| {
+                    (
+                        r.workload,
+                        r.case_label.clone(),
+                        r.baseline.as_ref().map(bits),
+                        bits(&r.tc_cc),
+                        r.cce.as_ref().map(bits),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let _guard = cubie_core::pool::cap_lock();
+        let one = run(1);
+        assert_eq!(one, run(3));
+        assert_eq!(
+            one.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [
+                Workload::Gemv,
+                Workload::Gemm,
+                Workload::Spmv,
+                Workload::Spgemm,
+                Workload::Fft,
+                Workload::Stencil,
+                Workload::Reduction,
+                Workload::Scan,
+                Workload::Pic,
+            ]
+        );
     }
 
     #[test]

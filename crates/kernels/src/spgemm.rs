@@ -10,7 +10,10 @@
 //!   of the 8-by-8 output tiles" utilization (Section 6.1), with the
 //!   running accumulators carried in the MMA `C` quadrants.
 //! * **CC** issues the identical chains on CUDA cores (bit-identical).
-//! * **CC-E** computes only the two useful quadrants (128 of 256 FMAs).
+//! * **CC-E** is modelled as computing only the two useful quadrants:
+//!   its trace counts 128 of CC's 256 FMAs per MMA. Functionally it runs
+//!   the same routine as TC and CC, since the kept quadrants come out
+//!   the same either way.
 //! * **Baseline** models cuSPARSE's row-wise SpGEMM: scalar CSR products
 //!   through a per-row hash accumulator.
 //!
@@ -27,7 +30,7 @@ use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::mbsr::{self, Mbsr, BLOCK};
-use cubie_sparse::{Coo, Csr};
+use cubie_sparse::Csr;
 
 use crate::common::Variant;
 
@@ -40,79 +43,135 @@ pub fn reference(a: &Csr) -> Csr {
 pub fn run(a: &Csr, variant: Variant) -> (Csr, WorkloadTrace) {
     let c = match variant {
         Variant::Baseline => run_baseline(a),
-        Variant::Tc | Variant::Cc => run_mma(a, false),
-        Variant::CcE => run_mma(a, true),
+        Variant::Tc | Variant::Cc | Variant::CcE => run_mma(a),
     };
     (c, trace(a, variant))
 }
 
+/// Rows of `C` one pool task assembles with one set of scratch buffers
+/// (for the mBSR path, `ROWS_PER_TASK / BLOCK` block rows). A constant,
+/// never the worker count, so the task boundaries are the same under
+/// any job count.
+const ROWS_PER_TASK: usize = 64;
+
+/// Consecutive CSR rows of `C`, written by one task.
+#[derive(Default)]
+struct RowRun {
+    /// Nonzeros of each row, in row order.
+    counts: Vec<usize>,
+    col_idx: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+/// Join the runs, in task order, into one CSR matrix: one prefix sum
+/// over the row counts, one copy of the entries.
+fn stitch(rows: usize, cols: usize, runs: Vec<RowRun>) -> Csr {
+    let nnz = runs.iter().map(|r| r.col_idx.len()).sum();
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut vals = Vec::with_capacity(nnz);
+    row_ptr.push(0);
+    for run in runs {
+        for n in run.counts {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + n);
+        }
+        col_idx.extend_from_slice(&run.col_idx);
+        vals.extend_from_slice(&run.vals);
+    }
+    Csr::from_parts(rows, cols, row_ptr, col_idx, vals)
+}
+
 /// One queued 4×4 block product.
-struct Product {
-    a: [f64; 16],
-    b: [f64; 16],
+struct Product<'m> {
+    a: &'m [f64; 16],
+    b: &'m [f64; 16],
     /// Block column of C this product accumulates into.
     c_col: u32,
 }
 
-/// TC/CC/CC-E functional path over mBSR blocks. `essential_only` skips
-/// the discarded off-diagonal quadrants (CC-E); the kept quadrants are
-/// numerically identical either way because the MMA's quadrants do not
-/// interact (`[A₁;A₂]·[B₁|B₂]` is block-diagonal in the useful parts).
-fn run_mma(a: &Csr, essential_only: bool) -> Csr {
+/// The zero block that pads an odd product count.
+const ZERO_BLOCK: [f64; 16] = [0.0; 16];
+
+/// TC/CC/CC-E functional path over mBSR blocks. All three run this one
+/// routine: the MMA's quadrants do not interact (`[A₁;A₂]·[B₁|B₂]` is
+/// block-diagonal in the useful parts), so skipping the discarded
+/// off-diagonal quadrants, as CC-E does, leaves the kept values
+/// unchanged. Only CC-E's trace differs.
+///
+/// Each block row's products are paired in the order they are visited.
+/// The row's block columns are then sorted and its four CSR rows are
+/// written straight from the block accumulators, in column order,
+/// skipping zeros and the lanes past the matrix edge.
+fn run_mma(a: &Csr) -> Csr {
     let am = Mbsr::from_csr(a);
     let bm = &am; // C = A·A
-    let block_cols = bm.block_cols;
-
-    let rows: Vec<Vec<(u32, [f64; 16])>> = par::par_map(am.block_rows, |br| {
-        // Dense block accumulator over C's block row.
+    let per_task = ROWS_PER_TASK / BLOCK;
+    let runs = par::par_map(am.block_rows.div_ceil(per_task), |t| {
+        let mut run = RowRun::default();
+        // Dense block accumulator over C's block row, reused by each
+        // block row of the task.
         let mut acc: Vec<[f64; 16]> = Vec::new();
-        let mut slot_of = vec![-1i32; block_cols];
+        let mut slot_of = vec![-1i32; bm.block_cols];
         let mut touched: Vec<u32> = Vec::new();
-        let mut pending: Option<Product> = None;
         let mut scratch = OpCounters::new();
-
-        let (acols, ablks) = am.block_row(br);
-        for (ac, ablk) in acols.iter().zip(ablks) {
-            let (bcols, bblks) = bm.block_row(*ac as usize);
-            for (bc, bblk) in bcols.iter().zip(bblks) {
-                if slot_of[*bc as usize] < 0 {
-                    slot_of[*bc as usize] = acc.len() as i32;
-                    acc.push([0.0; 16]);
-                    touched.push(*bc);
-                }
-                let p = Product {
-                    a: *ablk,
-                    b: *bblk,
-                    c_col: *bc,
-                };
-                if let Some(q) = pending.take() {
-                    paired_mma(&q, &p, &mut acc, &slot_of, essential_only, &mut scratch);
-                } else {
-                    pending = Some(p);
+        for br in t * per_task..((t + 1) * per_task).min(am.block_rows) {
+            let mut pending: Option<Product> = None;
+            let (acols, ablks) = am.block_row(br);
+            for (ac, ablk) in acols.iter().zip(ablks) {
+                let (bcols, bblks) = bm.block_row(*ac as usize);
+                for (bc, bblk) in bcols.iter().zip(bblks) {
+                    if slot_of[*bc as usize] < 0 {
+                        slot_of[*bc as usize] = acc.len() as i32;
+                        acc.push([0.0; 16]);
+                        touched.push(*bc);
+                    }
+                    let p = Product {
+                        a: ablk,
+                        b: bblk,
+                        c_col: *bc,
+                    };
+                    if let Some(q) = pending.take() {
+                        paired_mma(&q, &p, &mut acc, &slot_of, &mut scratch);
+                    } else {
+                        pending = Some(p);
+                    }
                 }
             }
+            if let Some(q) = pending {
+                // Odd product count: pad the second half with zeros. The
+                // zero quadrant adds `+= 0.0` to the first product's
+                // block, so accumulating in place is exact.
+                let zero = Product {
+                    a: &ZERO_BLOCK,
+                    b: &ZERO_BLOCK,
+                    c_col: q.c_col,
+                };
+                paired_mma(&q, &zero, &mut acc, &slot_of, &mut scratch);
+            }
+            touched.sort_unstable();
+            for lr in 0..BLOCK.min(a.rows - br * BLOCK) {
+                let start = run.col_idx.len();
+                for &bc in &touched {
+                    let blk = &acc[slot_of[bc as usize] as usize];
+                    for lc in 0..BLOCK {
+                        let (v, c) = (blk[lr * BLOCK + lc], bc as usize * BLOCK + lc);
+                        if v != 0.0 && c < a.cols {
+                            run.col_idx.push(c as u32);
+                            run.vals.push(v);
+                        }
+                    }
+                }
+                run.counts.push(run.col_idx.len() - start);
+            }
+            for &bc in &touched {
+                slot_of[bc as usize] = -1;
+            }
+            touched.clear();
+            acc.clear();
         }
-        if let Some(q) = pending {
-            // Odd product count: pad the second half with zeros. The zero
-            // quadrant contributes exactly what it did against the old
-            // cloned accumulator (`+= 0.0` on the same values), so the
-            // copy was pure churn — accumulate in place.
-            let zero = Product {
-                a: [0.0; 16],
-                b: [0.0; 16],
-                c_col: q.c_col,
-            };
-            paired_mma(&q, &zero, &mut acc, &slot_of, essential_only, &mut scratch);
-        }
-        let mut out: Vec<(u32, [f64; 16])> = touched
-            .iter()
-            .map(|&bc| (bc, acc[slot_of[bc as usize] as usize]))
-            .collect();
-        out.sort_unstable_by_key(|(bc, _)| *bc);
-        out
+        run
     });
-
-    blocks_to_csr(a.rows, a.cols, &rows)
+    stitch(a.rows, a.cols, runs)
 }
 
 /// Execute one paired MMA: quadrant accumulators are loaded into the
@@ -123,7 +182,6 @@ fn paired_mma(
     p2: &Product,
     acc: &mut [[f64; 16]],
     slot_of: &[i32],
-    essential_only: bool,
     scratch: &mut OpCounters,
 ) {
     let mut at = [0.0f64; 32];
@@ -148,10 +206,9 @@ fn paired_mma(
             ct[r * 8 + c] = acc[s1][r * 4 + c];
         }
     }
-    // The fused instruction computes all four quadrants; CC-E executes
-    // only the diagonal ones (identical values on those quadrants).
+    // The fused instruction computes all four quadrants; the diagonal
+    // ones are the same whether or not the others are computed.
     mma_f64_m8n8k4(&at, &bt, &mut ct, scratch);
-    let _ = essential_only; // numerics identical; only the trace differs
     for r in 0..4 {
         for c in 0..4 {
             acc[s1][r * 4 + c] = ct[r * 8 + c];
@@ -167,56 +224,41 @@ fn paired_mma(
     }
 }
 
-/// Assemble per-block-row results into CSR.
-fn blocks_to_csr(rows: usize, cols: usize, block_rows: &[Vec<(u32, [f64; 16])>]) -> Csr {
-    // Upper bound: every lane of every touched block is nonzero.
-    let cap: usize = block_rows.iter().map(|e| e.len() * BLOCK * BLOCK).sum();
-    let mut coo = Coo::with_capacity(rows, cols, cap);
-    for (br, entries) in block_rows.iter().enumerate() {
-        for (bc, blk) in entries.iter() {
-            for lr in 0..BLOCK {
-                for lc in 0..BLOCK {
-                    let v = blk[lr * BLOCK + lc];
-                    if v != 0.0 {
-                        let (r, c) = (br * BLOCK + lr, *bc as usize * BLOCK + lc);
-                        if r < rows && c < cols {
-                            coo.push(r, c, v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Csr::from_coo(coo)
-}
-
 /// Baseline functional path: row-wise scalar SpGEMM with a dense
-/// accumulator (hash-accumulator semantics).
+/// accumulator (hash-accumulator semantics), one accumulator per task.
+/// Each row's columns are sorted and written in order, zeros included.
 fn run_baseline(a: &Csr) -> Csr {
-    let rows: Vec<Vec<(u32, f64)>> = par::par_map(a.rows, |r| {
+    let runs = par::par_map(a.rows.div_ceil(ROWS_PER_TASK), |t| {
+        let mut run = RowRun::default();
         let mut acc = vec![0.0f64; a.cols];
+        let mut seen = vec![false; a.cols];
         let mut touched: Vec<u32> = Vec::new();
-        let (acols, avals) = a.row(r);
-        for (ac, av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = a.row(*ac as usize);
-            for (bc, bv) in bcols.iter().zip(bvals) {
-                if acc[*bc as usize] == 0.0 && !touched.contains(bc) {
-                    touched.push(*bc);
+        for r in t * ROWS_PER_TASK..((t + 1) * ROWS_PER_TASK).min(a.rows) {
+            let (acols, avals) = a.row(r);
+            for (ac, av) in acols.iter().zip(avals) {
+                let (bcols, bvals) = a.row(*ac as usize);
+                for (bc, bv) in bcols.iter().zip(bvals) {
+                    let c = *bc as usize;
+                    if !seen[c] {
+                        seen[c] = true;
+                        touched.push(*bc);
+                    }
+                    acc[c] = av.mul_add(*bv, acc[c]);
                 }
-                acc[*bc as usize] = av.mul_add(*bv, acc[*bc as usize]);
             }
+            touched.sort_unstable();
+            for &c in &touched {
+                run.col_idx.push(c);
+                run.vals.push(acc[c as usize]);
+                acc[c as usize] = 0.0;
+                seen[c as usize] = false;
+            }
+            run.counts.push(touched.len());
+            touched.clear();
         }
-        touched.sort_unstable();
-        touched.iter().map(|&c| (c, acc[c as usize])).collect()
+        run
     });
-    let cap: usize = rows.iter().map(|e| e.len()).sum();
-    let mut coo = Coo::with_capacity(a.rows, a.cols, cap);
-    for (r, entries) in rows.iter().enumerate() {
-        for (c, v) in entries.iter() {
-            coo.push(r, *c as usize, *v);
-        }
-    }
-    Csr::from_coo(coo)
+    stitch(a.rows, a.cols, runs)
 }
 
 /// Structure statistics needed by the trace (block products, result
@@ -332,7 +374,7 @@ pub fn useful_flops(a: &Csr) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubie_sparse::generators;
+    use cubie_sparse::{generators, Coo};
 
     fn compare(a: &Csr, b: &Csr) -> f64 {
         assert_eq!(a.rows, b.rows);

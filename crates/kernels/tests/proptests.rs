@@ -4,6 +4,8 @@
 
 #[path = "../../graph/tests/support/bitmap.rs"]
 mod bitmap;
+#[path = "support/spgemm_oracle.rs"]
+mod spgemm_oracle;
 
 use bitmap::{reverse, BitmapGraph};
 use cubie_core::counters::MemTraffic;
@@ -251,6 +253,54 @@ fn square(n: usize, entries: Vec<(usize, usize, f64)>) -> Csr {
         }
     }
     Csr::from_coo(coo)
+}
+
+/// `got` equals `want` bit for bit: shape, `row_ptr`, `col_idx`, and
+/// `vals` by `to_bits`.
+fn assert_csr_bits(got: &Csr, want: &Csr, what: &str) {
+    assert_eq!(
+        (got.rows, got.cols),
+        (want.rows, want.cols),
+        "{what}: shape"
+    );
+    assert_eq!(got.row_ptr, want.row_ptr, "{what}: row_ptr");
+    assert_eq!(got.col_idx, want.col_idx, "{what}: col_idx");
+    let bits = |m: &Csr| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}: vals");
+}
+
+/// Every SpGEMM functional path of `a`, and the serial reference, equal
+/// their oracles bit for bit.
+fn assert_spgemm_matches_oracles(a: &Csr) {
+    for v in Variant::ALL {
+        let want = match v {
+            Variant::Baseline => spgemm_oracle::run_baseline(a),
+            _ => spgemm_oracle::run_mma(a, v == Variant::CcE),
+        };
+        assert_csr_bits(&spgemm::run(a, v).0, &want, v.label());
+    }
+    assert_csr_bits(
+        &spgemm::reference(a),
+        &spgemm_oracle::spgemm_naive(a, a),
+        "reference",
+    );
+}
+
+#[test]
+fn spgemm_matches_the_oracles_on_spmsrts_at_one_and_three_workers() {
+    let _guard = cubie_core::pool::cap_lock();
+    for scale in [32, 8] {
+        let a = cubie_sparse::generators::spmsrts_like(scale);
+        for jobs in [1, 3] {
+            let prev = cubie_core::par::set_max_workers(jobs);
+            let result = std::panic::catch_unwind(|| assert_spgemm_matches_oracles(&a));
+            cubie_core::par::set_max_workers(prev);
+            if let Err(e) = result {
+                eprintln!("spmsrts_like({scale}) at {jobs} workers");
+                std::panic::resume_unwind(e);
+            }
+        }
+    }
 }
 
 #[test]
@@ -508,5 +558,24 @@ proptest! {
         entries in proptest::collection::vec((0usize..120, 0usize..120, -5.0..5.0f64), 0..600),
     ) {
         assert_spgemm_matches_mbsr(&square(n, entries));
+    }
+
+    /// SpGEMM: every functional path equals its oracle bit for bit on
+    /// random square matrices whose size is not a multiple of 4, with
+    /// empty rows (every row divisible by `empty_every`) and ±1 values,
+    /// so that many entries of `C` cancel to exact zeros.
+    #[test]
+    fn spgemm_paths_match_the_oracles(
+        blocks in 0usize..12,
+        tail in 1usize..4,
+        empty_every in 2usize..6,
+        entries in proptest::collection::vec((0usize..48, 0usize..48, any::<bool>()), 0..300),
+    ) {
+        let entries = entries
+            .into_iter()
+            .filter(|(r, _, _)| r % empty_every != 0)
+            .map(|(r, c, plus)| (r, c, if plus { 1.0 } else { -1.0 }))
+            .collect();
+        assert_spgemm_matches_oracles(&square(4 * blocks + tail, entries));
     }
 }

@@ -58,8 +58,9 @@ pub struct ServeConfig {
     /// Heavy requests allowed to wait beyond the running ones; the next
     /// one is rejected with a backpressure error.
     pub queue_limit: usize,
-    /// Test hook: artificial delay inside each execution, widening the
-    /// dedup window deterministically. 0 in production.
+    /// Test hook: artificial delay inside each execution (inside a
+    /// profile's recording window too), widening the dedup and overlap
+    /// windows deterministically. 0 in production.
     pub exec_delay_ms: u64,
 }
 
@@ -155,6 +156,12 @@ pub struct Daemon {
     active: AtomicUsize,
     started: Instant,
 }
+
+/// Held across each `profile`'s span-recorder bracket
+/// (`cubie_obs::enable` … `drain`). The recorder is process-global, so
+/// the lock is too: profiles run one at a time, across every daemon in
+/// the process, and none clears or stops another's recording.
+static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A running daemon: join/shutdown handle returned by [`Daemon::start`].
 pub struct Handle {
@@ -521,10 +528,15 @@ impl Daemon {
             return error_response(&e);
         }
         bump(&self.stats.profiles);
+        let recording = PROFILE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         cubie_obs::enable();
+        if self.cfg.exec_delay_ms > 0 {
+            std::thread::sleep(Duration::from_millis(self.cfg.exec_delay_ms));
+        }
         let result = catch_unwind(AssertUnwindSafe(|| SweepRunner::new(cfg).run()));
         cubie_obs::disable();
         let spans = cubie_obs::drain();
+        drop(recording);
         self.release_heavy();
         let sweep = match result {
             Ok(s) => s,

@@ -218,12 +218,16 @@ impl Csr {
     }
 
     /// Serial row-wise SpGEMM (`C = A · B`) — the CPU ground truth for
-    /// the SpGEMM workload. Uses a dense accumulator per row.
+    /// the SpGEMM workload. Uses a dense accumulator per row and writes
+    /// each row's columns in sorted order, zeros included.
     pub fn spgemm_naive(&self, b: &Csr) -> Csr {
         assert_eq!(self.cols, b.rows, "inner dimensions must agree");
         let mut acc = vec![0.0f64; b.cols];
         let mut touched: Vec<u32> = Vec::new();
-        let mut out = Coo::new(self.rows, b.cols);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let mut col_idx = Vec::new();
+        let mut vals = Vec::new();
+        row_ptr.push(0);
         for r in 0..self.rows {
             touched.clear();
             let (acols, avals) = self.row(r);
@@ -238,11 +242,13 @@ impl Csr {
             }
             touched.sort_unstable();
             for &c in &touched {
-                out.push(r, c as usize, acc[c as usize]);
+                col_idx.push(c);
+                vals.push(acc[c as usize]);
                 acc[c as usize] = 0.0;
             }
+            row_ptr.push(col_idx.len());
         }
-        Csr::from_coo(out)
+        Csr::from_parts(self.rows, b.cols, row_ptr, col_idx, vals)
     }
 
     /// Transposed copy.

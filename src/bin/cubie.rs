@@ -974,6 +974,25 @@ fn socket_path(rest: &[&String]) -> std::path::PathBuf {
 }
 
 fn serve_cmd(rest: &[&String]) {
+    // Every argument is one of the flags below with its value; anything
+    // else is a usage error, before a socket is bound.
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let known =
+            ["--socket", "--store", "--max-jobs", "--heavy", "--queue"].contains(&arg.as_str());
+        if !known || it.next().is_none() {
+            let e = if known {
+                format!("{arg} needs a value")
+            } else {
+                format!("unknown argument `{arg}`")
+            };
+            eprintln!(
+                "{e}\n\nusage: cubie serve [--socket PATH] [--store DIR] [--max-jobs N] \
+                 [--heavy N] [--queue N]"
+            );
+            std::process::exit(2);
+        }
+    }
     let mut cfg = cubie::serve::ServeConfig {
         socket: socket_path(rest),
         ..cubie::serve::ServeConfig::default()

@@ -6,7 +6,8 @@
 //! hotspot table and Chrome trace with exactly the documented keys.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use cubie::bench::artifacts;
 use cubie::golden::{Artifact, Json};
@@ -183,6 +184,44 @@ fn figure_rejects_unknown_arguments_names_and_values() {
         &["--graph-scale", "needs a value"],
     );
     assert!(!dir.join("results").exists(), "a rejected run wrote output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_rejects_unknown_arguments_without_starting_a_daemon() {
+    let dir = scratch_dir("serve-args");
+    for args in [
+        &["serve", "--help"][..],
+        &["serve", "--bogus"],
+        &["serve", "--heavy"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cubie"))
+            .args(args)
+            .current_dir(&dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn cubie");
+        // A daemon that started would serve until shut down: kill it
+        // after a few seconds and fail.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                child.wait().unwrap();
+                panic!("{args:?}: still running after 5 s, killed");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: cubie serve"), "{args:?}: {stderr}");
+        assert!(
+            !dir.join("results/cubied.sock").exists(),
+            "{args:?} created a socket"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
