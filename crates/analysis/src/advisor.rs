@@ -9,7 +9,7 @@
 //! speedup and names the reason.
 
 use cubie_device::DeviceSpec;
-use cubie_kernels::Quadrant;
+use cubie_kernels::{Quadrant, Variant, Workload};
 use cubie_sim::{time_workload, Limiter, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 
@@ -165,9 +165,23 @@ fn dominant_limiter(t: &cubie_sim::WorkloadTiming) -> Limiter {
         .unwrap_or(Limiter::Launch)
 }
 
+/// The CUDA-core variant whose trace the advisor reads for a suite
+/// workload, at [`REPRESENTATIVE_CASE`](crate::metrics::REPRESENTATIVE_CASE)
+/// and under its [`reference_mapping`]: the essential implementation
+/// where it is distinct (Quadrants II–IV), otherwise CC. `cubie advise`,
+/// `cubied`'s `advise` and the advisor-validation artifact all read
+/// this one choice.
+pub fn source_variant(w: Workload) -> Variant {
+    if w.spec().distinct_cce {
+        Variant::CcE
+    } else {
+        Variant::Cc
+    }
+}
+
 /// Ready-made mappings for the suite's own kernels (used by tests and
 /// the CLI to sanity-check the advisor against the measured variants).
-pub fn reference_mapping(w: cubie_kernels::Workload) -> MmaMapping {
+pub fn reference_mapping(w: Workload) -> MmaMapping {
     use cubie_kernels::Workload::*;
     match w {
         Gemm | Pic | Fft | Stencil => MmaMapping {
@@ -219,7 +233,7 @@ pub fn reference_mapping(w: cubie_kernels::Workload) -> MmaMapping {
 mod tests {
     use super::*;
     use cubie_device::{b200, h200};
-    use cubie_kernels::{gemm, gemv, spmv, Variant, Workload};
+    use cubie_kernels::{gemm, gemv, spmv};
 
     #[test]
     fn gemm_mapping_is_quadrant_i_and_strong_on_h200() {

@@ -93,8 +93,9 @@ pub fn metrics_of(
     }
 }
 
-/// The Table 2 case whose TC trace stands for its workload in Figure 11:
-/// the middle one.
+/// The middle Table 2 case, which stands for its workload wherever one
+/// case is read: its TC trace in Figure 11, Figures 7–9, O6/O8, the
+/// FP64 extension, the advisor's input and `cubie run`'s default.
 pub const REPRESENTATIVE_CASE: usize = 2;
 
 /// Metric vectors of the Cubie workloads on `device`, one per

@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use cubie_analysis::advisor::{advise, reference_mapping};
+use cubie_analysis::advisor::{advise, reference_mapping, source_variant};
 use cubie_analysis::coverage::{
     corpus_studies, suite_diversity_study, CorpusStudy, StudyInputs, SuiteStudy, TABLE7,
     TABLE7_FEATURES,
@@ -184,19 +184,13 @@ impl GoldenCtx {
 /// Cubie workloads' traces come from the process-global sweep cache, so
 /// a pass whose sweep ran at the same scales prepares nothing again.
 pub fn suite_study(sparse_scale: usize, graph_scale: usize) -> SuiteStudy {
-    let cache = SweepCache::global();
     let traces = par_map(Workload::ALL.len(), |i| {
         let w = Workload::ALL[i];
-        cache.ensure(w, sparse_scale, graph_scale);
-        let trace = cache
-            .trace(
-                w,
-                REPRESENTATIVE_CASE,
-                Variant::Tc,
-                sparse_scale,
-                graph_scale,
-            )
-            .expect("TC variant exists for every workload");
+        let trace = SweepCache::global()
+            .ensure(w, sparse_scale, graph_scale)
+            .trace(REPRESENTATIVE_CASE, Variant::Tc)
+            .expect("TC variant exists for every workload")
+            .clone();
         (w, trace)
     });
     suite_diversity_study(&cubie_device::h200(), &traces)
@@ -265,15 +259,15 @@ pub fn build(ctx: &GoldenCtx, name: &str) -> Option<Artifact> {
     })
 }
 
-/// The committed golden-snapshot store: `results/golden/` (override
-/// with `CUBIE_GOLDEN_DIR`, e.g. from integration tests).
+/// The committed golden-snapshot store: `results/golden/` under the
+/// working directory (override with `CUBIE_GOLDEN_DIR`, e.g. from
+/// integration tests). Nothing is created here: only `cubie golden
+/// record` makes the directory.
 pub fn golden_dir() -> PathBuf {
-    let dir = match std::env::var("CUBIE_GOLDEN_DIR") {
+    match std::env::var("CUBIE_GOLDEN_DIR") {
         Ok(d) => PathBuf::from(d),
-        Err(_) => report::results_dir().join("golden"),
-    };
-    let _ = std::fs::create_dir_all(&dir);
-    dir
+        Err(_) => PathBuf::from("results").join("golden"),
+    }
 }
 
 /// Write `artifact` as `results/<name>.csv`, `results/<name>.json` and
@@ -474,7 +468,7 @@ pub fn fig7(sweep: &Sweep) -> Artifact {
     for &w in sweep.workloads() {
         let repeats = fig7_repeats(w);
         for v in [Variant::Baseline, Variant::Tc, Variant::Cc, Variant::CcE] {
-            let Some(cell) = sweep.cell(w, 2, v, &dev.name) else {
+            let Some(cell) = sweep.cell(w, REPRESENTATIVE_CASE, v, &dev.name) else {
                 continue;
             };
             let r = power_report(&dev, &cell.timing, repeats);
@@ -485,7 +479,7 @@ pub fn fig7(sweep: &Sweep) -> Artifact {
     }
     scale_meta(a, sweep)
         .with_meta("device", dev.name.as_str())
-        .with_meta("case_idx", 2usize)
+        .with_meta("case_idx", REPRESENTATIVE_CASE)
 }
 
 /// Figure 8: EMA-smoothed power traces on the pinned device.
@@ -504,7 +498,7 @@ pub fn fig8(sweep: &Sweep, samples: usize) -> Artifact {
     for &w in sweep.workloads() {
         let repeats = fig7_repeats(w);
         for v in sweep.config.variants_of(w) {
-            let Some(cell) = sweep.cell(w, 2, v, &dev.name) else {
+            let Some(cell) = sweep.cell(w, REPRESENTATIVE_CASE, v, &dev.name) else {
                 continue;
             };
             let total = cell.timing.total_s * repeats as f64 + 1.0;
@@ -525,7 +519,7 @@ pub fn fig8(sweep: &Sweep, samples: usize) -> Artifact {
     }
     scale_meta(a, sweep)
         .with_meta("device", dev.name.as_str())
-        .with_meta("case_idx", 2usize)
+        .with_meta("case_idx", REPRESENTATIVE_CASE)
         .with_meta("samples", samples)
 }
 
@@ -548,7 +542,7 @@ pub fn fig9(sweep: &Sweep) -> Artifact {
             continue;
         }
         for v in sweep.config.variants_of(w) {
-            let Some(cell) = sweep.cell(w, 2, v, &dev.name) else {
+            let Some(cell) = sweep.cell(w, REPRESENTATIVE_CASE, v, &dev.name) else {
                 continue;
             };
             let name = format!("{}-{}", w.spec().name, v.label());
@@ -570,7 +564,7 @@ pub fn fig9(sweep: &Sweep) -> Artifact {
     }
     scale_meta(a, sweep)
         .with_meta("device", dev.name.as_str())
-        .with_meta("case_idx", 2usize)
+        .with_meta("case_idx", REPRESENTATIVE_CASE)
 }
 
 fn push_corpus_study(a: &mut Artifact, study_name: &str, study: &CorpusStudy) {
@@ -825,14 +819,7 @@ pub fn table234(sparse_scale: usize, graph_scale: usize) -> Artifact {
         push("T2", s.name, "quadrant", format!("Q{}", s.quadrant).into());
         push("T2", s.name, "dwarf", s.dwarf.into());
         push("T2", s.name, "baseline", s.baseline.unwrap_or("-").into());
-        // Labels are scale-independent; the tiny 1/64, 1/1024 scale keeps
-        // this preparation negligible.
-        push(
-            "T2",
-            s.name,
-            "cases",
-            crate::sweep::case_labels(w, 64, 1024).join(", ").into(),
-        );
+        push("T2", s.name, "cases", w.case_labels().join(", ").into());
     }
     for (info, g) in cubie_prep::table3_graphs(graph_scale) {
         push("T3", info.name, "paper_vertices", info.vertices.into());
@@ -1008,10 +995,10 @@ pub fn observations(sweep: &Sweep, errors: &[ErrorRow], suite: &SuiteStudy) -> A
         let mut base = Vec::new();
         for &w in sweep.workloads().iter().filter(|w| w.spec().quadrant == q) {
             let repeats = fig7_repeats(w);
-            if let Some(c) = sweep.cell(w, 2, Variant::Tc, &dev.name) {
+            if let Some(c) = sweep.cell(w, REPRESENTATIVE_CASE, Variant::Tc, &dev.name) {
                 tc.push(power_report(&dev, &c.timing, repeats).edp);
             }
-            if let Some(c) = sweep.cell(w, 2, Variant::Baseline, &dev.name) {
+            if let Some(c) = sweep.cell(w, REPRESENTATIVE_CASE, Variant::Baseline, &dev.name) {
                 base.push(power_report(&dev, &c.timing, repeats).edp);
             }
         }
@@ -1050,8 +1037,8 @@ pub fn observations(sweep: &Sweep, errors: &[ErrorRow], suite: &SuiteStudy) -> A
             continue;
         }
         let (Some(tct), Some(bt)) = (
-            sweep.trace(w, 2, Variant::Tc),
-            sweep.trace(w, 2, Variant::Baseline),
+            sweep.trace(w, REPRESENTATIVE_CASE, Variant::Tc),
+            sweep.trace(w, REPRESENTATIVE_CASE, Variant::Baseline),
         ) else {
             continue;
         };
@@ -1117,17 +1104,13 @@ pub fn ext_advisor(sweep: &Sweep) -> Artifact {
         ],
     );
     for &w in sweep.workloads() {
-        let cc_variant = if w.spec().distinct_cce {
-            Variant::CcE
-        } else {
-            Variant::Cc
-        };
-        let Some(cc_trace) = sweep.trace(w, 2, cc_variant) else {
+        let cc_variant = source_variant(w);
+        let Some(cc_trace) = sweep.trace(w, REPRESENTATIVE_CASE, cc_variant) else {
             continue;
         };
         let (Some(cc_cell), Some(tc_cell)) = (
-            sweep.cell(w, 2, cc_variant, &dev.name),
-            sweep.cell(w, 2, Variant::Tc, &dev.name),
+            sweep.cell(w, REPRESENTATIVE_CASE, cc_variant, &dev.name),
+            sweep.cell(w, REPRESENTATIVE_CASE, Variant::Tc, &dev.name),
         ) else {
             continue;
         };
@@ -1146,7 +1129,7 @@ pub fn ext_advisor(sweep: &Sweep) -> Artifact {
     }
     scale_meta(a, sweep)
         .with_meta("device", dev.name.as_str())
-        .with_meta("case_idx", 2usize)
+        .with_meta("case_idx", REPRESENTATIVE_CASE)
 }
 
 /// Extension: the hypothetical FP64-strengthened Blackwell.
@@ -1172,11 +1155,14 @@ pub fn ext_future(sweep: &Sweep) -> Artifact {
         ],
     );
     for &w in sweep.workloads() {
-        let Some(cell) = sweep.cell(w, 2, Variant::Tc, &real.name) else {
+        let Some(cell) = sweep.cell(w, REPRESENTATIVE_CASE, Variant::Tc, &real.name) else {
             continue;
         };
         let t_real = cell.time_s();
-        let Some(t_hyp) = sweep.time_on(&hyp, w, 2, Variant::Tc).map(|t| t.total_s) else {
+        let Some(t_hyp) = sweep
+            .time_on(&hyp, w, REPRESENTATIVE_CASE, Variant::Tc)
+            .map(|t| t.total_s)
+        else {
             continue;
         };
         let gain = t_real / t_hyp;
@@ -1196,7 +1182,7 @@ pub fn ext_future(sweep: &Sweep) -> Artifact {
     }
     scale_meta(a, sweep)
         .with_meta("device", real.name.as_str())
-        .with_meta("case_idx", 2usize)
+        .with_meta("case_idx", REPRESENTATIVE_CASE)
 }
 
 /// Extension: the mixed-precision GEMM axis — the analytic `mma.sync`

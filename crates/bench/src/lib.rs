@@ -35,7 +35,8 @@
 //! [`sweep::SweepRunner`] result**: the engine enumerates the
 //! workload × case × variant × device cross-product, prepares each
 //! workload's Table 2/3/4 cases exactly once per process (memoized in
-//! [`sweep::SweepCache`], keyed by `(workload, case, variant, scale)`),
+//! [`sweep::SweepCache`], one entry per `(workload, sparse_scale,
+//! graph_scale)` holding its labels, useful work and traces),
 //! executes the functional kernels and trace construction in parallel
 //! via `cubie_core::par`, and hands each builder an ordered list of
 //! [`sweep::SweepCell`]s to fold. `cubie sweep` exposes the engine

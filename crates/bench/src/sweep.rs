@@ -2,30 +2,27 @@
 //! workload × case × variant × device cross-product that every figure
 //! and table artifact projects from.
 //!
-//! Before this engine each figure re-prepared the Table 2/3/4 cases and
-//! re-ran the full sweep serially; now
-//!
-//! 1. **Preparation is cached.** [`SweepCache`] memoizes, per
-//!    `(workload, sparse_scale, graph_scale)`, the case labels and
-//!    useful-work counts, and per `(workload, case, variant, scale)` the
-//!    analytic [`WorkloadTrace`] — so the functional execution behind
-//!    each cell happens exactly once per process, no matter how many
-//!    consumers (figures, observations, tests) ask for it.
+//! 1. **Preparation is cached.** [`SweepCache`] keeps one [`CaseMeta`]
+//!    entry per `(workload, sparse_scale, graph_scale)`: the case labels,
+//!    the useful work and the analytic [`WorkloadTrace`] of every
+//!    (case, variant) — so the functional execution behind each cell
+//!    happens exactly once per process, no matter how many consumers
+//!    (figures, observations, tests) ask for it.
 //! 2. **Execution is parallel.** Workload preparation fans out via
 //!    `cubie_core::par::par_map`, as do the per-case trace constructions
 //!    and the per-cell timings. Results are collected in index order, so
 //!    the output is bit-identical for any `--jobs` setting.
 //! 3. **Projection is cheap.** A [`Sweep`] holds the timed
 //!    [`SweepCell`]s in deterministic (Table 2 workload, case, variant,
-//!    device) order plus the underlying traces, so figure artifacts
-//!    become filters/folds over one shared result.
+//!    device) order plus the cache entries behind them, so figure
+//!    artifacts become filters/folds over one shared result.
 //!
 //! The `cubie sweep` CLI command accepts `--filter workload=… variant=…
 //! device=… case=…` and `--jobs N`, so a partial sweep never pays
 //! full-suite cost.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use cubie_core::par::{par_map, par_map_lpt, set_max_workers};
 use cubie_device::{all_devices, find_device, DeviceSpec};
@@ -34,19 +31,31 @@ use cubie_sim::{time_workload, WorkloadTiming, WorkloadTrace};
 
 use crate::{parse_flag, parse_scale};
 
-/// Case-level cache key: workload at a generation scale.
+/// Cache key: workload at a generation scale.
 type CaseKey = (Workload, usize, usize);
-/// Trace-level cache key: `(workload, case index, variant, sparse_scale,
-/// graph_scale)`.
-type TraceKey = (Workload, usize, Variant, usize, usize);
 
-/// Per-case metadata produced by one preparation of a workload.
+/// What one preparation of a workload at one pair of scales leaves
+/// behind: labels, useful work and the traces of all five cases.
 #[derive(Debug, Clone)]
 pub struct CaseMeta {
     /// Case labels (x-axis of Figure 3), in Table 2 order.
     pub labels: Vec<String>,
     /// Useful work per case, in the workload's unit basis.
     pub useful: Vec<f64>,
+    /// Case-major traces over [`Variant::ALL`] (`None` where the paper
+    /// does not evaluate the variant, e.g. the PiC baseline).
+    traces: Vec<Option<Arc<WorkloadTrace>>>,
+}
+
+impl CaseMeta {
+    /// The trace of one (case, variant) cell (`None` when the paper does
+    /// not evaluate the variant, or past the fifth case).
+    pub fn trace(&self, case_idx: usize, v: Variant) -> Option<&Arc<WorkloadTrace>> {
+        let vi = Variant::ALL.iter().position(|x| *x == v)?;
+        self.traces
+            .get(case_idx * Variant::ALL.len() + vi)?
+            .as_ref()
+    }
 }
 
 /// Process-wide memo of prepared cases and their analytic traces.
@@ -58,22 +67,24 @@ pub struct CaseMeta {
 /// labels, useful work and traces are retained.
 #[derive(Default)]
 pub struct SweepCache {
-    meta: Mutex<HashMap<CaseKey, Arc<CaseMeta>>>,
-    traces: Mutex<HashMap<TraceKey, Option<Arc<WorkloadTrace>>>>,
+    entries: Mutex<HashMap<CaseKey, Arc<CaseMeta>>>,
 }
+
+/// The cache behind [`SweepCache::global`].
+static GLOBAL: LazyLock<Arc<SweepCache>> = LazyLock::new(Arc::default);
 
 impl SweepCache {
     /// The process-wide cache shared by every default [`SweepRunner`].
-    pub fn global() -> &'static SweepCache {
-        static GLOBAL: OnceLock<SweepCache> = OnceLock::new();
-        GLOBAL.get_or_init(SweepCache::default)
+    pub fn global() -> &'static Arc<SweepCache> {
+        &GLOBAL
     }
 
-    /// Prepare `w` at the given scales (once per process), recording the
-    /// traces of all four variants for all five cases.
+    /// The entry of `w` at the given scales, preparing it (once per
+    /// process) and recording the traces of all four variants for all
+    /// five cases.
     pub fn ensure(&self, w: Workload, sparse_scale: usize, graph_scale: usize) -> Arc<CaseMeta> {
         let key = (w, sparse_scale, graph_scale);
-        if let Some(meta) = self.meta.lock().unwrap().get(&key) {
+        if let Some(meta) = self.entries.lock().unwrap().get(&key) {
             return Arc::clone(meta);
         }
         // Prepare outside the lock: generation is the expensive part and
@@ -81,10 +92,7 @@ impl SweepCache {
         // threads race on the same workload the loser's identical result
         // is discarded below.
         let cases = prepare_cases(w, sparse_scale, graph_scale);
-        let meta = Arc::new(CaseMeta {
-            labels: cases.iter().map(|c| c.label()).collect(),
-            useful: cases.iter().map(|c| c.useful_work()).collect(),
-        });
+        let useful: Vec<f64> = cases.iter().map(|c| c.useful_work()).collect();
         // All (case, variant) traces in parallel while the inputs are
         // alive; `trace()` is pure, so any schedule yields the same data.
         // Trace construction performs the functional execution — the
@@ -94,52 +102,20 @@ impl SweepCache {
         let n_variants = Variant::ALL.len();
         let traces = par_map_lpt(
             cases.len() * n_variants,
-            |i| meta.useful[i / n_variants],
+            |i| useful[i / n_variants],
             |i| {
                 let (ci, vi) = (i / n_variants, i % n_variants);
                 cases[ci].trace(Variant::ALL[vi]).map(Arc::new)
             },
         );
         drop(cases);
-        let mut meta_guard = self.meta.lock().unwrap();
-        if let Some(existing) = meta_guard.get(&key) {
-            return Arc::clone(existing); // lost a benign race
-        }
-        let mut trace_guard = self.traces.lock().unwrap();
-        for (i, t) in traces.into_iter().enumerate() {
-            let (ci, vi) = (i / n_variants, i % n_variants);
-            trace_guard.insert((w, ci, Variant::ALL[vi], sparse_scale, graph_scale), t);
-        }
-        meta_guard.insert(key, Arc::clone(&meta));
-        meta
+        let meta = Arc::new(CaseMeta {
+            labels: w.case_labels(),
+            useful,
+            traces,
+        });
+        Arc::clone(self.entries.lock().unwrap().entry(key).or_insert(meta))
     }
-
-    /// The cached trace of one cell (`None` when the paper does not
-    /// evaluate the variant, e.g. the PiC baseline). Requires a prior
-    /// [`SweepCache::ensure`] of the workload.
-    pub fn trace(
-        &self,
-        w: Workload,
-        case_idx: usize,
-        v: Variant,
-        sparse_scale: usize,
-        graph_scale: usize,
-    ) -> Option<Arc<WorkloadTrace>> {
-        self.traces
-            .lock()
-            .unwrap()
-            .get(&(w, case_idx, v, sparse_scale, graph_scale))
-            .cloned()
-            .flatten()
-    }
-}
-
-/// Case labels of a workload via the global cache (Table 2 column).
-pub fn case_labels(w: Workload, sparse_scale: usize, graph_scale: usize) -> Vec<String> {
-    SweepCache::global()
-        .ensure(w, sparse_scale, graph_scale)
-        .labels
-        .clone()
 }
 
 /// What to sweep: the filterable cross-product plus execution knobs.
@@ -385,7 +361,6 @@ pub struct Sweep {
     /// The configuration that produced this sweep.
     pub config: SweepConfig,
     meta: HashMap<Workload, Arc<CaseMeta>>,
-    traces: HashMap<(Workload, usize, Variant), Arc<WorkloadTrace>>,
 }
 
 impl Sweep {
@@ -420,7 +395,13 @@ impl Sweep {
     /// The cached analytic trace behind a cell (`None` for unevaluated
     /// variants or cells outside the swept scope).
     pub fn trace(&self, w: Workload, case_idx: usize, v: Variant) -> Option<&Arc<WorkloadTrace>> {
-        self.traces.get(&(w, case_idx, v))
+        let meta = self.meta.get(&w)?;
+        let swept = self
+            .config
+            .case_indices(meta.labels.len())
+            .contains(&case_idx)
+            && self.config.variants_of(w).contains(&v);
+        meta.trace(case_idx, v).filter(|_| swept)
     }
 
     /// Time one swept cell on an arbitrary (possibly hypothetical)
@@ -511,36 +492,18 @@ pub use cubie_core::par::makespan_order;
 /// Runs the configured cross-product through the cache, in parallel.
 pub struct SweepRunner {
     config: SweepConfig,
-    cache: SweepCacheRef,
-}
-
-enum SweepCacheRef {
-    Global,
-    Owned(Arc<SweepCache>),
+    cache: Arc<SweepCache>,
 }
 
 impl SweepRunner {
     /// A runner over the process-global cache (what the CLI uses).
     pub fn new(config: SweepConfig) -> Self {
-        SweepRunner {
-            config,
-            cache: SweepCacheRef::Global,
-        }
+        SweepRunner::with_cache(config, Arc::clone(SweepCache::global()))
     }
 
     /// A runner over a private cache (isolation for equivalence tests).
     pub fn with_cache(config: SweepConfig, cache: Arc<SweepCache>) -> Self {
-        SweepRunner {
-            config,
-            cache: SweepCacheRef::Owned(cache),
-        }
-    }
-
-    fn cache(&self) -> &SweepCache {
-        match &self.cache {
-            SweepCacheRef::Global => SweepCache::global(),
-            SweepCacheRef::Owned(c) => c,
-        }
+        SweepRunner { config, cache }
     }
 
     /// Execute the sweep: prepare (cached) every workload in parallel,
@@ -558,7 +521,7 @@ impl SweepRunner {
         // Phase A — preparation + traces, fanned out over workloads.
         let (ss, gs) = (cfg.sparse_scale, cfg.graph_scale);
         let metas = par_map(cfg.workloads.len(), |i| {
-            self.cache().ensure(cfg.workloads[i], ss, gs)
+            self.cache.ensure(cfg.workloads[i], ss, gs)
         });
         let meta: HashMap<Workload, Arc<CaseMeta>> =
             cfg.workloads.iter().copied().zip(metas).collect();
@@ -567,15 +530,13 @@ impl SweepRunner {
         // cells whose variant the paper evaluates. FP64 is the paper's
         // main axis; a `precision=` filter excluding it skips phase B.
         let mut keys: Vec<(Workload, usize, Variant, usize)> = Vec::new();
-        let mut traces: HashMap<(Workload, usize, Variant), Arc<WorkloadTrace>> = HashMap::new();
-        for &w in &cfg.workloads {
-            for ci in cfg.case_indices(meta[&w].labels.len()) {
-                for v in cfg.variants_of(w) {
-                    let Some(t) = self.cache().trace(w, ci, v, ss, gs) else {
-                        continue; // PiC baseline
-                    };
-                    traces.insert((w, ci, v), t);
-                    if cfg.precisions.contains(&Precision::F64) {
+        if cfg.precisions.contains(&Precision::F64) {
+            for &w in &cfg.workloads {
+                for ci in cfg.case_indices(meta[&w].labels.len()) {
+                    for v in cfg.variants_of(w) {
+                        if meta[&w].trace(ci, v).is_none() {
+                            continue; // PiC baseline
+                        }
                         for di in 0..cfg.devices.len() {
                             keys.push((w, ci, v, di));
                         }
@@ -603,7 +564,7 @@ impl SweepRunner {
                     precision: Precision::F64,
                     device: device.name.clone(),
                     useful: m.useful[ci],
-                    timing: time_workload(device, &traces[&(w, ci, v)]),
+                    timing: time_workload(device, m.trace(ci, v).expect("keyed cells have traces")),
                 }
             },
         );
@@ -663,7 +624,6 @@ impl SweepRunner {
             cells,
             config: cfg.clone(),
             meta,
-            traces,
         }
     }
 }
@@ -737,6 +697,14 @@ mod tests {
         let m1 = cache.ensure(Workload::Gemm, 64, 512);
         let m2 = cache.ensure(Workload::Gemm, 64, 512);
         assert!(Arc::ptr_eq(&m1, &m2), "second ensure must hit the cache");
+        assert_eq!(m1.labels, Workload::Gemm.case_labels());
+        assert!(m1.trace(4, Variant::Tc).is_some());
+        assert!(m1.trace(5, Variant::Tc).is_none(), "five cases only");
+        let pic = cache.ensure(Workload::Pic, 64, 512);
+        assert!(
+            pic.trace(0, Variant::Baseline).is_none(),
+            "PiC has no baseline"
+        );
     }
 
     #[test]
@@ -751,6 +719,11 @@ mod tests {
             .cells
             .iter()
             .all(|c| c.variant == Variant::Tc && c.case_idx == 2));
+        // Traces outside the filters stay hidden though the cache holds them.
+        assert!(sweep.trace(Workload::Scan, 2, Variant::Tc).is_some());
+        assert!(sweep.trace(Workload::Scan, 1, Variant::Tc).is_none());
+        assert!(sweep.trace(Workload::Scan, 2, Variant::Cc).is_none());
+        assert!(sweep.trace(Workload::Gemm, 2, Variant::Tc).is_none());
     }
 
     #[test]

@@ -214,6 +214,32 @@ impl Workload {
         }
         v
     }
+
+    /// The five Table 2 case labels (x-axis of Figure 3), in the order
+    /// [`prepare_cases`] returns the cases: each case is named by its
+    /// size or by its Table 3/4 input, so the labels come from the same
+    /// case lists and nothing is generated.
+    pub fn case_labels(&self) -> Vec<String> {
+        fn labels<C>(cases: impl IntoIterator<Item = C>, label: fn(&C) -> String) -> Vec<String> {
+            cases.into_iter().map(|c| label(&c)).collect()
+        }
+        match self {
+            Workload::Gemm => labels(gemm::GemmCase::cases(), gemm::GemmCase::label),
+            Workload::Gemv => labels(gemv::GemvCase::cases(), gemv::GemvCase::label),
+            Workload::Fft => labels(fft::FftCase::cases(), fft::FftCase::label),
+            Workload::Stencil => labels(stencil::StencilCase::cases(), stencil::StencilCase::label),
+            Workload::Scan => labels(scan::ScanCase::cases(), scan::ScanCase::label),
+            Workload::Reduction => labels(
+                reduction::ReductionCase::cases(),
+                reduction::ReductionCase::label,
+            ),
+            Workload::Pic => labels(pic::PicCase::cases(), pic::PicCase::label),
+            Workload::Spmv | Workload::Spgemm => {
+                labels(sparse_gen::table4_specs(), |s| s.name.to_string())
+            }
+            Workload::Bfs => labels(graph_gen::table3_specs(), |s| s.name.to_string()),
+        }
+    }
 }
 
 /// All workload specs in Table 2 order.
@@ -277,23 +303,6 @@ impl PreparedCase {
             PreparedCase::Spmv { .. } => Workload::Spmv,
             PreparedCase::Spgemm { .. } => Workload::Spgemm,
             PreparedCase::Bfs { .. } => Workload::Bfs,
-        }
-    }
-
-    /// Case label (x-axis of Figure 3).
-    pub fn label(&self) -> String {
-        match self {
-            PreparedCase::Gemm(c) => c.label(),
-            PreparedCase::Gemv(c) => c.label(),
-            PreparedCase::Fft(c) => c.label(),
-            PreparedCase::Stencil(c) => c.label(),
-            PreparedCase::Scan(c) => c.label(),
-            PreparedCase::Reduction(c) => c.label(),
-            PreparedCase::Pic(c) => c.label(),
-            PreparedCase::Spmv { info, .. } | PreparedCase::Spgemm { info, .. } => {
-                info.name.to_string()
-            }
-            PreparedCase::Bfs { info, .. } => info.name.to_string(),
         }
     }
 
@@ -490,9 +499,31 @@ mod tests {
         for w in Workload::ALL {
             let cases = prepare_cases(w, 64, 512);
             assert_eq!(cases.len(), 5, "{w:?}");
-            for c in &cases {
-                assert!(c.useful_work() > 0.0, "{w:?} {}", c.label());
+            for (c, label) in cases.iter().zip(w.case_labels()) {
+                assert!(c.useful_work() > 0.0, "{w:?} {label}");
             }
+        }
+    }
+
+    #[test]
+    fn case_labels_name_the_prepared_cases_in_order() {
+        for w in Workload::ALL {
+            assert_eq!(w.case_labels().len(), 5, "{w:?}");
+        }
+        // The labels of the generated-input workloads are their Table 3/4
+        // inputs' names, in the order the prepared cases come back.
+        for w in [Workload::Spmv, Workload::Spgemm, Workload::Bfs] {
+            let prepared: Vec<String> = prepare_cases(w, 64, 512)
+                .iter()
+                .map(|c| match c {
+                    PreparedCase::Spmv { info, .. } | PreparedCase::Spgemm { info, .. } => {
+                        info.name.to_string()
+                    }
+                    PreparedCase::Bfs { info, .. } => info.name.to_string(),
+                    _ => unreachable!("{w:?} prepares generated inputs"),
+                })
+                .collect();
+            assert_eq!(w.case_labels(), prepared, "{w:?}");
         }
     }
 

@@ -31,10 +31,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cubie_analysis::advisor::{advise, reference_mapping};
+use cubie_analysis::advisor::{advise, reference_mapping, source_variant};
+use cubie_analysis::metrics::REPRESENTATIVE_CASE;
 use cubie_bench::{SweepCache, SweepRunner};
 use cubie_golden::{obj, Json};
-use cubie_kernels::{Variant, Workload};
+use cubie_kernels::Workload;
 
 use crate::proto::{
     error_response, ok_response, parse_request, AdviseSpec, Request, SweepSpec, PROTO_VERSION,
@@ -597,20 +598,15 @@ impl Daemon {
             }
         };
 
-        let cache = SweepCache::global();
         let advice = catch_unwind(AssertUnwindSafe(|| {
-            let meta = cache.ensure(w, ss, gs);
-            let cc_variant = if w.spec().distinct_cce {
-                Variant::CcE
-            } else {
-                Variant::Cc
-            };
-            let cc_trace = cache.trace(w, 2, cc_variant, ss, gs)?;
+            let entry = SweepCache::global().ensure(w, ss, gs);
+            let cc_variant = source_variant(w);
+            let cc_trace = entry.trace(REPRESENTATIVE_CASE, cc_variant)?;
             let mapping = reference_mapping(w);
             let rows: Vec<Json> = devices
                 .iter()
                 .map(|dev| {
-                    let a = advise(dev, &cc_trace, &mapping);
+                    let a = advise(dev, cc_trace, &mapping);
                     obj(vec![
                         ("device", dev.name.as_str().into()),
                         ("predicted_speedup", a.predicted_speedup.into()),
@@ -621,7 +617,7 @@ impl Daemon {
                     ])
                 })
                 .collect();
-            Some((meta.labels[2].clone(), cc_variant, rows))
+            Some((entry.labels[REPRESENTATIVE_CASE].clone(), cc_variant, rows))
         }));
         match advice {
             Ok(Some((case_label, cc_variant, rows))) => {

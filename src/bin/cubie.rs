@@ -56,13 +56,14 @@
 //!                                    for every N; only wall-clock changes)
 //! ```
 
-use cubie::analysis::advisor::{advise, reference_mapping};
+use cubie::analysis::advisor::{advise, reference_mapping, source_variant};
 use cubie::analysis::errors::{table6, ErrorScale};
+use cubie::analysis::metrics::REPRESENTATIVE_CASE;
 use cubie::analysis::report;
 use cubie::bench::{artifacts, parse_flag, parse_scale, SweepConfig, SweepRunner};
 use cubie::device::{all_devices, find_device, DeviceSpec};
 use cubie::golden::{ArtifactDiff, DiffReport};
-use cubie::kernels::{Variant, Workload};
+use cubie::kernels::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -309,7 +310,7 @@ fn run_cmd(rest: &[&String]) {
     };
     let w = parse_workload(wname);
     let (ss, gs) = scales(rest);
-    let case_idx: usize = flag(rest, "--case").unwrap_or(2);
+    let case_idx: usize = flag(rest, "--case").unwrap_or(REPRESENTATIVE_CASE);
     if case_idx > 4 {
         eprintln!("case index out of range (0..5)");
         std::process::exit(2);
@@ -607,16 +608,9 @@ fn advise_cmd(rest: &[&String]) {
     let (ss, gs) = scales(rest);
     // Prepare through the shared sweep cache: labels and traces of all
     // variants are memoized for the rest of the process.
-    let cache = cubie::bench::SweepCache::global();
-    let meta = cache.ensure(w, ss, gs);
-    // Advise from the essential CUDA-core implementation where one is
-    // distinct, otherwise from the CC trace.
-    let cc_variant = if w.spec().distinct_cce {
-        Variant::CcE
-    } else {
-        Variant::Cc
-    };
-    let Some(cc_trace) = cache.trace(w, 2, cc_variant, ss, gs) else {
+    let entry = cubie::bench::SweepCache::global().ensure(w, ss, gs);
+    let cc_variant = source_variant(w);
+    let Some(cc_trace) = entry.trace(REPRESENTATIVE_CASE, cc_variant) else {
         eprintln!("no CUDA-core trace for {wname}");
         std::process::exit(2);
     };
@@ -624,12 +618,12 @@ fn advise_cmd(rest: &[&String]) {
     println!(
         "advising on {} (case {}), from its {} trace:\n",
         w.spec().name,
-        meta.labels[2],
+        entry.labels[REPRESENTATIVE_CASE],
         cc_variant.label()
     );
     let mut rows = Vec::new();
     for dev in devices {
-        let a = advise(&dev, &cc_trace, &mapping);
+        let a = advise(&dev, cc_trace, &mapping);
         rows.push(vec![
             dev.name.clone(),
             format!("{:.2}x", a.predicted_speedup),
@@ -687,9 +681,27 @@ fn golden_cmd(rest: &[&String]) {
     }
 }
 
+/// The golden store `check` and `list` read. When it does not exist
+/// (say, the working directory is not the repository root) this fails
+/// with one line naming it, before any artifact is built.
+fn recorded_golden_dir() -> std::path::PathBuf {
+    let dir = artifacts::golden_dir();
+    if !dir.is_dir() {
+        let shown = std::path::absolute(&dir).unwrap_or(dir);
+        fail(format!(
+            "no golden snapshots at {} — run from the repository root or set CUBIE_GOLDEN_DIR",
+            shown.display()
+        ));
+    }
+    dir
+}
+
 fn golden_record(rest: &[&String]) {
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        fail(format!("cannot create {}: {e}", dir.display()));
+    }
     println!(
         "recording goldens at sparse_scale={} graph_scale={} into {}",
         ctx.config.sparse_scale,
@@ -713,8 +725,8 @@ fn golden_record(rest: &[&String]) {
 }
 
 fn golden_check(rest: &[&String]) {
+    let dir = recorded_golden_dir();
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
-    let dir = artifacts::golden_dir();
     let mut report_diffs = Vec::new();
     for name in artifact_selection(opt(rest, "--only")) {
         let path = dir.join(format!("{name}.json"));
@@ -748,7 +760,7 @@ fn golden_check(rest: &[&String]) {
 }
 
 fn golden_list() {
-    let dir = artifacts::golden_dir();
+    let dir = recorded_golden_dir();
     let rows: Vec<Vec<String>> = artifacts::GOLDEN_ARTIFACTS
         .iter()
         .map(|name| {

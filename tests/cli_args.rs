@@ -2,8 +2,10 @@
 //! a malformed flag value, or a scale of 0, is a usage error (exit 2)
 //! naming the flag, `--device` names a device the way `--filter device=`
 //! does, `cubie figure` writes the CSV, the JSON and the markdown log
-//! of every artifact it is asked for, and `cubie profile` writes its
-//! hotspot table and Chrome trace with exactly the documented keys.
+//! of every artifact it is asked for, `cubie profile` writes its
+//! hotspot table and Chrome trace with exactly the documented keys, and
+//! `cubie golden check` fails fast without its golden directory and
+//! prepares only the inputs an artifact reads.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -319,5 +321,59 @@ fn profile_writes_schema_v2_hotspots_and_trace_with_exact_keys() {
             "{event:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn golden_check_without_a_golden_dir_fails_fast_and_creates_none() {
+    let dir = scratch_dir("no-goldens");
+    for args in [
+        &["golden", "check", "--only", "table5_specs"][..],
+        &["golden", "list"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cubie"))
+            .args(args)
+            .current_dir(&dir)
+            .env_remove("CUBIE_GOLDEN_DIR")
+            .output()
+            .expect("spawn cubie");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("results/golden") && stderr.contains("CUBIE_GOLDEN_DIR"),
+            "{args:?}: the error must name the directory and the override: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one line: {stderr}");
+        assert!(
+            !dir.join("results").join("golden").exists(),
+            "{args:?} created results/golden"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table234_check_prepares_only_its_own_tables() {
+    let dir = scratch_dir("table234");
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden");
+    let check = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_cubie"))
+            .args(["golden", "check", "--only", "table234_inventory"])
+            .current_dir(&dir)
+            .env("CUBIE_GOLDEN_DIR", &goldens)
+            .env("CUBIE_PREP_DIR", dir.join("prep"))
+            .env_remove("CUBIE_PREP_CACHE")
+            .output()
+            .expect("spawn cubie");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "check failed: {stderr}");
+        stderr
+    };
+    check(); // cold: records the snapshots
+    let warm = check();
+    let count = |prefix: &str| warm.lines().filter(|l| l.starts_with(prefix)).count();
+    assert_eq!(count("prep: matrices"), 1, "{warm}");
+    assert_eq!(count("prep: graphs"), 1, "{warm}");
+    assert!(!warm.contains("scale=1024"), "{warm}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 //! bit-identical to the original computation, and a version-skewed
 //! store entry is invalidated and recomputed rather than served, and a
 //! request line nested 20,000 deep gets an error while the daemon goes
-//! on answering.
+//! on answering, and an `advise` reply agrees with the
+//! advisor-validation artifact.
 //!
 //! Each test runs its own daemon on a private socket + store under a
 //! unique temp directory, and reads the daemon's per-process `stats`
@@ -15,8 +16,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
+use cubie::bench::artifacts::{self, GoldenConfig, GoldenCtx};
 use cubie::golden::Json;
-use cubie::serve::{client_request, Daemon, ServeConfig, SweepSpec};
+use cubie::kernels::Workload;
+use cubie::serve::{client_request, AdviseSpec, Daemon, ServeConfig, SweepSpec};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cubied_it_{}_{tag}", std::process::id()));
@@ -149,6 +152,54 @@ fn restart_serves_a_pure_store_hit_bit_identically() {
     let a = cubie::golden::Artifact::from_json(field(&cold, "artifact")).expect("cold artifact");
     let b = cubie::golden::Artifact::from_json(field(&warm, "artifact")).expect("warm artifact");
     cubie::golden::verify_bit_identical(&a, &b).expect("differ agrees the hit is bit-identical");
+}
+
+#[test]
+fn advise_replies_match_the_advisor_validation_artifact() {
+    // The daemon and the artifact pick the advisor's case, variant and
+    // mapping through one policy: on H200 at the golden scales each
+    // reply must name the artifact's `from` variant and predict the same
+    // speedup to the bit.
+    let config = GoldenConfig::default();
+    let (sparse_scale, graph_scale) = (config.sparse_scale, config.graph_scale);
+    let validation = artifacts::build(&GoldenCtx::new(config), "ext_advisor_validation")
+        .expect("registered artifact");
+    let col = |name: &str| {
+        validation
+            .columns
+            .iter()
+            .position(|c| c.name == name)
+            .unwrap_or_else(|| panic!("no `{name}` column"))
+    };
+    let (workload, from, predicted) = (col("workload"), col("from"), col("predicted"));
+    assert_eq!(validation.rows.len(), Workload::ALL.len());
+
+    let dir = scratch("advise");
+    let mut handle = Daemon::start(cfg_in(&dir, 0)).expect("daemon");
+    for w in Workload::ALL {
+        let request = AdviseSpec {
+            workload: w.key().to_string(),
+            devices: Some(vec!["h200".to_string()]),
+            sparse_scale: Some(sparse_scale),
+            graph_scale: Some(graph_scale),
+        };
+        let reply = client_request(handle.socket(), &request.to_json()).expect("advise reply");
+        let row = validation
+            .rows
+            .iter()
+            .find(|r| r[workload].as_str() == Some(w.spec().name))
+            .unwrap_or_else(|| panic!("no validation row for {w:?}"));
+        assert_eq!(field(&reply, "from_variant"), &row[from], "{w:?}");
+        let advice = field(&reply, "advice").as_array().expect("advice array");
+        assert_eq!(advice.len(), 1, "{w:?}: one device asked");
+        let got = field(&advice[0], "predicted_speedup")
+            .as_f64()
+            .expect("f64");
+        let want = row[predicted].as_f64().expect("f64");
+        assert_eq!(got.to_bits(), want.to_bits(), "{w:?}: {got} vs {want}");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

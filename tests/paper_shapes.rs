@@ -38,9 +38,10 @@ fn trace_of(
     v: Variant,
     (ss, gs): (usize, usize),
 ) -> Option<Arc<WorkloadTrace>> {
-    let cache = SweepCache::global();
-    cache.ensure(w, ss, gs);
-    cache.trace(w, idx, v, ss, gs)
+    SweepCache::global()
+        .ensure(w, ss, gs)
+        .trace(idx, v)
+        .cloned()
 }
 
 /// Geomean speedup of `a` over `b` across the five Table 2 cases.

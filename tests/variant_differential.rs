@@ -150,12 +150,9 @@ fn cce_never_issues_more_work_than_cc() {
     for w in Workload::ALL.into_iter().filter(|w| w.spec().distinct_cce) {
         let meta = cache.ensure(w, SPARSE_SCALE, GRAPH_SCALE);
         for ci in 0..meta.labels.len() {
-            let cc = cache
-                .trace(w, ci, Variant::Cc, SPARSE_SCALE, GRAPH_SCALE)
-                .expect("CC trace")
-                .total_ops();
-            let cce = cache
-                .trace(w, ci, Variant::CcE, SPARSE_SCALE, GRAPH_SCALE)
+            let cc = meta.trace(ci, Variant::Cc).expect("CC trace").total_ops();
+            let cce = meta
+                .trace(ci, Variant::CcE)
                 .expect("CC-E trace")
                 .total_ops();
             let case = &meta.labels[ci];
