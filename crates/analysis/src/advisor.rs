@@ -11,12 +11,11 @@
 use cubie_device::DeviceSpec;
 use cubie_kernels::{Quadrant, Variant, Workload};
 use cubie_sim::{time_workload, Limiter, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 /// How the kernel's arithmetic would map onto MMA tiles — the knobs a
 /// parallel-algorithm designer can usually estimate *before* writing the
 /// tensor-core kernel (Observation 1's transformation, quantified).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmaMapping {
     /// Fraction of the CUDA-core FP64 work expressible as matrix
     /// multiply-accumulate (1.0 for GEMM; below 1 when element-wise
@@ -52,7 +51,7 @@ impl MmaMapping {
 }
 
 /// The advisor's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recommendation {
     /// Clear compute-side win: port to the MMU.
     StrongBenefit,
@@ -65,7 +64,7 @@ pub enum Recommendation {
 }
 
 /// A full prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advice {
     /// Predicted TC-over-CC speedup.
     pub predicted_speedup: f64,

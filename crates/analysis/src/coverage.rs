@@ -31,14 +31,13 @@ use cubie_sim::WorkloadTrace;
 use cubie_sparse::features::MatrixFeatures;
 use cubie_sparse::generators as sparse_gen;
 use cubie_sparse::Csr;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{cubie_metrics, metrics_of};
 use crate::minisuites;
 use crate::pca::Pca;
 
 /// One labelled point in the 2-D principal component space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcaPoint {
     /// Label ("corpus-…" or a representative's name).
     pub name: String,
@@ -47,7 +46,7 @@ pub struct PcaPoint {
 }
 
 /// A Figure 10-style corpus study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStudy {
     /// Background corpus projections.
     pub corpus: Vec<PcaPoint>,
@@ -350,7 +349,7 @@ fn fan_out(studies: &[&dyn StudyTasks]) -> Vec<CorpusStudy> {
 }
 
 /// A Figure 11-style suite diversity study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteStudy {
     /// Projected points with their suite label.
     pub points: Vec<(String, &'static str, [f64; 2])>,
@@ -407,7 +406,7 @@ pub fn suite_diversity_study(
 }
 
 /// One Table 7 row: dwarf coverage counts per suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DwarfRow {
     /// Dwarf name.
     pub dwarf: &'static str,

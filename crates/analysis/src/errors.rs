@@ -9,10 +9,9 @@ use cubie_kernels::{
     fft, gemm, gemv, pic, reduction, scan, spgemm, spmv, stencil, Variant, Workload,
 };
 use cubie_sparse::Csr;
-use serde::{Deserialize, Serialize};
 
 /// One Table 6 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorRow {
     /// The workload.
     pub workload: Workload,
@@ -25,6 +24,18 @@ pub struct ErrorRow {
     pub tc_cc: ErrorStats,
     /// CC-E error (`None` in Quadrant I where CC-E ≡ CC).
     pub cce: Option<ErrorStats>,
+}
+
+impl ErrorRow {
+    /// The error of variant `v` (`None` where the row has no such
+    /// variant: the PiC Baseline, CC-E in Quadrant I).
+    pub fn of(&self, v: Variant) -> Option<ErrorStats> {
+        match v {
+            Variant::Baseline => self.baseline,
+            Variant::Tc | Variant::Cc => Some(self.tc_cc),
+            Variant::CcE => self.cce,
+        }
+    }
 }
 
 /// Case sizing for the error study.
@@ -108,30 +119,22 @@ const BLOCKS: [(Workload, f64); 9] = [
 /// rows come back in Table 2 order. Every kernel gives the same bits
 /// under any schedule, so the rows do too.
 pub fn table6(scale: ErrorScale) -> Vec<ErrorRow> {
-    let quick = scale == ErrorScale::Quick;
-    par::par_map_lpt(BLOCKS.len(), |i| BLOCKS[i].1, |i| block(BLOCKS[i].0, quick))
+    par::par_map_lpt(
+        BLOCKS.len(),
+        |i| BLOCKS[i].1,
+        |i| table6_row(BLOCKS[i].0, scale).expect("BFS has no Table 6 block"),
+    )
 }
 
 /// One block's row: `err(v)` runs variant `v` and compares it with the
-/// block's reference, computed beforehand. The variants run as pool
-/// tasks; the Baseline only when `baseline`, CC-E only when `cce`. TC
-/// and CC must agree bit for bit.
+/// block's reference, computed beforehand. The workload's variants run
+/// as pool tasks. TC and CC must agree bit for bit.
 fn row(
     workload: Workload,
     case_label: String,
-    baseline: bool,
-    cce: bool,
     err: impl Fn(Variant) -> ErrorStats + Sync,
 ) -> ErrorRow {
-    let variants: Vec<Variant> = [
-        (baseline, Variant::Baseline),
-        (true, Variant::Tc),
-        (true, Variant::Cc),
-        (cce, Variant::CcE),
-    ]
-    .into_iter()
-    .filter_map(|(run, v)| run.then_some(v))
-    .collect();
+    let variants = workload.variants();
     let errs = par::par_map(variants.len(), |i| err(variants[i]));
     let of = |v: Variant| variants.iter().position(|&u| u == v).map(|i| errs[i]);
     let (tc, cc) = (of(Variant::Tc).unwrap(), of(Variant::Cc).unwrap());
@@ -145,9 +148,11 @@ fn row(
     }
 }
 
-/// The Table 6 row of one workload.
-fn block(workload: Workload, quick: bool) -> ErrorRow {
-    match workload {
+/// The Table 6 row of one workload (`None` for BFS, which has no
+/// floating point).
+pub fn table6_row(workload: Workload, scale: ErrorScale) -> Option<ErrorRow> {
+    let quick = scale == ErrorScale::Quick;
+    Some(match workload {
         Workload::Gemv => {
             let case = if quick {
                 gemv::GemvCase { m: 512, n: 16 }
@@ -156,7 +161,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             };
             let (a, x) = gemv::inputs(&case);
             let gold = gemv::reference(&a, &x);
-            row(workload, case.label(), true, true, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(&gemv::run(&a, &x, v).0, &gold)
             })
         }
@@ -164,7 +169,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             let case = gemm::GemmCase::square(if quick { 96 } else { 512 });
             let (a, b) = gemm::inputs(&case);
             let gold = gemm::reference(&a, &b);
-            row(workload, case.label(), true, false, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(gemm::run(&a, &b, v).0.as_slice(), gold.as_slice())
             })
         }
@@ -172,24 +177,16 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             let m = cubie_sparse::generators::conf5_like(if quick { 16 } else { 1 });
             let x = spmv::input_vector(&m);
             let gold = spmv::reference(&m, &x);
-            row(
-                workload,
-                format!("conf5-like {}r", m.rows),
-                true,
-                true,
-                |v| ErrorStats::compare(&spmv::run(&m, &x, v).0, &gold),
-            )
+            row(workload, format!("conf5-like {}r", m.rows), |v| {
+                ErrorStats::compare(&spmv::run(&m, &x, v).0, &gold)
+            })
         }
         Workload::Spgemm => {
             let m = cubie_sparse::generators::spmsrts_like(if quick { 32 } else { 1 });
             let gold = spgemm::reference(&m);
-            row(
-                workload,
-                format!("spmsrts-like {}r", m.rows),
-                true,
-                true,
-                |v| compare_sparse(&spgemm::run(&m, v).0, &gold),
-            )
+            row(workload, format!("spmsrts-like {}r", m.rows), |v| {
+                compare_sparse(&spgemm::run(&m, v).0, &gold)
+            })
         }
         Workload::Fft => {
             let (h, w, batch) = if quick { (16, 32, 2) } else { (256, 256, 1) };
@@ -197,7 +194,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             let data = fft::input(&case);
             let gold: Vec<Vec<cubie_core::C64>> =
                 data.iter().map(|g| fft::dft2_naive(h, w, g)).collect();
-            row(workload, case.label(), true, false, |v| {
+            row(workload, case.label(), |v| {
                 let (out, _) = fft::run(&case, &data, v);
                 out.iter()
                     .zip(&gold)
@@ -213,7 +210,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             };
             let x = stencil::input(&case);
             let gold = stencil::reference(&case, &x);
-            row(workload, case.label(), true, false, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(&stencil::run(&case, &x, v).0, &gold)
             })
         }
@@ -221,7 +218,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             let case = reduction::ReductionCase { n: 1024 };
             let x = reduction::input(&case);
             let gold = vec![reduction::reference(&x)];
-            row(workload, case.label(), true, true, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(&[reduction::run(&x, v).0], &gold)
             })
         }
@@ -229,7 +226,7 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
             let case = scan::ScanCase { n: 1024 };
             let x = scan::input(&case);
             let gold = scan::reference(&x);
-            row(workload, case.label(), true, true, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(&scan::run(&x, v).0, &gold)
             })
         }
@@ -248,13 +245,13 @@ fn block(workload: Workload, quick: bool) -> ErrorRow {
                     .collect()
             };
             let gold_flat = flat(&gold);
-            row(workload, case.label(), false, false, |v| {
+            row(workload, case.label(), |v| {
                 ErrorStats::compare(&flat(&pic::run(&case, &parts, &grid, v).0), &gold_flat)
             })
         }
         // No floating point.
-        Workload::Bfs => unreachable!("BFS has no Table 6 row"),
-    }
+        Workload::Bfs => return None,
+    })
 }
 
 #[cfg(test)]
@@ -322,6 +319,21 @@ mod tests {
                     "{:?}: baseline max error {}",
                     row.workload,
                     b.max
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_carry_exactly_the_workloads_variants() {
+        assert!(table6_row(Workload::Bfs, ErrorScale::Quick).is_none());
+        for row in table6(ErrorScale::Quick) {
+            for v in Variant::ALL {
+                assert_eq!(
+                    row.of(v).is_some(),
+                    row.workload.variants().contains(&v),
+                    "{:?} {v:?}",
+                    row.workload
                 );
             }
         }

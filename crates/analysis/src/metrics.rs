@@ -10,7 +10,6 @@ use std::sync::Arc;
 use cubie_device::DeviceSpec;
 use cubie_kernels::Workload;
 use cubie_sim::{time_workload, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 /// Names of the metric dimensions, in [`ArchMetrics::values`] order.
 pub const METRIC_NAMES: [&str; 8] = [
@@ -25,7 +24,7 @@ pub const METRIC_NAMES: [&str; 8] = [
 ];
 
 /// One workload's architectural metric vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchMetrics {
     /// Workload label, e.g. `"Cubie-SpMV"`.
     pub name: String,

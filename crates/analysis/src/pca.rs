@@ -4,10 +4,8 @@
 //! "the data is standardized, followed by applying PCA by computing the
 //! covariance matrix and extracting the two top principal components".
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted PCA model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     /// Feature means (standardization).
     pub means: Vec<f64>,

@@ -7,10 +7,9 @@
 //! — Quadrants III/IV).
 
 use cubie_kernels::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Input/output operand utilization of one workload's MMA pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     /// The workload.
     pub workload: Workload,

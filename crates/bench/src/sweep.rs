@@ -17,9 +17,9 @@
 //!    device) order plus the cache entries behind them, so figure
 //!    artifacts become filters/folds over one shared result.
 //!
-//! The `cubie sweep` CLI command accepts `--filter workload=… variant=…
-//! device=… case=…` and `--jobs N`, so a partial sweep never pays
-//! full-suite cost.
+//! `cubie sweep` narrows the cross-product with `--filter` terms, read by
+//! [`SweepConfig::apply_filter`] (`workload=… variant=… device=… case=…
+//! precision=…`), so a partial sweep never pays full-suite cost.
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -28,8 +28,6 @@ use cubie_core::par::{par_map, par_map_lpt, set_max_workers};
 use cubie_device::{all_devices, find_device, DeviceSpec};
 use cubie_kernels::{gemm, prepare_cases, Precision, Variant, Workload};
 use cubie_sim::{time_workload, WorkloadTiming, WorkloadTrace};
-
-use crate::{parse_flag, parse_scale};
 
 /// Cache key: workload at a generation scale.
 type CaseKey = (Workload, usize, usize);
@@ -234,31 +232,6 @@ impl SweepConfig {
             other => return Err(format!("unknown filter key `{other}`")),
         }
         Ok(())
-    }
-
-    /// Parse the CLI surface of `cubie sweep`/`profile`:
-    /// `--filter key=v[,v…]` (repeatable), `--jobs N`,
-    /// `--sparse-scale K`, `--graph-scale K`. Unrecognized arguments are
-    /// an error.
-    pub fn from_cli_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut cfg = SweepConfig::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut value_of =
-                |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-            match arg.as_str() {
-                "--filter" | "-f" => cfg.apply_filter(&value_of("--filter")?)?,
-                "--jobs" | "-j" => cfg.jobs = Some(parse_flag("--jobs", &value_of("--jobs")?)?),
-                "--sparse-scale" => {
-                    cfg.sparse_scale = parse_scale("--sparse-scale", &value_of("--sparse-scale")?)?
-                }
-                "--graph-scale" => {
-                    cfg.graph_scale = parse_scale("--graph-scale", &value_of("--graph-scale")?)?
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(cfg)
     }
 
     /// The variants of `w` that survive this config's variant filter.
@@ -734,41 +707,14 @@ mod tests {
         assert!(cfg.apply_filter("bogus").is_err());
     }
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
-    fn cli_flag_missing_value_is_an_error() {
-        for flag in ["--filter", "--jobs", "--sparse-scale", "--graph-scale"] {
-            let err = SweepConfig::from_cli_args(args(&[flag])).unwrap_err();
-            assert!(err.contains("needs a value"), "{flag}: {err}");
-            assert!(err.contains(flag), "{flag}: {err}");
-        }
-    }
-
-    #[test]
-    fn cli_unknown_argument_is_an_error() {
-        let err = SweepConfig::from_cli_args(args(&["--frobnicate"])).unwrap_err();
-        assert!(err.contains("unknown argument"), "{err}");
-        assert!(err.contains("--frobnicate"), "{err}");
-    }
-
-    #[test]
-    fn cli_bad_jobs_value_is_an_error() {
-        let err = SweepConfig::from_cli_args(args(&["--jobs", "fast"])).unwrap_err();
-        assert!(err.contains("--jobs"), "{err}");
-        let err = SweepConfig::from_cli_args(args(&["--sparse-scale", "big"])).unwrap_err();
-        assert!(err.contains("--sparse-scale"), "{err}");
-    }
-
-    #[test]
-    fn cli_unknown_filter_names_the_offender() {
-        let err = SweepConfig::from_cli_args(args(&["--filter", "workload=gemmm"])).unwrap_err();
+    fn unknown_filter_values_name_the_offender() {
+        let mut cfg = SweepConfig::default();
+        let err = cfg.apply_filter("workload=gemmm").unwrap_err();
         assert!(err.contains("gemmm"), "{err}");
-        let err = SweepConfig::from_cli_args(args(&["--filter", "variant=tcx"])).unwrap_err();
+        let err = cfg.apply_filter("variant=tcx").unwrap_err();
         assert!(err.contains("tcx"), "{err}");
-        let err = SweepConfig::from_cli_args(args(&["--filter", "speed=fast"])).unwrap_err();
+        let err = cfg.apply_filter("speed=fast").unwrap_err();
         assert!(err.contains("unknown filter key"), "{err}");
     }
 
@@ -826,42 +772,22 @@ mod tests {
     }
 
     #[test]
-    fn cli_repeated_workload_filter_is_last_wins() {
+    fn repeated_workload_filter_is_last_wins() {
         // Each workload filter restarts from the full Table 2 list, so the
         // last one on the command line wins — repeats never intersect.
-        let cfg = SweepConfig::from_cli_args(args(&[
-            "--filter",
-            "workload=scan",
-            "--filter",
-            "workload=gemm",
-        ]))
-        .unwrap();
+        let mut cfg = SweepConfig::default();
+        cfg.apply_filter("workload=scan").unwrap();
+        cfg.apply_filter("workload=gemm").unwrap();
         assert_eq!(cfg.workloads, vec![Workload::Gemm]);
     }
 
     #[test]
-    fn cli_workload_filter_preserves_table2_order() {
-        // spmv listed before gemm on the command line; the sweep still
-        // runs Table 2 order (Gemm before Spmv).
-        let cfg = SweepConfig::from_cli_args(args(&["--filter", "workload=spmv,gemm"])).unwrap();
+    fn workload_filter_preserves_table2_order() {
+        // spmv listed before gemm; the sweep still runs Table 2 order
+        // (Gemm before Spmv).
+        let mut cfg = SweepConfig::default();
+        cfg.apply_filter("workload=spmv,gemm").unwrap();
         assert_eq!(cfg.workloads, vec![Workload::Gemm, Workload::Spmv]);
-    }
-
-    #[test]
-    fn cli_jobs_and_scales_parse() {
-        let _guard = crate::env_lock();
-        let cfg = SweepConfig::from_cli_args(args(&[
-            "--jobs",
-            "3",
-            "--sparse-scale",
-            "64",
-            "--graph-scale",
-            "512",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.jobs, Some(3));
-        assert_eq!(cfg.sparse_scale, 64);
-        assert_eq!(cfg.graph_scale, 512);
     }
 
     #[test]

@@ -2,10 +2,8 @@
 
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A double-precision complex number.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct C64 {
     /// Real part.
     pub re: f64,

@@ -11,8 +11,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Global-memory traffic split by access regularity.
 ///
 /// The coalescing class determines the effective fraction of DRAM bandwidth
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// layouts regularize memory access — shows up here as baseline kernels
 /// recording `strided`/`random` bytes where TC kernels record `coalesced`
 /// ones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemTraffic {
     /// Bytes moved by fully coalesced (unit-stride, aligned) accesses.
     pub coalesced: u64,
@@ -123,7 +121,7 @@ pub const MMA_TF32_FMAS: u64 = 16 * 8 * 8;
 ///
 /// All floating-point counts are in *operations* (an FMA counts as one
 /// `fma_f64`, contributing two FLOPs); memory counts are in bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// FP64 `m8n8k4` tensor-core MMA instructions issued (warp-wide).
     pub mma_f64: u64,

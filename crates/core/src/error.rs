@@ -2,14 +2,12 @@
 //! (Table 6): element-wise average and maximum absolute error of a GPU
 //! result against a serial CPU ground truth.
 
-use serde::{Deserialize, Serialize};
-
 /// Average and maximum absolute error between two result vectors, following
 /// the paper's definitions:
 ///
 /// * `Average_Error = (1/n) * sum_i |result_gpu_i - result_cpu_i|`
 /// * `Max_Error     = max_i  |result_gpu_i - result_cpu_i|`
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorStats {
     /// Mean absolute element-wise error.
     pub avg: f64,

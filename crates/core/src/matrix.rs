@@ -1,12 +1,10 @@
 //! Small row-major dense matrix container shared by the workloads and
 //! analysis code.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::LcgF64;
 
 /// A dense row-major `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

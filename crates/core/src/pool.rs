@@ -164,8 +164,8 @@ pub fn announce_line() -> String {
 /// Spawn workers up to the current target without submitting work, so
 /// the first parallel region of a sweep does not pay thread creation.
 /// The first prewarm of the process announces the pool sizing through
-/// [`cubie_obs::log`] — retained for daemon startup banners, echoed to
-/// stderr unless the consumer disabled the echo.
+/// [`cubie_obs::log`]: on stderr unless the consumer disabled the echo.
+/// `cubied` re-states it in its startup banner via [`announce_line`].
 pub fn prewarm() {
     STARTED.store(true, Ordering::Release);
     let p = pool();

@@ -24,8 +24,6 @@
 //! ([`MmaGen::dot4_f32`]). [`Precision`] names the operand axis the sweep
 //! engine exposes as `--filter precision=…`.
 
-use serde::{Deserialize, Serialize};
-
 /// IEEE-754 rounding-direction attribute used by the MMA models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Round {
@@ -104,7 +102,7 @@ pub fn round_to_format(v: f64, p: i32, emin: i32, emax: i32, mode: Round) -> f64
 
 /// IEEE-754 binary16 (half precision): 1 sign, 5 exponent, 10 fraction
 /// bits (`p = 11`, `emin = -14`, `emax = 15`). Stored as its bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct F16(u16);
 
 impl F16 {
@@ -198,7 +196,7 @@ impl F16 {
 
 /// bfloat16: 1 sign, 8 exponent, 7 fraction bits (`p = 8`, the `f32`
 /// exponent range). Exactly the top 16 bits of an `f32` pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bf16(u16);
 
 impl Bf16 {
@@ -264,7 +262,7 @@ impl Bf16 {
 /// TF32: NVIDIA's tensor-float format — `f32` exponent range with an
 /// 11-bit significand (`p = 11`). Stored as an `f32` bit pattern whose
 /// low 13 fraction bits are zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tf32(u32);
 
 impl Tf32 {
@@ -330,7 +328,7 @@ impl Tf32 {
 /// The operand-precision axis of the MMA subsystem (and of `cubie sweep
 /// --filter precision=…`). `F64` is the paper's native precision; the
 /// reduced formats multiply in the named format and accumulate in `f32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// FP64 operands, FP64 accumulate (`m8n8k4`) — the paper's precision.
     F64,
@@ -402,7 +400,7 @@ impl std::fmt::Display for Precision {
 /// Tensor-core generation, selecting the published accumulation semantics
 /// ([module docs](self)). `cubie_device::Arch::mma_gen()` maps device
 /// architectures onto this axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MmaGen {
     /// Volta-style: serial accumulation, round-toward-zero after every
     /// addition, subnormal step results flushed to zero.

@@ -170,9 +170,8 @@ fn resolve(env: Option<&str>) -> (SimdPath, &'static str, Option<String>) {
 /// once per process. The announcement goes through [`cubie_obs::log`]
 /// rather than a raw `eprintln!`: the line still reaches stderr (obs
 /// echoes by default, so the CI forced-path grep keeps its teeth), but a
-/// long-running `cubied` can disable the echo per request handler —
-/// keeping client responses clean JSON — and replay the retained line in
-/// its own per-startup banner via [`dispatch_line`].
+/// consumer can turn the echo off, and a long-running `cubied` re-states
+/// the line in its own per-startup banner via [`dispatch_line`].
 fn resolution() -> &'static (SimdPath, String) {
     static ACTIVE: OnceLock<(SimdPath, String)> = OnceLock::new();
     ACTIVE.get_or_init(|| {

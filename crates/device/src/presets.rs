@@ -1,8 +1,6 @@
 //! Preset device specifications for the three GPUs of Table 5 and the
 //! peak-evolution series of Figure 12.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{Arch, DeviceSpec, MemEfficiency, PowerSpec};
 
 /// NVIDIA A100 PCIe 40 GB (Ampere) — Table 5 row 1.
@@ -135,7 +133,7 @@ pub fn find_device(query: &str) -> Result<DeviceSpec, String> {
 }
 
 /// One generation's peak-throughput entry for Figure 12.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationPeaks {
     /// Architecture label.
     pub arch: &'static str,

@@ -1,10 +1,9 @@
 //! The device parameter set consumed by the timing and power models.
 
 use cubie_core::scalar::MmaGen;
-use serde::{Deserialize, Serialize};
 
 /// GPU architecture generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// NVIDIA Volta (V100) — pre-dates the paper's Table 5 devices but
     /// anchors the mixed-precision accumulation-semantics axis (serial
@@ -48,7 +47,7 @@ impl std::fmt::Display for Arch {
 /// "do not approximate the bandwidth limit" while MMU-adapted layouts
 /// "approach the bandwidth limit more closely" — these factors are where
 /// that shows up).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemEfficiency {
     /// Unit-stride aligned streams (MMU-regularized layouts).
     pub coalesced: f64,
@@ -70,7 +69,7 @@ impl Default for MemEfficiency {
 
 /// Power-model parameters: `P(t) = idle + Σ pipe_power × pipe_util`,
 /// clamped to the thermal design power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSpec {
     /// Idle board power in watts.
     pub idle_w: f64,
@@ -92,7 +91,7 @@ pub struct PowerSpec {
 /// Peak throughputs are stored directly (they are the published numbers of
 /// Table 5); per-SM, per-cycle quantities are derived so the wave model can
 /// reason about occupancy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"A100 (Ampere) PCIe"`.
     pub name: String,

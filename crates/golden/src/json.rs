@@ -19,8 +19,8 @@
 //!   token is parsed as [`Json::Int`] exactly when it contains no `.`,
 //!   `e` or `E`.
 //!
-//! The vendored `serde` stand-in (see the workspace README) is a no-op
-//! marker, so this module is the workspace's real serialization layer.
+//! The workspace has no `serde`: this module is its one serialization
+//! layer.
 
 use std::fmt::Write as _;
 

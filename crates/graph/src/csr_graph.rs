@@ -3,8 +3,6 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmap::{self, PullBfs};
 
 /// An unweighted directed graph in CSR adjacency form. Undirected graphs
@@ -16,7 +14,6 @@ use crate::bitmap::{self, PullBfs};
 /// The graph also carries a memo of one bitmap pull profile (see
 /// [`CsrGraph::pull_bfs`]). It is derived data: a clone starts with an
 /// empty memo, and equality and `Debug` ignore it.
-#[derive(Serialize, Deserialize)]
 pub struct CsrGraph {
     /// Number of vertices.
     pub n: usize,

@@ -1,7 +1,5 @@
 //! Structural graph features for the Figure 10a PCA coverage study.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmap::{BLOCK_COLS, BLOCK_ROWS};
 use crate::csr_graph::CsrGraph;
 
@@ -18,7 +16,7 @@ pub const GRAPH_FEATURE_NAMES: [&str; 8] = [
 ];
 
 /// Structural features of a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphFeatures {
     /// `ln(n)`.
     pub log_vertices: f64,

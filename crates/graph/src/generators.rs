@@ -14,12 +14,11 @@
 //! counts remain available from [`table3_specs`] for reporting.
 
 use cubie_core::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 use crate::csr_graph::CsrGraph;
 
 /// Published metadata of one Table 3 graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphInfo {
     /// SuiteSparse graph name.
     pub name: &'static str,

@@ -1,9 +1,7 @@
 //! Shared vocabulary of the workload implementations.
 
-use serde::{Deserialize, Serialize};
-
 /// The algorithmic variants of Section 5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Vendor-library-style vector-unit algorithm.
     Baseline,
@@ -52,7 +50,7 @@ impl std::fmt::Display for Variant {
 
 /// The four MMU utilization quadrants of Figure 2, classified by input
 /// and output matrix utilization (full ● / partial ○).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quadrant {
     /// Full input, full output (GEMM, PiC, FFT, Stencil).
     I,

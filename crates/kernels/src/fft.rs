@@ -26,12 +26,11 @@ use cubie_core::mma::mma_f64_m8n8k4;
 use cubie_core::{OpCounters, C64};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
 /// One FFT test case: `batch` independent `h × w` 2-D transforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FftCase {
     /// Rows of each 2-D transform.
     pub h: usize,

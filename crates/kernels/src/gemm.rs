@@ -17,7 +17,6 @@ use cubie_core::scalar::{MmaGen, Precision};
 use cubie_core::{par, DenseMatrix, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
@@ -29,7 +28,7 @@ const TC_BK: usize = 16;
 const BASE_TILE: usize = 32;
 
 /// One GEMM test case: `C (M×N) = A (M×K) · B (K×N)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmCase {
     /// Rows of `A` and `C`.
     pub m: usize,

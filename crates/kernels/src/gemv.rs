@@ -18,7 +18,6 @@ use cubie_core::mma::mma_f64_m8n8k4;
 use cubie_core::{par, DenseMatrix, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
@@ -32,7 +31,7 @@ const ROWS_PER_BLOCK: usize = 16;
 const K_SPLIT: usize = 4;
 
 /// One GEMV test case: `y (M) = A (M×N) · x (N)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemvCase {
     /// Rows of `A`.
     pub m: usize,

@@ -22,7 +22,6 @@ use cubie_core::mma::mma_f64_m8n8k4;
 use cubie_core::{par, LcgF64, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
@@ -38,7 +37,7 @@ pub const DT: f64 = 1e-3;
 pub const QM: f64 = 1.0;
 
 /// One PiC test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PicCase {
     /// Number of particles.
     pub n: usize,
@@ -66,7 +65,7 @@ impl PicCase {
 }
 
 /// Electric and magnetic field grids (uniform per cell).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldGrid {
     /// Per-cell electric field.
     pub e: Vec<[f64; 3]>,
@@ -99,7 +98,7 @@ impl FieldGrid {
 }
 
 /// Particle phase-space state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Particles {
     /// Positions.
     pub pos: Vec<[f64; 3]>,

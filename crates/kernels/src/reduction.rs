@@ -16,7 +16,6 @@ use cubie_core::mma::mma_f64_8x8x8;
 use cubie_core::OpCounters;
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{bytes_f64, Variant};
 
@@ -29,7 +28,7 @@ pub const TILE: usize = 64;
 pub const KERNEL_REPEATS: u64 = crate::scan::KERNEL_REPEATS;
 
 /// One Reduction test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReductionCase {
     /// Number of elements (the paper's cases: 64–1024).
     pub n: usize,

@@ -25,7 +25,6 @@ use cubie_core::mma::mma_f64_8x8x8;
 use cubie_core::OpCounters;
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{bytes_f64, Variant};
 
@@ -39,7 +38,7 @@ pub const TILE: usize = 64;
 pub const KERNEL_REPEATS: u64 = 100;
 
 /// One Scan test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanCase {
     /// Number of elements (the paper's cases: 64–1024).
     pub n: usize,

@@ -12,14 +12,13 @@
 use cubie_core::counters::MemTraffic;
 use cubie_core::{par, OpCounters};
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{bytes_f64, Variant};
 use crate::scan;
 
 /// One segmented case: `segments` independent segments of `seg_len`
 /// elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentedCase {
     /// Elements per segment.
     pub seg_len: usize,

@@ -23,7 +23,6 @@ use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::Csr;
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
@@ -41,7 +40,7 @@ pub const LONG_CHUNK: usize = 128;
 /// One bundle: 8 length-sorted (virtual) rows packed into `steps` 8×4
 /// blocks. Split long rows appear as several entries with the same
 /// original row index; their partial sums accumulate at scatter time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bundle {
     /// Original row indices (`u32::MAX` marks padding rows).
     pub rows: [u32; BUNDLE_ROWS],
@@ -101,7 +100,7 @@ fn virtual_rows(m: &Csr) -> (Vec<(u32, u32, u32)>, [usize; 3]) {
 }
 
 /// The DASP-style packed format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaspFormat {
     /// Source matrix shape.
     pub rows: usize,

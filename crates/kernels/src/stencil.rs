@@ -24,12 +24,11 @@ use cubie_core::simd::{self, StarTap};
 use cubie_core::{par, OpCounters};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 use crate::common::Variant;
 
 /// Stencil shapes evaluated by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StencilKind {
     /// 5-point star, radius 1, 2-D.
     Star2D1R,
@@ -38,7 +37,7 @@ pub enum StencilKind {
 }
 
 /// Stencil coefficients: centre plus one weight per axis direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coefficients {
     /// Centre weight.
     pub center: f64,
@@ -71,7 +70,7 @@ impl Coefficients {
 }
 
 /// One stencil test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StencilCase {
     /// Stencil shape.
     pub kind: StencilKind,

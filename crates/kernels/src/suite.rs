@@ -7,13 +7,12 @@ use cubie_graph::generators as graph_gen;
 use cubie_sim::WorkloadTrace;
 use cubie_sparse::generators as sparse_gen;
 use cubie_sparse::Csr;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{Quadrant, Variant};
 use crate::{bfs, fft, gemm, gemv, pic, reduction, scan, spgemm, spmv, stencil};
 
 /// The ten Cubie workloads, in the paper's Table 2 order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Dense matrix–matrix multiplication.
     Gemm,
@@ -38,7 +37,7 @@ pub enum Workload {
 }
 
 /// Static description of a workload (Table 2 + Figure 2 + Table 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// The workload.
     pub workload: Workload,

@@ -203,114 +203,25 @@ pub fn span_with(phase: &'static str, label: impl FnOnce() -> String) -> Span {
 }
 
 // ---------------------------------------------------------------------------
-// Named counters
+// Log lines
 // ---------------------------------------------------------------------------
 
-/// Process-global named monotonic counters, separate from the span
-/// recorder: always on (no [`enable`] gate), because consumers like the
-/// `cubied` daemon export them continuously (`serve.hit`, `serve.miss`,
-/// `serve.dedup`, `serve.queued`) rather than per profiled run. One
-/// mutex-guarded map update per increment — counter sites are request- or
-/// startup-frequency, never per-element hot paths.
-fn counters_map() -> &'static Mutex<std::collections::BTreeMap<String, u64>> {
-    static COUNTERS: OnceLock<Mutex<std::collections::BTreeMap<String, u64>>> = OnceLock::new();
-    COUNTERS.get_or_init(|| Mutex::new(std::collections::BTreeMap::new()))
-}
+/// Whether [`log`] echoes to stderr.
+static LOG_ECHO: AtomicBool = AtomicBool::new(true);
 
-/// Add `delta` to the named monotonic counter, creating it at zero on
-/// first use.
-pub fn counter_add(name: &str, delta: u64) {
-    let mut map = counters_map().lock().unwrap_or_else(|e| e.into_inner());
-    *map.entry(name.to_string()).or_insert(0) += delta;
-}
-
-/// Current value of a named counter (0 if never incremented).
-pub fn counter_get(name: &str) -> u64 {
-    let map = counters_map().lock().unwrap_or_else(|e| e.into_inner());
-    map.get(name).copied().unwrap_or(0)
-}
-
-/// Snapshot of every counter, sorted by name (byte-deterministic for a
-/// deterministic increment set).
-pub fn counters() -> Vec<(String, u64)> {
-    let map = counters_map().lock().unwrap_or_else(|e| e.into_inner());
-    map.iter().map(|(k, v)| (k.clone(), *v)).collect()
-}
-
-/// Reset every counter to an empty map. Test support — production
-/// consumers treat counters as monotonic over the process lifetime.
-pub fn reset_counters() {
-    counters_map()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-}
-
-// ---------------------------------------------------------------------------
-// Log records
-// ---------------------------------------------------------------------------
-
-/// One retained log line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Monotonic sequence number (0 = first line of the process).
-    pub seq: u64,
-    /// Nanoseconds since the recorder epoch.
-    pub at_ns: u64,
-    /// The line itself.
-    pub line: String,
-}
-
-struct LogState {
-    echo: AtomicBool,
-    records: Mutex<Vec<LogRecord>>,
-    next_seq: AtomicU64,
-}
-
-fn log_state() -> &'static LogState {
-    static LOGS: OnceLock<LogState> = OnceLock::new();
-    LOGS.get_or_init(|| LogState {
-        echo: AtomicBool::new(true),
-        records: Mutex::new(Vec::new()),
-        next_seq: AtomicU64::new(0),
-    })
-}
-
-/// Record a diagnostic line. The line is retained in a process-global
-/// buffer (so a long-running `cubied` can replay startup banners — SIMD
-/// dispatch, pool sizing — per connection or in `stats` responses) and,
-/// unless [`set_log_echo`]`(false)` was called, also echoed to stderr,
-/// preserving the one-shot CLI behaviour the CI forced-path greps assert.
+/// Emit a diagnostic line on stderr, unless [`set_log_echo`]`(false)`
+/// turned echoing off. The one-shot CLI's stderr lines (SIMD dispatch,
+/// pool sizing, `prep:` loads) are what the CI forced-path greps assert.
 pub fn log(line: impl Into<String>) {
-    let line = line.into();
-    let state = log_state();
-    if state.echo.load(Ordering::Relaxed) {
-        eprintln!("{line}");
+    if LOG_ECHO.load(Ordering::Relaxed) {
+        eprintln!("{}", line.into());
     }
-    let at_ns = recorder().epoch.elapsed().as_nanos() as u64;
-    let seq = state.next_seq.fetch_add(1, Ordering::Relaxed);
-    state
-        .records
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(LogRecord { seq, at_ns, line });
 }
 
 /// Turn stderr echoing of [`log`] lines on or off; returns the previous
-/// setting. Retention is unaffected — the daemon disables echo per
-/// request handler so client responses stay clean JSON, while the lines
-/// remain queryable via [`logs`].
+/// setting. Nothing is kept: a line logged with echo off is dropped.
 pub fn set_log_echo(on: bool) -> bool {
-    log_state().echo.swap(on, Ordering::Relaxed)
-}
-
-/// All retained log lines, in emission order.
-pub fn logs() -> Vec<LogRecord> {
-    log_state()
-        .records
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
+    LOG_ECHO.swap(on, Ordering::Relaxed)
 }
 
 /// One row of the hotspot table: all spans of a `(phase, label)` group.
@@ -551,39 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_snapshot_sorted() {
+    fn log_echo_toggle_returns_the_previous_setting() {
         let _g = lock();
-        reset_counters();
-        counter_add("serve.miss", 1);
-        counter_add("serve.hit", 2);
-        counter_add("serve.hit", 3);
-        assert_eq!(counter_get("serve.hit"), 5);
-        assert_eq!(counter_get("serve.miss"), 1);
-        assert_eq!(counter_get("serve.never"), 0);
-        assert_eq!(
-            counters(),
-            vec![("serve.hit".into(), 5), ("serve.miss".into(), 1)]
-        );
-        reset_counters();
-        assert_eq!(counter_get("serve.hit"), 0);
-        assert!(counters().is_empty());
-    }
-
-    #[test]
-    fn log_retains_lines_in_order_and_echo_toggles() {
-        let _g = lock();
-        let before = logs().len();
         let prev = set_log_echo(false);
-        log("first line");
-        log(format!("second {}", "line"));
-        set_log_echo(prev);
-        let all = logs();
-        assert_eq!(all.len(), before + 2);
-        let tail = &all[before..];
-        assert_eq!(tail[0].line, "first line");
-        assert_eq!(tail[1].line, "second line");
-        assert!(tail[0].seq < tail[1].seq);
-        assert!(tail[0].at_ns <= tail[1].at_ns);
+        assert!(!set_log_echo(true));
+        assert!(set_log_echo(prev));
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //! * `CUBIE_PREP_DIR=<path>` — store directory. Default:
 //!   `results/prep` under the current directory.
 //!
-//! Observability: `prep.hit` / `prep.miss` / `prep.invalidated` /
-//! `prep.store_err` counters, `prep.bytes_loaded` / `prep.bytes_written`
-//! byte counters, and one `prep:` log line per table load — all through
-//! [`cubie_obs`].
+//! Observability: one `prep:` log line per table load (through
+//! [`cubie_obs::log`]), and the process-wide sum of every table load's
+//! [`LoadReport`] in [`process_total`].
 //!
 //! [`par_map_lpt`]: cubie_core::par::par_map_lpt
 
@@ -45,6 +44,7 @@ pub mod store;
 
 use std::marker::PhantomData;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use cubie_core::par::par_map_lpt;
 use cubie_graph::csr_graph::CsrGraph;
@@ -106,9 +106,9 @@ impl Default for PrepConfig {
     }
 }
 
-/// One load's hit/miss accounting: of one case ([`Table::case`]) or
-/// summed over a table (logged and mirrored into the `prep.*` counters
-/// by [`Table::finish`]).
+/// One load's hit/miss accounting: of one case ([`Table::case`]), summed
+/// over a table (logged and added to [`process_total`] by
+/// [`Table::finish`]), or over the process.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoadReport {
     /// Cases served from snapshots.
@@ -131,6 +131,21 @@ impl std::ops::AddAssign for LoadReport {
         self.bytes_loaded += other.bytes_loaded;
         self.bytes_written += other.bytes_written;
     }
+}
+
+/// Every table load's summed report since the process started.
+static PROCESS_TOTAL: Mutex<LoadReport> = Mutex::new(LoadReport {
+    hits: 0,
+    misses: 0,
+    invalidated: 0,
+    bytes_loaded: 0,
+    bytes_written: 0,
+});
+
+/// The sum of every [`Table::finish`]ed report in this process — what
+/// `cubie profile`'s cold/warm verdict reads.
+pub fn process_total() -> LoadReport {
+    *PROCESS_TOTAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A kind of case the store holds: a Table 4 matrix or a Table 3 graph.
@@ -205,13 +220,12 @@ pub struct Table<T> {
 
 impl<T: PrepCase> Table<T> {
     /// Open the store `cfg` names for a load at `scale`. An unusable
-    /// store is logged and counted, and the load generates in memory.
+    /// store is logged, and the load generates in memory.
     pub fn open(cfg: &PrepConfig, scale: usize) -> Table<T> {
         let store = if cfg.enabled {
             match PrepStore::open_unchecked(&cfg.dir) {
                 Ok(s) => Some(s),
                 Err(e) => {
-                    cubie_obs::counter_add("prep.store_err", 1);
                     cubie_obs::log(format!(
                         "prep: store at {} unavailable ({e}); generating in-memory",
                         cfg.dir.display()
@@ -268,7 +282,6 @@ impl<T: PrepCase> Table<T> {
                     report.bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 }
                 Err(e) => {
-                    cubie_obs::counter_add("prep.store_err", 1);
                     cubie_obs::log(format!(
                         "prep: failed to record snapshot {}: {e}",
                         key.address()
@@ -279,14 +292,11 @@ impl<T: PrepCase> Table<T> {
         (case, report)
     }
 
-    /// Publish a table's summed accounting: the `prep.*` counters, and
-    /// one `prep:` log line when the store is in use.
+    /// Publish a table's summed accounting: add it to
+    /// [`process_total`], and log one `prep:` line when the store is in
+    /// use.
     pub fn finish(&self, report: &LoadReport) {
-        cubie_obs::counter_add("prep.hit", report.hits as u64);
-        cubie_obs::counter_add("prep.miss", report.misses as u64);
-        cubie_obs::counter_add("prep.invalidated", report.invalidated as u64);
-        cubie_obs::counter_add("prep.bytes_loaded", report.bytes_loaded);
-        cubie_obs::counter_add("prep.bytes_written", report.bytes_written);
+        *PROCESS_TOTAL.lock().unwrap_or_else(|e| e.into_inner()) += *report;
         if self.store.is_some() {
             cubie_obs::log(format!(
                 "prep: {} scale={} hits={} misses={} invalidated={} loaded={}B written={}B",
@@ -369,14 +379,8 @@ pub fn prewarm(cfg: &PrepConfig) -> OpenReport {
         return OpenReport::default();
     }
     match PrepStore::open(&cfg.dir) {
-        Ok((_, report)) => {
-            cubie_obs::counter_add("prep.prewarm_kept", report.kept as u64);
-            cubie_obs::counter_add("prep.prewarm_bytes", report.kept_bytes);
-            cubie_obs::counter_add("prep.invalidated", report.removed_invalid as u64);
-            report
-        }
+        Ok((_, report)) => report,
         Err(e) => {
-            cubie_obs::counter_add("prep.store_err", 1);
             cubie_obs::log(format!(
                 "prep: prewarm of {} failed: {e}",
                 cfg.dir.display()
@@ -460,6 +464,21 @@ mod tests {
         let report = prewarm(&cfg);
         assert_eq!(report.kept, 5);
         assert!(report.kept_bytes > 0);
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn finish_adds_each_table_load_to_the_process_total() {
+        let cfg = tmp_cfg("total");
+        let before = process_total();
+        let (_, report) = table4_matrices_with(&cfg, 128);
+        let after = process_total();
+        assert_eq!(report.misses, 5);
+        assert!(report.bytes_written > 0);
+        // Other tests load tables concurrently: the total grows by at
+        // least this load.
+        assert!(after.misses >= before.misses + report.misses);
+        assert!(after.bytes_written >= before.bytes_written + report.bytes_written);
         let _ = fs::remove_dir_all(&cfg.dir);
     }
 

@@ -157,15 +157,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 impl SweepSpec {
-    /// Resolve into a [`SweepConfig`]: daemon defaults (environment and
-    /// built-in scales), overridden by the request's scales, narrowed by
-    /// its filters. `jobs` is applied by the server *after* admission
-    /// clamping, never here.
+    /// Resolve into a [`SweepConfig`]: the defaults (environment and
+    /// built-in scales), overridden by the request's scales and jobs,
+    /// narrowed by its filters. The daemon replaces `jobs` with its
+    /// admission-clamped value before it runs the sweep.
     pub fn to_config(&self) -> Result<SweepConfig, String> {
-        let mut cfg = SweepConfig {
-            jobs: None,
-            ..SweepConfig::default()
-        };
+        let mut cfg = SweepConfig::default();
+        if self.jobs.is_some() {
+            cfg.jobs = self.jobs;
+        }
         if let Some(ss) = self.sparse_scale {
             cfg.sparse_scale = check_scale("`sparse_scale`", ss)?;
         }
@@ -324,6 +324,7 @@ mod tests {
     fn sweep_spec_resolves_to_a_filtered_config() {
         let spec = SweepSpec {
             filters: vec!["workload=scan".into(), "case=2".into()],
+            jobs: Some(3),
             sparse_scale: Some(64),
             graph_scale: Some(512),
             ..SweepSpec::default()
@@ -332,7 +333,7 @@ mod tests {
         assert_eq!(cfg.workloads, vec![cubie_kernels::Workload::Scan]);
         assert_eq!(cfg.cases, Some(vec![2]));
         assert_eq!((cfg.sparse_scale, cfg.graph_scale), (64, 512));
-        assert_eq!(cfg.jobs, None, "jobs is the server's call, post-clamp");
+        assert_eq!(cfg.jobs, Some(3), "the request's jobs, before any clamp");
         // Bad inputs surface as client errors, not panics.
         let bad = SweepSpec {
             filters: vec!["workload=warp9".into()],

@@ -220,8 +220,7 @@ impl Daemon {
         // Per-startup banner: protocol, SIMD dispatch, pool sizing,
         // store revalidation verdict, admission knobs — routed through
         // `cubie_obs::log`, so a long-running daemon re-states them on
-        // every startup instead of once per process, and `stats`
-        // clients can replay them.
+        // every startup instead of once per process.
         cubie_obs::log(format!(
             "cubied: {PROTO_VERSION} listening on {}",
             cfg.socket.display()

@@ -16,10 +16,8 @@
 //! issues in order; an instruction marked dependent stalls until the
 //! previous result of that warp is ready.
 
-use serde::{Deserialize, Serialize};
-
 /// One warp-wide instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
     /// FP64 `m8n8k4` tensor-core MMA.
     MmaF64,
@@ -44,7 +42,7 @@ pub enum MicroOp {
 /// independent register chains (e.g. two interleaved tile computations);
 /// a dependent instruction stalls until the last result of *its own*
 /// chain is ready, and every instruction advances its chain's timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
     /// The operation.
     pub op: MicroOp,
@@ -96,7 +94,7 @@ impl Instr {
 }
 
 /// Machine parameters of the modelled SM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmModel {
     /// Concurrent issue ports (warp schedulers).
     pub schedulers: u32,
@@ -179,7 +177,7 @@ enum Pipe {
 }
 
 /// Outcome of a block simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockRun {
     /// Cycles until the last warp retired its last instruction.
     pub cycles: u64,

@@ -8,7 +8,6 @@
 //! most. Grids smaller than the device additionally idle whole SMs.
 
 use cubie_device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::KernelTrace;
 
@@ -24,7 +23,7 @@ pub const CC_SATURATION_WARPS: f64 = 16.0;
 pub const MEM_SATURATION_WARPS: f64 = 24.0;
 
 /// Occupancy of one kernel launch on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Blocks resident per SM (bounded by block slots, warp slots and
     /// shared memory).

@@ -9,12 +9,11 @@
 //! `EDP = average power × execution time²` (kernel-only window).
 
 use cubie_device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::timing::WorkloadTiming;
 
 /// Power/energy summary of one workload execution (or a loop thereof).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Average power over the kernel window, watts.
     pub avg_power_w: f64,
@@ -64,7 +63,7 @@ pub fn power_report(device: &DeviceSpec, timing: &WorkloadTiming, repeats: u64) 
 }
 
 /// One sample of a power trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Time since trace start, seconds.
     pub t_s: f64,

@@ -6,12 +6,11 @@
 //! `(arithmetic intensity [FLOP/byte], achieved GFLOP/s)`.
 
 use cubie_device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::timing::WorkloadTiming;
 
 /// A kernel's placement in roofline space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Label, e.g. `"SpMV-TC"`.
     pub name: String,
@@ -22,7 +21,7 @@ pub struct RooflinePoint {
 }
 
 /// The roofline ceilings of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Roofline {
     /// Device name.
     pub device: String,

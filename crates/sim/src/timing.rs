@@ -26,13 +26,12 @@
 
 use cubie_core::OpCounters;
 use cubie_device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::occupancy::Occupancy;
 use crate::trace::{KernelTrace, WorkloadTrace};
 
 /// Which pipe bounded a kernel's execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     /// FP64 tensor-core pipe.
     TensorCore,
@@ -55,7 +54,7 @@ pub enum Limiter {
 }
 
 /// Per-pipe busy times for one launch, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PipeTimes {
     /// FP64 tensor-core pipe time.
     pub tc: f64,
@@ -123,7 +122,7 @@ impl PipeTimes {
 }
 
 /// Timing result for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelTiming {
     /// Total kernel time including launch overhead, seconds.
     pub time_s: f64,
@@ -283,7 +282,7 @@ fn pipe_times(device: &DeviceSpec, ops: &OpCounters, eff: &PipeEff) -> PipeTimes
 }
 
 /// Timing result for a whole workload (a sequence of launches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTiming {
     /// Total time, seconds.
     pub total_s: f64,

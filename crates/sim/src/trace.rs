@@ -9,7 +9,6 @@
 //! block and are latency-bound rather than throughput-bound.
 
 use cubie_core::OpCounters;
-use serde::{Deserialize, Serialize};
 
 /// Dependent-issue latencies, in cycles, used when kernels estimate their
 /// critical path. Values follow published tensor-core microbenchmarks
@@ -33,7 +32,7 @@ pub mod latency {
 }
 
 /// One kernel launch: geometry plus total work plus critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// Human-readable label (used in reports).
     pub label: String,
@@ -85,7 +84,7 @@ impl KernelTrace {
 
 /// A complete workload execution: an ordered sequence of kernel launches
 /// (BFS iterations, scan passes, …), each paying launch overhead.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadTrace {
     /// The launches, in execution order.
     pub kernels: Vec<KernelTrace>,

@@ -1,10 +1,8 @@
 //! Coordinate (triplet) sparse storage — the assembly format produced by
 //! the generators.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse matrix as `(row, col, value)` triplets.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Coo {
     /// Number of rows.
     pub rows: usize,

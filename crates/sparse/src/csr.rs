@@ -5,8 +5,6 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::Coo;
 use crate::mbsr::SquareStructure;
 
@@ -19,7 +17,6 @@ use crate::mbsr::SquareStructure;
 /// The matrix also carries a memo of its [`SquareStructure`] (see
 /// [`Csr::square_structure`]). It is derived data: a clone starts with
 /// an empty memo, and equality and `Debug` ignore it.
-#[derive(Serialize, Deserialize)]
 pub struct Csr {
     /// Number of rows.
     pub rows: usize,

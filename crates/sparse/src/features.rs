@@ -4,8 +4,6 @@
 //! block structures" before applying PCA to the SuiteSparse collection.
 //! [`MatrixFeatures`] computes exactly that family of descriptors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::mbsr;
 
@@ -24,7 +22,7 @@ pub const FEATURE_NAMES: [&str; 10] = [
 ];
 
 /// Structural features of a sparse matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixFeatures {
     /// `ln(rows)`.
     pub log_rows: f64,

@@ -22,13 +22,12 @@
 //! full-size, paper-matching matrix.
 
 use cubie_core::{LcgF64, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 use crate::coo::Coo;
 use crate::csr::Csr;
 
 /// Published metadata of one Table 4 matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixInfo {
     /// SuiteSparse matrix name.
     pub name: &'static str,

@@ -3,15 +3,13 @@
 //! stored contiguously per block row. Two vertically adjacent 4×4 blocks
 //! combine into one 8×4 MMA `A`-operand tile (Section 3, SpGEMM).
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 
 /// Block edge length (4, fixed by the `m8n8k4` operand shape).
 pub const BLOCK: usize = 4;
 
 /// A sparse matrix of dense 4×4 blocks in block-CSR layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mbsr {
     /// Rows of the underlying scalar matrix.
     pub rows: usize,

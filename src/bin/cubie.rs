@@ -6,7 +6,10 @@
 //! cubie sweep [opts]                 the full workload × case × variant ×
 //!                                    device sweep (parallel, cached)
 //! cubie run <workload> [opts]        simulate all variants of a workload
-//! cubie verify <workload>            functional run vs CPU ground truth
+//! cubie verify <workload>            each variant's max error on Table 6's
+//!                                    quick case, against the serial CPU
+//!                                    reference (TC and CC must agree bit
+//!                                    for bit); BFS compares levels
 //! cubie errors [--quick]             the Table 6 accuracy study
 //! cubie figure [--only a,b] [opts]   build every figure/table artifact
 //!                                    at the paper scale and write
@@ -48,74 +51,341 @@
 //!          --sparse-scale K          divide Table 4 matrix sizes by K
 //!          --graph-scale K           divide Table 3 graph sizes by K
 //!
-//! `sweep` additionally accepts the shared engine flags:
+//! `sweep`, `profile` and `client sweep|profile` accept the engine flags:
 //!          --filter workload=…|variant=…|device=…|case=…|precision=…
 //!                                    (repeatable; precision adds GEMM
 //!                                    f16/bf16/tf32 TC/CC cells)
 //!          --jobs N                  worker-thread cap (results identical
 //!                                    for every N; only wall-clock changes)
+//! (`-f` and `-j` spell them too on `sweep` and `profile`).
 //! ```
+//!
+//! Every command declares its arguments once, in `COMMANDS`; the same
+//! declaration parses the command line and prints the usage line. An
+//! unknown argument, a flag without its value, an extra positional or a
+//! repeated flag (only `--filter` repeats) is a usage error (exit 2,
+//! with the command's usage line) before anything is prepared, written
+//! or connected to.
+
+use std::path::PathBuf;
 
 use cubie::analysis::advisor::{advise, reference_mapping, source_variant};
-use cubie::analysis::errors::{table6, ErrorScale};
+use cubie::analysis::errors::{table6, table6_row, ErrorScale};
 use cubie::analysis::metrics::REPRESENTATIVE_CASE;
 use cubie::analysis::report;
 use cubie::bench::{artifacts, parse_flag, parse_scale, SweepConfig, SweepRunner};
 use cubie::device::{all_devices, find_device, DeviceSpec};
-use cubie::golden::{ArtifactDiff, DiffReport};
+use cubie::golden::{ArtifactDiff, DiffReport, Json};
 use cubie::kernels::Workload;
+use cubie::serve::{AdviseSpec, SweepSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        usage();
-        return;
-    };
-    let rest: Vec<&String> = it.collect();
-    match cmd.as_str() {
-        "devices" => devices_cmd(),
-        "workloads" => workloads_cmd(),
-        "sweep" => sweep_cmd(&rest),
-        "run" => run_cmd(&rest),
-        "verify" => verify_cmd(&rest),
-        "errors" => errors_cmd(&rest),
-        "figure" => figure_cmd(&rest),
-        "advise" => advise_cmd(&rest),
-        "golden" => golden_cmd(&rest),
-        "profile" => profile_cmd(&rest),
-        "serve" => serve_cmd(&rest),
-        "client" => client_cmd(&rest),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            usage();
-            std::process::exit(2);
+/// Every command as its usage line, and its handler. The usage line is
+/// the declaration the parser reads: the leading words select the
+/// command (`a|b` lists alternatives), `<name>` is a required
+/// positional, `[--flag VALUE]` a flag with a value (`--flag|-f` adds a
+/// second spelling) and `[--flag]` a switch. Only `--filter` repeats.
+const COMMANDS: &[(&str, Handler)] = &[
+    ("devices", devices_cmd),
+    ("workloads", workloads_cmd),
+    (
+        "sweep [--filter|-f workload=…|variant=…|device=…|case=…|precision=…] \
+         [--jobs|-j N] [--sparse-scale K] [--graph-scale K]",
+        sweep_cmd,
+    ),
+    (
+        "run <workload> [--device a100|h200|b200] [--case 0..4] \
+         [--sparse-scale K] [--graph-scale K]",
+        run_cmd,
+    ),
+    ("verify <workload>", verify_cmd),
+    ("errors [--quick]", errors_cmd),
+    (
+        "figure [--only name,name] [--sparse-scale K] [--graph-scale K]",
+        figure_cmd,
+    ),
+    (
+        "advise <workload> [--device a100|h200|b200] [--sparse-scale K] [--graph-scale K]",
+        advise_cmd,
+    ),
+    ("golden record [--only name,name]", golden_record),
+    ("golden check [--only name,name]", golden_check),
+    ("golden list", golden_list),
+    (
+        "profile [--filter|-f workload=…|variant=…|device=…|case=…|precision=…] \
+         [--jobs|-j N] [--sparse-scale K] [--graph-scale K] [--check]",
+        profile_cmd,
+    ),
+    (
+        "serve [--socket PATH] [--store DIR] [--max-jobs N] [--heavy N] [--queue N]",
+        serve_cmd,
+    ),
+    ("client ping|stats|shutdown [--socket PATH]", |args| {
+        client_send(args, cubie::serve::proto::simple_request(&args.word))
+    }),
+    (
+        "client sweep|profile [--filter workload=…|variant=…|device=…|case=…|precision=…] \
+         [--jobs N] [--sparse-scale K] [--graph-scale K] [--verify] [--socket PATH]",
+        |args| client_send(args, args.sweep_spec().to_json(&args.word)),
+    ),
+    (
+        "client advise <workload> [--device a100|h200|b200] [--sparse-scale K] \
+         [--graph-scale K] [--socket PATH]",
+        client_advise,
+    ),
+];
+
+type Handler = fn(&Args);
+
+/// The one flag that may be given more than once.
+const FILTER: &str = "--filter";
+
+/// A command's grammar, read from its usage line.
+struct Grammar {
+    usage: &'static str,
+    /// The selecting words, each `a|b` alternatives.
+    words: Vec<&'static str>,
+    positionals: Vec<&'static str>,
+    /// The spellings of each flag that takes a value (`--jobs|-j`).
+    valued: Vec<&'static str>,
+    switches: Vec<&'static str>,
+}
+
+impl Grammar {
+    fn new(usage: &'static str) -> Grammar {
+        let mut g = Grammar {
+            usage,
+            words: Vec::new(),
+            positionals: Vec::new(),
+            valued: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut tokens = usage.split_whitespace();
+        while let Some(t) = tokens.next() {
+            if let Some(flag) = t.strip_prefix('[') {
+                match flag.strip_suffix(']') {
+                    Some(switch) => g.switches.push(switch),
+                    None => {
+                        g.valued.push(flag);
+                        tokens.next(); // the value's placeholder
+                    }
+                }
+            } else if t.starts_with('<') {
+                g.positionals.push(t);
+            } else {
+                g.words.push(t);
+            }
+        }
+        g
+    }
+
+    /// The number of leading `args` that select this command, if they do.
+    fn selected_by(&self, args: &[String]) -> Option<usize> {
+        let matched = self
+            .words
+            .iter()
+            .zip(args)
+            .take_while(|(w, a)| w.split('|').any(|alt| alt == *a))
+            .count();
+        (matched == self.words.len()).then_some(matched)
+    }
+
+    /// Parse the arguments after the selecting words; `word` is the last
+    /// selecting word (`check` for `golden check`).
+    fn parse(&self, word: &str, rest: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            usage: self.usage,
+            word: word.to_string(),
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            if let Some(spellings) = self.valued.iter().find(|v| v.split('|').any(|s| s == a)) {
+                // Handlers ask for a flag by its first spelling.
+                let flag = spellings.split('|').next().unwrap_or(spellings);
+                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                if flag != FILTER && args.values.iter().any(|(f, _)| *f == flag) {
+                    return Err(format!("{flag} given more than once"));
+                }
+                args.values.push((flag, value.clone()));
+            } else if let Some(switch) = self.switches.iter().find(|s| *s == a) {
+                if args.switches.contains(switch) {
+                    return Err(format!("{switch} given more than once"));
+                }
+                args.switches.push(switch);
+            } else if a.starts_with('-') {
+                return Err(format!("unknown argument `{a}`"));
+            } else if args.positionals.len() == self.positionals.len() {
+                return Err(format!("unexpected argument `{a}`"));
+            } else {
+                args.positionals.push(a.clone());
+            }
+        }
+        match self.positionals.get(args.positionals.len()) {
+            Some(missing) => Err(format!("missing {missing}")),
+            None => Ok(args),
         }
     }
 }
 
+/// Print `msg` and the command's usage line to stderr, and exit 2.
+fn usage_error(usage: &str, msg: impl std::fmt::Display) -> ! {
+    eprintln!("cubie: error: {msg}\n\nusage: cubie {usage}");
+    std::process::exit(2);
+}
+
+/// One parsed command line.
+struct Args {
+    usage: &'static str,
+    /// The last word that selected the command (`sweep` for
+    /// `client sweep`).
+    word: String,
+    positionals: Vec<String>,
+    /// `(flag, value)` pairs in command-line order.
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Args {
+    fn fail(&self, msg: impl std::fmt::Display) -> ! {
+        usage_error(self.usage, msg)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The value of `flag` through `parse` (`None` when absent); a value
+    /// that does not parse is a usage error naming the flag and the
+    /// value.
+    fn parsed<T>(&self, flag: &str, parse: fn(&str, &str) -> Result<T, String>) -> Option<T> {
+        let raw = self.value(flag)?;
+        Some(parse(flag, raw).unwrap_or_else(|e| self.fail(e)))
+    }
+
+    /// The `<workload>` positional.
+    fn workload(&self) -> Workload {
+        let name = &self.positionals[0];
+        Workload::parse(name).unwrap_or_else(|| self.fail(format!("unknown workload `{name}`")))
+    }
+
+    /// `--device`, else all three devices.
+    fn devices(&self) -> Vec<DeviceSpec> {
+        match self.value("--device") {
+            Some(name) => vec![find_device(name).unwrap_or_else(|e| self.fail(e))],
+            None => all_devices(),
+        }
+    }
+
+    /// `--sparse-scale`/`--graph-scale`, defaulting to
+    /// `CUBIE_SPARSE_SCALE`/`CUBIE_GRAPH_SCALE` (1 / 16) like every
+    /// other sweep entry point.
+    fn scales(&self) -> (usize, usize) {
+        (
+            self.parsed("--sparse-scale", parse_scale)
+                .unwrap_or_else(cubie::bench::sparse_scale),
+            self.parsed("--graph-scale", parse_scale)
+                .unwrap_or_else(cubie::bench::graph_scale),
+        )
+    }
+
+    /// The sweep-engine flags, as the request `cubied` gets.
+    fn sweep_spec(&self) -> SweepSpec {
+        SweepSpec {
+            filters: self
+                .values
+                .iter()
+                .filter(|(f, _)| *f == FILTER)
+                .map(|(_, v)| v.clone())
+                .collect(),
+            jobs: self.parsed("--jobs", parse_flag),
+            sparse_scale: self.parsed("--sparse-scale", parse_scale),
+            graph_scale: self.parsed("--graph-scale", parse_scale),
+            verify: self.switch("--verify"),
+        }
+    }
+
+    /// The sweep-engine flags resolved for a local run.
+    fn sweep_config(&self) -> SweepConfig {
+        self.sweep_spec()
+            .to_config()
+            .unwrap_or_else(|e| self.fail(e))
+    }
+
+    /// `--socket`, else the [`cubie::serve::ServeConfig`] default under
+    /// `results/`.
+    fn socket(&self) -> PathBuf {
+        self.value("--socket").map_or_else(
+            || cubie::serve::ServeConfig::default().socket,
+            PathBuf::from,
+        )
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(first) = args.first() else {
+        usage();
+        return;
+    };
+    if matches!(first.as_str(), "--help" | "-h" | "help") {
+        usage();
+        return;
+    }
+    for &(usage, run) in COMMANDS {
+        let grammar = Grammar::new(usage);
+        if let Some(n) = grammar.selected_by(&args) {
+            match grammar.parse(&args[n - 1], &args[n..]) {
+                Ok(parsed) => run(&parsed),
+                Err(e) => usage_error(usage, e),
+            }
+            return;
+        }
+    }
+    // An unknown command, or an unknown or missing `golden`/`client`
+    // request: name it, with the usage lines that share its first word.
+    let family: Vec<String> = COMMANDS
+        .iter()
+        .filter(|(usage, _)| usage.split(' ').next() == Some(first.as_str()))
+        .map(|(usage, _)| format!("cubie {usage}"))
+        .collect();
+    if family.is_empty() {
+        eprintln!(
+            "cubie: error: unknown command `{first}`\n\n{}",
+            usage_text()
+        );
+    } else {
+        let msg = match args.get(1) {
+            Some(sub) => format!("unknown command `{first} {sub}`"),
+            None => format!("`{first}` needs a command"),
+        };
+        eprintln!("cubie: error: {msg}\n\nusage: {}", family.join("\n       "));
+    }
+    std::process::exit(2);
+}
+
+fn usage_text() -> String {
+    let lines: Vec<String> = COMMANDS
+        .iter()
+        .map(|(usage, _)| format!("  cubie {usage}\n"))
+        .collect();
+    format!(
+        "cubie — the Cubie MMU characterization suite\n\nUSAGE:\n{}\n\
+         workloads: gemm pic fft stencil scan reduction bfs gemv spmv spgemm",
+        lines.concat()
+    )
+}
+
 fn usage() {
-    println!(
-        "cubie — the Cubie MMU characterization suite\n\n\
-         USAGE:\n  cubie devices\n  cubie workloads\n  \
-         cubie sweep [--filter workload=…|variant=…|device=…|case=…|precision=…] \
-         [--jobs N] [--sparse-scale K] [--graph-scale K]\n  \
-         cubie run <workload> [--device a100|h200|b200] [--case 0..4] \
-         [--sparse-scale K] [--graph-scale K]\n  \
-         cubie verify <workload>\n  cubie errors [--quick]\n  \
-         cubie figure [--only name,name] [--sparse-scale K] [--graph-scale K]\n  \
-         cubie advise <workload> [--device ...]\n  \
-         cubie golden record|check|list [--only name,name]\n  \
-         cubie profile [--filter workload=…|variant=…|device=…|case=…] [--jobs N] \
-         [--sparse-scale K] [--graph-scale K] [--check]\n  \
-         cubie serve [--socket PATH] [--store DIR] [--max-jobs N] [--heavy N] [--queue N]\n  \
-         cubie client ping|stats|shutdown [--socket PATH]\n  \
-         cubie client sweep|profile [--filter …] [--jobs N] [--sparse-scale K] \
-         [--graph-scale K] [--verify] [--socket PATH]\n  \
-         cubie client advise <workload> [--device a100|h200|b200] [--socket PATH]\n\n\
-         workloads: gemm pic fft stencil scan reduction bfs gemv spmv spgemm"
-    );
+    println!("{}", usage_text());
 }
 
 /// Print a fatal diagnostic and exit nonzero. The CLI's replacement for
@@ -133,72 +403,7 @@ fn write_or_fail(path: &std::path::Path, contents: &str) {
     }
 }
 
-fn opt<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a.as_str() == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
-/// The parsed value of flag `name`, `None` when absent. A flag without
-/// a value, or with one that does not parse, is a usage error (exit 2)
-/// naming the flag and the value — never a silent fall-back to the
-/// default.
-fn flag<T: std::str::FromStr>(rest: &[&String], name: &str) -> Option<T> {
-    flag_with(rest, name, parse_flag)
-}
-
-/// [`flag`] for `--sparse-scale`/`--graph-scale`: 0 is a usage error too.
-fn scale_flag(rest: &[&String], name: &str) -> Option<usize> {
-    flag_with(rest, name, parse_scale)
-}
-
-fn flag_with<T>(
-    rest: &[&String],
-    name: &str,
-    parse: fn(&str, &str) -> Result<T, String>,
-) -> Option<T> {
-    rest.iter().position(|a| a.as_str() == name)?;
-    let parsed = match opt(rest, name) {
-        Some(raw) => parse(name, raw),
-        None => Err(format!("{name} needs a value")),
-    };
-    match parsed {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("cubie: error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_workload(s: &str) -> Workload {
-    Workload::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown workload `{s}`");
-        std::process::exit(2);
-    })
-}
-
-fn parse_devices(rest: &[&String]) -> Vec<DeviceSpec> {
-    match opt(rest, "--device") {
-        Some(name) => vec![find_device(name).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })],
-        None => all_devices(),
-    }
-}
-
-/// `--sparse-scale`/`--graph-scale`, defaulting to `CUBIE_SPARSE_SCALE`/
-/// `CUBIE_GRAPH_SCALE` (1 / 16) like every other sweep entry point.
-fn scales(rest: &[&String]) -> (usize, usize) {
-    (
-        scale_flag(rest, "--sparse-scale").unwrap_or_else(cubie::bench::sparse_scale),
-        scale_flag(rest, "--graph-scale").unwrap_or_else(cubie::bench::graph_scale),
-    )
-}
-
-fn devices_cmd() {
+fn devices_cmd(_: &Args) {
     let rows: Vec<Vec<String>> = all_devices()
         .iter()
         .map(|d| {
@@ -226,7 +431,7 @@ fn devices_cmd() {
     );
 }
 
-fn workloads_cmd() {
+fn workloads_cmd(_: &Args) {
     let rows: Vec<Vec<String>> = Workload::ALL
         .iter()
         .map(|w| {
@@ -253,19 +458,8 @@ fn workloads_cmd() {
     );
 }
 
-fn sweep_cmd(rest: &[&String]) {
-    let cfg = match SweepConfig::from_cli_args(rest.iter().map(|s| (*s).clone())) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!(
-                "{e}\n\nusage: cubie sweep \
-                 [--filter workload=…|variant=…|device=…|case=…|precision=…] \
-                 [--jobs N] [--sparse-scale K] [--graph-scale K]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let sweep = SweepRunner::new(cfg).run();
+fn sweep_cmd(args: &Args) {
+    let sweep = SweepRunner::new(args.sweep_config()).run();
     let rows: Vec<Vec<String>> = sweep
         .cells
         .iter()
@@ -303,24 +497,21 @@ fn sweep_cmd(rest: &[&String]) {
     println!("{} cells swept.", sweep.cells.len());
 }
 
-fn run_cmd(rest: &[&String]) {
-    let Some(wname) = rest.first() else {
-        eprintln!("usage: cubie run <workload> [options]");
-        std::process::exit(2);
-    };
-    let w = parse_workload(wname);
-    let (ss, gs) = scales(rest);
-    let case_idx: usize = flag(rest, "--case").unwrap_or(REPRESENTATIVE_CASE);
+fn run_cmd(args: &Args) {
+    let w = args.workload();
+    let (ss, gs) = args.scales();
+    let case_idx = args
+        .parsed("--case", parse_flag)
+        .unwrap_or(REPRESENTATIVE_CASE);
     if case_idx > 4 {
-        eprintln!("case index out of range (0..5)");
-        std::process::exit(2);
+        args.fail("case index out of range (0..5)");
     }
     // One workload × one case × all variants on the chosen devices — a
     // filtered projection of the shared sweep engine.
     let cfg = SweepConfig {
         workloads: vec![w],
         variants: None,
-        devices: parse_devices(rest),
+        devices: args.devices(),
         cases: Some(vec![case_idx]),
         precisions: vec![cubie::kernels::Precision::F64],
         sparse_scale: ss,
@@ -331,8 +522,10 @@ fn run_cmd(rest: &[&String]) {
     };
     let sweep = SweepRunner::new(cfg).run();
     let Some(first) = sweep.cells.first() else {
-        eprintln!("nothing swept for {wname} case {case_idx}");
-        std::process::exit(2);
+        fail(format!(
+            "nothing swept for {} case {case_idx}",
+            w.spec().name
+        ));
     };
     println!(
         "{} case {} ({}), useful work {:.3e} {}\n",
@@ -374,17 +567,29 @@ fn run_cmd(rest: &[&String]) {
     );
 }
 
-fn verify_cmd(rest: &[&String]) {
-    let Some(wname) = rest.first() else {
-        eprintln!("usage: cubie verify <workload>");
-        std::process::exit(2);
-    };
-    let w = parse_workload(wname);
+/// Table 6's quick case of the workload: every variant's max error
+/// against the serial CPU reference, under 1e-9 (FFT 1e-8). Building the
+/// row asserts that TC and CC agree bit for bit. BFS has no floating
+/// point and no Table 6 row: each variant's levels must equal the
+/// reference traversal's.
+fn verify_cmd(args: &Args) {
+    let w = args.workload();
     println!(
         "verifying {} against the serial CPU reference…",
         w.spec().name
     );
-    let ok = verify_one(w);
+    let ok = match table6_row(w, ErrorScale::Quick) {
+        Some(row) => {
+            println!("  Table 6 quick case: {}", row.case_label);
+            let tol = if w == Workload::Fft { 1e-8 } else { 1e-9 };
+            w.variants().iter().fold(true, |ok, &v| {
+                let max = row.of(v).expect("a Table 6 row holds each variant").max;
+                println!("  {:9} max err {max:e}", v.label());
+                ok & (max < tol)
+            })
+        }
+        None => verify_bfs_levels(),
+    };
     if ok {
         println!("OK: every variant matches (TC ≡ CC bitwise).");
     } else {
@@ -393,143 +598,21 @@ fn verify_cmd(rest: &[&String]) {
     }
 }
 
-fn verify_one(w: Workload) -> bool {
-    use cubie::core::ErrorStats;
-    use cubie::kernels::*;
-    let tol = 1e-9;
-    match w {
-        Workload::Gemm => {
-            let case = gemm::GemmCase::square(192);
-            let (a, b) = gemm::inputs(&case);
-            let gold = gemm::reference(&a, &b);
-            w.variants().iter().all(|&v| {
-                let (c, _) = gemm::run(&a, &b, v);
-                let e = ErrorStats::compare(c.as_slice(), gold.as_slice());
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Gemv => {
-            let case = gemv::GemvCase { m: 2048, n: 16 };
-            let (a, x) = gemv::inputs(&case);
-            let gold = gemv::reference(&a, &x);
-            w.variants().iter().all(|&v| {
-                let (y, _) = gemv::run(&a, &x, v);
-                let e = ErrorStats::compare(&y, &gold);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Scan => {
-            let x = scan::input(&scan::ScanCase { n: 1024 });
-            let gold = scan::reference(&x);
-            w.variants().iter().all(|&v| {
-                let (y, _) = scan::run(&x, v);
-                let e = ErrorStats::compare(&y, &gold);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Reduction => {
-            let x = reduction::input(&reduction::ReductionCase { n: 1024 });
-            let gold = reduction::reference(&x);
-            w.variants().iter().all(|&v| {
-                let (s, _) = reduction::run(&x, v);
-                println!("  {:9} err {}", v.label(), report::sci((s - gold).abs()));
-                (s - gold).abs() < tol
-            })
-        }
-        Workload::Spmv => {
-            let m = cubie::sparse::generators::conf5_like(16);
-            let x = spmv::input_vector(&m);
-            let gold = spmv::reference(&m, &x);
-            w.variants().iter().all(|&v| {
-                let (y, _) = spmv::run(&m, &x, v);
-                let e = ErrorStats::compare(&y, &gold);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Spgemm => {
-            let m = cubie::sparse::generators::spmsrts_like(64);
-            let gold = spgemm::reference(&m);
-            w.variants().iter().all(|&v| {
-                let (c, _) = spgemm::run(&m, v);
-                let (gd, cd) = (gold.to_dense(), c.to_dense());
-                let e = ErrorStats::compare(&cd, &gd);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Fft => {
-            let case = fft::FftCase {
-                h: 32,
-                w: 32,
-                batch: 2,
-            };
-            let data = fft::input(&case);
-            let gold: Vec<_> = data.iter().map(|g| fft::dft2_naive(32, 32, g)).collect();
-            w.variants().iter().all(|&v| {
-                let (out, _) = fft::run(&case, &data, v);
-                let e = out
-                    .iter()
-                    .zip(&gold)
-                    .map(|(o, g)| ErrorStats::compare_c64(o, g))
-                    .fold(ErrorStats::default(), |a, b| a.merge(b));
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < 1e-8
-            })
-        }
-        Workload::Stencil => {
-            let case = stencil::StencilCase::star2d(96, 96);
-            let x = stencil::input(&case);
-            let gold = stencil::reference(&case, &x);
-            w.variants().iter().all(|&v| {
-                let (y, _) = stencil::run(&case, &x, v);
-                let e = ErrorStats::compare(&y, &gold);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Pic => {
-            let case = pic::PicCase { n: 4096 };
-            let (parts, grid) = pic::input(&case);
-            let gold = pic::run_serial_style(&parts, &grid);
-            let flat = |p: &pic::Particles| -> Vec<f64> {
-                p.pos
-                    .iter()
-                    .chain(p.vel.iter())
-                    .flat_map(|v| v.iter().copied())
-                    .collect()
-            };
-            let gf = flat(&gold);
-            w.variants().iter().all(|&v| {
-                let (out, _) = pic::run(&case, &parts, &grid, v);
-                let e = ErrorStats::compare(&flat(&out), &gf);
-                println!("  {:9} max err {}", v.label(), report::sci(e.max));
-                e.max < tol
-            })
-        }
-        Workload::Bfs => {
-            let g = cubie::graph::generators::kron_g500(12, 16, 5);
-            let src = g.max_degree_vertex();
-            let gold = bfs::reference(&g, src);
-            w.variants().iter().all(|&v| {
-                let (levels, _) = bfs::run(&g, src, v);
-                let ok = levels == gold;
-                println!(
-                    "  {:9} levels {}",
-                    v.label(),
-                    if ok { "exact" } else { "MISMATCH" }
-                );
-                ok
-            })
-        }
-    }
+fn verify_bfs_levels() -> bool {
+    use cubie::kernels::bfs;
+    let g = cubie::graph::generators::kron_g500(12, 16, 5);
+    let src = g.max_degree_vertex();
+    let gold = bfs::reference(&g, src);
+    Workload::Bfs.variants().iter().fold(true, |ok, &v| {
+        let exact = bfs::run(&g, src, v).0 == gold;
+        let shown = if exact { "exact" } else { "MISMATCH" };
+        println!("  {:9} levels {shown}", v.label());
+        ok & exact
+    })
 }
 
-fn errors_cmd(rest: &[&String]) {
-    let scale = if rest.iter().any(|a| a.as_str() == "--quick") {
+fn errors_cmd(args: &Args) {
+    let scale = if args.switch("--quick") {
         ErrorScale::Quick
     } else {
         ErrorScale::Full
@@ -540,42 +623,15 @@ fn errors_cmd(rest: &[&String]) {
     );
 }
 
-/// Parse `cubie figure`'s flags into the paper configuration and the
-/// `--only` selection. Unknown arguments are an error.
-fn figure_args<'a>(
-    rest: &[&'a String],
-) -> Result<(artifacts::GoldenConfig, Option<&'a str>), String> {
+fn figure_cmd(args: &Args) {
     let mut config = artifacts::GoldenConfig::paper();
-    let mut only = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| {
-            it.next()
-                .map(|v| v.as_str())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--only" => only = Some(value_of("--only")?),
-            "--sparse-scale" => {
-                config.sparse_scale = parse_scale("--sparse-scale", value_of("--sparse-scale")?)?
-            }
-            "--graph-scale" => {
-                config.graph_scale = parse_scale("--graph-scale", value_of("--graph-scale")?)?
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+    if let Some(k) = args.parsed("--sparse-scale", parse_scale) {
+        config.sparse_scale = k;
     }
-    Ok((config, only))
-}
-
-fn figure_cmd(rest: &[&String]) {
-    let (config, only) = figure_args(rest).unwrap_or_else(|e| {
-        eprintln!(
-            "{e}\n\nusage: cubie figure [--only name,name] [--sparse-scale K] [--graph-scale K]"
-        );
-        std::process::exit(2);
-    });
-    let names = artifact_selection(only);
+    if let Some(k) = args.parsed("--graph-scale", parse_scale) {
+        config.graph_scale = k;
+    }
+    let names = artifact_selection(args);
     let ctx = artifacts::GoldenCtx::new(config);
     println!(
         "rendering {} artifact(s) at sparse_scale={} graph_scale={}",
@@ -598,21 +654,16 @@ fn figure_cmd(rest: &[&String]) {
     }
 }
 
-fn advise_cmd(rest: &[&String]) {
-    let Some(wname) = rest.first() else {
-        eprintln!("usage: cubie advise <workload> [--device ...]");
-        std::process::exit(2);
-    };
-    let w = parse_workload(wname);
-    let devices = parse_devices(rest);
-    let (ss, gs) = scales(rest);
+fn advise_cmd(args: &Args) {
+    let w = args.workload();
+    let devices = args.devices();
+    let (ss, gs) = args.scales();
     // Prepare through the shared sweep cache: labels and traces of all
     // variants are memoized for the rest of the process.
     let entry = cubie::bench::SweepCache::global().ensure(w, ss, gs);
     let cc_variant = source_variant(w);
     let Some(cc_trace) = entry.trace(REPRESENTATIVE_CASE, cc_variant) else {
-        eprintln!("no CUDA-core trace for {wname}");
-        std::process::exit(2);
+        fail(format!("no CUDA-core trace for {}", w.spec().name));
     };
     let mapping = reference_mapping(w);
     println!(
@@ -650,35 +701,23 @@ fn advise_cmd(rest: &[&String]) {
 }
 
 /// Artifact names selected by `--only a,b` (default: the full registry).
-fn artifact_selection(only: Option<&str>) -> Vec<&'static str> {
-    let Some(only) = only else {
+fn artifact_selection(args: &Args) -> Vec<&'static str> {
+    let Some(only) = args.value("--only") else {
         return artifacts::GOLDEN_ARTIFACTS.to_vec();
     };
-    let mut names = Vec::new();
-    for n in only.split(',') {
-        match artifacts::GOLDEN_ARTIFACTS.iter().find(|a| **a == n) {
-            Some(a) => names.push(*a),
-            None => {
-                eprintln!("unknown artifact `{n}` — `cubie golden list` shows the registry");
-                std::process::exit(2);
-            }
-        }
-    }
-    names
-}
-
-fn golden_cmd(rest: &[&String]) {
-    let sub = rest.first().map(|s| s.as_str()).unwrap_or("");
-    let tail = &rest[rest.len().min(1)..];
-    match sub {
-        "record" => golden_record(tail),
-        "check" => golden_check(tail),
-        "list" => golden_list(),
-        _ => {
-            eprintln!("usage: cubie golden record|check|list [--only name,name]");
-            std::process::exit(2);
-        }
-    }
+    only.split(',')
+        .map(|n| {
+            artifacts::GOLDEN_ARTIFACTS
+                .iter()
+                .find(|a| **a == n)
+                .copied()
+                .unwrap_or_else(|| {
+                    args.fail(format!(
+                        "unknown artifact `{n}` — `cubie golden list` shows the registry"
+                    ))
+                })
+        })
+        .collect()
 }
 
 /// The golden store `check` and `list` read. When it does not exist
@@ -696,7 +735,8 @@ fn recorded_golden_dir() -> std::path::PathBuf {
     dir
 }
 
-fn golden_record(rest: &[&String]) {
+fn golden_record(args: &Args) {
+    let names = artifact_selection(args);
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -708,7 +748,7 @@ fn golden_record(rest: &[&String]) {
         ctx.config.graph_scale,
         dir.display()
     );
-    for name in artifact_selection(opt(rest, "--only")) {
+    for name in names {
         let Some(artifact) = artifacts::build(&ctx, name) else {
             fail(format!("artifact `{name}` missing from the build registry"));
         };
@@ -724,11 +764,12 @@ fn golden_record(rest: &[&String]) {
     }
 }
 
-fn golden_check(rest: &[&String]) {
+fn golden_check(args: &Args) {
+    let names = artifact_selection(args);
     let dir = recorded_golden_dir();
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let mut report_diffs = Vec::new();
-    for name in artifact_selection(opt(rest, "--only")) {
+    for name in names {
         let path = dir.join(format!("{name}.json"));
         let diff = match cubie::golden::Artifact::read(&path) {
             Ok(golden) => {
@@ -759,7 +800,7 @@ fn golden_check(rest: &[&String]) {
     }
 }
 
-fn golden_list() {
+fn golden_list(_: &Args) {
     let dir = recorded_golden_dir();
     let rows: Vec<Vec<String>> = artifacts::GOLDEN_ARTIFACTS
         .iter()
@@ -790,8 +831,8 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
             report::seconds(prepare_busy_s)
         );
     }
-    let hits = cubie::obs::counter_get("prep.hit");
-    let misses = cubie::obs::counter_get("prep.miss");
+    let total = cubie::prep::process_total();
+    let (hits, misses) = (total.hits, total.misses);
     if hits == 0 && misses == 0 {
         return format!(
             "prepare: no snapshot-backed inputs in this run — busy {}",
@@ -809,8 +850,8 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
     format!(
         "prepare: {verdict} — {hits} snapshot hit(s) ({:.1} MiB loaded), \
          {misses} miss(es) ({:.1} MiB recorded), busy {} (store {})",
-        mib(cubie::obs::counter_get("prep.bytes_loaded")),
-        mib(cubie::obs::counter_get("prep.bytes_written")),
+        mib(total.bytes_loaded),
+        mib(total.bytes_written),
         report::seconds(prepare_busy_s),
         cfg.dir.display()
     )
@@ -820,25 +861,9 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
 /// top-level phases must land within ±20% of measured wall time.
 const CHECK_WINDOW: f64 = 0.20;
 
-fn profile_cmd(rest: &[&String]) {
-    // `--check` is a profile-only flag, stripped before the shared sweep
-    // argument parser sees the rest.
-    let check = rest.iter().any(|a| a.as_str() == "--check");
-    let sweep_args: Vec<String> = rest
-        .iter()
-        .filter(|a| a.as_str() != "--check")
-        .map(|s| (*s).clone())
-        .collect();
-    let mut cfg = match SweepConfig::from_cli_args(sweep_args) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!(
-                "{e}\n\nusage: cubie profile [--filter workload=…|variant=…|device=…|case=…] \
-                 [--jobs N] [--sparse-scale K] [--graph-scale K] [--check]"
-            );
-            std::process::exit(2);
-        }
-    };
+fn profile_cmd(args: &Args) {
+    let check = args.switch("--check");
+    let mut cfg = args.sweep_config();
     if check {
         // The coverage invariant only holds serially: with one worker the
         // serial `par` fast path spawns no threads, so the prepare/trace/
@@ -976,51 +1001,24 @@ fn profile_cmd(rest: &[&String]) {
     }
 }
 
-/// Socket path shared by `serve` and `client` (`--socket`, else the
-/// [`cubie::serve::ServeConfig`] default under `results/`).
-fn socket_path(rest: &[&String]) -> std::path::PathBuf {
-    match opt(rest, "--socket") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => cubie::serve::ServeConfig::default().socket,
-    }
-}
-
-fn serve_cmd(rest: &[&String]) {
-    // Every argument is one of the flags below with its value; anything
-    // else is a usage error, before a socket is bound.
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let known =
-            ["--socket", "--store", "--max-jobs", "--heavy", "--queue"].contains(&arg.as_str());
-        if !known || it.next().is_none() {
-            let e = if known {
-                format!("{arg} needs a value")
-            } else {
-                format!("unknown argument `{arg}`")
-            };
-            eprintln!(
-                "{e}\n\nusage: cubie serve [--socket PATH] [--store DIR] [--max-jobs N] \
-                 [--heavy N] [--queue N]"
-            );
-            std::process::exit(2);
-        }
-    }
-    let mut cfg = cubie::serve::ServeConfig {
-        socket: socket_path(rest),
-        ..cubie::serve::ServeConfig::default()
+fn serve_cmd(args: &Args) {
+    let defaults = cubie::serve::ServeConfig::default();
+    let cfg = cubie::serve::ServeConfig {
+        socket: args.socket(),
+        store_dir: args
+            .value("--store")
+            .map_or(defaults.store_dir, PathBuf::from),
+        max_jobs: args
+            .parsed("--max-jobs", parse_flag)
+            .unwrap_or(defaults.max_jobs),
+        heavy_slots: args
+            .parsed("--heavy", parse_flag)
+            .map_or(defaults.heavy_slots, |n: usize| n.max(1)),
+        queue_limit: args
+            .parsed("--queue", parse_flag)
+            .unwrap_or(defaults.queue_limit),
+        ..defaults
     };
-    if let Some(dir) = opt(rest, "--store") {
-        cfg.store_dir = std::path::PathBuf::from(dir);
-    }
-    if let Some(n) = flag(rest, "--max-jobs") {
-        cfg.max_jobs = n;
-    }
-    if let Some(n) = flag::<usize>(rest, "--heavy") {
-        cfg.heavy_slots = n.max(1);
-    }
-    if let Some(n) = flag(rest, "--queue") {
-        cfg.queue_limit = n;
-    }
     let mut handle = match cubie::serve::Daemon::start(cfg) {
         Ok(h) => h,
         Err(e) => fail(format!("cannot start cubied: {e}")),
@@ -1030,62 +1028,20 @@ fn serve_cmd(rest: &[&String]) {
     handle.wait();
 }
 
-/// Build the request JSON for one `cubie client` invocation.
-fn client_build_request(sub: &str, tail: &[&String]) -> cubie::golden::Json {
-    use cubie::serve::proto;
-    match sub {
-        "ping" | "stats" | "shutdown" => proto::simple_request(sub),
-        "sweep" | "profile" => {
-            let mut filters = Vec::new();
-            let mut i = 0;
-            while i < tail.len() {
-                if tail[i].as_str() == "--filter" {
-                    match tail.get(i + 1) {
-                        Some(f) => filters.push((*f).clone()),
-                        None => fail("--filter expects a key=value term"),
-                    }
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            let spec = cubie::serve::SweepSpec {
-                filters,
-                jobs: flag(tail, "--jobs"),
-                sparse_scale: scale_flag(tail, "--sparse-scale"),
-                graph_scale: scale_flag(tail, "--graph-scale"),
-                verify: tail.iter().any(|a| a.as_str() == "--verify"),
-            };
-            spec.to_json(sub)
-        }
-        "advise" => {
-            let Some(wname) = tail.first().filter(|a| !a.starts_with("--")) else {
-                fail("usage: cubie client advise <workload> [--device a100|h200|b200]");
-            };
-            let spec = cubie::serve::AdviseSpec {
-                workload: (*wname).clone(),
-                devices: opt(tail, "--device").map(|d| vec![d.to_string()]),
-                sparse_scale: scale_flag(tail, "--sparse-scale"),
-                graph_scale: scale_flag(tail, "--graph-scale"),
-            };
-            spec.to_json()
-        }
-        other => {
-            fail(format!(
-                "unknown client request `{other}` \
-                 (ping|stats|shutdown|sweep|profile|advise)"
-            ));
-        }
-    }
+fn client_advise(args: &Args) {
+    let spec = AdviseSpec {
+        workload: args.positionals[0].clone(),
+        devices: args.value("--device").map(|d| vec![d.to_string()]),
+        sparse_scale: args.parsed("--sparse-scale", parse_scale),
+        graph_scale: args.parsed("--graph-scale", parse_scale),
+    };
+    client_send(args, spec.to_json());
 }
 
-fn client_cmd(rest: &[&String]) {
-    let Some(sub) = rest.first() else {
-        fail("usage: cubie client ping|stats|shutdown|sweep|profile|advise [opts]");
-    };
-    let tail = &rest[1..];
-    let request = client_build_request(sub, tail);
-    let socket = socket_path(rest);
+/// Send one request to the `cubied` at `--socket` and print the reply;
+/// exit 1 when it cannot be reached or answers with an error.
+fn client_send(args: &Args, request: Json) {
+    let socket = args.socket();
     let response = match cubie::serve::client_request(&socket, &request) {
         Ok(r) => r,
         Err(e) => fail(format!(
@@ -1096,5 +1052,130 @@ fn client_cmd(rest: &[&String]) {
     println!("{}", response.to_pretty_string());
     if response.get("ok").and_then(|v| v.as_bool()) != Some(true) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parse `rest` under the command whose usage line starts with `name`.
+    fn parse(name: &str, rest: &[&str]) -> Result<Args, String> {
+        let (usage, _) = COMMANDS.iter().find(|(u, _)| u.starts_with(name)).unwrap();
+        let rest: Vec<String> = rest.iter().map(|s| s.to_string()).collect();
+        Grammar::new(usage).parse(name, &rest)
+    }
+
+    fn error(name: &str, rest: &[&str]) -> String {
+        parse(name, rest).err().expect("a usage error")
+    }
+
+    #[test]
+    fn every_usage_line_declares_a_well_formed_grammar() {
+        for (usage, _) in COMMANDS {
+            let g = Grammar::new(usage);
+            assert!(!g.words.is_empty(), "{usage}");
+            let words: Vec<String> = g
+                .words
+                .iter()
+                .map(|w| w.split('|').next().unwrap().to_string())
+                .collect();
+            assert_eq!(g.selected_by(&words), Some(words.len()), "{usage}");
+            let flags: Vec<&str> = g
+                .valued
+                .iter()
+                .flat_map(|v| v.split('|'))
+                .chain(g.switches.iter().copied())
+                .collect();
+            for f in &flags {
+                assert!(f.starts_with('-'), "{usage}: `{f}`");
+                assert_eq!(flags.iter().filter(|g| *g == f).count(), 1, "{usage}");
+            }
+            assert!(g.positionals.iter().all(|p| p.starts_with('<')));
+        }
+    }
+
+    #[test]
+    fn selection_needs_every_word() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let check = Grammar::new("golden check [--only name,name]");
+        assert_eq!(check.selected_by(&args(&["golden", "check", "x"])), Some(2));
+        assert_eq!(check.selected_by(&args(&["golden"])), None);
+        assert_eq!(check.selected_by(&args(&["golden", "list"])), None);
+        let client = Grammar::new("client sweep|profile [--jobs N]");
+        assert_eq!(client.selected_by(&args(&["client", "profile"])), Some(2));
+    }
+
+    #[test]
+    fn flags_without_a_value_are_errors() {
+        for (flag, named) in [
+            ("--filter", "--filter"),
+            ("-f", "--filter"),
+            ("--jobs", "--jobs"),
+            ("-j", "--jobs"),
+            ("--sparse-scale", "--sparse-scale"),
+            ("--graph-scale", "--graph-scale"),
+        ] {
+            let err = error("sweep", &["--filter", "workload=scan", flag]);
+            assert_eq!(err, format!("{named} needs a value"), "{flag}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_extra_positionals_and_repeats_are_errors() {
+        assert_eq!(
+            error("sweep", &["--frobnicate"]),
+            "unknown argument `--frobnicate`"
+        );
+        // `-f` is a spelling of `sweep`'s, not `client sweep`'s, filter.
+        assert_eq!(
+            error("client sweep", &["-f", "w=scan"]),
+            "unknown argument `-f`"
+        );
+        assert_eq!(
+            error("run", &["scan", "gemm"]),
+            "unexpected argument `gemm`"
+        );
+        assert_eq!(error("run", &["--case", "1"]), "missing <workload>");
+        assert_eq!(
+            error("sweep", &["--jobs", "1", "-j", "2"]),
+            "--jobs given more than once"
+        );
+        assert_eq!(
+            error("profile", &["--check", "--check"]),
+            "--check given more than once"
+        );
+    }
+
+    #[test]
+    fn sweep_flags_parse_into_the_spec_and_resolve() {
+        let args = parse(
+            "sweep",
+            &[
+                "-j",
+                "3",
+                "--sparse-scale",
+                "64",
+                "-f",
+                "workload=spmv,gemm",
+                "--graph-scale",
+                "512",
+                "--filter",
+                "case=2",
+            ],
+        )
+        .ok()
+        .unwrap();
+        let spec = args.sweep_spec();
+        assert_eq!(spec.filters, ["workload=spmv,gemm", "case=2"]);
+        assert_eq!(
+            (spec.jobs, spec.sparse_scale, spec.graph_scale),
+            (Some(3), Some(64), Some(512))
+        );
+        let cfg = args.sweep_config();
+        assert_eq!(cfg.jobs, Some(3));
+        assert_eq!((cfg.sparse_scale, cfg.graph_scale), (64, 512));
+        assert_eq!(cfg.workloads, [Workload::Gemm, Workload::Spmv]);
+        assert_eq!(cfg.cases, Some(vec![2]));
     }
 }

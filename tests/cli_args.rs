@@ -5,7 +5,10 @@
 //! of every artifact it is asked for, `cubie profile` writes its
 //! hotspot table and Chrome trace with exactly the documented keys, and
 //! `cubie golden check` fails fast without its golden directory and
-//! prepares only the inputs an artifact reads.
+//! prepares only the inputs an artifact reads. Every command rejects an
+//! unknown argument, a flag without its value and an extra positional
+//! before it does anything, and `cubie verify` prints Table 6's quick
+//! rows.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -13,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use cubie::bench::artifacts;
 use cubie::golden::{Artifact, Json};
+use cubie::kernels::{Variant, Workload};
 
 /// A fresh working directory, so anything a run writes under `results/`
 /// stays out of the repository.
@@ -60,6 +64,8 @@ fn unparsable_scale_and_case_values_are_usage_errors() {
             "--sparse-scale",
             "-4",
         ),
+        (&["sweep", "--jobs", "fast"], "--jobs", "fast"),
+        (&["sweep", "--sparse-scale", "big"], "--sparse-scale", "big"),
     ] {
         assert_usage_error(args, &dir, &[flag, value]);
     }
@@ -375,5 +381,168 @@ fn table234_check_prepares_only_its_own_tables() {
     assert_eq!(count("prep: matrices"), 1, "{warm}");
     assert_eq!(count("prep: graphs"), 1, "{warm}");
     assert!(!warm.contains("scale=1024"), "{warm}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every command, with the arguments of a valid call, and one of its
+/// flags that takes a value (if it has one).
+const EVERY_COMMAND: [(&[&str], Option<&str>); 16] = [
+    (&["devices"], None),
+    (&["workloads"], None),
+    (&["sweep"], Some("--jobs")),
+    (&["run", "scan"], Some("--case")),
+    (&["verify", "scan"], None),
+    (&["errors"], None),
+    (&["figure"], Some("--only")),
+    (&["advise", "scan"], Some("--device")),
+    (&["golden", "record"], Some("--only")),
+    (&["golden", "check"], Some("--only")),
+    (&["golden", "list"], None),
+    (&["profile"], Some("--filter")),
+    (&["serve"], Some("--queue")),
+    (&["client", "ping"], Some("--socket")),
+    (&["client", "sweep"], Some("--filter")),
+    (&["client", "advise", "scan"], Some("--device")),
+];
+
+/// Run `cubie args` in `dir` with its own prep store and golden
+/// directory; a run still going after 10 s (a daemon that started, a
+/// study that ran) is killed and fails the test.
+fn cubie_bounded(args: &[&str], dir: &Path) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cubie"))
+        .args(args)
+        .current_dir(dir)
+        .env("CUBIE_PREP_DIR", dir.join("prep"))
+        .env(
+            "CUBIE_GOLDEN_DIR",
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden"),
+        )
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cubie");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("{args:?}: still running after 10 s, killed");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// `args` is a usage error naming `offender`, with the command's usage
+/// line, and leaves no `results/` or prep store behind — `client` exits
+/// 2 before it tries the socket (an unreachable daemon is exit 1).
+fn assert_rejected_before_any_work(args: &[&str], offender: &str, dir: &Path) {
+    let out = cubie_bounded(args, dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(offender),
+        "{args:?}: names `{offender}`: {stderr}"
+    );
+    let usage = format!("usage: cubie {} ", args[0]);
+    assert!(
+        stderr.contains(&usage) || stderr.contains(usage.trim_end()),
+        "{args:?}: usage line: {stderr}"
+    );
+    assert!(!dir.join("results").exists(), "{args:?} wrote results/");
+    assert!(!dir.join("prep").exists(), "{args:?} opened the prep store");
+}
+
+#[test]
+fn every_command_rejects_an_unknown_flag() {
+    let dir = scratch_dir("unknown-flag");
+    for (call, _) in EVERY_COMMAND {
+        let args = [call, &["--bogus"][..]].concat();
+        assert_rejected_before_any_work(&args, "--bogus", &dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_command_rejects_a_trailing_flag_without_its_value() {
+    let dir = scratch_dir("no-value");
+    for (call, flag) in EVERY_COMMAND {
+        let Some(flag) = flag else { continue };
+        let args = [call, &[flag][..]].concat();
+        assert_rejected_before_any_work(&args, &format!("{flag} needs a value"), &dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_command_rejects_an_extra_positional() {
+    let dir = scratch_dir("extra-positional");
+    for (call, _) in EVERY_COMMAND {
+        let args = [call, &["surplus"][..]].concat();
+        assert_rejected_before_any_work(&args, "`surplus`", &dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `max_error` of every Table 6 Quick row in the committed golden,
+/// by (workload, variant column).
+fn golden_table6_max_errors() -> Vec<(String, String, f64)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden/table6_errors.json");
+    let golden = Artifact::read(path).unwrap();
+    assert_eq!(
+        golden
+            .meta
+            .iter()
+            .find(|(k, _)| k == "error_scale")
+            .map(|(_, v)| v),
+        Some(&Json::from("quick"))
+    );
+    let col = |name: &str| golden.columns.iter().position(|c| c.name == name).unwrap();
+    let (w, v, max) = (col("workload"), col("variant"), col("max_error"));
+    golden
+        .rows
+        .iter()
+        .map(|r| {
+            (
+                r[w].as_str().unwrap().to_string(),
+                r[v].as_str().unwrap().to_string(),
+                r[max].as_f64().unwrap(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn verify_prints_the_table6_quick_rows_for_every_workload() {
+    let dir = scratch_dir("verify");
+    let golden = golden_table6_max_errors();
+    for w in Workload::ALL {
+        let out = cubie(&["verify", w.key()], &dir);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{}: {stdout}", w.key());
+        assert!(stdout.contains("OK: every variant matches"), "{stdout}");
+        for v in w.variants() {
+            let line = stdout
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(v.label()))
+                .unwrap_or_else(|| panic!("{}: no {} line: {stdout}", w.key(), v.label()));
+            if w == Workload::Bfs {
+                assert!(line.ends_with("levels exact"), "{line}");
+                continue;
+            }
+            let printed: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+            let column = match v {
+                Variant::Tc | Variant::Cc => "TC/CC",
+                other => other.label(),
+            };
+            let want = golden
+                .iter()
+                .find(|(gw, gv, _)| gw == w.spec().name && gv == column)
+                .unwrap_or_else(|| panic!("no golden row {} {column}", w.spec().name))
+                .2;
+            assert_eq!(printed.to_bits(), want.to_bits(), "{line}");
+        }
+    }
+    assert!(!dir.join("results").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
