@@ -1,216 +1,18 @@
-//! Hot-path microbenchmarks for the execution substrate: `par_map`
-//! dispatch latency (persistent pool vs spawning scoped threads per
-//! call), the tiled FP64 MMA aligned fast path vs the packing reference
-//! and the ragged fallback, an end-to-end GEMM-TC-shaped composite
-//! (pool dispatch × aligned MMA tiles), and simd-vs-scalar groups for
-//! the three vectorized inner kernels (every compiled+supported
+//! Hot-path microbenchmarks for the execution substrate: simd-vs-scalar
+//! groups for the three vectorized inner kernels (every compiled+supported
 //! `cubie_core::simd` path on the same inputs — the scalar rows are the
 //! baseline of the ≥2x dispatch-speedup target).
 //!
-//! Run with `cargo bench -p cubie-core`; the offline criterion stand-in
-//! prints median ns/iter per case (see README, "Offline dependencies").
-//! `cargo bench -p cubie-core --bench hotpath -- simd` runs only the
-//! simd groups; set `CUBIE_CRITERION_JSON=<path>` to capture the
-//! results as the machine-readable baseline CI uploads.
+//! Run with `cargo bench -p cubie-core --bench hotpath -- simd`; the
+//! offline criterion stand-in prints median ns/iter per case (see README,
+//! "Offline dependencies"). Set `CUBIE_CRITERION_JSON=<path>` to capture
+//! the results as the machine-readable baseline CI uploads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use cubie_core::mma::{mma_f64_m8n8k4, mma_tiled_f64};
 use cubie_core::rng::LcgF64;
 use cubie_core::simd::{self, StarTap};
-use cubie_core::{par, OpCounters};
-
-/// The pre-pool `par_map`: spawn scoped threads on every call, collect
-/// through a `Vec<Option<T>>` double-pass. Kept here as the dispatch
-/// baseline the pool is measured against.
-fn spawn_per_call_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = par::workers_for(n);
-    if workers == 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    let chunk = (n / (workers * 8)).max(1);
-    struct Slots<T>(*mut Option<T>);
-    unsafe impl<T: Send> Sync for Slots<T> {}
-    let slots = Slots(out.as_mut_ptr());
-    let slots = &slots;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for i in start..end {
-                    unsafe { *slots.0.add(i) = Some(f(i)) };
-                }
-            });
-        }
-    });
-    out.into_iter().map(|v| v.expect("slot filled")).collect()
-}
-
-fn bench_par_dispatch(c: &mut Criterion) {
-    // Pin the worker cap: the dispatch comparison must actually engage
-    // threads even on single-core CI boxes (cap 0 would resolve to one
-    // worker there and measure two serial loops).
-    let prev = par::set_max_workers(4);
-    cubie_core::pool::prewarm();
-    let mut g = c.benchmark_group("par_map-dispatch");
-    g.sample_size(60)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    for n in [16usize, 256, 4096] {
-        g.bench_function(format!("pool/n{n}"), |b| {
-            b.iter(|| par::par_map(black_box(n), |i| i.wrapping_mul(2)))
-        });
-        g.bench_function(format!("spawn-per-call/n{n}"), |b| {
-            b.iter(|| spawn_per_call_map(black_box(n), |i| i.wrapping_mul(2)))
-        });
-    }
-    g.finish();
-    par::set_max_workers(prev);
-}
-
-/// The pre-fast-path tiled MMA: zero-fill + pack every tile into scratch
-/// and copy the accumulator in and out. The aligned fast path is
-/// measured against this (bit-identical results, different dispatch).
-fn tiled_packed_ref(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    counters: &mut OpCounters,
-) {
-    let mut at = [0.0f64; 32];
-    let mut bt = [0.0f64; 32];
-    let mut ct = [0.0f64; 64];
-    for i0 in (0..m).step_by(8) {
-        for j0 in (0..n).step_by(8) {
-            ct.fill(0.0);
-            for (ii, row) in ct.chunks_exact_mut(8).enumerate() {
-                if i0 + ii < m {
-                    for (jj, v) in row.iter_mut().enumerate() {
-                        if j0 + jj < n {
-                            *v = c[(i0 + ii) * n + (j0 + jj)];
-                        }
-                    }
-                }
-            }
-            for k0 in (0..k).step_by(4) {
-                at.fill(0.0);
-                bt.fill(0.0);
-                for ii in 0..8usize.min(m - i0) {
-                    for kk in 0..4usize.min(k - k0) {
-                        at[ii * 4 + kk] = a[(i0 + ii) * k + (k0 + kk)];
-                    }
-                }
-                for kk in 0..4usize.min(k - k0) {
-                    for jj in 0..8usize.min(n - j0) {
-                        bt[kk * 8 + jj] = b[(k0 + kk) * n + (j0 + jj)];
-                    }
-                }
-                mma_f64_m8n8k4(&at, &bt, &mut ct, counters);
-            }
-            for ii in 0..8usize.min(m - i0) {
-                for jj in 0..8usize.min(n - j0) {
-                    c[(i0 + ii) * n + (j0 + jj)] = ct[ii * 8 + jj];
-                }
-            }
-        }
-    }
-}
-
-fn bench_mma_tiled(c: &mut Criterion) {
-    let mut g = c.benchmark_group("mma_tiled_f64");
-    g.sample_size(40)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    let mut rng = LcgF64::new(42);
-    let (m, n, k) = (64, 64, 64);
-    let a = rng.vec(m * k);
-    let b = rng.vec(k * n);
-    let mut cbuf = vec![0.0f64; m * n];
-    let mut ctr = OpCounters::new();
-    g.bench_function("aligned/64x64x64", |bch| {
-        bch.iter(|| {
-            cbuf.fill(0.0);
-            mma_tiled_f64(&a, &b, &mut cbuf, m, n, k, &mut ctr);
-            black_box(cbuf[0])
-        })
-    });
-    g.bench_function("packed-ref/64x64x64", |bch| {
-        bch.iter(|| {
-            cbuf.fill(0.0);
-            tiled_packed_ref(&a, &b, &mut cbuf, m, n, k, &mut ctr);
-            black_box(cbuf[0])
-        })
-    });
-    // One element short of alignment in every dimension: the ragged
-    // fallback packs and bounds-guards every tile.
-    let (rm, rn, rk) = (63, 63, 63);
-    let ra = rng.vec(rm * rk);
-    let rb = rng.vec(rk * rn);
-    let mut rc = vec![0.0f64; rm * rn];
-    g.bench_function("ragged/63x63x63", |bch| {
-        bch.iter(|| {
-            rc.fill(0.0);
-            mma_tiled_f64(&ra, &rb, &mut rc, rm, rn, rk, &mut ctr);
-            black_box(rc[0])
-        })
-    });
-    g.finish();
-}
-
-fn bench_gemm_tc_end_to_end(c: &mut Criterion) {
-    let prev = par::set_max_workers(4);
-    cubie_core::pool::prewarm();
-    let mut g = c.benchmark_group("gemm-tc");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(2));
-    // GEMM-TC shape: 512×256×256 product decomposed into 64-row bands,
-    // dispatched over the pool, each band an aligned tiled MMA — the
-    // same pool + aligned-MMA composition the GEMM workload's TC variant
-    // exercises.
-    let (m, n, k) = (512usize, 256usize, 256usize);
-    let mut rng = LcgF64::new(7);
-    let a = rng.vec(m * k);
-    let b = rng.vec(k * n);
-    g.bench_function(format!("pool+aligned/{m}x{n}x{k}"), |bch| {
-        bch.iter(|| {
-            let bands = par::par_map(m / 64, |bi| {
-                let mut cband = vec![0.0f64; 64 * n];
-                let mut ctr = OpCounters::new();
-                mma_tiled_f64(
-                    &a[bi * 64 * k..(bi + 1) * 64 * k],
-                    &b,
-                    &mut cband,
-                    64,
-                    n,
-                    k,
-                    &mut ctr,
-                );
-                cband
-            });
-            black_box(bands.len())
-        })
-    });
-    g.finish();
-    par::set_max_workers(prev);
-}
 
 /// The three vectorized inner kernels, once per supported SIMD path on
 /// identical inputs. Labels follow `simd-<kernel>/<path>/<shape>` so
@@ -304,11 +106,5 @@ fn bench_simd_paths(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    hotpath,
-    bench_par_dispatch,
-    bench_mma_tiled,
-    bench_gemm_tc_end_to_end,
-    bench_simd_paths
-);
+criterion_group!(hotpath, bench_simd_paths);
 criterion_main!(hotpath);

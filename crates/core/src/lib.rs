@@ -8,12 +8,11 @@
 //! assumed here, this crate provides a *functional emulation* of that
 //! interface with bit-exact FP64 arithmetic semantics:
 //!
-//! * [`frag`] — warp-level fragment layouts for the FP64 `m8n8k4` MMA and
-//!   the single-bit `m8n8k128` MMA (which lane of the 32-thread warp owns
-//!   which matrix element).
 //! * [`mma`] — the MMA instructions themselves, with the accumulation
 //!   order real FP64 tensor cores use (a chain of fused multiply-adds per
-//!   output element), plus naive reference implementations used by tests.
+//!   output element) and the tiled FP16/BF16/TF32 MMA. Like published
+//!   tensor-core models, they fix arithmetic and accumulation order, not
+//!   which lane of the warp holds which element.
 //! * [`counters`] — operation counters recorded during functional kernel
 //!   execution and produced by analytic kernel traces; these drive the
 //!   timing, power, and roofline models in `cubie-sim`.
@@ -45,7 +44,6 @@ pub mod cas;
 pub mod complex;
 pub mod counters;
 pub mod error;
-pub mod frag;
 pub mod matrix;
 pub mod mma;
 pub mod par;

@@ -5,27 +5,29 @@
 //! dimension, seeded with the accumulator:
 //! `d = fma(a3, b3, fma(a2, b2, fma(a1, b1, fma(a0, b0, c))))`.
 //! [`mma_f64_m8n8k4`] reproduces exactly that order with `f64::mul_add`,
-//! so TC results here carry the same rounding behaviour the paper measures
-//! (and, as the paper's Observation 7 requires, the CC replacement that
-//! issues the same FMA chain on "CUDA cores" is bit-identical).
+//! so TC results here carry the same rounding behaviour the paper measures.
+//! A kernel's CC variant calls the same entry points and counts the work
+//! as CUDA-core FMAs in its trace, so TC and CC are bit-identical by
+//! construction (the paper's Observation 7).
 //!
-//! The single-bit `mma.m8n8k128` performs `d[i][j] = c[i][j] +
-//! popcount(a_row_i AND b_col_j)` over 128-bit rows/columns.
+//! [`mma_tiled_mixed`] models the FP16/BF16/TF32 units the same way: by
+//! each generation's accumulation order and rounding, not by which lane
+//! holds which element.
 
 use std::sync::OnceLock;
 
-use crate::counters::{OpCounters, MMA_F16_FMAS, MMA_F64_FMAS, MMA_TF32_FMAS};
-use crate::scalar::{Bf16, MmaGen, Precision, Tf32, F16};
+use crate::counters::{OpCounters, MMA_F16_FMAS, MMA_TF32_FMAS};
+use crate::scalar::{MmaGen, Precision};
 
 /// Fault-injection switch for the golden-regression harness: when the
 /// process environment sets `CUBIE_MMA_PERTURB_ULP` (to anything but
 /// `0`), every FP64 MMA accumulation chain flips the last mantissa bit
 /// of its result — a one-ulp perturbation that must trip the bit-exact
 /// comparison class of `cubie golden check` while leaving every
-/// magnitude-level tolerance untouched. Applied identically to the TC
-/// chain and its CC replacement so the TC ≡ CC bit-identity invariant
-/// (Observation 7, asserted throughout the suite) still holds under
-/// injection. Read once per process.
+/// magnitude-level tolerance untouched. TC and CC variants run the same
+/// chains, so the TC ≡ CC bit-identity invariant (Observation 7,
+/// asserted throughout the suite) still holds under injection. Read once
+/// per process.
 fn perturb_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("CUBIE_MMA_PERTURB_ULP").is_some_and(|v| v != *"0"))
@@ -134,63 +136,6 @@ pub fn mma_f64_m8n8k4_strided(
     counters.mma_f64 += 1;
 }
 
-/// The CUDA-core replacement of [`mma_f64_m8n8k4`] (the paper's CC
-/// variant): identical data layout and arithmetic — the same FMA chain per
-/// element — but issued as 256 CUDA-core FMAs instead of one tensor-core
-/// instruction. Bit-identical results to the TC version by construction.
-///
-/// Because each lane owns only one `A` and one `B` fragment element while
-/// every output element needs operands from other lanes, the replacement
-/// also issues warp shuffles to exchange operands (eight per lane per
-/// MMA) — data movement the tensor core performs internally. These are
-/// counted as integer/logic lane operations.
-#[inline]
-pub fn cc_mma_f64_m8n8k4(
-    a: &[f64; 32],
-    b: &[f64; 32],
-    c: &mut [f64; 64],
-    counters: &mut OpCounters,
-) {
-    mma_f64_m8n8k4_strided_core(a, 0, 4, b, 0, 8, c, 0, 8);
-    counters.fma_f64 += MMA_F64_FMAS;
-    counters.int_ops += MMA_F64_FMAS; // operand shuffles
-}
-
-/// Naive reference matmul-accumulate used only by tests, accumulating in
-/// the same `k`-ascending order but through separate multiply and add
-/// (i.e. *not* fused). Tests use it to show that the fused chain differs
-/// from unfused accumulation while agreeing with the CC replacement.
-pub fn reference_mma_unfused(a: &[f64; 32], b: &[f64; 32], c: &mut [f64; 64]) {
-    for i in 0..8 {
-        for j in 0..8 {
-            let mut acc = c[i * 8 + j];
-            for k in 0..4 {
-                acc += a[i * 4 + k] * b[k * 8 + j];
-            }
-            c[i * 8 + j] = acc;
-        }
-    }
-}
-
-/// One single-bit `m8n8k128` MMA with AND·popc semantics:
-/// `c[i][j] += popcount(a[i] & b_col[j])`, where `a[i]` is the 128-bit row
-/// `i` of `A` and `b_col[j]` the 128-bit column `j` of `B`.
-/// Increments `counters.mma_b1`.
-#[inline]
-pub fn mma_b1_m8n8k128_and_popc(
-    a_rows: &[u128; 8],
-    b_cols: &[u128; 8],
-    c: &mut [u32; 64],
-    counters: &mut OpCounters,
-) {
-    for i in 0..8 {
-        for j in 0..8 {
-            c[i * 8 + j] += (a_rows[i] & b_cols[j]).count_ones();
-        }
-    }
-    counters.mma_b1 += 1;
-}
-
 /// One logical 8×8×8 matrix multiply-accumulate, issued as two chained
 /// FP64 `m8n8k4` MMAs (`k = 0..4` then `k = 4..8`) — the building block
 /// of the Scan/Reduction kernels, whose constant operands are full 8×8
@@ -205,124 +150,7 @@ pub fn mma_f64_8x8x8(a: &[f64; 64], b: &[f64; 64], c: &mut [f64; 64], counters: 
     counters.mma_f64 += 2;
 }
 
-/// CUDA-core replacement of [`mma_f64_8x8x8`] (identical numerics,
-/// counted as 512 CUDA-core FMAs).
-#[inline]
-pub fn cc_mma_f64_8x8x8(
-    a: &[f64; 64],
-    b: &[f64; 64],
-    c: &mut [f64; 64],
-    counters: &mut OpCounters,
-) {
-    mma_f64_m8n8k4_strided_core(a, 0, 8, b, 0, 8, c, 0, 8);
-    mma_f64_m8n8k4_strided_core(a, 4, 8, b, 32, 8, c, 0, 8);
-    counters.fma_f64 += 2 * MMA_F64_FMAS;
-    counters.int_ops += 2 * MMA_F64_FMAS; // operand shuffles
-}
-
-/// Multiply an `M×K` by a `K×N` row-major matrix through tiled FP64 MMA
-/// instructions, zero-padding ragged edges. This is the building block for
-/// warp-level GEMM stages inside the workloads. `c` must be `M×N` and is
-/// accumulated into. Dimensions need not be multiples of the tile shape.
-pub fn mma_tiled_f64(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    counters: &mut OpCounters,
-) {
-    assert_eq!(a.len(), m * k, "A must be M×K");
-    assert_eq!(b.len(), k * n, "B must be K×N");
-    assert_eq!(c.len(), m * n, "C must be M×N");
-    if m.is_multiple_of(8)
-        && n.is_multiple_of(8)
-        && k.is_multiple_of(4)
-        && m != 0
-        && n != 0
-        && k != 0
-    {
-        mma_tiled_f64_aligned(a, b, c, m, n, k, counters);
-        return;
-    }
-    let mut at = [0.0f64; 32];
-    let mut bt = [0.0f64; 32];
-    let mut ct = [0.0f64; 64];
-    for i0 in (0..m).step_by(8) {
-        for j0 in (0..n).step_by(8) {
-            ct.fill(0.0);
-            for (ii, row) in ct.chunks_exact_mut(8).enumerate() {
-                if i0 + ii < m {
-                    for (jj, v) in row.iter_mut().enumerate() {
-                        if j0 + jj < n {
-                            *v = c[(i0 + ii) * n + (j0 + jj)];
-                        }
-                    }
-                }
-            }
-            for k0 in (0..k).step_by(4) {
-                at.fill(0.0);
-                bt.fill(0.0);
-                for ii in 0..8usize.min(m - i0) {
-                    for kk in 0..4usize.min(k - k0) {
-                        at[ii * 4 + kk] = a[(i0 + ii) * k + (k0 + kk)];
-                    }
-                }
-                for kk in 0..4usize.min(k - k0) {
-                    for jj in 0..8usize.min(n - j0) {
-                        bt[kk * 8 + jj] = b[(k0 + kk) * n + (j0 + jj)];
-                    }
-                }
-                mma_f64_m8n8k4(&at, &bt, &mut ct, counters);
-            }
-            for ii in 0..8usize.min(m - i0) {
-                for jj in 0..8usize.min(n - j0) {
-                    c[(i0 + ii) * n + (j0 + jj)] = ct[ii * 8 + jj];
-                }
-            }
-        }
-    }
-}
-
-/// Tile-aligned fast path of [`mma_tiled_f64`] (`m % 8 == n % 8 == 0`,
-/// `k % 4 == 0`): every tile is interior, so the MMAs read `a`/`b` and
-/// accumulate into `c` in place — no scratch zero-fill, no per-element
-/// bounds guards, no copy-in/copy-out — and counters are batched per
-/// tile-row instead of per MMA. The loop nest (`k0` innermost-outer,
-/// element chains inside the core) matches the ragged path exactly, so
-/// results are bit-identical, perturbation injection included.
-fn mma_tiled_f64_aligned(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    counters: &mut OpCounters,
-) {
-    let mmas_per_tile_row = (n as u64 / 8) * (k as u64 / 4);
-    for i0 in (0..m).step_by(8) {
-        for j0 in (0..n).step_by(8) {
-            for k0 in (0..k).step_by(4) {
-                mma_f64_m8n8k4_strided_core(
-                    a,
-                    i0 * k + k0,
-                    k,
-                    b,
-                    k0 * n + j0,
-                    n,
-                    c,
-                    i0 * n + j0,
-                    n,
-                );
-            }
-        }
-        counters.mma_f64 += mmas_per_tile_row;
-    }
-}
-
-/// The arithmetic core shared by every mixed-precision MMA entry point:
+/// The arithmetic of one mixed-precision MMA tile:
 /// `c (m×n, f32) += a (m×k) · b (k×n)` where `a`/`b` hold operand values
 /// **already quantized** to the operand format (exact `f64`
 /// representations — see [`Precision::quantize`]). Products are exact;
@@ -344,107 +172,9 @@ fn mma_mixed_core(a: &[f64], b: &[f64], c: &mut [f32], m: usize, n: usize, k: us
     }
 }
 
-/// One FP16 `m16n8k16` MMA on row-major matrices:
-/// `c (16×8, f32) += a (16×16, f16) · b (16×8, f16)`, with exact operand
-/// products and the per-generation accumulation semantics of `gen`
-/// (fused five-term RN dots on Ampere+, serial RZ+FTZ on Volta).
-/// Increments `counters.mma_f16`.
-pub fn mma_f16_m16n8k16(
-    a: &[F16; 256],
-    b: &[F16; 128],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(F16::to_f64);
-    let bv = b.map(F16::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 16, gen);
-    counters.mma_f16 += 1;
-}
-
-/// CUDA-core replacement of [`mma_f16_m16n8k16`]: identical numerics
-/// issued as 2048 single-precision FMAs plus operand shuffles
-/// (lane-exchange data movement the tensor core performs internally).
-pub fn cc_mma_f16_m16n8k16(
-    a: &[F16; 256],
-    b: &[F16; 128],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(F16::to_f64);
-    let bv = b.map(F16::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 16, gen);
-    counters.fma_f32 += MMA_F16_FMAS;
-    counters.int_ops += MMA_F16_FMAS; // operand shuffles
-}
-
-/// One BF16 `m16n8k16` MMA (same shape and accumulation semantics as
-/// [`mma_f16_m16n8k16`], bfloat16 operands). Increments
-/// `counters.mma_bf16`.
-pub fn mma_bf16_m16n8k16(
-    a: &[Bf16; 256],
-    b: &[Bf16; 128],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(Bf16::to_f64);
-    let bv = b.map(Bf16::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 16, gen);
-    counters.mma_bf16 += 1;
-}
-
-/// CUDA-core replacement of [`mma_bf16_m16n8k16`].
-pub fn cc_mma_bf16_m16n8k16(
-    a: &[Bf16; 256],
-    b: &[Bf16; 128],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(Bf16::to_f64);
-    let bv = b.map(Bf16::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 16, gen);
-    counters.fma_f32 += MMA_F16_FMAS;
-    counters.int_ops += MMA_F16_FMAS; // operand shuffles
-}
-
-/// One TF32 `m16n8k8` MMA on row-major matrices:
-/// `c (16×8, f32) += a (16×8, tf32) · b (8×8, tf32)` — the half-`k`
-/// shape real TF32 units expose. Increments `counters.mma_tf32`.
-pub fn mma_tf32_m16n8k8(
-    a: &[Tf32; 128],
-    b: &[Tf32; 64],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(Tf32::to_f64);
-    let bv = b.map(Tf32::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 8, gen);
-    counters.mma_tf32 += 1;
-}
-
-/// CUDA-core replacement of [`mma_tf32_m16n8k8`] (1024 f32 FMAs plus
-/// operand shuffles).
-pub fn cc_mma_tf32_m16n8k8(
-    a: &[Tf32; 128],
-    b: &[Tf32; 64],
-    c: &mut [f32; 128],
-    gen: MmaGen,
-    counters: &mut OpCounters,
-) {
-    let av = a.map(Tf32::to_f64);
-    let bv = b.map(Tf32::to_f64);
-    mma_mixed_core(&av, &bv, c, 16, 8, 8, gen);
-    counters.fma_f32 += MMA_TF32_FMAS;
-    counters.int_ops += MMA_TF32_FMAS; // operand shuffles
-}
-
 /// Multiply an `M×K` by a `K×N` row-major matrix through tiled
-/// mixed-precision MMAs, zero-padding ragged edges — the reduced-precision
-/// sibling of [`mma_tiled_f64`]. `a` and `b` hold values **already
+/// mixed-precision MMAs (`m16n8k16` for FP16/BF16, `m16n8k8` for TF32),
+/// zero-padding ragged edges. `a` and `b` hold values **already
 /// quantized** to `precision` (see [`Precision::quantize`]); `c` is the
 /// `f32` accumulator. With `cc = false` the work is counted as tensor-core
 /// MMA instructions, with `cc = true` as the CUDA-core replacement
@@ -452,8 +182,9 @@ pub fn cc_mma_tf32_m16n8k8(
 ///
 /// # Panics
 ///
-/// Panics if `precision` is [`Precision::F64`] (use [`mma_tiled_f64`]).
-#[allow(clippy::too_many_arguments)] // mirrors mma_tiled_f64 plus the precision axis
+/// Panics if `precision` is [`Precision::F64`] (FP64 runs through
+/// [`mma_f64_m8n8k4`]).
+#[allow(clippy::too_many_arguments)] // the matmul shape plus precision, generation and pipe
 pub fn mma_tiled_mixed(
     precision: Precision,
     gen: MmaGen,
@@ -470,7 +201,7 @@ pub fn mma_tiled_mixed(
     assert_eq!(b.len(), k * n, "B must be K×N");
     assert_eq!(c.len(), m * n, "C must be M×N");
     let kt = match precision {
-        Precision::F64 => panic!("mma_tiled_mixed models reduced precisions; use mma_tiled_f64"),
+        Precision::F64 => panic!("mma_tiled_mixed models reduced precisions; FP64 has its own MMA"),
         Precision::F16 | Precision::Bf16 => 16,
         Precision::Tf32 => 8,
     };
@@ -539,6 +270,22 @@ mod tests {
         (a, b, c)
     }
 
+    /// Naive reference matmul-accumulate used only by tests, accumulating in
+    /// the same `k`-ascending order but through separate multiply and add
+    /// (i.e. *not* fused). Tests use it to show that the fused chain differs
+    /// from unfused accumulation while agreeing with the CC replacement.
+    pub fn reference_mma_unfused(a: &[f64; 32], b: &[f64; 32], c: &mut [f64; 64]) {
+        for i in 0..8 {
+            for j in 0..8 {
+                let mut acc = c[i * 8 + j];
+                for k in 0..4 {
+                    acc += a[i * 4 + k] * b[k * 8 + j];
+                }
+                c[i * 8 + j] = acc;
+            }
+        }
+    }
+
     #[test]
     fn mma_matches_exact_small_integers() {
         // Integer-valued inputs are exact in f64 whether fused or not.
@@ -557,23 +304,6 @@ mod tests {
         reference_mma_unfused(&a, &b, &mut cref);
         assert_eq!(c, cref);
         assert_eq!(ctr.mma_f64, 1);
-    }
-
-    #[test]
-    fn cc_replacement_is_bit_identical_to_tc() {
-        for seed in 1..20 {
-            let (a, b, c0) = random_tile(seed);
-            let mut c_tc = c0;
-            let mut c_cc = c0;
-            let mut k1 = OpCounters::new();
-            let mut k2 = OpCounters::new();
-            mma_f64_m8n8k4(&a, &b, &mut c_tc, &mut k1);
-            cc_mma_f64_m8n8k4(&a, &b, &mut c_cc, &mut k2);
-            assert_eq!(c_tc, c_cc, "TC and CC must agree bit-for-bit");
-            assert_eq!(k1.mma_f64, 1);
-            assert_eq!(k2.fma_f64, 256);
-            assert_eq!(k1.tc_flops(), k2.cc_flops());
-        }
     }
 
     #[test]
@@ -660,137 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_mma_counts_intersections() {
-        let mut a = [0u128; 8];
-        let mut b = [0u128; 8];
-        a[0] = 0b1011;
-        b[0] = 0b0011;
-        a[7] = u128::MAX;
-        b[7] = u128::MAX;
-        let mut c = [0u32; 64];
-        let mut ctr = OpCounters::new();
-        mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
-        assert_eq!(c[0], 2); // popc(1011 & 0011) = 2
-        assert_eq!(c[7 * 8 + 7], 128);
-        assert_eq!(c[7], 3); // row 0, col 7: a[0] & full = 3 bits
-        assert_eq!(ctr.mma_b1, 1);
-    }
-
-    #[test]
-    fn bit_mma_accumulates() {
-        let a = [1u128; 8];
-        let b = [1u128; 8];
-        let mut c = [0u32; 64];
-        let mut ctr = OpCounters::new();
-        mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
-        mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
-        assert!(c.iter().all(|&v| v == 2));
-    }
-
-    #[test]
-    fn tiled_mma_matches_naive_matmul() {
-        let (m, n, k) = (13, 9, 10); // deliberately ragged
-        let mut g = LcgF64::new(3);
-        let a = g.vec(m * k);
-        let b = g.vec(k * n);
-        let mut c = vec![0.0; m * n];
-        let mut ctr = OpCounters::new();
-        mma_tiled_f64(&a, &b, &mut c, m, n, k, &mut ctr);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for kk in 0..k {
-                    acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
-                }
-                let d = (c[i * n + j] - acc).abs();
-                assert!(d < 1e-12, "({i},{j}) differs by {d}");
-            }
-        }
-        // ceil(13/8)=2, ceil(9/8)=2, ceil(10/4)=3 tiles.
-        assert_eq!(ctr.mma_f64, 2 * 2 * 3);
-    }
-
-    /// The pre-fast-path tiled algorithm: pack every tile into scratch
-    /// (zero-padded) and go through the packed MMA entry point. Kept as
-    /// the reference the aligned fast path must match bit-for-bit.
-    fn tiled_ref_packed(
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        m: usize,
-        n: usize,
-        k: usize,
-        counters: &mut OpCounters,
-    ) {
-        let mut at = [0.0f64; 32];
-        let mut bt = [0.0f64; 32];
-        let mut ct = [0.0f64; 64];
-        for i0 in (0..m).step_by(8) {
-            for j0 in (0..n).step_by(8) {
-                ct.fill(0.0);
-                for (ii, row) in ct.chunks_exact_mut(8).enumerate() {
-                    if i0 + ii < m {
-                        for (jj, v) in row.iter_mut().enumerate() {
-                            if j0 + jj < n {
-                                *v = c[(i0 + ii) * n + (j0 + jj)];
-                            }
-                        }
-                    }
-                }
-                for k0 in (0..k).step_by(4) {
-                    at.fill(0.0);
-                    bt.fill(0.0);
-                    for ii in 0..8usize.min(m - i0) {
-                        for kk in 0..4usize.min(k - k0) {
-                            at[ii * 4 + kk] = a[(i0 + ii) * k + (k0 + kk)];
-                        }
-                    }
-                    for kk in 0..4usize.min(k - k0) {
-                        for jj in 0..8usize.min(n - j0) {
-                            bt[kk * 8 + jj] = b[(k0 + kk) * n + (j0 + jj)];
-                        }
-                    }
-                    mma_f64_m8n8k4(&at, &bt, &mut ct, counters);
-                }
-                for ii in 0..8usize.min(m - i0) {
-                    for jj in 0..8usize.min(n - j0) {
-                        c[(i0 + ii) * n + (j0 + jj)] = ct[ii * 8 + jj];
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn aligned_fast_path_is_bit_identical_to_packed_path() {
-        // Tile-aligned shapes take the strided fast path; it must agree
-        // with the packing reference to the last bit, counters included.
-        for (seed, (m, n, k)) in [(8, 8, 4), (16, 8, 8), (24, 16, 12), (40, 32, 20)]
-            .into_iter()
-            .enumerate()
-        {
-            let mut g = LcgF64::new(seed as u64 + 11);
-            let a = g.vec(m * k);
-            let b = g.vec(k * n);
-            let c0 = g.vec(m * n); // nonzero accumulator exercises seeding
-            let mut c_fast = c0.clone();
-            let mut c_ref = c0.clone();
-            let mut k_fast = OpCounters::new();
-            let mut k_ref = OpCounters::new();
-            mma_tiled_f64(&a, &b, &mut c_fast, m, n, k, &mut k_fast);
-            tiled_ref_packed(&a, &b, &mut c_ref, m, n, k, &mut k_ref);
-            for (i, (x, y)) in c_fast.iter().zip(&c_ref).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "({m}x{n}x{k}) element {i}: fast path diverged from packed"
-                );
-            }
-            assert_eq!(k_fast.mma_f64, k_ref.mma_f64, "MMA count must not change");
-        }
-    }
-
-    #[test]
     fn strided_mma_matches_packed_mma() {
         // A 16×12 / 12×24 problem; take the tile at (8, 8)..(16, 16) and
         // k-rows 4..8, both packed and strided.
@@ -846,17 +445,6 @@ mod tests {
         assert_eq!(k1.mma_f64, 1);
         assert_eq!(k2.mma_f64, 1);
     }
-
-    #[test]
-    fn tiled_mma_accumulates_into_c() {
-        let (m, n, k) = (8, 8, 4);
-        let a = vec![1.0; m * k];
-        let b = vec![1.0; k * n];
-        let mut c = vec![10.0; m * n];
-        let mut ctr = OpCounters::new();
-        mma_tiled_f64(&a, &b, &mut c, m, n, k, &mut ctr);
-        assert!(c.iter().all(|&v| (v - 14.0).abs() < 1e-15));
-    }
 }
 
 #[cfg(test)]
@@ -867,97 +455,6 @@ mod tests_mixed {
     fn quantized(seed: u64, n: usize, p: Precision) -> Vec<f64> {
         let mut g = LcgF64::new(seed);
         (0..n).map(|_| p.quantize(g.next_f64())).collect()
-    }
-
-    #[test]
-    fn mixed_cc_is_bit_identical_to_tc() {
-        // Observation 7 extends to every reduced precision: the CC
-        // replacement reproduces the TC chain bit-for-bit, on both
-        // generations' semantics.
-        for gen in [MmaGen::Volta, MmaGen::Ampere] {
-            let a: [F16; 256] = std::array::from_fn({
-                let v = quantized(11, 256, Precision::F16);
-                move |i| F16::from_f64_rn(v[i])
-            });
-            let b: [F16; 128] = std::array::from_fn({
-                let v = quantized(12, 128, Precision::F16);
-                move |i| F16::from_f64_rn(v[i])
-            });
-            let mut c_tc = [0.5f32; 128];
-            let mut c_cc = [0.5f32; 128];
-            let mut k1 = OpCounters::new();
-            let mut k2 = OpCounters::new();
-            mma_f16_m16n8k16(&a, &b, &mut c_tc, gen, &mut k1);
-            cc_mma_f16_m16n8k16(&a, &b, &mut c_cc, gen, &mut k2);
-            assert_eq!(c_tc.map(f32::to_bits), c_cc.map(f32::to_bits));
-            assert_eq!(k1.mma_f16, 1);
-            assert_eq!(k2.fma_f32, MMA_F16_FMAS);
-            assert_eq!(k1.tc_f16_flops(), k2.cc_f32_flops());
-
-            let ab: [Bf16; 256] = std::array::from_fn({
-                let v = quantized(13, 256, Precision::Bf16);
-                move |i| Bf16::from_f64_rn(v[i])
-            });
-            let bb: [Bf16; 128] = std::array::from_fn({
-                let v = quantized(14, 128, Precision::Bf16);
-                move |i| Bf16::from_f64_rn(v[i])
-            });
-            let mut c_tc = [0.0f32; 128];
-            let mut c_cc = [0.0f32; 128];
-            let mut k3 = OpCounters::new();
-            let mut k4 = OpCounters::new();
-            mma_bf16_m16n8k16(&ab, &bb, &mut c_tc, gen, &mut k3);
-            cc_mma_bf16_m16n8k16(&ab, &bb, &mut c_cc, gen, &mut k4);
-            assert_eq!(c_tc.map(f32::to_bits), c_cc.map(f32::to_bits));
-            assert_eq!(k3.mma_bf16, 1);
-
-            let at: [Tf32; 128] = std::array::from_fn({
-                let v = quantized(15, 128, Precision::Tf32);
-                move |i| Tf32::from_f64_rn(v[i])
-            });
-            let bt: [Tf32; 64] = std::array::from_fn({
-                let v = quantized(16, 64, Precision::Tf32);
-                move |i| Tf32::from_f64_rn(v[i])
-            });
-            let mut c_tc = [0.0f32; 128];
-            let mut c_cc = [0.0f32; 128];
-            let mut k5 = OpCounters::new();
-            let mut k6 = OpCounters::new();
-            mma_tf32_m16n8k8(&at, &bt, &mut c_tc, gen, &mut k5);
-            cc_mma_tf32_m16n8k8(&at, &bt, &mut c_cc, gen, &mut k6);
-            assert_eq!(c_tc.map(f32::to_bits), c_cc.map(f32::to_bits));
-            assert_eq!(k5.mma_tf32, 1);
-            assert_eq!(k6.fma_f32, MMA_TF32_FMAS);
-        }
-    }
-
-    #[test]
-    fn tiled_mixed_matches_entry_point_on_exact_shape() {
-        // A single 16×8×16 problem must go through the identical chain as
-        // the warp-level entry point.
-        let av = quantized(21, 16 * 16, Precision::F16);
-        let bv = quantized(22, 16 * 8, Precision::F16);
-        let a: [F16; 256] = std::array::from_fn(|i| F16::from_f64_rn(av[i]));
-        let b: [F16; 128] = std::array::from_fn(|i| F16::from_f64_rn(bv[i]));
-        let mut c_entry = [0.0f32; 128];
-        let mut k1 = OpCounters::new();
-        mma_f16_m16n8k16(&a, &b, &mut c_entry, MmaGen::Ampere, &mut k1);
-        let mut c_tiled = vec![0.0f32; 128];
-        let mut k2 = OpCounters::new();
-        mma_tiled_mixed(
-            Precision::F16,
-            MmaGen::Ampere,
-            &av,
-            &bv,
-            &mut c_tiled,
-            16,
-            8,
-            16,
-            false,
-            &mut k2,
-        );
-        assert_eq!(c_entry.to_vec(), c_tiled);
-        assert_eq!(k2.mma_f16, 1);
     }
 
     #[test]
@@ -1078,23 +575,5 @@ mod tests_8x8x8 {
                 assert!((got[i * 8 + j] - acc).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn cc_8x8x8_is_bit_identical() {
-        let mut g = LcgF64::new(13);
-        let mut a = [0.0f64; 64];
-        let mut b = [0.0f64; 64];
-        g.fill(&mut a);
-        g.fill(&mut b);
-        let mut c1 = [1.0f64; 64];
-        let mut c2 = [1.0f64; 64];
-        let mut k1 = OpCounters::new();
-        let mut k2 = OpCounters::new();
-        mma_f64_8x8x8(&a, &b, &mut c1, &mut k1);
-        cc_mma_f64_8x8x8(&a, &b, &mut c2, &mut k2);
-        assert_eq!(c1, c2);
-        assert_eq!(k2.fma_f64, 512);
-        assert_eq!(k2.mma_f64, 0);
     }
 }

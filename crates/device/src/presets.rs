@@ -120,16 +120,28 @@ pub fn all_devices() -> Vec<DeviceSpec> {
     vec![a100(), h200(), b200()]
 }
 
-/// The first Table 5 device whose name contains `query`, ignoring case
-/// (`h200`, `H200` and `hopper` all find the H200). Every user-facing
-/// device selector resolves names here: `--device`, `--filter device=`
-/// and `cubied`'s `advise`.
+/// The one Table 5 device whose name contains `query`, ignoring case
+/// (`h200`, `H200` and `hopper` all find the H200). A query that matches
+/// no device, or more than one (`sxm`, `0`), is an error naming the
+/// matches. Every user-facing device selector resolves names here:
+/// `--device`, `--filter device=` and `cubied`'s `advise`.
 pub fn find_device(query: &str) -> Result<DeviceSpec, String> {
     let lower = query.to_ascii_lowercase();
-    all_devices()
+    let mut matches: Vec<DeviceSpec> = all_devices()
         .into_iter()
-        .find(|d| !lower.is_empty() && d.name.to_ascii_lowercase().contains(&lower))
-        .ok_or_else(|| format!("unknown device `{query}` (a100|h200|b200)"))
+        .filter(|d| !lower.is_empty() && d.name.to_ascii_lowercase().contains(&lower))
+        .collect();
+    match matches.len() {
+        0 => Err(format!("unknown device `{query}` (a100|h200|b200)")),
+        1 => Ok(matches.remove(0)),
+        _ => {
+            let names: Vec<&str> = matches.iter().map(|d| d.name.as_str()).collect();
+            Err(format!(
+                "ambiguous device `{query}`: matches {} (a100|h200|b200)",
+                names.join(", ")
+            ))
+        }
+    }
 }
 
 /// One generation's peak-throughput entry for Figure 12.
@@ -203,6 +215,15 @@ mod tests {
         for q in ["v100", ""] {
             let e = find_device(q).unwrap_err();
             assert!(e.contains(&format!("unknown device `{q}`")), "{e}");
+        }
+        for (q, names) in [
+            ("x", vec![h200().name, b200().name]),
+            ("sxm", vec![h200().name, b200().name]),
+            ("0", vec![a100().name, h200().name, b200().name]),
+        ] {
+            let e = find_device(q).unwrap_err();
+            assert!(e.contains(&format!("ambiguous device `{q}`")), "{e}");
+            assert!(e.contains(&names.join(", ")), "{e}");
         }
     }
 

@@ -195,34 +195,3 @@ pub fn pull_bfs(g: &CsrGraph, source: usize) -> PullBfs {
         level_arcs,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_hit_is_the_mma_diagonal() {
-        use cubie_core::mma::mma_b1_m8n8k128_and_popc;
-        let mut rng = cubie_core::SplitMix64::new(11);
-        let mut bits = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
-        for round in 0..200 {
-            let mut rows: [u128; BLOCK_ROWS] = std::array::from_fn(|_| bits());
-            // Sparse rows and segments too, so misses are exercised.
-            let mut seg = bits();
-            if round % 2 == 1 {
-                rows.iter_mut().for_each(|r| *r &= bits() & bits() & bits());
-                seg &= bits() & bits() & bits();
-            }
-            if round % 7 == 0 {
-                rows[round % BLOCK_ROWS] = 0;
-            }
-            let mut c = [0u32; 64];
-            let mut scratch = cubie_core::OpCounters::default();
-            mma_b1_m8n8k128_and_popc(&rows, &[seg; 8], &mut c, &mut scratch);
-            for r in 0..BLOCK_ROWS {
-                assert_eq!(c[r * 8 + r], (rows[r] & seg).count_ones(), "round {round}");
-                assert_eq!(c[r * 8 + r] > 0, rows[r] & seg != 0, "round {round}");
-            }
-        }
-    }
-}

@@ -3,7 +3,7 @@
 #[path = "support/bitmap.rs"]
 mod bitmap;
 
-use bitmap::{reverse, BitmapGraph, Slice};
+use bitmap::{mma_b1_m8n8k128_and_popc, reverse, BitmapGraph, Slice};
 use cubie_core::par::set_max_workers;
 use cubie_core::SplitMix64;
 use cubie_graph::bitmap::{pull_bfs, LevelArcs, PullBfs, BLOCK_COLS, BLOCK_ROWS};
@@ -389,6 +389,135 @@ fn slices_sorted_within_band() {
     }
 }
 
+#[test]
+fn row_hit_is_the_mma_diagonal() {
+    let mut rng = SplitMix64::new(11);
+    let mut bits = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
+    for round in 0..200 {
+        let mut rows: [u128; BLOCK_ROWS] = std::array::from_fn(|_| bits());
+        // Sparse rows and segments too, so misses are exercised.
+        let mut seg = bits();
+        if round % 2 == 1 {
+            rows.iter_mut().for_each(|r| *r &= bits() & bits() & bits());
+            seg &= bits() & bits() & bits();
+        }
+        if round % 7 == 0 {
+            rows[round % BLOCK_ROWS] = 0;
+        }
+        let mut c = [0u32; 64];
+        let mut scratch = cubie_core::OpCounters::default();
+        mma_b1_m8n8k128_and_popc(&rows, &[seg; 8], &mut c, &mut scratch);
+        for r in 0..BLOCK_ROWS {
+            assert_eq!(c[r * 8 + r], (rows[r] & seg).count_ones(), "round {round}");
+            assert_eq!(c[r * 8 + r] > 0, rows[r] & seg != 0, "round {round}");
+        }
+    }
+}
+
+#[test]
+fn bit_mma_counts_intersections() {
+    let mut a = [0u128; 8];
+    let mut b = [0u128; 8];
+    a[0] = 0b1011;
+    b[0] = 0b0011;
+    a[7] = u128::MAX;
+    b[7] = u128::MAX;
+    let mut c = [0u32; 64];
+    let mut ctr = cubie_core::OpCounters::new();
+    mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
+    assert_eq!(c[0], 2); // popc(1011 & 0011) = 2
+    assert_eq!(c[7 * 8 + 7], 128);
+    assert_eq!(c[7], 3); // row 0, col 7: a[0] & full = 3 bits
+    assert_eq!(ctr.mma_b1, 1);
+}
+
+#[test]
+fn bit_mma_accumulates() {
+    let a = [1u128; 8];
+    let b = [1u128; 8];
+    let mut c = [0u32; 64];
+    let mut ctr = cubie_core::OpCounters::new();
+    mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
+    mma_b1_m8n8k128_and_popc(&a, &b, &mut c, &mut ctr);
+    assert!(c.iter().all(|&v| v == 2));
+}
+
+/// The body of `csr_graph_well_formed`: CSR adjacency is sorted,
+/// deduplicated and in bounds.
+fn assert_well_formed(n: usize, edges: &[(u32, u32)], sym: bool) {
+    let g = CsrGraph::from_edges(n, edges, sym);
+    assert_eq!(g.offsets.len(), n + 1);
+    for v in 0..n {
+        let nb = g.neighbors(v);
+        for w in nb.windows(2) {
+            assert!(w[0] < w[1]);
+        }
+        for &u in nb {
+            assert!((u as usize) < n);
+        }
+    }
+}
+
+/// The body of `symmetrize_creates_reverse_arcs`: a symmetrized graph
+/// contains every reverse arc.
+fn assert_symmetrized_has_reverse_arcs(n: usize, edges: &[(u32, u32)]) {
+    let g = CsrGraph::from_edges(n, edges, true);
+    for u in 0..n {
+        for &v in g.neighbors(u) {
+            if v as usize != u {
+                assert!(
+                    g.neighbors(v as usize).contains(&(u as u32)),
+                    "missing {}→{}",
+                    v,
+                    u
+                );
+            }
+        }
+    }
+}
+
+/// A failure case an upstream proptest run once recorded in the
+/// `(n, edges, _)` shape of `symmetrize_creates_reverse_arcs`: 139
+/// vertices, 303 edges with four self-loops, `symmetrize = false`.
+/// Replayed through both properties that take that shape.
+#[test]
+fn recorded_self_loop_case_holds_both_graph_properties() {
+    let flat: [u32; 606] = [
+        106, 68, 42, 106, 69, 100, 77, 97, 102, 138, 80, 69, 69, 126, 106, 100, 136, 69, 113, 120,
+        88, 21, 25, 61, 124, 13, 117, 90, 88, 41, 90, 61, 105, 54, 81, 16, 94, 16, 112, 43, 8, 41,
+        37, 111, 57, 24, 5, 52, 11, 97, 25, 23, 131, 22, 72, 84, 25, 75, 72, 47, 53, 131, 72, 117,
+        19, 87, 37, 75, 4, 78, 80, 40, 67, 10, 137, 97, 116, 53, 100, 121, 41, 3, 127, 78, 16, 82,
+        66, 43, 26, 34, 102, 136, 32, 98, 130, 80, 58, 41, 87, 93, 36, 40, 113, 57, 132, 54, 110,
+        74, 54, 134, 28, 91, 114, 19, 59, 84, 104, 117, 77, 61, 27, 82, 48, 61, 133, 15, 57, 58,
+        130, 108, 22, 19, 85, 81, 89, 129, 137, 112, 69, 87, 6, 107, 15, 59, 62, 2, 32, 129, 43,
+        100, 26, 59, 50, 119, 121, 37, 6, 19, 5, 22, 12, 113, 55, 116, 27, 108, 61, 86, 31, 72,
+        111, 13, 13, 14, 137, 125, 24, 43, 14, 106, 46, 4, 118, 105, 55, 35, 73, 12, 95, 124, 83,
+        84, 111, 100, 53, 56, 58, 37, 81, 68, 128, 106, 137, 64, 39, 92, 76, 79, 53, 137, 69, 43,
+        53, 58, 72, 100, 40, 88, 60, 46, 107, 65, 125, 42, 48, 97, 76, 82, 92, 12, 26, 49, 118,
+        134, 75, 55, 123, 3, 95, 22, 69, 49, 49, 3, 128, 110, 81, 106, 63, 82, 18, 76, 48, 9, 80,
+        92, 29, 106, 106, 49, 44, 129, 92, 24, 138, 81, 25, 21, 104, 93, 76, 31, 96, 74, 123, 0,
+        68, 119, 71, 136, 125, 83, 8, 113, 53, 48, 124, 79, 68, 15, 32, 131, 44, 5, 127, 65, 95, 6,
+        10, 54, 87, 16, 108, 118, 106, 47, 132, 116, 102, 109, 84, 49, 44, 75, 125, 4, 29, 0, 100,
+        90, 11, 132, 81, 54, 33, 33, 115, 76, 136, 99, 25, 69, 45, 133, 32, 118, 101, 14, 16, 98,
+        60, 80, 122, 51, 47, 35, 37, 118, 32, 7, 59, 30, 101, 62, 111, 27, 50, 91, 65, 108, 67, 75,
+        73, 108, 132, 109, 98, 105, 32, 13, 80, 127, 42, 130, 38, 100, 132, 53, 105, 98, 27, 122,
+        67, 28, 109, 131, 42, 16, 111, 48, 4, 53, 105, 33, 35, 8, 134, 1, 26, 127, 84, 17, 1, 5,
+        103, 116, 86, 2, 21, 130, 71, 71, 110, 72, 79, 106, 84, 74, 5, 138, 113, 16, 29, 66, 93,
+        76, 85, 16, 78, 59, 78, 11, 111, 130, 85, 63, 69, 8, 34, 109, 76, 52, 17, 52, 63, 69, 83,
+        98, 86, 119, 90, 89, 89, 14, 112, 130, 127, 10, 114, 112, 47, 24, 1, 55, 51, 51, 69, 97,
+        127, 123, 105, 90, 48, 23, 15, 29, 85, 94, 49, 15, 56, 13, 132, 129, 20, 123, 47, 135, 135,
+        65, 82, 74, 121, 26, 122, 111, 21, 88, 107, 92, 88, 111, 18, 113, 14, 21, 10, 106, 104, 45,
+        26, 96, 71, 110, 65, 54, 30, 92, 121, 92, 23, 130, 103, 136, 112, 75, 34, 27, 38, 82, 65,
+        106, 45, 85, 3, 121, 51, 110, 60, 69, 100, 64, 116, 72, 6, 37, 1, 85, 24, 83, 22, 16, 123,
+        103, 82, 61, 57, 19, 134, 2, 63, 138, 138, 21, 11, 37, 100, 131, 93, 118, 31, 52, 97, 109,
+        116, 62, 121, 59, 29, 50, 125, 88, 112, 112, 49, 28, 85, 2, 93, 119, 12, 84, 31, 98, 31,
+        34, 35, 20, 28, 5, 62, 117, 67, 51, 18, 126,
+    ];
+    let edges: Vec<(u32, u32)> = flat.chunks_exact(2).map(|e| (e[0], e[1])).collect();
+    assert_well_formed(139, &edges, false);
+    assert_symmetrized_has_reverse_arcs(139, &edges);
+}
+
 /// Run `f` under each of the worker caps 1 and 3, restoring the cap.
 fn under_worker_caps<T>(f: impl Fn() -> T) -> Vec<T> {
     [1, 3]
@@ -505,35 +634,13 @@ proptest! {
     /// CSR adjacency is sorted, deduplicated and in bounds.
     #[test]
     fn csr_graph_well_formed((n, edges, sym) in arb_graph()) {
-        let g = CsrGraph::from_edges(n, &edges, sym);
-        prop_assert_eq!(g.offsets.len(), n + 1);
-        for v in 0..n {
-            let nb = g.neighbors(v);
-            for w in nb.windows(2) {
-                prop_assert!(w[0] < w[1]);
-            }
-            for &u in nb {
-                prop_assert!((u as usize) < n);
-            }
-        }
+        assert_well_formed(n, &edges, sym);
     }
 
     /// Symmetrized graphs contain every reverse arc.
     #[test]
     fn symmetrize_creates_reverse_arcs((n, edges, _) in arb_graph()) {
-        let g = CsrGraph::from_edges(n, &edges, true);
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                if v as usize != u {
-                    prop_assert!(
-                        g.neighbors(v as usize).contains(&(u as u32)),
-                        "missing {}→{}",
-                        v,
-                        u
-                    );
-                }
-            }
-        }
+        assert_symmetrized_has_reverse_arcs(n, &edges);
     }
 
     /// BFS levels satisfy the defining property: level(v) = 1 + min

@@ -3,12 +3,13 @@
 //! `cubie_graph::bitmap::pull_bfs` computes what a pull traversal over
 //! these slices counts without building them. The graph property tests
 //! hold it to the slice traversal over a [`BitmapGraph`], and the kernel
-//! property tests replay the bit-MMA BFS on it; both include this file
-//! as a module (the kernels tests through `#[path]`), so each uses only
-//! part of it. [`reverse`] is the in-arc view their level-arc oracles
-//! read.
+//! property tests replay the bit-MMA BFS on it through
+//! [`mma_b1_m8n8k128_and_popc`]; both include this file as a module (the
+//! kernels tests through `#[path]`), so each uses only part of it.
+//! [`reverse`] is the in-arc view their level-arc oracles read.
 #![allow(dead_code)]
 
+use cubie_core::OpCounters;
 use cubie_graph::bitmap::{BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::CsrGraph;
 
@@ -159,4 +160,23 @@ pub fn reverse(g: &CsrGraph) -> CsrGraph {
         }
     }
     CsrGraph::from_parts(n, offsets, adj)
+}
+
+/// One single-bit `m8n8k128` MMA with AND·popc semantics:
+/// `c[i][j] += popcount(a[i] & b_col[j])`, where `a[i]` is the 128-bit row
+/// `i` of `A` and `b_col[j]` the 128-bit column `j` of `B`.
+/// Increments `counters.mma_b1`.
+#[inline]
+pub fn mma_b1_m8n8k128_and_popc(
+    a_rows: &[u128; 8],
+    b_cols: &[u128; 8],
+    c: &mut [u32; 64],
+    counters: &mut OpCounters,
+) {
+    for i in 0..8 {
+        for j in 0..8 {
+            c[i * 8 + j] += (a_rows[i] & b_cols[j]).count_ones();
+        }
+    }
+    counters.mma_b1 += 1;
 }

@@ -77,11 +77,11 @@ pub fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 }
 
 /// Functional execution of one variant. Returns the product and the
-/// workload trace the execution recorded.
+/// workload trace the execution recorded. Any shape works: the MMA
+/// variants zero-pad ragged edge tiles.
 ///
 /// # Panics
-/// Panics if dimensions are not multiples of the variant's tile size
-/// (the paper's cases are powers of two ≥ 256; tests use multiples of 64).
+/// Panics if `a`'s columns do not match `b`'s rows.
 pub fn run(a: &DenseMatrix, b: &DenseMatrix, variant: Variant) -> (DenseMatrix, WorkloadTrace) {
     let case = GemmCase {
         m: a.rows(),

@@ -141,8 +141,12 @@ pub fn input(case: &StencilCase) -> Vec<f64> {
 /// Serial CPU ground truth: naive per-point star with unfused arithmetic
 /// (zero boundary).
 pub fn reference(case: &StencilCase, x: &[f64]) -> Vec<f64> {
+    star_reference(case, x, &Coefficients::diffusion(case.kind))
+}
+
+/// [`reference`] with the star weights `co`.
+fn star_reference(case: &StencilCase, x: &[f64], co: &Coefficients) -> Vec<f64> {
     let (nz, ny, nx) = case.dims;
-    let co = Coefficients::diffusion(case.kind);
     let at = |z: i64, y: i64, xx: i64| -> f64 {
         if z < 0 || y < 0 || xx < 0 || z >= nz as i64 || y >= ny as i64 || xx >= nx as i64 {
             0.0
@@ -171,50 +175,42 @@ pub fn reference(case: &StencilCase, x: &[f64]) -> Vec<f64> {
 pub fn run(case: &StencilCase, x: &[f64], variant: Variant) -> (Vec<f64>, WorkloadTrace) {
     assert_eq!(x.len(), case.points(), "grid size mismatch");
     let out = match variant {
-        Variant::Tc | Variant::Cc | Variant::CcE => run_mma(case, x),
+        Variant::Tc | Variant::Cc | Variant::CcE => {
+            run_mma(case, x, &Coefficients::diffusion(case.kind))
+        }
         Variant::Baseline => run_baseline(case, x),
     };
     (out, trace(case, variant))
 }
 
-/// Build the 8×12 vertical band factor (row-major): out row `r` draws on
-/// padded input rows `r`, `r + 1` and `r + 2` (the input slab starts one
-/// row above the tile; 8 outputs + 2 halo rows fill 10 of the 12 rows
-/// that three chained `m8n8k4` MMAs cover). The centre weight is split
-/// between the passes.
-fn v_factor(co: &Coefficients, center_share: f64) -> [f64; 96] {
-    let mut v = [0.0f64; 96];
-    for r in 0..8 {
-        v[r * 12 + r] = co.axis_y;
-        v[r * 12 + r + 1] = center_share;
-        v[r * 12 + r + 2] = co.axis_y;
+/// One axis' band factor of the separated star, 96 entries row-major.
+/// Output `i` of a tile draws on padded inputs `i`, `i + 1` and `i + 2`
+/// with the axis taps `[w, center_share, w]` (the input slab starts one
+/// row or column before the tile; 8 outputs + 2 halo fill 10 of the 12
+/// positions that three chained `m8n8k4` MMAs cover). Entry `(i, i + d)`
+/// sits at `i·row + (i + d)·col`: strides `(12, 1)` give the 8×12
+/// vertical factor `V`, `(1, 8)` its 12×8 transpose, the horizontal
+/// factor `H`.
+fn band_factor(w: f64, center_share: f64, (row, col): (usize, usize)) -> [f64; 96] {
+    let mut f = [0.0f64; 96];
+    for i in 0..8 {
+        for (d, tap) in [w, center_share, w].into_iter().enumerate() {
+            f[i * row + (i + d) * col] = tap;
+        }
     }
-    v
-}
-
-/// The 12×8 horizontal band factor: transpose structure of `v_factor`
-/// with the x-axis weights.
-fn h_factor(co: &Coefficients, center_share: f64) -> [f64; 96] {
-    let mut h = [0.0f64; 96];
-    for c in 0..8 {
-        h[c * 8 + c] = co.axis_x;
-        h[(c + 1) * 8 + c] = center_share;
-        h[(c + 2) * 8 + c] = co.axis_x;
-    }
-    h
+    f
 }
 
 /// TC/CC/CC-E functional path (identical numerics): per 8×8 tile, the
 /// vertical-factor MMA chain followed by the horizontal-factor chain
 /// accumulating into the same `C`, plus the z-axis FMA contribution in
 /// 3-D.
-fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
+fn run_mma(case: &StencilCase, x: &[f64], co: &Coefficients) -> Vec<f64> {
     let (nz, ny, nx) = case.dims;
-    let co = Coefficients::diffusion(case.kind);
     // The centre weight splits evenly between the two passes (the z
     // contribution carries no centre share).
-    let v = v_factor(&co, co.center / 2.0);
-    let h = h_factor(&co, co.center / 2.0);
+    let v = band_factor(co.axis_y, co.center / 2.0, (12, 1));
+    let h = band_factor(co.axis_x, co.center / 2.0, (1, 8));
     let tiles_y = ny.div_ceil(8);
     let tiles_x = nx.div_ceil(8);
     let mut out = vec![0.0f64; x.len()];
@@ -240,7 +236,7 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                         slab[k * 8 + c] = at(y0 + k as i64 - 1, x0 + c as i64);
                     }
                 }
-                mma_chain_8xk(&v, &slab, &mut ct, &mut scratch);
+                mma_chain_8x12x8(&v, &slab, &mut ct, &mut scratch);
                 // Horizontal pass: A = input slab (8×12), B = H (12×8),
                 // accumulated into the same C.
                 let mut slab_h = [0.0f64; 96];
@@ -249,7 +245,7 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
                         slab_h[r * 12 + k] = at(y0 + r as i64, x0 + k as i64 - 1);
                     }
                 }
-                mma_chain_kx8(&slab_h, &h, &mut ct, &mut scratch);
+                mma_chain_8x12x8(&slab_h, &h, &mut ct, &mut scratch);
                 // Depth pass (3-D): z±1 contributions as element-wise
                 // fused multiply-adds on slab-resident data.
                 if case.kind == StencilKind::Star3D1R {
@@ -288,25 +284,9 @@ fn run_mma(case: &StencilCase, x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// `C (8×8) += A (8×12) · B (12×8)` as three chained `m8n8k4` MMAs.
-fn mma_chain_8xk(a: &[f64; 96], b: &[f64; 96], c: &mut [f64; 64], ctr: &mut OpCounters) {
-    let mut at = [0.0f64; 32];
-    let mut bt = [0.0f64; 32];
-    for step in 0..3 {
-        let k0 = step * 4;
-        for i in 0..8 {
-            at[i * 4..i * 4 + 4].copy_from_slice(&a[i * 12 + k0..i * 12 + k0 + 4]);
-        }
-        for k in 0..4 {
-            bt[k * 8..k * 8 + 8].copy_from_slice(&b[(k0 + k) * 8..(k0 + k) * 8 + 8]);
-        }
-        mma_f64_m8n8k4(&at, &bt, c, ctr);
-    }
-}
-
-/// Same chain with the band factor on the `B` side (`A` is the 8×12 data
-/// slab).
-fn mma_chain_kx8(a: &[f64; 96], b: &[f64; 96], c: &mut [f64; 64], ctr: &mut OpCounters) {
+/// `C (8×8) += A (8×12) · B (12×8)` as three chained `m8n8k4` MMAs. The
+/// band factor is `A` in the vertical pass and `B` in the horizontal one.
+fn mma_chain_8x12x8(a: &[f64; 96], b: &[f64; 96], c: &mut [f64; 64], ctr: &mut OpCounters) {
     let mut at = [0.0f64; 32];
     let mut bt = [0.0f64; 32];
     for step in 0..3 {
@@ -525,6 +505,53 @@ mod tests {
             let (y, _) = run(&case, &x, v);
             let e = ErrorStats::compare(&y, &gold);
             assert!(e.max < 1e-12, "{v}: max err {}", e.max);
+        }
+    }
+
+    /// The weights a linear stencil applies, read off by running it on
+    /// unit impulses (nhls `extract_weights`): the response to an impulse
+    /// at `p` holds, at each point `q`, the weight output `q` gives `p`.
+    /// A zero reads as `+0.0`: the sign of an untouched zero is no weight.
+    fn impulse_responses(
+        case: &StencilCase,
+        points: &[usize],
+        apply: impl Fn(&[f64]) -> Vec<f64>,
+    ) -> Vec<Vec<u64>> {
+        points
+            .iter()
+            .map(|&p| {
+                let mut x = vec![0.0; case.points()];
+                x[p] = 1.0;
+                apply(&x).iter().map(|w| (w + 0.0).to_bits()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn band_factors_apply_the_reference_star_weights() {
+        let mut g = cubie_core::LcgF64::new(0x57E4);
+        for case in [StencilCase::star2d(24, 24), StencilCase::star3d(5, 24, 24)] {
+            let (nz, ny, nx) = case.dims;
+            // Interior points mid-tile, in a tile corner and on both
+            // sides of the tile seams at 8 and 16.
+            let points: Vec<usize> = [(5, 5), (7, 8), (8, 7), (12, 12), (15, 16), (16, 15)]
+                .into_iter()
+                .map(|(y, x)| (nz / 2 * ny + y) * nx + x)
+                .collect();
+            let mut weights = vec![Coefficients::diffusion(case.kind)];
+            weights.extend((0..20).map(|_| Coefficients {
+                center: g.next_f64(),
+                axis_y: g.next_f64(),
+                axis_x: g.next_f64(),
+                axis_z: g.next_f64(),
+            }));
+            for co in weights {
+                assert_eq!(
+                    impulse_responses(&case, &points, |x| run_mma(&case, x, &co)),
+                    impulse_responses(&case, &points, |x| star_reference(&case, x, &co)),
+                    "{case:?} {co:?}"
+                );
+            }
         }
     }
 

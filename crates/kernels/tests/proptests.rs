@@ -7,14 +7,13 @@ mod bitmap;
 #[path = "support/spgemm_oracle.rs"]
 mod spgemm_oracle;
 
-use bitmap::{reverse, BitmapGraph};
+use bitmap::{mma_b1_m8n8k128_and_popc, reverse, BitmapGraph};
 use cubie_core::counters::MemTraffic;
-use cubie_core::mma::mma_b1_m8n8k128_and_popc;
-use cubie_core::{ErrorStats, OpCounters, C64};
+use cubie_core::{DenseMatrix, ErrorStats, OpCounters, C64};
 use cubie_graph::bitmap::{BLOCK_COLS, BLOCK_ROWS};
 use cubie_graph::CsrGraph;
 use cubie_kernels::spgemm::{self, SpgemmStats};
-use cubie_kernels::{bfs, fft, gemv, reduction, scan, spmv, Variant};
+use cubie_kernels::{bfs, fft, gemm, gemv, reduction, scan, spmv, Variant};
 use cubie_sim::trace::latency;
 use cubie_sim::{KernelTrace, WorkloadTrace};
 use cubie_sparse::mbsr::{Mbsr, BLOCK};
@@ -405,6 +404,36 @@ proptest! {
             let (s, _) = reduction::run(&xs, v);
             prop_assert!((s - gold).abs() <= 1e-12 * scale, "{v}: {s} vs {gold}");
         }
+    }
+
+    /// GEMM's tiled MMA over arbitrary (ragged) shapes matches the naive
+    /// matmul, one `m8n8k4` per started 8×8×4 tile.
+    #[test]
+    fn tiled_mma_matches_naive(
+        m in 1usize..24,
+        n in 1usize..24,
+        k in 1usize..24,
+        seed in 0u64..1000,
+    ) {
+        let mut g = cubie_core::LcgF64::new(seed + 1);
+        let a = g.vec(m * k);
+        let b = g.vec(k * n);
+        let (c, t) = gemm::run(
+            &DenseMatrix::from_fn(m, k, |i, j| a[i * k + j]),
+            &DenseMatrix::from_fn(k, n, |i, j| b[i * n + j]),
+            Variant::Tc,
+        );
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f64;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                prop_assert!((c.as_slice()[i * n + j] - acc).abs() < 1e-10);
+            }
+        }
+        let expected = (m.div_ceil(8) * n.div_ceil(8) * k.div_ceil(4)) as u64;
+        prop_assert_eq!(t.total_ops().mma_f64, expected);
     }
 
     /// GEMV: all variants agree with the dense mat-vec for arbitrary

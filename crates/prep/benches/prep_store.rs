@@ -1,7 +1,7 @@
-//! `prep-*` criterion group: cold generation vs snapshot loads.
+//! `prep-warm` criterion group: warm snapshot loads of the Table 4 set.
 //!
-//! Quantifies the store's claim: a warm load of a Table 4 matrix
-//! snapshot should beat regenerating it by a wide margin.
+//! The one-off populate before the timed loop is the cold path; every
+//! timed iteration is a pure warm load.
 
 use std::time::Duration;
 
@@ -27,16 +27,6 @@ fn quick<'a>(
     g
 }
 
-/// prep-cold: generate the Table 4 set in memory (no store).
-fn prep_cold_generate(c: &mut Criterion) {
-    let cfg = PrepConfig::disabled();
-    let mut g = quick(c, "prep-cold");
-    g.bench_function("table4_generate", |b| {
-        b.iter(|| std::hint::black_box(table4_matrices_with(&cfg, SCALE)))
-    });
-    g.finish();
-}
-
 /// prep-warm: serve the same set from recorded snapshots.
 fn prep_warm_load(c: &mut Criterion) {
     let cfg = bench_cfg("warm");
@@ -50,5 +40,5 @@ fn prep_warm_load(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&cfg.dir);
 }
 
-criterion_group!(benches, prep_cold_generate, prep_warm_load);
+criterion_group!(benches, prep_warm_load);
 criterion_main!(benches);

@@ -915,6 +915,23 @@ mod tests {
     }
 
     #[test]
+    fn advise_with_an_ambiguous_device_gets_an_error_reply() {
+        let mut handle = Daemon::start(test_cfg("ambiguous")).unwrap();
+        let spec = AdviseSpec {
+            workload: "spmv".into(),
+            devices: Some(vec!["sxm".into()]),
+            sparse_scale: Some(64),
+            graph_scale: Some(512),
+        };
+        let resp = client_request(handle.socket(), &spec.to_json()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("ambiguous device `sxm`"), "{error}");
+        assert_eq!(handle.daemon.stats.errors.load(Ordering::Relaxed), 1);
+        handle.shutdown();
+    }
+
+    #[test]
     fn profile_rows_carry_exactly_the_documented_keys() {
         let mut handle = Daemon::start(test_cfg("profile")).unwrap();
         let spec = crate::proto::SweepSpec {

@@ -287,8 +287,8 @@ pub fn simulate_block(model: &SmModel, warps: &[Vec<Instr>]) -> BlockRun {
 }
 
 /// Instruction streams for the tensor-core scan of one `n`-element case
-/// (Section 3's three-constant-MMA kernel): used by tests and ablations
-/// to validate the analytic `critical_cycles` estimates.
+/// (Section 3's three-constant-MMA kernel): used by tests to validate
+/// the analytic `critical_cycles` estimates.
 pub fn scan_tc_streams(n: usize) -> Vec<Vec<Instr>> {
     let tiles = n.div_ceil(64).max(1);
     let warps = tiles.min(8);

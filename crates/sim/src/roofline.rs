@@ -53,19 +53,6 @@ impl Roofline {
         (ai * self.dram_bw_gbs).min(self.tc_peak_gflops)
     }
 
-    /// Attainable GFLOP/s at arithmetic intensity `ai` under the L1
-    /// ceiling (cache-friendly kernels may exceed the DRAM roof, as the
-    /// paper observes for Scan/Reduction).
-    pub fn l1_bound(&self, ai: f64) -> f64 {
-        (ai * self.l1_bw_gbs).min(self.tc_peak_gflops)
-    }
-
-    /// The ridge point (FLOP/byte) where the DRAM roof meets the
-    /// tensor-core ceiling.
-    pub fn ridge_ai(&self) -> f64 {
-        self.tc_peak_gflops / self.dram_bw_gbs
-    }
-
     /// Place a measured workload in roofline space using the cache-aware
     /// intensity (FLOPs over total DRAM + L2 + shared traffic, as the
     /// paper's Figure 9 does). Returns `None` for workloads with no
@@ -106,7 +93,8 @@ mod tests {
     #[test]
     fn ridge_point_splits_regimes() {
         let r = Roofline::of(&h200());
-        let ridge = r.ridge_ai();
+        // Where the DRAM roof meets the tensor-core ceiling.
+        let ridge = r.tc_peak_gflops / r.dram_bw_gbs;
         assert!(r.dram_bound(ridge * 0.5) < r.tc_peak_gflops);
         assert!((r.dram_bound(ridge * 2.0) - r.tc_peak_gflops).abs() < 1e-9);
     }
@@ -132,7 +120,8 @@ mod tests {
             let t = time_workload(&d, &w);
             let p = r.place("k", &t).unwrap();
             // Model can never beat the L1 roof or the compute ceiling.
-            assert!(p.gflops <= r.l1_bound(p.ai) * 1.001, "{p:?}");
+            let l1_roof = (p.ai * r.l1_bw_gbs).min(r.tc_peak_gflops);
+            assert!(p.gflops <= l1_roof * 1.001, "{p:?}");
         }
     }
 

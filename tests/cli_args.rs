@@ -173,6 +173,24 @@ fn advise_unknown_device_is_a_usage_error_before_any_preparation() {
 }
 
 #[test]
+fn advise_ambiguous_device_is_a_usage_error_before_any_preparation() {
+    // `x` is in both "SXM" names: a query that matches two devices must
+    // not pick the first.
+    let dir = scratch_dir("advise-ambiguous-device");
+    let out = advise(&["spmv", "--device", "x", "--sparse-scale", "64"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("ambiguous device `x`"), "{stderr}");
+    assert!(stderr.contains("usage: cubie advise"), "{stderr}");
+    assert!(!stderr.contains("prep:"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("advising on"), "{stdout}");
+    let stored = std::fs::read_dir(dir.join("prep")).map_or(0, |d| d.count());
+    assert_eq!(stored, 0, "a rejected advise wrote to the prep store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn figure_rejects_unknown_arguments_names_and_values() {
     let dir = scratch_dir("figure-args");
     assert_usage_error(&["figure", "--bogus"], &dir, &["--bogus", "usage"]);

@@ -19,21 +19,58 @@
 //! demonstrating the oracle genuinely pins the last mantissa bit — the
 //! same mechanism by which the `ext_precision_mma` golden gate trips.
 
-use cubie::core::frag::{pack_a_m16n8k16, pack_b_m16n8k16, unpack_a_m16n8k16, unpack_b_m16n8k16};
-use cubie::core::mma::{
-    cc_mma_f16_m16n8k16, cc_mma_tf32_m16n8k8, mma_bf16_m16n8k16, mma_f16_m16n8k16, mma_tf32_m16n8k8,
-};
+use cubie::core::counters::{MMA_F16_FMAS, MMA_TF32_FMAS};
+use cubie::core::mma::mma_tiled_mixed;
 use cubie::core::scalar::{ftz_f32, round_to_format, Bf16, MmaGen, Precision, Round, Tf32, F16};
 use cubie::core::OpCounters;
 use proptest::prelude::*;
+
+/// One mixed-precision MMA tile through [`mma_tiled_mixed`]: `a` is
+/// 16×k and `b` k×8 row-major (`k` = 16 for FP16/BF16, 8 for TF32),
+/// holding values of the `precision` format; `c` is the 16×8 f32
+/// accumulator. `cc` picks the CUDA-core counting. Returns the counters.
+fn tile_mma(
+    precision: Precision,
+    gen: MmaGen,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f32; 128],
+    cc: bool,
+) -> OpCounters {
+    let mut ctr = OpCounters::new();
+    mma_tiled_mixed(precision, gen, a, b, c, 16, 8, a.len() / 16, cc, &mut ctr);
+    ctr
+}
 
 /// One f16 `m16n8k16` MMA into a zero (or given) accumulator, returning
 /// the 16×8 output.
 fn f16_mma(a: &[F16; 256], b: &[F16; 128], c0: &[f32; 128], gen: MmaGen) -> [f32; 128] {
     let mut c = *c0;
-    let mut ctr = OpCounters::new();
-    mma_f16_m16n8k16(a, b, &mut c, gen, &mut ctr);
+    let ctr = tile_mma(
+        Precision::F16,
+        gen,
+        &a.map(F16::to_f64),
+        &b.map(F16::to_f64),
+        &mut c,
+        false,
+    );
     assert_eq!(ctr.mma_f16, 1);
+    c
+}
+
+/// One bf16 `m16n8k16` MMA into a zero accumulator, returning the 16×8
+/// output.
+fn bf16_mma(a: &[Bf16; 256], b: &[Bf16; 128], gen: MmaGen) -> [f32; 128] {
+    let mut c = [0.0f32; 128];
+    let ctr = tile_mma(
+        Precision::Bf16,
+        gen,
+        &a.map(Bf16::to_f64),
+        &b.map(Bf16::to_f64),
+        &mut c,
+        false,
+    );
+    assert_eq!(ctr.mma_bf16, 1);
     c
 }
 
@@ -87,14 +124,8 @@ fn oracle_ftz_vs_gradual_underflow() {
     let mut b = [Bf16::from_f64_rn(0.0); 128];
     a[0] = Bf16::from_f64_rn((-70f64).exp2());
     b[0] = Bf16::from_f64_rn((-70f64).exp2());
-    let run = |gen| {
-        let mut c = [0.0f32; 128];
-        let mut ctr = OpCounters::new();
-        mma_bf16_m16n8k16(&a, &b, &mut c, gen, &mut ctr);
-        c[0]
-    };
-    let volta = run(MmaGen::Volta);
-    let ampere = run(MmaGen::Ampere);
+    let volta = bf16_mma(&a, &b, MmaGen::Volta)[0];
+    let ampere = bf16_mma(&a, &b, MmaGen::Ampere)[0];
     assert_eq!(volta.to_bits(), 0.0f32.to_bits(), "Volta must flush 2^-140");
     assert!(ampere.is_subnormal(), "Ampere must keep the subnormal");
     assert_eq!(
@@ -164,8 +195,15 @@ fn oracle_tf32_quantization() {
     a[0] = Tf32::from_f64_rn(1.0);
     b[0] = Tf32::from_f64_rn(1.0 + (-11f64).exp2());
     let mut c = [0.0f32; 128];
-    let mut ctr = OpCounters::new();
-    mma_tf32_m16n8k8(&a, &b, &mut c, MmaGen::Ampere, &mut ctr);
+    let ctr = tile_mma(
+        Precision::Tf32,
+        MmaGen::Ampere,
+        &a.map(Tf32::to_f64),
+        &b.map(Tf32::to_f64),
+        &mut c,
+        false,
+    );
+    assert_eq!(ctr.mma_tf32, 1);
     assert_eq!(c[0].to_bits(), 1.0f32.to_bits());
 }
 
@@ -296,33 +334,31 @@ proptest! {
         volta in any::<bool>(),
     ) {
         let gen = if volta { MmaGen::Volta } else { MmaGen::Ampere };
+        let (av, bv) = (a.map(F16::to_f64), b.map(F16::to_f64));
         let mut c_tc = [0.0f32; 128];
         let mut c_cc = [0.0f32; 128];
-        let mut k1 = OpCounters::new();
-        let mut k2 = OpCounters::new();
-        mma_f16_m16n8k16(&a, &b, &mut c_tc, gen, &mut k1);
-        cc_mma_f16_m16n8k16(&a, &b, &mut c_cc, gen, &mut k2);
+        let k1 = tile_mma(Precision::F16, gen, &av, &bv, &mut c_tc, false);
+        let k2 = tile_mma(Precision::F16, gen, &av, &bv, &mut c_cc, true);
         for (x, y) in c_tc.iter().zip(&c_cc) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
+        prop_assert_eq!(k1.mma_f16, 1);
+        prop_assert_eq!(k2.fma_f32, MMA_F16_FMAS);
         prop_assert_eq!(k1.tc_f16_flops(), k2.cc_f32_flops());
 
         // And for the tf32 m16n8k8 shape, reusing the generated bits.
-        let mut a8 = [Tf32::from_f64_rn(0.0); 128];
-        let mut b8 = [Tf32::from_f64_rn(0.0); 64];
-        for (dst, src) in a8.iter_mut().zip(a.iter()) {
-            *dst = Tf32::from_f64_rn(src.to_f64());
-        }
-        for (dst, src) in b8.iter_mut().zip(b.iter()) {
-            *dst = Tf32::from_f64_rn(src.to_f64());
-        }
+        let a8: [f64; 128] = std::array::from_fn(|i| Tf32::from_f64_rn(av[i]).to_f64());
+        let b8: [f64; 64] = std::array::from_fn(|i| Tf32::from_f64_rn(bv[i]).to_f64());
         let mut t_tc = [0.0f32; 128];
         let mut t_cc = [0.0f32; 128];
-        mma_tf32_m16n8k8(&a8, &b8, &mut t_tc, gen, &mut k1);
-        cc_mma_tf32_m16n8k8(&a8, &b8, &mut t_cc, gen, &mut k2);
+        let k1 = tile_mma(Precision::Tf32, gen, &a8, &b8, &mut t_tc, false);
+        let k2 = tile_mma(Precision::Tf32, gen, &a8, &b8, &mut t_cc, true);
         for (x, y) in t_tc.iter().zip(&t_cc) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
+        prop_assert_eq!(k1.mma_tf32, 1);
+        prop_assert_eq!(k2.fma_f32, MMA_TF32_FMAS);
+        prop_assert_eq!(k1.tc_tf32_flops(), k2.cc_f32_flops());
     }
 
     /// Behavior 1 generalized: truncation underestimates. With all
@@ -365,14 +401,8 @@ proptest! {
         // Product lands at output element (0, lane).
         a[0] = Bf16::from_f64_rn((e1 as f64).exp2());
         b[lane] = Bf16::from_f64_rn((e2 as f64).exp2());
-        let run = |gen| {
-            let mut c = [0.0f32; 128];
-            let mut ctr = OpCounters::new();
-            mma_bf16_m16n8k16(&a, &b, &mut c, gen, &mut ctr);
-            c[lane]
-        };
-        let volta = run(MmaGen::Volta);
-        let ampere = run(MmaGen::Ampere);
+        let volta = bf16_mma(&a, &b, MmaGen::Volta)[lane];
+        let ampere = bf16_mma(&a, &b, MmaGen::Ampere)[lane];
         prop_assert_eq!(volta.to_bits(), 0u32);
         prop_assert!(ampere.is_subnormal());
         prop_assert_eq!(ampere as f64, ((e1 + e2) as f64).exp2());
@@ -421,21 +451,5 @@ proptest! {
                 "monotonicity for {:?}: q({lo}) > q({hi})", p
             );
         }
-    }
-
-    /// `m16n8k16` operand fragments round-trip losslessly through the
-    /// PTX lane layout for arbitrary bit patterns (every NaN payload and
-    /// subnormal included — the pack is a pure permutation).
-    #[test]
-    fn mixed_fragments_roundtrip_all_bit_patterns(
-        bits_a in proptest::collection::vec((0u32..0x1_0000).prop_map(|v| v as u16), 256),
-        bits_b in proptest::collection::vec((0u32..0x1_0000).prop_map(|v| v as u16), 128),
-    ) {
-        let mut a = [0u16; 256];
-        let mut b = [0u16; 128];
-        a.copy_from_slice(&bits_a);
-        b.copy_from_slice(&bits_b);
-        prop_assert_eq!(unpack_a_m16n8k16(&pack_a_m16n8k16(&a)), a);
-        prop_assert_eq!(unpack_b_m16n8k16(&pack_b_m16n8k16(&b)), b);
     }
 }

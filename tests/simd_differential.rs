@@ -9,8 +9,8 @@
 //!    through their `_on(path, …)` entry points, comparing every
 //!    supported path against [`SimdPath::Scalar`] in-process;
 //! 2. a subprocess test re-runs a kernel-level digest (SpMV and stencil
-//!    baselines in FP64, tiled MMAs in FP64/FP16/BF16/TF32, and all ten
-//!    kernels' functional runs) under each forced `CUBIE_SIMD` value ×
+//!    baselines in FP64, tiled MMAs in FP16/BF16/TF32, and all ten
+//!    kernels' functional runs, whose ragged GEMM TC runs the FP64 MMA) under each forced `CUBIE_SIMD` value ×
 //!    worker counts {1, 2, 8} — the dispatch decision is a per-process
 //!    `OnceLock`, so forcing requires a fresh process — asserting one
 //!    digest across the whole matrix *and* that the dispatch log line
@@ -20,7 +20,7 @@
 //! Regression seeds live in `proptest-regressions/simd_differential.txt`
 //! and replay before the random cases.
 
-use cubie::core::mma::{mma_tiled_f64, mma_tiled_mixed};
+use cubie::core::mma::mma_tiled_mixed;
 use cubie::core::simd::{self, SimdPath, StarTap};
 use cubie::core::{par, DenseMatrix, LcgF64, MmaGen, OpCounters, Precision, C64};
 use cubie::graph::CsrGraph;
@@ -181,8 +181,9 @@ fn small_csr(rows: usize, cols: usize, seed: u64) -> Csr {
 /// SIMD entry points, plus every mixed precision: all ten kernels via
 /// [`ten_kernel_digest`] (its SpMV baseline runs over a CSR with
 /// empty/ragged/long rows), both stencil shapes (including a
-/// degenerate-width grid with no vectorizable interior), the FP64 tiled
-/// MMA, and FP16/BF16/TF32 tiled MMAs.
+/// degenerate-width grid with no vectorizable interior), and FP16/BF16/
+/// TF32 tiled MMAs. The FP64 MMA's dispatched strided core runs in the
+/// ten-kernel digest's ragged GEMM TC.
 fn kernel_digest() -> u64 {
     let mut h = ten_kernel_digest(7);
     let mut rng = LcgF64::new(20_260_808);
@@ -209,16 +210,13 @@ fn kernel_digest() -> u64 {
         fold(&mut h, digest_f64(&out));
     }
 
-    // Tiled MMAs: FP64 routes through the dispatched strided core;
-    // the reduced precisions pin the mixed accumulation chains under
-    // every forcing (they must not care which path is active).
+    // Tiled mixed-precision MMAs: they pin the mixed accumulation
+    // chains under every forcing (they must not care which path is
+    // active).
     let mut ctr = OpCounters::new();
     let (mm, nn, kk) = (24, 16, 20);
     let a = rng.vec(mm * kk);
     let b = rng.vec(kk * nn);
-    let mut c = vec![0.0f64; mm * nn];
-    mma_tiled_f64(&a, &b, &mut c, mm, nn, kk, &mut ctr);
-    fold(&mut h, digest_f64(&c));
     for precision in [Precision::F16, Precision::Bf16, Precision::Tf32] {
         for gen in [MmaGen::Volta, MmaGen::Ampere] {
             let aq: Vec<f64> = a.iter().map(|&v| precision.quantize(v)).collect();
