@@ -6,13 +6,14 @@
 //!   SuiteSparse collection, with the five Table 3/4 representatives
 //!   projected into the same space, plus the dispersion / range-coverage
 //!   metrics the paper quotes. Every input of both studies is one task
-//!   of a single pool fan-out, heaviest (the representatives) first: a
-//!   corpus item is built from its seed, drawn up front; a
-//!   representative is loaded from the prepared-input store, or
-//!   generated and recorded there ([`cubie_prep::Table::case`]). Each
-//!   task featurises its input and drops it, so only the inputs in
-//!   flight are in memory. The vectors are collected in index order, so
-//!   a study has the same bits for any job count and any store state.
+//!   of a single pool fan-out, heaviest (the representatives) first.
+//!   Each input is loaded from the prepared-input store, or generated
+//!   and recorded there: a representative by name and scale
+//!   ([`cubie_prep::Table::case`]), a corpus item by its family and its
+//!   own seed, drawn up front ([`cubie_prep::Corpus::item`]). Each task
+//!   featurises its input and drops it, so only the inputs in flight
+//!   are in memory. The vectors are collected in index order, so a
+//!   study has the same bits for any job count and any store state.
 //! * [`suite_diversity_study`] — Figure 11: PCA of architectural metrics
 //!   over Rodinia, SHOC and Cubie workloads, with per-suite spread.
 //! * [`TABLE7`] — the dwarf/feature comparison of Table 7.
@@ -20,13 +21,12 @@
 use std::sync::Arc;
 
 use cubie_core::par::par_map_lpt;
-use cubie_core::SplitMix64;
 use cubie_device::DeviceSpec;
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::features::GraphFeatures;
 use cubie_graph::generators as graph_gen;
 use cubie_kernels::Workload;
-use cubie_prep::{LoadReport, PrepCase, PrepConfig, Table};
+use cubie_prep::{Corpus, LoadReport, PrepCase, PrepConfig, Table};
 use cubie_sim::WorkloadTrace;
 use cubie_sparse::features::MatrixFeatures;
 use cubie_sparse::generators as sparse_gen;
@@ -190,7 +190,7 @@ pub fn corpus_studies(graphs: StudyInputs, matrices: StudyInputs) -> (CorpusStud
 
 /// Figure 10a alone: PCA of graph structural features over a synthetic
 /// corpus of `corpus_size` graphs, with the five Table 3 representatives
-/// at `rep_scale`, read through the prepared-input store.
+/// at `rep_scale`, all read through the prepared-input store.
 pub fn graph_corpus_study(corpus_size: usize, rep_scale: usize, seed: u64) -> CorpusStudy {
     study::<CsrGraph>(StudyInputs {
         corpus: corpus_size,
@@ -204,11 +204,9 @@ fn study<T: Fig10Case>(inputs: StudyInputs) -> CorpusStudy {
     fan_out(&[&Study::<T>::new(inputs)]).remove(0)
 }
 
-/// A Figure 10 input kind: its corpus, its Table 3/4 representatives
-/// and the structural features its PCA reads.
+/// A Figure 10 input kind: its Table 3/4 representatives and the
+/// structural features its PCA reads.
 trait Fig10Case: PrepCase + Send {
-    /// Corpus item `i`, built from its own seed.
-    fn corpus_item(i: usize, seed: u64) -> (String, Self);
     /// The representatives' names and published sizes (entries).
     fn representatives() -> Vec<(&'static str, f64)>;
     /// The structural feature vector.
@@ -216,10 +214,6 @@ trait Fig10Case: PrepCase + Send {
 }
 
 impl Fig10Case for CsrGraph {
-    fn corpus_item(i: usize, seed: u64) -> (String, CsrGraph) {
-        graph_gen::corpus_graph(i, seed)
-    }
-
     fn representatives() -> Vec<(&'static str, f64)> {
         graph_gen::table3_specs()
             .iter()
@@ -233,10 +227,6 @@ impl Fig10Case for CsrGraph {
 }
 
 impl Fig10Case for Csr {
-    fn corpus_item(i: usize, seed: u64) -> (String, Csr) {
-        sparse_gen::corpus_matrix(i, seed)
-    }
-
     fn representatives() -> Vec<(&'static str, f64)> {
         sparse_gen::table4_specs()
             .iter()
@@ -262,10 +252,10 @@ trait StudyTasks: Sync {
     fn finish(&self, vecs: Vec<Featurised>) -> CorpusStudy;
 }
 
-/// One study's inputs: corpus items `0..seeds.len()`, then the
-/// representatives, loaded or generated and recorded through `table`.
+/// One study's inputs: the items of `corpus`, then the representatives
+/// in `table`, each loaded or generated and recorded through the store.
 struct Study<T> {
-    seeds: Vec<u64>,
+    corpus: Corpus<T>,
     reps: Vec<(&'static str, f64)>,
     rep_scale: usize,
     table: Table<T>,
@@ -273,55 +263,58 @@ struct Study<T> {
 
 impl<T: Fig10Case> Study<T> {
     fn new(inputs: StudyInputs) -> Study<T> {
+        let cfg = PrepConfig::from_env();
         Study {
-            seeds: SplitMix64::seeds(inputs.seed, inputs.corpus),
+            corpus: Corpus::open(&cfg, inputs.seed, inputs.corpus),
             reps: T::representatives(),
             rep_scale: inputs.rep_scale,
-            table: Table::open(&PrepConfig::from_env(), inputs.rep_scale),
+            table: Table::open(&cfg, inputs.rep_scale),
         }
     }
 }
 
 impl<T: Fig10Case> StudyTasks for Study<T> {
     fn len(&self) -> usize {
-        self.seeds.len() + self.reps.len()
+        self.corpus.len() + self.reps.len()
     }
 
     /// A representative costs its scaled size; corpus items are small
     /// next to the largest of them and follow in index order.
     fn cost(&self, i: usize) -> f64 {
-        match i.checked_sub(self.seeds.len()) {
+        match i.checked_sub(self.corpus.len()) {
             Some(r) => self.reps[r].1 / self.rep_scale as f64,
             None => 0.0,
         }
     }
 
-    /// Build or load input `i`, featurise it and drop it.
+    /// Load or build input `i`, featurise it and drop it.
     fn featurise(&self, i: usize) -> Featurised {
-        match i.checked_sub(self.seeds.len()) {
+        match i.checked_sub(self.corpus.len()) {
             Some(r) => {
                 let name = self.reps[r].0;
                 let (case, report) = self.table.case(name);
                 (name.to_string(), case.features(), report)
             }
             None => {
-                let (name, case) = T::corpus_item(i, self.seeds[i]);
-                (name, case.features(), LoadReport::default())
+                let (name, case, report) = self.corpus.item(i);
+                (name, case.features(), report)
             }
         }
     }
 
     fn finish(&self, vecs: Vec<Featurised>) -> CorpusStudy {
-        let mut report = LoadReport::default();
+        let mut reports = [LoadReport::default(); 2];
         let mut corpus_vecs: Vec<(String, Vec<f64>)> = vecs
             .into_iter()
-            .map(|(name, v, r)| {
-                report += r;
+            .enumerate()
+            .map(|(i, (name, v, r))| {
+                reports[usize::from(i >= self.corpus.len())] += r;
                 (name, v)
             })
             .collect();
-        let rep_vecs = corpus_vecs.split_off(self.seeds.len());
-        self.table.finish(&report);
+        let rep_vecs = corpus_vecs.split_off(self.corpus.len());
+        self.corpus.finish(&reports[0]);
+        self.table.finish(&reports[1]);
         finish_study(corpus_vecs, rep_vecs)
     }
 }

@@ -275,16 +275,31 @@ pub fn table3_graphs(scale: usize) -> Vec<(GraphInfo, CsrGraph)> {
 /// A small diverse corpus of graphs for the Figure 10a coverage study:
 /// RMAT variants, Kronecker, Mycielskians, grids and random graphs.
 /// Graphs are built in parallel from per-graph seeds drawn up front
-/// ([`SplitMix64::seeds`]), each by [`corpus_graph`].
+/// ([`SplitMix64::seeds`]): graph `i` is [`corpus_graph`] of family
+/// `i % CORPUS_FAMILIES` from the seed's draw `i`.
 pub fn diverse_graph_corpus(count: usize, seed: u64) -> Vec<(String, CsrGraph)> {
     let seeds = SplitMix64::seeds(seed, count);
-    cubie_core::par::par_map(count, |i| corpus_graph(i, seeds[i]))
+    cubie_core::par::par_map(count, |i| {
+        (
+            corpus_graph_name(i),
+            corpus_graph(i % CORPUS_FAMILIES, seeds[i]),
+        )
+    })
 }
 
-/// Graph `i` of the Figure 10a corpus, named `corpus-{i}`, from its own
-/// seed `s` (the corpus seed's draw `i`). Its index picks the family.
-pub fn corpus_graph(i: usize, s: u64) -> (String, CsrGraph) {
-    let graph = match i % 5 {
+/// Graph families of the Figure 10a corpus; graph `i` is of family
+/// `i % CORPUS_FAMILIES`.
+pub const CORPUS_FAMILIES: usize = 5;
+
+/// The name of graph `i` of the Figure 10a corpus.
+pub fn corpus_graph_name(i: usize) -> String {
+    format!("corpus-{i}")
+}
+
+/// A Figure 10a corpus graph of `family` (Kronecker, skewed RMAT,
+/// Mycielskian, grid, uniform RMAT) from its own seed `s`.
+pub fn corpus_graph(family: usize, s: u64) -> CsrGraph {
+    match family {
         0 => {
             let logn = 9 + (s % 4) as u32;
             kron_g500(logn, 8 + (s % 24) as usize, s)
@@ -304,7 +319,7 @@ pub fn corpus_graph(i: usize, s: u64) -> (String, CsrGraph) {
         }
         2 => mycielskian(6 + (s % 5) as u32),
         3 => grid_graph(12 + (s % 40) as usize, 12 + ((s >> 8) % 40) as usize),
-        _ => {
+        4 => {
             let n = 1usize << (9 + (s % 4));
             rmat(
                 n,
@@ -317,8 +332,8 @@ pub fn corpus_graph(i: usize, s: u64) -> (String, CsrGraph) {
                 true,
             )
         }
-    };
-    (format!("corpus-{i}"), graph)
+        other => panic!("no corpus graph family {other}"),
+    }
 }
 
 /// A 2-D grid graph (4-connected), the low-variance end of the corpus.

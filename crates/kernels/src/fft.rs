@@ -80,13 +80,26 @@ pub fn input(case: &FftCase) -> Vec<Vec<C64>> {
 
 /// Naive serial 1-D DFT — the CPU ground truth (O(n²), small sizes only).
 pub fn dft_naive(x: &[C64]) -> Vec<C64> {
+    dft_with(x, &twiddles(x.len()))
+}
+
+/// The `n` twiddles `C64::cis(-2π·m/n)`, `m` in `0..n`: input `j` of
+/// output `k` is weighted by entry `(j·k) mod n`.
+fn twiddles(n: usize) -> Vec<C64> {
+    (0..n)
+        .map(|m| C64::cis(-2.0 * PI * m as f64 / n as f64))
+        .collect()
+}
+
+/// [`dft_naive`] with the [`twiddles`] of `x.len()` given, accumulated
+/// in input order.
+fn dft_with(x: &[C64], tw: &[C64]) -> Vec<C64> {
     let n = x.len();
     (0..n)
         .map(|k| {
             let mut acc = C64::ZERO;
             for (j, &v) in x.iter().enumerate() {
-                let w = C64::cis(-2.0 * PI * (j * k % n) as f64 / n as f64);
-                acc += v * w;
+                acc += v * tw[j * k % n];
             }
             acc
         })
@@ -95,15 +108,16 @@ pub fn dft_naive(x: &[C64]) -> Vec<C64> {
 
 /// Naive serial 2-D DFT ground truth.
 pub fn dft2_naive(h: usize, w: usize, x: &[C64]) -> Vec<C64> {
+    let (row_tw, col_tw) = (twiddles(w), twiddles(h));
     // Rows then columns.
     let mut rows: Vec<C64> = Vec::with_capacity(h * w);
     for r in 0..h {
-        rows.extend(dft_naive(&x[r * w..(r + 1) * w]));
+        rows.extend(dft_with(&x[r * w..(r + 1) * w], &row_tw));
     }
     let mut out = vec![C64::ZERO; h * w];
     for c in 0..w {
         let col: Vec<C64> = (0..h).map(|r| rows[r * w + c]).collect();
-        for (r, v) in dft_naive(&col).into_iter().enumerate() {
+        for (r, v) in dft_with(&col, &col_tw).into_iter().enumerate() {
             out[r * w + c] = v;
         }
     }
@@ -406,6 +420,92 @@ pub fn trace(case: &FftCase, variant: Variant) -> WorkloadTrace {
 mod tests {
     use super::*;
     use cubie_core::ErrorStats;
+
+    /// The DFTs as they were before the twiddle tables, unchanged: each
+    /// term's twiddle is computed where it is used. The oracle of
+    /// [`dft_naive`] and [`dft2_naive`].
+    mod per_term {
+        use super::super::*;
+
+        pub fn dft_naive(x: &[C64]) -> Vec<C64> {
+            let n = x.len();
+            (0..n)
+                .map(|k| {
+                    let mut acc = C64::ZERO;
+                    for (j, &v) in x.iter().enumerate() {
+                        let w = C64::cis(-2.0 * PI * (j * k % n) as f64 / n as f64);
+                        acc += v * w;
+                    }
+                    acc
+                })
+                .collect()
+        }
+
+        pub fn dft2_naive(h: usize, w: usize, x: &[C64]) -> Vec<C64> {
+            // Rows then columns.
+            let mut rows: Vec<C64> = Vec::with_capacity(h * w);
+            for r in 0..h {
+                rows.extend(dft_naive(&x[r * w..(r + 1) * w]));
+            }
+            let mut out = vec![C64::ZERO; h * w];
+            for c in 0..w {
+                let col: Vec<C64> = (0..h).map(|r| rows[r * w + c]).collect();
+                for (r, v) in dft_naive(&col).into_iter().enumerate() {
+                    out[r * w + c] = v;
+                }
+            }
+            out
+        }
+    }
+
+    fn bits(x: &[C64]) -> Vec<(u64, u64)> {
+        x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    fn signal(n: usize, seed: u64) -> Vec<C64> {
+        let mut g = cubie_core::LcgF64::new(seed);
+        (0..n)
+            .map(|_| C64::new(g.next_f64(), g.next_f64()))
+            .collect()
+    }
+
+    #[test]
+    fn twiddle_tables_match_the_per_term_dft_on_table6_sizes() {
+        for n in [0usize, 1, 2, 3, 256, 512] {
+            let x = signal(n, n as u64 + 3);
+            assert_eq!(
+                bits(&dft_naive(&x)),
+                bits(&per_term::dft_naive(&x)),
+                "n={n}"
+            );
+        }
+        let x = signal(16 * 24, 5);
+        assert_eq!(
+            bits(&dft2_naive(16, 24, &x)),
+            bits(&per_term::dft2_naive(16, 24, &x))
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn twiddle_tables_match_the_per_term_dft(
+            h in 1usize..40,
+            w in 1usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let x = signal(h * w, seed);
+            proptest::prop_assert_eq!(
+                bits(&dft_naive(&x[..w])),
+                bits(&per_term::dft_naive(&x[..w]))
+            );
+            proptest::prop_assert_eq!(
+                bits(&dft2_naive(h, w, &x)),
+                bits(&per_term::dft2_naive(h, w, &x))
+            );
+        }
+    }
 
     fn small_case(h: usize, w: usize, batch: usize) -> (FftCase, Vec<Vec<C64>>) {
         let case = FftCase { h, w, batch };

@@ -1,9 +1,9 @@
 //! # cubie-prep
 //!
 //! The persistent prepared-input store: content-addressed, checksummed
-//! snapshots of the Table 4 sparse matrices and Table 3 graphs under
-//! `results/prep/`, shared by every entry point (CLI sweeps, benches,
-//! tests, `cubied`).
+//! snapshots of the Table 4 sparse matrices, the Table 3 graphs and
+//! Figure 10's corpus items under `results/prep/`, shared by every entry
+//! point (CLI sweeps, golden checks, benches, tests, `cubied`).
 //!
 //! Every case is served on its own by [`Table::case`]: on a hit its
 //! snapshot is streamed once through a fixed buffer, checksummed and
@@ -14,7 +14,9 @@
 //! cases on the worker pool ([`par_map_lpt`], heaviest case first),
 //! hits and misses alike, then [`Table::finish`] publishes the summed
 //! [`LoadReport`]. Callers that want one case at a time, such as
-//! Figure 10's study fan-out, open a [`Table`] and do the same.
+//! Figure 10's study fan-out, open a [`Table`] and do the same; its
+//! corpus items come the same way through a [`Corpus`], whose items are
+//! keyed by family and own seed rather than by name and scale.
 //!
 //! Correctness before speed: every snapshot embeds its canonical key
 //! and a checksum over its header and payload; truncated, bit-rotted,
@@ -31,8 +33,8 @@
 //! * `CUBIE_PREP_DIR=<path>` — store directory. Default:
 //!   `results/prep` under the current directory.
 //!
-//! Observability: one `prep:` log line per table load (through
-//! [`cubie_obs::log`]), and the process-wide sum of every table load's
+//! Observability: one `prep:` log line per table or corpus load (through
+//! [`cubie_obs::log`]), and the process-wide sum of every load's
 //! [`LoadReport`] in [`process_total`].
 //!
 //! [`par_map_lpt`]: cubie_core::par::par_map_lpt
@@ -47,6 +49,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use cubie_core::par::par_map_lpt;
+use cubie_core::SplitMix64;
 use cubie_graph::csr_graph::CsrGraph;
 use cubie_graph::generators as graph_gen;
 use cubie_graph::generators::GraphInfo;
@@ -106,9 +109,10 @@ impl Default for PrepConfig {
     }
 }
 
-/// One load's hit/miss accounting: of one case ([`Table::case`]), summed
-/// over a table (logged and added to [`process_total`] by
-/// [`Table::finish`]), or over the process.
+/// One load's hit/miss accounting: of one case ([`Table::case`],
+/// [`Corpus::item`]), summed over a table or corpus (logged and added to
+/// [`process_total`] by [`Table::finish`] or [`Corpus::finish`]), or over
+/// the process.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoadReport {
     /// Cases served from snapshots.
@@ -142,20 +146,29 @@ static PROCESS_TOTAL: Mutex<LoadReport> = Mutex::new(LoadReport {
     bytes_written: 0,
 });
 
-/// The sum of every [`Table::finish`]ed report in this process — what
-/// `cubie profile`'s cold/warm verdict reads.
+/// The sum of every [`Table::finish`]ed and [`Corpus::finish`]ed report
+/// in this process — what `cubie profile`'s cold/warm verdict reads.
 pub fn process_total() -> LoadReport {
     *PROCESS_TOTAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A kind of case the store holds: a Table 4 matrix or a Table 3 graph.
+/// A kind of case the store holds: a Table 4 matrix or a Table 3 graph,
+/// and the Figure 10 corpus items of the same kind.
 pub trait PrepCase: Sized {
     /// The table's name in the `prep:` log line.
     const TABLE: &'static str;
-    /// The key of the case called `name` at a scale divisor.
-    fn key(name: &str, scale: usize) -> PrepKey;
+    /// The case kind its keys name.
+    const KIND: &'static str;
+    /// Families of this kind's Figure 10 corpus: item `i` is of family
+    /// `i % CORPUS_FAMILIES`.
+    const CORPUS_FAMILIES: usize;
     /// Generate the case fresh.
     fn generate(name: &str, scale: usize) -> Self;
+    /// The name of Figure 10 corpus item `i`.
+    fn corpus_name(i: usize) -> String;
+    /// Generate a Figure 10 corpus item of `family` fresh from its own
+    /// seed.
+    fn generate_corpus(family: usize, seed: u64) -> Self;
     /// The decoded snapshot as this kind of case, if it is one.
     fn from_decoded(case: Decoded) -> Option<Self>;
     /// Record the case as the snapshot of `key`.
@@ -164,13 +177,19 @@ pub trait PrepCase: Sized {
 
 impl PrepCase for Csr {
     const TABLE: &'static str = "matrices";
-
-    fn key(name: &str, scale: usize) -> PrepKey {
-        PrepKey::matrix(name, scale)
-    }
+    const KIND: &'static str = "matrix";
+    const CORPUS_FAMILIES: usize = sparse_gen::CORPUS_FAMILIES;
 
     fn generate(name: &str, scale: usize) -> Csr {
         sparse_gen::generate(name, scale)
+    }
+
+    fn corpus_name(i: usize) -> String {
+        sparse_gen::corpus_matrix_name(i)
+    }
+
+    fn generate_corpus(family: usize, seed: u64) -> Csr {
+        sparse_gen::corpus_matrix(family, seed)
     }
 
     fn from_decoded(case: Decoded) -> Option<Csr> {
@@ -187,13 +206,19 @@ impl PrepCase for Csr {
 
 impl PrepCase for CsrGraph {
     const TABLE: &'static str = "graphs";
-
-    fn key(name: &str, scale: usize) -> PrepKey {
-        PrepKey::graph(name, scale)
-    }
+    const KIND: &'static str = "graph";
+    const CORPUS_FAMILIES: usize = graph_gen::CORPUS_FAMILIES;
 
     fn generate(name: &str, scale: usize) -> CsrGraph {
         graph_gen::generate(name, scale)
+    }
+
+    fn corpus_name(i: usize) -> String {
+        graph_gen::corpus_graph_name(i)
+    }
+
+    fn generate_corpus(family: usize, seed: u64) -> CsrGraph {
+        graph_gen::corpus_graph(family, seed)
     }
 
     fn from_decoded(case: Decoded) -> Option<CsrGraph> {
@@ -208,20 +233,17 @@ impl PrepCase for CsrGraph {
     }
 }
 
-/// One table's load at one scale divisor: the store its cases are read
-/// from and recorded into, or none when the store is off or unusable.
-/// [`Table::case`] serves one case at a time, from any thread;
-/// [`Table::finish`] publishes the summed accounting once.
-pub struct Table<T> {
+/// The store one load reads from and records into (none when it is off
+/// or unusable), and what its `prep:` line calls the load.
+struct Shelf {
     store: Option<PrepStore>,
-    scale: usize,
-    kind: PhantomData<fn() -> T>,
+    label: String,
 }
 
-impl<T: PrepCase> Table<T> {
-    /// Open the store `cfg` names for a load at `scale`. An unusable
-    /// store is logged, and the load generates in memory.
-    pub fn open(cfg: &PrepConfig, scale: usize) -> Table<T> {
+impl Shelf {
+    /// Open the store `cfg` names. An unusable store is logged, and the
+    /// load generates in memory.
+    fn open(cfg: &PrepConfig, label: String) -> Shelf {
         let store = if cfg.enabled {
             match PrepStore::open_unchecked(&cfg.dir) {
                 Ok(s) => Some(s),
@@ -236,21 +258,16 @@ impl<T: PrepCase> Table<T> {
         } else {
             None
         };
-        Table {
-            store,
-            scale,
-            kind: PhantomData,
-        }
+        Shelf { store, label }
     }
 
-    /// The case called `name`: loaded from its snapshot when a valid one
-    /// is recorded, generated (and recorded) otherwise. The bits are the
-    /// same either way. The report counts this case alone.
-    pub fn case(&self, name: &str) -> (T, LoadReport) {
+    /// The case of `key`: loaded from its snapshot when a valid one is
+    /// recorded, made by `generate` (and recorded) otherwise. The bits
+    /// are the same either way. The report counts this case alone.
+    fn serve<T: PrepCase>(&self, key: &PrepKey, generate: impl FnOnce() -> T) -> (T, LoadReport) {
         let mut report = LoadReport::default();
-        let key = T::key(name, self.scale);
         if let Some(store) = &self.store {
-            match store.load(&key) {
+            match store.load(key) {
                 Lookup::Hit(loaded) => {
                     if let Some(case) = T::from_decoded(loaded.case) {
                         report.hits = 1;
@@ -274,10 +291,10 @@ impl<T: PrepCase> Table<T> {
                 }
             }
         }
-        let case = T::generate(name, self.scale);
+        let case = generate();
         report.misses = 1;
         if let Some(store) = &self.store {
-            match case.save(store, &key) {
+            match case.save(store, key) {
                 Ok(path) => {
                     report.bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 }
@@ -292,16 +309,14 @@ impl<T: PrepCase> Table<T> {
         (case, report)
     }
 
-    /// Publish a table's summed accounting: add it to
-    /// [`process_total`], and log one `prep:` line when the store is in
-    /// use.
-    pub fn finish(&self, report: &LoadReport) {
+    /// Publish a load's summed accounting: add it to [`process_total`],
+    /// and log one `prep:` line when the store is in use.
+    fn finish(&self, report: &LoadReport) {
         *PROCESS_TOTAL.lock().unwrap_or_else(|e| e.into_inner()) += *report;
         if self.store.is_some() {
             cubie_obs::log(format!(
-                "prep: {} scale={} hits={} misses={} invalidated={} loaded={}B written={}B",
-                T::TABLE,
-                self.scale,
+                "prep: {} hits={} misses={} invalidated={} loaded={}B written={}B",
+                self.label,
                 report.hits,
                 report.misses,
                 report.invalidated,
@@ -309,6 +324,97 @@ impl<T: PrepCase> Table<T> {
                 report.bytes_written
             ));
         }
+    }
+}
+
+/// One table's load at one scale divisor, through the store or in
+/// memory. [`Table::case`] serves one case at a time, from any thread;
+/// [`Table::finish`] publishes the summed accounting once, as the
+/// `prep: <table> scale=<scale>` line.
+pub struct Table<T> {
+    shelf: Shelf,
+    scale: usize,
+    kind: PhantomData<fn() -> T>,
+}
+
+impl<T: PrepCase> Table<T> {
+    /// Open the store `cfg` names for a load at `scale`. An unusable
+    /// store is logged, and the load generates in memory.
+    pub fn open(cfg: &PrepConfig, scale: usize) -> Table<T> {
+        Table {
+            shelf: Shelf::open(cfg, format!("{} scale={scale}", T::TABLE)),
+            scale,
+            kind: PhantomData,
+        }
+    }
+
+    /// The case called `name`: loaded from its snapshot when a valid one
+    /// is recorded, generated (and recorded) otherwise. The bits are the
+    /// same either way. The report counts this case alone.
+    pub fn case(&self, name: &str) -> (T, LoadReport) {
+        let key = PrepKey::case(T::KIND, name, self.scale);
+        self.shelf.serve(&key, || T::generate(name, self.scale))
+    }
+
+    /// Publish a table's summed accounting: add it to
+    /// [`process_total`], and log one `prep:` line when the store is in
+    /// use.
+    pub fn finish(&self, report: &LoadReport) {
+        self.shelf.finish(report);
+    }
+}
+
+/// One kind's Figure 10 corpus drawn from one seed, through the store or
+/// in memory: item `i` is of family `i % CORPUS_FAMILIES`, built from
+/// its own seed (the corpus seed's draw `i`) and keyed by the two, so
+/// corpora that share an item share its snapshot. [`Corpus::item`] serves
+/// one item at a time, from any thread; [`Corpus::finish`] publishes the
+/// summed accounting once, as the `prep: <table> corpus seed=<seed>`
+/// line.
+pub struct Corpus<T> {
+    shelf: Shelf,
+    seeds: Vec<u64>,
+    kind: PhantomData<fn() -> T>,
+}
+
+impl<T: PrepCase> Corpus<T> {
+    /// Open the store `cfg` names for the `count` items of the corpus
+    /// drawn from `seed`.
+    pub fn open(cfg: &PrepConfig, seed: u64, count: usize) -> Corpus<T> {
+        Corpus {
+            shelf: Shelf::open(cfg, format!("{} corpus seed={seed:#x}", T::TABLE)),
+            seeds: SplitMix64::seeds(seed, count),
+            kind: PhantomData,
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.seeds.len()
+    }
+
+    /// Whether the corpus has no items.
+    pub fn is_empty(&self) -> bool {
+        self.seeds.is_empty()
+    }
+
+    /// The store key of item `i`.
+    pub fn key(&self, i: usize) -> PrepKey {
+        PrepKey::corpus(T::KIND, i % T::CORPUS_FAMILIES, self.seeds[i])
+    }
+
+    /// Item `i` and its name: loaded from its snapshot when a valid one
+    /// is recorded, generated (and recorded) otherwise. The bits are the
+    /// same either way. The report counts this item alone.
+    pub fn item(&self, i: usize) -> (String, T, LoadReport) {
+        let generate = || T::generate_corpus(i % T::CORPUS_FAMILIES, self.seeds[i]);
+        let (case, report) = self.shelf.serve(&self.key(i), generate);
+        (T::corpus_name(i), case, report)
+    }
+
+    /// Publish the corpus's summed accounting, as [`Table::finish`] does.
+    pub fn finish(&self, report: &LoadReport) {
+        self.shelf.finish(report);
     }
 }
 
@@ -443,6 +549,49 @@ mod tests {
             assert_eq!(ia, ib);
             assert_eq!(ga, gb);
         }
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Load every item of a corpus, cold or warm, with the summed report.
+    fn load_corpus<T: PrepCase>(
+        cfg: &PrepConfig,
+        seed: u64,
+        count: usize,
+    ) -> (Vec<(String, T)>, LoadReport) {
+        let corpus = Corpus::<T>::open(cfg, seed, count);
+        let mut report = LoadReport::default();
+        let items = (0..corpus.len())
+            .map(|i| {
+                let (name, case, r) = corpus.item(i);
+                report += r;
+                (name, case)
+            })
+            .collect();
+        corpus.finish(&report);
+        (items, report)
+    }
+
+    #[test]
+    fn corpus_cold_then_warm_is_the_generated_corpus() {
+        let cfg = tmp_cfg("corpus");
+        let bits = |m: &Csr| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fresh = sparse_gen::diverse_corpus(12, 0xF16B);
+        let (cold, r1) = load_corpus::<Csr>(&cfg, 0xF16B, 12);
+        let (warm, r2) = load_corpus::<Csr>(&cfg, 0xF16B, 12);
+        assert_eq!((r1.hits, r1.misses), (0, 12));
+        assert_eq!((r2.hits, r2.misses, r2.bytes_written), (12, 0, 0));
+        assert_eq!(r2.bytes_loaded, r1.bytes_written);
+        for (((fn_, f), (cn, c)), (wn, w)) in fresh.iter().zip(&cold).zip(&warm) {
+            assert_eq!((cn, wn), (fn_, fn_));
+            assert_eq!((c, w), (f, f));
+            assert_eq!((bits(c), bits(w)), (bits(f), bits(f)));
+        }
+        let fresh = graph_gen::diverse_graph_corpus(10, 13);
+        let (cold, r1) = load_corpus::<CsrGraph>(&cfg, 13, 10);
+        let (warm, r2) = load_corpus::<CsrGraph>(&cfg, 13, 10);
+        assert_eq!((r1.misses, r2.hits), (10, 10));
+        assert_eq!(cold, fresh);
+        assert_eq!(warm, fresh);
         let _ = fs::remove_dir_all(&cfg.dir);
     }
 

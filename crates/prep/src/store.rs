@@ -24,8 +24,9 @@ use crate::format::{self, Decoded};
 pub const PREP_SCHEMA: &str = "cubie-prep/v1";
 
 /// Version of the deterministic input generators. Bump whenever any
-/// Table 3/4 generator changes its output bits — old snapshots stop
-/// being addressable and regenerate on next use.
+/// Table 3/4 generator or Figure 10 corpus generator changes its output
+/// bits — old snapshots stop being addressable and regenerate on next
+/// use.
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Version of the on-disk binary layout (`format` module). Bump when
@@ -43,22 +44,23 @@ pub fn current_prefix() -> String {
 }
 
 impl PrepKey {
-    fn new(kind: &str, name: &str, scale: usize) -> PrepKey {
+    /// Key of the Table 3/4 case of `kind` called `name` at a scale
+    /// divisor. A Table 4 matrix is one key for SpMV and SpGEMM alike:
+    /// the input is identical, so one snapshot serves both.
+    pub fn case(kind: &str, name: &str, scale: usize) -> PrepKey {
         PrepKey(Key::new(
             &current_prefix(),
             &format!("kind={kind};name={name};scale={scale}"),
         ))
     }
 
-    /// Key of a Table 4 matrix at a scale divisor (shared by SpMV and
-    /// SpGEMM — the input is identical, so one snapshot serves both).
-    pub fn matrix(name: &str, scale: usize) -> PrepKey {
-        PrepKey::new("matrix", name, scale)
-    }
-
-    /// Key of a Table 3 graph at a scale divisor.
-    pub fn graph(name: &str, scale: usize) -> PrepKey {
-        PrepKey::new("graph", name, scale)
+    /// Key of a Figure 10 corpus item of `kind` and `family`, built from
+    /// its own `seed`.
+    pub fn corpus(kind: &str, family: usize, seed: u64) -> PrepKey {
+        PrepKey(Key::new(
+            &current_prefix(),
+            &format!("kind={kind};corpus-family={family};seed={seed:#018x}"),
+        ))
     }
 }
 
@@ -175,10 +177,10 @@ mod tests {
 
     #[test]
     fn key_addresses_are_stable_and_distinct() {
-        let a = PrepKey::matrix("spmsrts", 64);
-        let b = PrepKey::matrix("spmsrts", 32);
-        let c = PrepKey::graph("spmsrts", 64);
-        assert_eq!(a, PrepKey::matrix("spmsrts", 64));
+        let a = PrepKey::case("matrix", "spmsrts", 64);
+        let b = PrepKey::case("matrix", "spmsrts", 32);
+        let c = PrepKey::case("graph", "spmsrts", 64);
+        assert_eq!(a, PrepKey::case("matrix", "spmsrts", 64));
         assert_ne!(a.address(), b.address());
         assert_ne!(a.address(), c.address());
         assert_eq!(a.address().len(), 16);
@@ -186,6 +188,10 @@ mod tests {
         // Pinned: an address moves only when a version in the prefix is
         // bumped on purpose.
         assert_eq!(a.address(), "00945d8f9fe52d3a");
+        let corpus = PrepKey::corpus("matrix", 3, 0xF16B);
+        assert_ne!(corpus, PrepKey::corpus("graph", 3, 0xF16B));
+        assert_ne!(corpus, PrepKey::corpus("matrix", 2, 0xF16B));
+        assert_eq!(corpus.address(), "1a41dc9b7322e545");
     }
 
     #[test]
@@ -193,7 +199,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let (store, report) = PrepStore::open(&dir).unwrap();
         assert_eq!(report, OpenReport::default());
-        let key = PrepKey::matrix("test", 4);
+        let key = PrepKey::case("matrix", "test", 4);
         assert!(matches!(store.load(&key), Lookup::Miss));
         let m = matrix();
         store.save_matrix(&key, &m).unwrap();
@@ -214,7 +220,7 @@ mod tests {
     fn corrupt_snapshot_is_invalidated_then_missing() {
         let dir = tmp_dir("corrupt");
         let (store, _) = PrepStore::open(&dir).unwrap();
-        let key = PrepKey::matrix("test", 4);
+        let key = PrepKey::case("matrix", "test", 4);
         store.save_matrix(&key, &matrix()).unwrap();
         let path = store.dir.path_for(&key);
         let mut bytes = fs::read(&path).unwrap();
@@ -231,7 +237,7 @@ mod tests {
     fn version_skewed_entry_is_dropped_at_open_and_load() {
         let dir = tmp_dir("skew");
         let (store, _) = PrepStore::open(&dir).unwrap();
-        let key = PrepKey::matrix("test", 4);
+        let key = PrepKey::case("matrix", "test", 4);
         store.save_matrix(&key, &matrix()).unwrap();
         // Doctor the snapshot as a previous generator version would have
         // written it: rewrite the embedded key (same length, so the

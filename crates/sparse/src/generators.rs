@@ -375,24 +375,40 @@ enum CorpusClass {
 /// drawn from banded / grid / blocked / power-law / random structure
 /// classes with randomized parameters. Matrices are built in parallel
 /// from per-matrix seeds drawn up front ([`SplitMix64::seeds`]), each by
-/// [`corpus_matrix`].
+/// [`corpus_matrix`] of class `i % CORPUS_FAMILIES` from the seed's draw
+/// `i`.
 pub fn diverse_corpus(n: usize, seed: u64) -> Vec<(String, Csr)> {
     let seeds = SplitMix64::seeds(seed, n);
-    cubie_core::par::par_map(n, |i| corpus_matrix(i, seeds[i]))
+    cubie_core::par::par_map(n, |i| {
+        (
+            corpus_matrix_name(i),
+            corpus_matrix(i % CORPUS_FAMILIES, seeds[i]),
+        )
+    })
 }
 
-/// Matrix `i` of the Figure 10b corpus, named `{class}-{i}`, from its
-/// own seed (the corpus seed's draw `i`). Its index picks the class.
-pub fn corpus_matrix(i: usize, seed: u64) -> (String, Csr) {
-    const CLASSES: [CorpusClass; 5] = [
-        CorpusClass::Banded,
-        CorpusClass::Grid9,
-        CorpusClass::Blocked,
-        CorpusClass::PowerLaw,
-        CorpusClass::Random,
-    ];
-    let class = CLASSES[i % CLASSES.len()];
-    (format!("{class:?}-{i}"), class_matrix(class, seed))
+/// The Figure 10b corpus classes, in family order.
+const CORPUS_CLASSES: [CorpusClass; 5] = [
+    CorpusClass::Banded,
+    CorpusClass::Grid9,
+    CorpusClass::Blocked,
+    CorpusClass::PowerLaw,
+    CorpusClass::Random,
+];
+
+/// Structure classes of the Figure 10b corpus; matrix `i` is of class
+/// `i % CORPUS_FAMILIES`.
+pub const CORPUS_FAMILIES: usize = CORPUS_CLASSES.len();
+
+/// The name of matrix `i` of the Figure 10b corpus: `{class}-{i}`.
+pub fn corpus_matrix_name(i: usize) -> String {
+    format!("{:?}-{i}", CORPUS_CLASSES[i % CORPUS_FAMILIES])
+}
+
+/// A Figure 10b corpus matrix of class `family` (banded, 9-point grid,
+/// blocked, power-law, random) from its own seed.
+pub fn corpus_matrix(family: usize, seed: u64) -> Csr {
+    class_matrix(CORPUS_CLASSES[family], seed)
 }
 
 fn class_matrix(class: CorpusClass, seed: u64) -> Csr {

@@ -58,6 +58,11 @@
 //!          --jobs N                  worker-thread cap (results identical
 //!                                    for every N; only wall-clock changes)
 //! (`-f` and `-j` spell them too on `sweep` and `profile`).
+//!
+//! `CUBIE_JOBS=N` is the sweep engine's default `--jobs`; `verify`,
+//! `errors`, `figure`, `advise` and `golden record|check` apply it to
+//! the whole process, so Table 6, Figure 10, Figure 11 and the advisor's
+//! preparation run under it too.
 //! ```
 //!
 //! Every command declares its arguments once, in `COMMANDS`; the same
@@ -396,6 +401,16 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Cap the whole process at `CUBIE_JOBS` workers (when it is set and
+/// parses), so every fan-out of a command runs under it: Table 6, the
+/// Figure 10 studies, the Figure 11 suite and a bare preparation as well
+/// as the sweep.
+fn cap_jobs_from_env() {
+    if let Some(jobs) = cubie::bench::env_parse("CUBIE_JOBS") {
+        cubie::core::par::set_max_workers(jobs);
+    }
+}
+
 /// Write a results file or die with the path in the diagnostic.
 fn write_or_fail(path: &std::path::Path, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
@@ -574,6 +589,7 @@ fn run_cmd(args: &Args) {
 /// reference traversal's.
 fn verify_cmd(args: &Args) {
     let w = args.workload();
+    cap_jobs_from_env();
     println!(
         "verifying {} against the serial CPU reference…",
         w.spec().name
@@ -612,6 +628,7 @@ fn verify_bfs_levels() -> bool {
 }
 
 fn errors_cmd(args: &Args) {
+    cap_jobs_from_env();
     let scale = if args.switch("--quick") {
         ErrorScale::Quick
     } else {
@@ -632,6 +649,7 @@ fn figure_cmd(args: &Args) {
         config.graph_scale = k;
     }
     let names = artifact_selection(args);
+    cap_jobs_from_env();
     let ctx = artifacts::GoldenCtx::new(config);
     println!(
         "rendering {} artifact(s) at sparse_scale={} graph_scale={}",
@@ -658,6 +676,7 @@ fn advise_cmd(args: &Args) {
     let w = args.workload();
     let devices = args.devices();
     let (ss, gs) = args.scales();
+    cap_jobs_from_env();
     // Prepare through the shared sweep cache: labels and traces of all
     // variants are memoized for the rest of the process.
     let entry = cubie::bench::SweepCache::global().ensure(w, ss, gs);
@@ -737,6 +756,7 @@ fn recorded_golden_dir() -> std::path::PathBuf {
 
 fn golden_record(args: &Args) {
     let names = artifact_selection(args);
+    cap_jobs_from_env();
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -767,6 +787,7 @@ fn golden_record(args: &Args) {
 fn golden_check(args: &Args) {
     let names = artifact_selection(args);
     let dir = recorded_golden_dir();
+    cap_jobs_from_env();
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let mut report_diffs = Vec::new();
     for name in names {

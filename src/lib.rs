@@ -11,7 +11,7 @@
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
-//! * [`core`] — MMA semantics, fragments, op counters, RNG, error metrics.
+//! * [`core`] — MMA semantics, op counters, RNG, error metrics.
 //! * [`device`] — A100/H200/B200 device specifications.
 //! * [`sim`] — timing, power/EDP, and roofline models.
 //! * [`sparse`] — sparse formats and synthetic SuiteSparse-like matrices.
@@ -26,8 +26,9 @@
 //! * [`obs`] — the always-compiled span/counter instrumentation layer
 //!   behind `cubie profile` (phase hotspots + Chrome traces).
 //! * [`prep`] — the persistent prepared-input store: content-addressed
-//!   checksummed snapshots of the Table 3/4 inputs under `results/prep`,
-//!   loaded on warm starts, generated in parallel on cold ones.
+//!   checksummed snapshots of the Table 3/4 inputs and Figure 10's corpus
+//!   under `results/prep`, loaded on warm starts, generated in parallel
+//!   on cold ones.
 //! * [`serve`] — `cubied`, the sweep-as-a-service daemon: line-delimited
 //!   JSON over a unix socket, request dedup, admission control, and a
 //!   content-addressed result store (`cubie serve` / `cubie client`).

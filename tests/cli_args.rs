@@ -564,3 +564,52 @@ fn verify_prints_the_table6_quick_rows_for_every_workload() {
     assert!(!dir.join("results").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The most threads `cubie args` had alive at once under
+/// `CUBIE_JOBS=jobs`, sampled from `/proc/<pid>/task` until it exits.
+/// Pool workers stay alive once spawned, so the sample cannot miss one.
+fn peak_threads(args: &[&str], jobs: &str, dir: &Path) -> usize {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cubie"))
+        .args(args)
+        .current_dir(dir)
+        .env("CUBIE_JOBS", jobs)
+        .env("CUBIE_PREP_DIR", dir.join("prep"))
+        .env(
+            "CUBIE_GOLDEN_DIR",
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden"),
+        )
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cubie");
+    let tasks = format!("/proc/{}/task", child.id());
+    let mut peak = 0;
+    while child.try_wait().unwrap().is_none() {
+        if let Ok(entries) = std::fs::read_dir(&tasks) {
+            peak = peak.max(entries.count());
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(child.wait().unwrap().success(), "{args:?} failed");
+    peak
+}
+
+/// `CUBIE_JOBS` caps every fan-out of a command, not only a sweep's:
+/// Table 6's and a bare preparation's too. Under 1 the process never
+/// runs a second thread. Under 3, Table 6 (long enough for the sampler
+/// to see its pool) runs exactly three, whatever the host's core count.
+#[cfg(target_os = "linux")]
+#[test]
+fn cubie_jobs_caps_the_whole_process() {
+    let dir = scratch_dir("jobs");
+    for args in [
+        &["errors", "--quick"][..],
+        &["verify", "spgemm"],
+        &["golden", "check", "--only", "table6_errors"],
+        &["advise", "spgemm", "--sparse-scale", "256"],
+    ] {
+        assert_eq!(peak_threads(args, "1", &dir), 1, "{args:?} under one job");
+    }
+    assert_eq!(peak_threads(&["errors", "--quick"], "3", &dir), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -21,9 +21,10 @@
 //!    worker counts {1, 2, 8} (one shared store across paths — a
 //!    snapshot recorded under the scalar path must serve the AVX2 run
 //!    bit-identically), plus two processes racing cold on the same
-//!    store directory, and Figure 10's studies (whose Table 3/4
-//!    representatives come through the store) with the store off,
-//!    cold and warm, under worker caps 1 and 3.
+//!    store directory, and Figure 10's studies (whose corpus items and
+//!    Table 3/4 representatives all come through the store) with the
+//!    store off, cold and warm, under worker caps 1 and 3, and with one
+//!    corpus snapshot bit-flipped.
 
 use std::path::{Path, PathBuf};
 
@@ -471,10 +472,17 @@ fn fig10_graph_study_probe() {
     eprintln!("fig10 digest: {h:#018x}");
 }
 
-/// Figure 10's graph study reads its Table 3 representatives through
-/// the store: the PCA points are the same bits with the store off, cold
-/// (generate and record) and warm (all five graphs served from
-/// snapshots).
+/// The snapshot of item `i` of the corpus Figure 10a's graph study at
+/// the test scale reads (40 graphs drawn from seed 13) in `store`.
+fn graph_corpus_snapshot(store: &TempStore, i: usize) -> PathBuf {
+    let corpus = prep::Corpus::<CsrGraph>::open(&store.cfg(), 13, 40);
+    store.0.join(format!("{}.bin", corpus.key(i).address()))
+}
+
+/// Figure 10's graph study reads its 40 corpus graphs and its Table 3
+/// representatives through the store: the PCA points are the same bits
+/// with the store off, cold (generate and record) and warm (all 45
+/// graphs served from snapshots).
 #[test]
 fn fig10_graph_study_is_bit_identical_through_the_store() {
     let store = TempStore::new("fig10");
@@ -491,14 +499,25 @@ fn fig10_graph_study_is_bit_identical_through_the_store() {
     assert!(!store.0.exists(), "the store is bypassed when it is off");
     let (cold, cold_log) = probe("on");
     assert!(
-        cold_log.contains("prep: graphs scale=256 hits=0 misses=5 "),
-        "the cold run must generate and record all five graphs:\n{cold_log}"
+        cold_log.contains("prep: graphs scale=256 hits=0 misses=5 ")
+            && cold_log.contains("prep: graphs corpus seed=0xd hits=0 misses=40 "),
+        "the cold run must generate and record all 45 graphs:\n{cold_log}"
     );
-    assert_eq!(store.snapshot_files().len(), 5, "five graph snapshots");
+    assert_eq!(
+        store.snapshot_files().len(),
+        45,
+        "40 corpus and five representative graph snapshots"
+    );
     let (warm, warm_log) = probe("on");
     assert!(
-        warm_log.contains("prep: graphs scale=256 hits=5 misses=0 "),
-        "the warm run must serve all five graphs from snapshots:\n{warm_log}"
+        warm_log.contains("prep: graphs scale=256 hits=5 misses=0 ")
+            && warm_log.contains("prep: graphs corpus seed=0xd hits=40 misses=0 "),
+        "the warm run must serve all 45 graphs from snapshots:\n{warm_log}"
+    );
+    assert_eq!(
+        store.snapshot_files().len(),
+        45,
+        "a warm run records nothing"
     );
     assert_eq!(off, cold, "cold store run diverged from fresh generation");
     assert_eq!(off, warm, "warm store run diverged from fresh generation");
@@ -544,9 +563,10 @@ fn fig10_studies_probe() {
 }
 
 /// Figure 10's two studies, built by one fan-out, give the same bits
-/// with the store off, cold (the matrix representatives at scale 8 are
-/// generated and recorded, as the graphs are) and warm (all ten served
-/// from snapshots), under worker caps 1 and 3.
+/// with the store off, cold (the 120 corpus items and ten
+/// representatives are generated and recorded) and warm (all 130 served
+/// from snapshots), under worker caps 1 and 3. In the cold process the
+/// first cap records and the second is served.
 #[test]
 fn fig10_studies_are_bit_identical_through_the_store_and_the_schedule() {
     let store = TempStore::new("fig10_studies");
@@ -562,25 +582,117 @@ fn fig10_studies_are_bit_identical_through_the_store_and_the_schedule() {
     let (off, _) = probe("off");
     assert!(!store.0.exists(), "the store is bypassed when it is off");
     let (cold, cold_log) = probe("on");
-    assert!(
-        cold_log.contains("prep: matrices scale=8 hits=0 misses=5 "),
-        "the cold run must generate and record all five matrices:\n{cold_log}"
-    );
+    for line in [
+        "prep: matrices scale=8 hits=0 misses=5 ",
+        "prep: graphs scale=256 hits=0 misses=5 ",
+        "prep: matrices corpus seed=0xf16b hits=0 misses=80 ",
+        "prep: graphs corpus seed=0xd hits=0 misses=40 ",
+    ] {
+        assert!(
+            cold_log.contains(line),
+            "the cold run must generate and record every input (`{line}`):\n{cold_log}"
+        );
+    }
     let recorded = store.snapshot_files().len();
-    assert_eq!(recorded, 10, "five scale-8 matrix and five graph snapshots");
-    let (warm, warm_log) = probe("on");
-    assert!(
-        warm_log.contains("prep: matrices scale=8 hits=5 misses=0 ")
-            && warm_log.contains("prep: graphs scale=256 hits=5 misses=0 "),
-        "the warm run must serve all ten representatives from snapshots:\n{warm_log}"
+    assert_eq!(
+        recorded, 130,
+        "80 + 40 corpus snapshots, five scale-8 matrix and five graph snapshots"
     );
+    let (warm, warm_log) = probe("on");
+    for line in [
+        "prep: matrices scale=8 hits=5 misses=0 ",
+        "prep: graphs scale=256 hits=5 misses=0 ",
+        "prep: matrices corpus seed=0xf16b hits=80 misses=0 ",
+        "prep: graphs corpus seed=0xd hits=40 misses=0 ",
+    ] {
+        assert!(
+            warm_log.contains(line),
+            "the warm run must serve every input from snapshots (`{line}`):\n{warm_log}"
+        );
+    }
     assert_eq!(
         store.snapshot_files().len(),
-        10,
+        130,
         "a warm run records nothing"
     );
     assert_eq!(off, cold, "cold store run diverged from fresh generation");
     assert_eq!(off, warm, "warm store run diverged from fresh generation");
+}
+
+/// A bit-flipped corpus snapshot is invalidated and regenerated on its
+/// own: the warm run reports 39 hits, one invalidation and one miss for
+/// the corpus, rewrites the snapshot with the bytes it had, and the
+/// study keeps its bits.
+#[test]
+fn fig10_bit_flipped_corpus_snapshot_is_regenerated_with_the_same_study_bits() {
+    let store = TempStore::new("fig10_flip");
+    let dir = store.0.to_string_lossy().to_string();
+    let envs = [("CUBIE_PREP_CACHE", "on"), ("CUBIE_PREP_DIR", dir.as_str())];
+    let cold = digest_of(&run_probe_stderr("fig10_graph_study_probe", &envs), &envs);
+    let victim = graph_corpus_snapshot(&store, 7);
+    let original = std::fs::read(&victim).expect("the cold run recorded item 7");
+    let mut bytes = original.clone();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let log = run_probe_stderr("fig10_graph_study_probe", &envs);
+    assert!(
+        log.contains("prep: graphs corpus seed=0xd hits=39 misses=1 invalidated=1 "),
+        "only the flipped snapshot is regenerated:\n{log}"
+    );
+    assert!(
+        log.contains("prep: graphs scale=256 hits=5 misses=0 "),
+        "{log}"
+    );
+    assert_eq!(digest_of(&log, &envs), cold, "the study's bits moved");
+    assert_eq!(
+        std::fs::read(&victim).unwrap(),
+        original,
+        "the snapshot is rewritten with its original bytes"
+    );
+    assert_eq!(store.snapshot_files().len(), 45);
+    assert_eq!(tmp_leftovers(&store.0), 0);
+}
+
+/// Every corpus item is addressed by its kind, family and own seed: two
+/// corpus seeds never share an address, with each other or with a
+/// Table 3/4 representative, and a larger corpus from the same seed
+/// reuses the smaller one's addresses as its prefix.
+#[test]
+fn corpus_items_of_two_seeds_never_share_an_address() {
+    use std::collections::HashSet;
+    let off = PrepConfig::disabled();
+    let mut seen: HashSet<String> = HashSet::new();
+    for seed in [13, 14, 0xF16A, 0xF16B] {
+        let graphs = prep::Corpus::<CsrGraph>::open(&off, seed, 150);
+        let matrices = prep::Corpus::<Csr>::open(&off, seed, 400);
+        for key in (0..graphs.len())
+            .map(|i| graphs.key(i))
+            .chain((0..matrices.len()).map(|i| matrices.key(i)))
+        {
+            assert!(
+                seen.insert(key.address()),
+                "{} shares its address",
+                key.canonical()
+            );
+        }
+        let smaller = prep::Corpus::<CsrGraph>::open(&off, seed, 40);
+        for i in 0..smaller.len() {
+            assert_eq!(smaller.key(i), graphs.key(i));
+        }
+    }
+    assert_eq!(seen.len(), 4 * (150 + 400));
+    for scale in [1, 8, 16, 64, 256, 512] {
+        for spec in cubie::sparse::generators::table4_specs() {
+            let key = prep::PrepKey::case("matrix", spec.name, scale);
+            assert!(!seen.contains(&key.address()), "{}", key.canonical());
+        }
+        for spec in cubie::graph::generators::table3_specs() {
+            let key = prep::PrepKey::case("graph", spec.name, scale);
+            assert!(!seen.contains(&key.address()), "{}", key.canonical());
+        }
+    }
 }
 
 /// Each snapshot's inode: a rewrite renames a new file over the old
